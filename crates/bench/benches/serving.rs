@@ -17,20 +17,18 @@
 //!   same database costs);
 //! * `hybrid` — compiled rules with network fallback for unmatched rows.
 //!
-//! The `dag-vs-table-vs-interpreted` group is the engine-generation
-//! scoreboard: the DAG program (auto-parallel and pinned to one thread)
-//! against the retained pre-DAG predicate-table engine and the
-//! interpreted loop, same workload.
+//! The `dag-vs-interpreted` group pits the DAG program (auto-parallel and
+//! pinned to one thread) against the interpreted loop on the same
+//! workload.
 //!
 //! The shared-model group scores the same 100k rows split into disjoint
 //! chunks across N threads through one `Arc<ServeModel>` — the lock-free
 //! scaling story (results stay bit-identical; the workspace concurrency
 //! test pins that).
 //!
-//! In full (non-quick) mode the run **asserts** the acceptance bars:
-//! compiled batch scoring must beat the interpreted per-row path by ≥ 2×,
-//! and the DAG program must beat the predicate-table engine by ≥ 1.5×,
-//! both at 100k rows on one core.
+//! In full (non-quick) mode the run **asserts** the acceptance bar:
+//! compiled batch scoring must beat the interpreted per-row path by ≥ 2×
+//! at 100k rows on one core.
 
 use std::sync::Arc;
 
@@ -88,9 +86,8 @@ fn serving(c: &mut Criterion) {
     });
     group.finish();
 
-    // Engine-generation scoreboard: DAG (auto threads and pinned to one)
-    // vs the retained predicate-table engine vs the interpreted loop.
-    let mut group = c.benchmark_group(format!("dag-vs-table-vs-interpreted-{rows}-rows"));
+    // DAG (auto threads and pinned to one) vs the interpreted loop.
+    let mut group = c.benchmark_group(format!("dag-vs-interpreted-{rows}-rows"));
     group.sample_size(10);
     group.throughput(Throughput::Elements(rows as u64));
     group.bench_function("dag", |b| {
@@ -98,9 +95,6 @@ fn serving(c: &mut Criterion) {
     });
     group.bench_function("dag-1-thread", |b| {
         b.iter(|| model.rules().predict_batch_with(&view, 1, 8192).len());
-    });
-    group.bench_function("predicate-table", |b| {
-        b.iter(|| model.rules().predict_batch_table(&view).len());
     });
     group.bench_function("interpreted", |b| {
         b.iter(|| {
@@ -113,14 +107,13 @@ fn serving(c: &mut Criterion) {
 
     if !criterion::quick_mode() {
         assert_compiled_beats_interpreted(&model, &ruleset, &test);
-        assert_dag_beats_the_table(&model, &test);
     }
 }
 
-/// The acceptance bar, self-enforced like the `ingest` bench's allocation
-/// assertion: at 100k rows on one core, the compiled batch path must be
-/// at least 2× the interpreted per-row path (best of a few reps each, so
-/// scheduler noise can't fail a healthy build).
+/// The acceptance bar, self-enforced like the `ingest` bench's heap and
+/// checksum assertions: at 100k rows on one core, the compiled batch path
+/// must be at least 2× the interpreted per-row path (best of a few reps
+/// each, so scheduler noise can't fail a healthy build).
 fn assert_compiled_beats_interpreted(
     model: &ServeModel,
     ruleset: &nr_rules::RuleSet,
@@ -150,31 +143,6 @@ fn assert_compiled_beats_interpreted(
     assert!(
         speedup >= 2.0,
         "compiled rule scoring must beat the interpreted path by >= 2x, got {speedup:.2}x"
-    );
-}
-
-/// The DAG-generation bar: at 100k rows on **one thread** (so the margin
-/// is prefix sharing + fused sweeps, not parallelism), the DAG program
-/// must be at least 1.5× the retained predicate-table engine.
-fn assert_dag_beats_the_table(model: &ServeModel, test: &Dataset) {
-    let view = test.view();
-    let best = |f: &mut dyn FnMut() -> usize| -> std::time::Duration {
-        (0..5)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                criterion::black_box(f());
-                t0.elapsed()
-            })
-            .min()
-            .expect("non-empty reps")
-    };
-    let dag = best(&mut || model.rules().predict_batch_with(&view, 1, 8192).len());
-    let table = best(&mut || model.rules().predict_batch_table(&view).len());
-    let speedup = table.as_secs_f64() / dag.as_secs_f64();
-    eprintln!("dag {dag:.2?} vs predicate-table {table:.2?} -> {speedup:.2}x (bar: 1.5x)");
-    assert!(
-        speedup >= 1.5,
-        "the DAG program must beat the predicate-table engine by >= 1.5x, got {speedup:.2}x"
     );
 }
 

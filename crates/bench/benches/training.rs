@@ -9,7 +9,6 @@
 //! auto worker threads (bit-identical results either way).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use nr_bench::rowmajor::{induce_rowmajor, RowMajorDataset};
 use nr_bench::{bench_dataset, bench_encoded, fresh_network};
 use nr_nn::{CrossEntropyObjective, Penalty, Trainer, TrainingAlgorithm};
 use nr_opt::{Bfgs, GradientDescent, Objective};
@@ -68,11 +67,9 @@ fn objective(c: &mut Criterion) {
     group.finish();
 }
 
-/// The columnar-layout scoreboard for tree induction: the same C4.5
-/// algorithm over typed column scans ([`DecisionTree::fit`]) vs the
-/// seed-style row-major layout (`rows[r][a]` gathers through enum-tagged
-/// `Vec<Vec<Value>>` storage). Pruning is off in both so the timing is
-/// pure induction-time data access.
+/// Tree induction over typed column scans ([`DecisionTree::fit`]), the
+/// C4.5 baseline's training cost. Pruning is off so the timing is pure
+/// induction-time data access.
 fn tree_induction(c: &mut Criterion) {
     let rows = if criterion::quick_mode() {
         2_000
@@ -80,7 +77,6 @@ fn tree_induction(c: &mut Criterion) {
         10_000
     };
     let ds = bench_dataset(rows);
-    let rowmajor = RowMajorDataset::from_columnar(&ds);
     let config = TreeConfig {
         prune: false,
         ..TreeConfig::default()
@@ -91,9 +87,6 @@ fn tree_induction(c: &mut Criterion) {
     group.throughput(Throughput::Elements(rows as u64));
     group.bench_function("columnar", |b| {
         b.iter(|| DecisionTree::fit(&ds, &config).n_leaves());
-    });
-    group.bench_function("seed-style-rowmajor", |b| {
-        b.iter(|| induce_rowmajor(&rowmajor, config.min_leaf, config.max_depth));
     });
     group.finish();
 }

@@ -6,8 +6,6 @@
 
 #![deny(missing_docs)]
 
-pub mod rowmajor;
-
 use nr_datagen::{Function, Generator};
 use nr_encode::{EncodedDataset, Encoder};
 use nr_nn::{Mlp, Trainer};

@@ -6,7 +6,7 @@ use nr_prune::PruneOutcome;
 use nr_rules::{Predictor, RuleSet};
 use nr_rulex::{BitRule, RxTrace};
 use nr_serve::{ServeMode, ServeModel};
-use nr_tabular::{ClassId, Dataset, Value};
+use nr_tabular::Dataset;
 use serde::{Deserialize, Serialize};
 
 /// Everything the pipeline produced, phase by phase. The experiment drivers
@@ -45,7 +45,7 @@ pub struct Model {
 
 impl Model {
     /// Compiles the fitted model into an immutable, `Arc`-shareable
-    /// [`ServeModel`]: the rule set lowered to the batch predicate-table
+    /// [`ServeModel`]: the rule set compiled to the batch decision-DAG
     /// engine, the pruned network behind the batch scorer, answering in
     /// [`ServeMode::Rules`]. Switch engines with
     /// [`ServeModel::with_mode`] (`Network`, or `Hybrid` for
@@ -57,33 +57,6 @@ impl Model {
             self.network.clone(),
             ServeMode::Rules,
         )
-    }
-
-    /// Predicts one materialized row with the extracted rules (first
-    /// match, else default).
-    #[deprecated(
-        since = "0.1.0",
-        note = "row-at-a-time shim; use `compile()` and the batch \
-                `Predictor` API instead"
-    )]
-    // One deprecated shim delegating to another: first-match semantics
-    // must live in exactly one place (RuleSet), or the serving-equivalence
-    // guarantees drift.
-    #[allow(deprecated)]
-    pub fn predict(&self, row: &[Value]) -> ClassId {
-        self.ruleset.predict(row)
-    }
-
-    /// Predicts one materialized row with the pruned network (argmax
-    /// output).
-    #[deprecated(
-        since = "0.1.0",
-        note = "row-at-a-time shim; use `compile()` and the batch \
-                `Predictor` API instead"
-    )]
-    pub fn predict_network(&self, row: &[Value]) -> ClassId {
-        let x = self.encoder.encode_row(row);
-        self.network.classify(&x)
     }
 
     /// Rule-set accuracy on a dataset (batch evaluation through the

@@ -13,6 +13,11 @@ use crate::{Model, PipelineReport};
 pub enum PipelineError {
     /// The training set was empty.
     EmptyTrainingSet,
+    /// `hidden_nodes` was 0: the network needs at least one hidden node.
+    NoHiddenNodes,
+    /// `encoder_bins` (the value given) was below 2 while a generic
+    /// encoder was to be fitted.
+    TooFewEncoderBins(usize),
     /// Input encoding failed.
     Encode(EncodeError),
     /// Rule extraction failed.
@@ -23,6 +28,10 @@ impl std::fmt::Display for PipelineError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PipelineError::EmptyTrainingSet => write!(f, "training set is empty"),
+            PipelineError::NoHiddenNodes => write!(f, "need at least one hidden node"),
+            PipelineError::TooFewEncoderBins(bins) => {
+                write!(f, "need at least two encoder bins, got {bins}")
+            }
             PipelineError::Encode(e) => write!(f, "encoding: {e}"),
             PipelineError::Rx(e) => write!(f, "rule extraction: {e}"),
         }
@@ -81,9 +90,8 @@ impl Default for NeuroRule {
 }
 
 impl NeuroRule {
-    /// Sets the hidden-layer width.
+    /// Sets the hidden-layer width ([`NeuroRule::fit`] rejects 0).
     pub fn with_hidden_nodes(mut self, h: usize) -> Self {
-        assert!(h > 0, "need at least one hidden node");
         self.hidden_nodes = h;
         self
     }
@@ -131,20 +139,27 @@ impl NeuroRule {
         self
     }
 
-    /// Bins per numeric attribute when fitting a generic encoder.
+    /// Bins per numeric attribute when fitting a generic encoder
+    /// ([`NeuroRule::fit`] rejects fewer than 2).
     pub fn with_encoder_bins(mut self, bins: usize) -> Self {
-        assert!(bins >= 2);
         self.encoder_bins = bins;
         self
     }
 
-    /// Runs the full pipeline on a training set.
+    /// Runs the full pipeline on a training set. The configuration is
+    /// validated here, not in the builders, because every field is public.
     pub fn fit(&self, train: &Dataset) -> Result<Model, PipelineError> {
+        if self.hidden_nodes == 0 {
+            return Err(PipelineError::NoHiddenNodes);
+        }
         if train.is_empty() {
             return Err(PipelineError::EmptyTrainingSet);
         }
         let encoder = match &self.encoder {
             Some(e) => e.clone(),
+            None if self.encoder_bins < 2 => {
+                return Err(PipelineError::TooFewEncoderBins(self.encoder_bins))
+            }
             None => Encoder::fit(train, self.encoder_bins)?,
         };
         let encoded = encoder.encode_dataset(train);

@@ -1,7 +1,5 @@
 //! The schema-level encoder: bit layout and dataset encoding.
 
-use std::sync::Arc;
-
 use nr_tabular::{ClassId, Column, Dataset, DatasetView, Schema, Value};
 use serde::{Deserialize, Serialize};
 
@@ -302,19 +300,17 @@ fn agrawal_schema_local() -> Schema {
 /// Alongside the per-row accessors, the encoded data is held in the batch
 /// layout the network's matrix kernels consume — one contiguous row-major
 /// inputs buffer plus a one-hot target matrix, both built once at encoding
-/// time and exposed through [`EncodedDataset::batch`]. The buffers are
-/// reference-counted so a [`SharedBatch`] handle (an `Arc` clone per
-/// buffer, no data copy) can be moved onto long-lived worker threads.
+/// time and exposed through [`EncodedDataset::batch`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EncodedDataset {
-    data: Arc<Vec<f64>>,
+    data: Vec<f64>,
     cols: usize,
-    targets: Arc<Vec<ClassId>>,
+    targets: Vec<ClassId>,
     n_classes: usize,
     /// Row-major `rows × n_classes` one-hot expansion of `targets`.
-    onehot: Arc<Vec<f64>>,
+    onehot: Vec<f64>,
     /// Set-bit layout of `data`, present when every entry is exactly 0/1.
-    bits: Option<Arc<BinaryInputs>>,
+    bits: Option<BinaryInputs>,
 }
 
 /// Compressed set-bit (CSR-style) layout of a strictly-0/1 input matrix.
@@ -398,51 +394,6 @@ pub struct EncodedBatch<'a> {
     pub bits: Option<&'a BinaryInputs>,
 }
 
-/// Owned, cheaply-cloneable handle on an [`EncodedDataset`]'s batch
-/// buffers (`Arc` clones — no data copy).
-///
-/// Unlike the borrowed [`EncodedBatch`], a `SharedBatch` is `'static`: it
-/// can move into jobs submitted to a long-lived worker pool. Borrow a
-/// kernel-ready [`EncodedBatch`] back on the worker via
-/// [`SharedBatch::batch`].
-#[derive(Debug, Clone)]
-pub struct SharedBatch {
-    inputs: Arc<Vec<f64>>,
-    onehot: Arc<Vec<f64>>,
-    targets: Arc<Vec<ClassId>>,
-    bits: Option<Arc<BinaryInputs>>,
-    rows: usize,
-    cols: usize,
-    n_classes: usize,
-}
-
-impl SharedBatch {
-    /// Borrows the kernel-facing batch view.
-    #[inline]
-    pub fn batch(&self) -> EncodedBatch<'_> {
-        EncodedBatch {
-            inputs: &self.inputs,
-            targets_onehot: &self.onehot,
-            rows: self.rows,
-            cols: self.cols,
-            n_classes: self.n_classes,
-            bits: self.bits.as_deref(),
-        }
-    }
-
-    /// Class targets, one per row.
-    #[inline]
-    pub fn targets(&self) -> &[ClassId] {
-        &self.targets
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-}
-
 impl EncodedDataset {
     /// Builds an encoded dataset from raw parts (used by subnetwork training).
     pub fn from_parts(
@@ -467,12 +418,12 @@ impl EncodedDataset {
         }
         let bits = BinaryInputs::detect(&data, cols);
         EncodedDataset {
-            data: Arc::new(data),
+            data,
             cols,
-            targets: Arc::new(targets),
+            targets,
             n_classes,
-            onehot: Arc::new(onehot),
-            bits: bits.map(Arc::new),
+            onehot,
+            bits,
         }
     }
 
@@ -524,7 +475,7 @@ impl EncodedDataset {
     /// Set-bit layout of the inputs, when they are strictly 0/1.
     #[inline]
     pub fn binary_inputs(&self) -> Option<&BinaryInputs> {
-        self.bits.as_deref()
+        self.bits.as_ref()
     }
 
     /// The whole dataset as a dense batch (built once at encoding time;
@@ -537,21 +488,7 @@ impl EncodedDataset {
             rows: self.targets.len(),
             cols: self.cols,
             n_classes: self.n_classes,
-            bits: self.bits.as_deref(),
-        }
-    }
-
-    /// An owned, `'static` handle on the batch buffers (`Arc` clones — no
-    /// data copy), movable onto worker-pool threads.
-    pub fn shared(&self) -> SharedBatch {
-        SharedBatch {
-            inputs: self.data.clone(),
-            onehot: self.onehot.clone(),
-            targets: self.targets.clone(),
-            bits: self.bits.clone(),
-            rows: self.targets.len(),
-            cols: self.cols,
-            n_classes: self.n_classes,
+            bits: self.bits.as_ref(),
         }
     }
 }

@@ -40,7 +40,7 @@ mod feasible;
 mod rewrite;
 
 pub use coding::{AttrCoding, BitMeaning};
-pub use encoder::{BinaryInputs, EncodedBatch, EncodedDataset, Encoder, SharedBatch};
+pub use encoder::{BinaryInputs, EncodedBatch, EncodedDataset, Encoder};
 pub use feasible::{enumerate_feasible, is_feasible, PatternSpace};
 pub use rewrite::{
     literal_implies, literal_is_tautology, literals_to_conditions, literals_to_rule, Literal,

@@ -362,22 +362,14 @@ impl Mlp {
     /// Runs `score` over the outputs of every row, on fixed-size chunks
     /// dispatched to the shared worker pool (inline for single-chunk
     /// datasets), summing the per-chunk counts in chunk order.
-    ///
-    /// `score` is a concrete enum rather than a closure so the chunk jobs
-    /// are `'static` (the pool outlives any borrow of `self`); the weights
-    /// are cloned into the job (a few hundred floats) and the batch buffers
-    /// travel as `Arc` handles.
     fn count_rows(&self, data: &EncodedDataset, score: RowScore) -> usize {
-        let (n_in, h, o) = (self.n_in, self.n_hidden, self.n_out);
+        let dims = (self.n_in, self.n_hidden, self.n_out);
         let rows = data.rows();
         let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
-        let shared = data.shared();
-        let w = self.w.clone();
-        let v = self.v.clone();
-        crate::par::map_chunks(rows, threads, move |_c, range| {
-            shared_chunk_forward(&shared, range.clone(), (n_in, h, o), &w, &v, |out| {
-                let targets = shared.targets();
-                out.chunks_exact(o)
+        let targets = data.targets();
+        crate::par::map_chunks(rows, threads, |_c, range| {
+            chunk_forward(data, range.clone(), dims, &self.w, &self.v, |out| {
+                out.chunks_exact(self.n_out)
                     .zip(range.clone())
                     .filter(|(row_out, i)| match score {
                         RowScore::Argmax => argmax(row_out) == targets[*i],
@@ -395,15 +387,12 @@ impl Mlp {
     /// scratch (and worker threads when the batch spans several chunks);
     /// per-row results equal [`Mlp::classify`] bit for bit.
     pub fn classify_batch_into(&self, data: &EncodedDataset, preds: &mut Vec<usize>) {
-        let (n_in, h, o) = (self.n_in, self.n_hidden, self.n_out);
+        let dims = (self.n_in, self.n_hidden, self.n_out);
         let rows = data.rows();
         let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
-        let shared = data.shared();
-        let w = self.w.clone();
-        let v = self.v.clone();
-        let chunks = crate::par::map_chunks(rows, threads, move |_c, range| {
-            shared_chunk_forward(&shared, range, (n_in, h, o), &w, &v, |out| {
-                out.chunks_exact(o).map(argmax).collect::<Vec<_>>()
+        let chunks = crate::par::map_chunks(rows, threads, |_c, range| {
+            chunk_forward(data, range, dims, &self.w, &self.v, |out| {
+                out.chunks_exact(self.n_out).map(argmax).collect::<Vec<_>>()
             })
         });
         for chunk in chunks {
@@ -424,15 +413,12 @@ impl Mlp {
     /// [`Mlp::classify_batch`]; per-row results equal
     /// [`Mlp::forward`] + argmax bit for bit.
     pub fn classify_scored_batch(&self, data: &EncodedDataset) -> Vec<(usize, f64)> {
-        let (n_in, h, o) = (self.n_in, self.n_hidden, self.n_out);
+        let dims = (self.n_in, self.n_hidden, self.n_out);
         let rows = data.rows();
         let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
-        let shared = data.shared();
-        let w = self.w.clone();
-        let v = self.v.clone();
-        let chunks = crate::par::map_chunks(rows, threads, move |_c, range| {
-            shared_chunk_forward(&shared, range, (n_in, h, o), &w, &v, |out| {
-                out.chunks_exact(o)
+        let chunks = crate::par::map_chunks(rows, threads, |_c, range| {
+            chunk_forward(data, range, dims, &self.w, &self.v, |out| {
+                out.chunks_exact(self.n_out)
                     .map(|row| {
                         let class = argmax(row);
                         (class, row[class])
@@ -487,29 +473,26 @@ impl Mlp {
         let chunks = crate::par::n_chunks(rows);
         let threads = crate::par::resolve_threads(threads, removals.len() * chunks);
         let (n_in, h, o) = (self.n_in, self.n_hidden, self.n_out);
-        let variants: std::sync::Arc<Vec<(Matrix, Matrix)>> = std::sync::Arc::new(
-            removals
-                .iter()
-                .map(|links| {
-                    let mut w = self.w.clone();
-                    let mut v = self.v.clone();
-                    for &l in links {
-                        match l {
-                            LinkId::InputHidden { hidden, input } => w[(hidden, input)] = 0.0,
-                            LinkId::HiddenOutput { output, hidden } => v[(output, hidden)] = 0.0,
-                        }
+        let variants: Vec<(Matrix, Matrix)> = removals
+            .iter()
+            .map(|links| {
+                let mut w = self.w.clone();
+                let mut v = self.v.clone();
+                for &l in links {
+                    match l {
+                        LinkId::InputHidden { hidden, input } => w[(hidden, input)] = 0.0,
+                        LinkId::HiddenOutput { output, hidden } => v[(output, hidden)] = 0.0,
                     }
-                    (w, v)
-                })
-                .collect(),
-        );
-        let shared = data.shared();
-        let counts = crate::par::map_indexed(variants.len() * chunks, threads, move |j| {
+                }
+                (w, v)
+            })
+            .collect();
+        let targets = data.targets();
+        let counts = crate::par::map_indexed_scoped(variants.len() * chunks, threads, |j| {
             let (cand, chunk) = (j / chunks, j % chunks);
             let range = crate::par::chunk_range(chunk, rows);
             let (w, v) = &variants[cand];
-            shared_chunk_forward(&shared, range.clone(), (n_in, h, o), w, v, |out| {
-                let targets = shared.targets();
+            chunk_forward(data, range.clone(), (n_in, h, o), w, v, |out| {
                 out.chunks_exact(o)
                     .zip(range.clone())
                     .filter(|(row_out, i)| argmax(row_out) == targets[*i])
@@ -541,19 +524,19 @@ impl Mlp {
     }
 }
 
-/// One chunk's forward pass over `Arc`-shared batch buffers with
-/// thread-local scratch, handing the output activations (`range.len() × o`,
-/// row-major) to `f`. The single setup path for every pooled dataset
-/// traversal (`count_rows`, `classify_batch_into`).
-fn shared_chunk_forward<T>(
-    shared: &nr_encode::SharedBatch,
+/// One chunk's forward pass over an encoded dataset with thread-local
+/// scratch, handing the output activations (`range.len() × o`, row-major)
+/// to `f`. The single setup path for every pooled dataset traversal
+/// (`count_rows`, `classify_batch_into`, `accuracy_many`).
+fn chunk_forward<T>(
+    data: &EncodedDataset,
     range: std::ops::Range<usize>,
     (n_in, h, o): (usize, usize, usize),
     w: &Matrix,
     v: &Matrix,
     f: impl FnOnce(&[f64]) -> T,
 ) -> T {
-    let batch = shared.batch();
+    let batch = data.batch();
     let n = range.len();
     crate::par::with_scratch(&[n * h, n * o], |bufs| {
         let [hidden, out] = bufs else {

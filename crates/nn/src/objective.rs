@@ -156,13 +156,10 @@ impl<'a> CrossEntropyObjective<'a> {
         let rows = self.data.rows();
         let want_grad = grad.is_some();
 
-        // Everything a chunk job needs, owned or `Arc`-shared, so the job
-        // closure is `'static` and can run on the shared worker pool
-        // (`map_chunks` shares the one closure across chunks). The
-        // assembled parameter matrices move in whole (a few hundred floats
-        // per evaluation); the dataset buffers travel as `Arc` handles.
+        // Everything a chunk job needs; the jobs borrow it (and the
+        // dataset) only until `map_chunks` returns.
         let ctx = EvalCtx {
-            shared: self.data.shared(),
+            data: self.data,
             w,
             v,
             h,
@@ -172,8 +169,7 @@ impl<'a> CrossEntropyObjective<'a> {
         };
 
         let threads = crate::par::resolve_threads(self.threads, crate::par::n_chunks(rows));
-        let partials =
-            crate::par::map_chunks(rows, threads, move |_c, range| eval_chunk(&ctx, range));
+        let partials = crate::par::map_chunks(rows, threads, |_c, range| eval_chunk(&ctx, range));
 
         // Ordered reduction: chunk 0 first, always.
         let mut loss = 0.0;
@@ -202,10 +198,10 @@ impl<'a> CrossEntropyObjective<'a> {
     }
 }
 
-/// Everything one chunk evaluation needs, `'static` for the worker pool.
-struct EvalCtx {
-    /// `Arc` handles on the encoded dataset's batch buffers.
-    shared: nr_encode::SharedBatch,
+/// Everything one chunk evaluation needs.
+struct EvalCtx<'a> {
+    /// The encoded dataset being evaluated.
+    data: &'a EncodedDataset,
     /// Assembled dense input→hidden weights (masked entries zero).
     w: Matrix,
     /// Assembled dense hidden→output weights.
@@ -226,14 +222,14 @@ struct Partial {
 /// One fixed-size chunk of rows: batch forward (`hidden = tanh(X·Wᵀ)`,
 /// `S = σ(hidden·Vᵀ)`), cross entropy against the one-hot targets, and the
 /// delta rules as transposed matmuls.
-fn eval_chunk(ctx: &EvalCtx, range: std::ops::Range<usize>) -> Partial {
+fn eval_chunk(ctx: &EvalCtx<'_>, range: std::ops::Range<usize>) -> Partial {
     let (h, o, n_in) = (ctx.h, ctx.o, ctx.n_in);
-    let batch = ctx.shared.batch();
+    let batch = ctx.data.batch();
     // One-hot targets match the output layer only when every output node
     // corresponds to a class; subnetwork objectives with extra output
     // nodes fall back to expanding targets on the fly.
     let onehot = (o == batch.n_classes).then_some(batch.targets_onehot);
-    let targets = ctx.shared.targets();
+    let targets = ctx.data.targets();
     let n = range.len();
     // The n-proportional buffers come from the thread-local scratch cache
     // (reused across this worker's chunks and calls); only the small

@@ -14,11 +14,12 @@
 //! Chunks execute on **one lazily-initialized, process-wide worker pool**
 //! instead of `thread::scope` workers spawned per call: BFGS training
 //! evaluates the objective hundreds of times per fit and pruning retrains
-//! repeatedly, so per-call thread spawning was measurable overhead
-//! (ROADMAP, PR 2 follow-up). Jobs are `'static` closures over `Arc`-shared
-//! batch buffers ([`nr_encode::EncodedDataset::shared`]); each caller
-//! collects its own results over a private channel, so concurrent callers
-//! interleave safely on the same pool.
+//! repeatedly, so per-call thread spawning was measurable overhead. Jobs
+//! are closures that borrow the caller's frame (the encoded dataset, the
+//! weights) like `std::thread::scope`; [`map_indexed_scoped`] waits for
+//! every job before it returns. Each caller collects its own results over
+//! a private channel, so concurrent callers interleave safely on the same
+//! pool.
 
 use std::ops::Range;
 use std::sync::mpsc::{channel, Sender};
@@ -99,9 +100,9 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 thread_local! {
     /// Location of the most recent panic on this thread, recorded by the
-    /// hook below. Read by the job wrapper in [`map_indexed`] right after
-    /// it catches an unwind, so the re-raised panic can name the original
-    /// file:line instead of the collection point.
+    /// hook below. Read by the job wrapper in [`map_indexed_scoped`] right
+    /// after it catches an unwind, so the re-raised panic can name the
+    /// original file:line instead of the collection point.
     static LAST_PANIC_LOCATION: std::cell::RefCell<Option<String>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -159,7 +160,7 @@ fn pool() -> &'static Pool {
                     let job = receiver.lock().unwrap().recv();
                     match job {
                         // A panicking job must not kill the worker. Jobs
-                        // submitted via `map_indexed` catch their own
+                        // submitted via `map_indexed_scoped` catch their own
                         // unwinds and ship the payload back to the caller;
                         // this outer catch is only the backstop for panics
                         // outside that wrapper (e.g. a poisoned result
@@ -178,37 +179,19 @@ fn pool() -> &'static Pool {
 
 /// Maps `work` over the fixed row chunks of a dataset and returns the
 /// per-chunk results **in chunk order** regardless of which pool thread
-/// computed which chunk.
+/// computed which chunk — [`map_indexed_scoped`] over the chunk grid.
 ///
 /// `threads` is the resolved worker count (see [`resolve_threads`]); with
 /// one worker (or one chunk) everything runs inline on the caller's
-/// thread — the single-threaded path never touches the pool. `work` must
-/// be `'static`: capture dataset buffers via
-/// [`nr_encode::EncodedDataset::shared`] and weights by value.
-pub(crate) fn map_chunks<T, F>(rows: usize, threads: usize, work: F) -> Vec<T>
+/// thread — the single-threaded path never touches the pool.
+pub(crate) fn map_chunks<'env, T, F>(rows: usize, threads: usize, work: F) -> Vec<T>
 where
-    T: Send + 'static,
-    F: Fn(usize, Range<usize>) -> T + Send + Sync + 'static,
+    T: Send + 'env,
+    F: Fn(usize, Range<usize>) -> T + Send + Sync + 'env,
 {
-    map_indexed(n_chunks(rows), threads, move |c| {
+    map_indexed_scoped(n_chunks(rows), threads, move |c| {
         work(c, chunk_range(c, rows))
     })
-}
-
-/// Maps `work` over the job indices `0..jobs` on the shared worker pool
-/// and returns the results **in index order** regardless of which pool
-/// thread computed which job. The generalization behind [`map_chunks`];
-/// multi-candidate evaluations (pruning's parallel accuracy gates) submit
-/// `candidates × chunks` jobs through this.
-///
-/// With one resolved worker (or one job) everything runs inline on the
-/// caller's thread — the single-threaded path never touches the pool.
-pub(crate) fn map_indexed<T, F>(jobs: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send + 'static,
-    F: Fn(usize) -> T + Send + Sync + 'static,
-{
-    map_indexed_scoped(jobs, threads, work)
 }
 
 /// Counts outstanding scoped jobs. [`WaitGroup::wait`] blocks until every
@@ -317,12 +300,14 @@ fn erase_job_lifetime<'env>(
     unsafe { std::mem::transmute(job) }
 }
 
-/// [`map_indexed`] for *borrowing* closures: maps `work` over the job
-/// indices `0..jobs` on the shared worker pool and returns the results in
-/// index order, without requiring `'static` captures — `work` may borrow
-/// the caller's locals (a [`nr_tabular::DatasetView`], a model reference)
-/// directly, like `std::thread::scope`, but on the process-wide pool
-/// instead of freshly spawned threads.
+/// Maps `work` over the job indices `0..jobs` on the shared worker pool
+/// and returns the results **in index order** regardless of which pool
+/// thread computed which job. `work` may borrow the caller's locals (a
+/// [`nr_tabular::DatasetView`], a model reference) directly, like
+/// `std::thread::scope`, but on the process-wide pool instead of freshly
+/// spawned threads. The primitive behind [`map_chunks`]; multi-candidate
+/// evaluations (pruning's parallel accuracy gates) and the serving
+/// engine's sharded scoring submit their jobs through it directly.
 ///
 /// `threads` is a requested worker count (`0` = auto: available
 /// parallelism capped at the pool size). With one resolved worker (or one
@@ -430,11 +415,11 @@ mod tests {
     #[test]
     fn indexed_results_come_back_in_order() {
         for threads in [1, 2, 8] {
-            let got = map_indexed(23, threads, |j| j * j);
+            let got = map_indexed_scoped(23, threads, |j| j * j);
             assert_eq!(got, (0..23).map(|j| j * j).collect::<Vec<_>>());
         }
-        assert_eq!(map_indexed(0, 4, |j| j), Vec::<usize>::new());
-        assert_eq!(map_indexed(1, 4, |j| j), vec![0]);
+        assert_eq!(map_indexed_scoped(0, 4, |j| j), Vec::<usize>::new());
+        assert_eq!(map_indexed_scoped(1, 4, |j| j), vec![0]);
     }
 
     #[test]
@@ -461,7 +446,7 @@ mod tests {
         // index) at the collection point, not an opaque results-length
         // assert.
         let err = std::panic::catch_unwind(|| {
-            map_indexed(8, 4, |j| {
+            map_indexed_scoped(8, 4, |j| {
                 if j == 5 {
                     panic!("job five exploded deliberately");
                 }
@@ -477,14 +462,14 @@ mod tests {
         assert!(msg.contains("worker-pool job 5"), "job index lost: {msg}");
         assert!(msg.contains("par.rs"), "panic location lost: {msg}");
         // The pool survives a panicking job: later calls still work.
-        assert_eq!(map_indexed(3, 4, |j| j), vec![0, 1, 2]);
+        assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
     }
 
     #[test]
     fn earliest_job_panic_wins_deterministically() {
         for _ in 0..5 {
             let err = std::panic::catch_unwind(|| {
-                map_indexed(8, 4, |j| {
+                map_indexed_scoped(8, 4, |j| {
                     if j >= 4 {
                         panic!("job {j} failed");
                     }

@@ -123,11 +123,10 @@ fn batch_rows(name: &str) -> Option<usize> {
         .ok()
 }
 
-/// Batch size encoded in an engine-generation row name
-/// (`dag-vs-table-vs-interpreted-<rows>-rows/<engine>`), `None` for
-/// other rows.
+/// Batch size encoded in an engine row name
+/// (`dag-vs-interpreted-<rows>-rows/<engine>`), `None` for other rows.
 fn dag_rows(name: &str) -> Option<usize> {
-    name.strip_prefix("dag-vs-table-vs-interpreted-")?
+    name.strip_prefix("dag-vs-interpreted-")?
         .split_once("-rows/")?
         .0
         .parse()
@@ -201,10 +200,9 @@ fn serving_section(source: &str, report: &BenchReport) -> String {
     out
 }
 
-/// The engine-generation scoreboard (`dag-vs-table-vs-interpreted`
-/// group): the decision-DAG program against the retained pre-DAG
-/// predicate-table engine and the interpreted loop. Empty when the
-/// report predates the group.
+/// The engine scoreboard (`dag-vs-interpreted` group): the decision-DAG
+/// program, auto-parallel and on one thread, against the interpreted
+/// loop. Empty when the report predates the group.
 fn dag_subsection(report: &BenchReport) -> String {
     let find = |suffix: &str| -> Option<&BenchRow> {
         report
@@ -216,7 +214,7 @@ fn dag_subsection(report: &BenchReport) -> String {
         return String::new();
     };
     let mut out = format!(
-        "\n### Engine generations (same workload, {})\n\n",
+        "\n### Rule engines (same workload, {})\n\n",
         dag_rows(&dag.name)
             .map(|n| format!("batches of {n} rows"))
             .unwrap_or_else(|| "unknown batch size".into()),
@@ -225,7 +223,6 @@ fn dag_subsection(report: &BenchReport) -> String {
     let engines = [
         ("decision DAG (auto threads)", "/dag"),
         ("decision DAG (1 thread)", "/dag-1-thread"),
-        ("predicate table (pre-DAG engine)", "/predicate-table"),
         ("interpreted (`RuleSet::predict_row`)", "/interpreted"),
     ];
     for (label, suffix) in engines {
@@ -238,14 +235,6 @@ fn dag_subsection(report: &BenchReport) -> String {
                     .unwrap_or_else(|| "-".into()),
             ));
         }
-    }
-    if let (Some(one), Some(table)) = (find("/dag-1-thread"), find("/predicate-table")) {
-        out.push_str(&format!(
-            "\nThe DAG program is **{:.2}×** the predicate-table engine on one\n\
-             thread (the full-mode bench asserts ≥ 1.5×) — shared-prefix\n\
-             lowering plus SIMD-tiered fused sweeps, before any parallelism.\n",
-            table.median_ns / one.median_ns
-        ));
     }
     out
 }

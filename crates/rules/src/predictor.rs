@@ -5,8 +5,7 @@
 //! [`DatasetView`] and returns one class per row, not a tuple at a time.
 //! Everything that classifies implements [`Predictor`]: the interpreted
 //! [`crate::RuleSet`], the C4.5 tree, and the compiled serving engines in
-//! `nr-serve`. Per-row convenience methods survive only as deprecated
-//! shims on the concrete types.
+//! `nr-serve`.
 //!
 //! `Predictor: Send + Sync` is part of the contract: a predictor holds no
 //! interior mutability, so one instance behind an `Arc` can serve

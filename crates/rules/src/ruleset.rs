@@ -1,6 +1,6 @@
 //! Ordered rule sets with a default class.
 
-use nr_tabular::{ClassId, Dataset, DatasetView, Schema, Value};
+use nr_tabular::{ClassId, Dataset, DatasetView, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::{Predictor, Rule, Scored};
@@ -46,21 +46,6 @@ impl RuleSet {
         self.rules.iter().map(Rule::n_conditions).sum()
     }
 
-    /// Predicts the class of a materialized `row` (first matching rule,
-    /// else default).
-    #[deprecated(
-        since = "0.1.0",
-        note = "row-at-a-time shim; use `Predictor::predict_batch` (or \
-                `predict_row` on a columnar dataset) instead"
-    )]
-    pub fn predict(&self, row: &[Value]) -> ClassId {
-        self.rules
-            .iter()
-            .find(|r| r.matches(row))
-            .map(|r| r.class)
-            .unwrap_or(self.default_class)
-    }
-
     /// Predicts the class of dataset row `i` (first matching rule, else
     /// default) — columnar evaluation, no row materialization.
     ///
@@ -73,17 +58,6 @@ impl RuleSet {
             .find(|r| r.matches_at(ds, i))
             .map(|r| r.class)
             .unwrap_or(self.default_class)
-    }
-
-    /// Index of the first rule matching a materialized row, `None` if only
-    /// the default applies.
-    #[deprecated(
-        since = "0.1.0",
-        note = "row-at-a-time shim; use `first_match_row` on a columnar \
-                dataset instead"
-    )]
-    pub fn first_match(&self, row: &[Value]) -> Option<usize> {
-        self.rules.iter().position(|r| r.matches(row))
     }
 
     /// Index of the first rule matching dataset row `i`, `None` if only
@@ -239,7 +213,7 @@ impl Predictor for RuleSet {
 mod tests {
     use super::*;
     use crate::Condition;
-    use nr_tabular::{Attribute, Schema};
+    use nr_tabular::{Attribute, Schema, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![Attribute::numeric("x")])
@@ -265,16 +239,12 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)] // exercises the row-slice shims on purpose
     fn first_match_semantics() {
         let rs = two_rules();
-        assert_eq!(rs.predict(&[Value::Num(5.0)]), 0); // both match, first wins
-        assert_eq!(rs.predict(&[Value::Num(15.0)]), 1);
-        assert_eq!(rs.predict(&[Value::Num(25.0)]), 0); // default
-        assert_eq!(rs.first_match(&[Value::Num(25.0)]), None);
-        assert_eq!(rs.first_match(&[Value::Num(15.0)]), Some(1));
-        // The columnar equivalents agree.
         let data = ds(&[(5.0, 0), (15.0, 1), (25.0, 0)]);
+        assert_eq!(rs.predict_row(&data, 0), 0); // both match, first wins
+        assert_eq!(rs.predict_row(&data, 1), 1);
+        assert_eq!(rs.predict_row(&data, 2), 0); // default
         assert_eq!(rs.first_match_row(&data, 0), Some(0));
         assert_eq!(rs.first_match_row(&data, 1), Some(1));
         assert_eq!(rs.first_match_row(&data, 2), None);

@@ -25,10 +25,7 @@
 //! the thread count.
 //!
 //! The engine is pinned **bit-identical** to the interpreted
-//! [`RuleSet::predict_row`] path by the workspace equivalence suite. The
-//! pre-DAG predicate-table engine survives as
-//! [`CompiledRules::predict_batch_table`] — the serving bench's baseline
-//! for the `dag-vs-table-vs-interpreted` scoreboard.
+//! [`RuleSet::predict_row`] path by the workspace equivalence suite.
 
 use std::sync::OnceLock;
 
@@ -218,53 +215,6 @@ impl CompiledRules {
             .match_batch_into(view, &mut out, threads, shard_rows);
         out
     }
-
-    /// Scores via the retained **predicate-table engine** (the pre-DAG
-    /// per-rule bitmap loop): the measured baseline the DAG program is
-    /// asserted against in the serving bench, and an independent witness
-    /// in the equivalence tests. Not the production path.
-    pub fn predict_batch_table(&self, view: &DatasetView<'_>) -> Vec<ClassId> {
-        self.match_batch_table(view).0
-    }
-
-    /// The pre-DAG engine's first-match core: per-rule AND loop over
-    /// lazily evaluated per-predicate bitmaps.
-    fn match_batch_table(&self, view: &DatasetView<'_>) -> (Vec<ClassId>, Bitmap) {
-        let n = view.len();
-        let mut classes = vec![self.default_class; n];
-        let mut undecided = Bitmap::ones(n);
-        let mut cache: Vec<Option<Bitmap>> = vec![None; self.predicates.len()];
-        let mut scratch = Bitmap::zeros(n);
-        for rule in &self.rules {
-            if undecided.none_set() {
-                break;
-            }
-            scratch.copy_from(&undecided);
-            let mut dead = false;
-            for &p in &rule.predicates {
-                let bits = cache[p as usize].get_or_insert_with(|| {
-                    let mut b = Bitmap::zeros(n);
-                    eval_predicate(&self.predicates[p as usize], view, &mut b);
-                    // The sweep wrote raw words; a stray bit past `len`
-                    // would corrupt the `not()` below and the first-match
-                    // arbitration on partial final words.
-                    b.debug_assert_tail_clear();
-                    b
-                });
-                scratch.and_assign(bits);
-                if scratch.none_set() {
-                    dead = true;
-                    break;
-                }
-            }
-            if dead {
-                continue;
-            }
-            scratch.for_each_set(|i| classes[i] = rule.class);
-            undecided.clear(&scratch);
-        }
-        (classes, undecided.not())
-    }
 }
 
 impl Predictor for CompiledRules {
@@ -295,67 +245,6 @@ impl Predictor for CompiledRules {
             }
         }
         scored
-    }
-}
-
-/// Evaluates one predicate over every view row into a bitmap — a single
-/// pass down one typed column (contiguous for full views, an index gather
-/// for row selections). The predicate-table engine's evaluator; the DAG
-/// program fuses these per column instead (see [`crate::program`]).
-fn eval_predicate(cond: &Condition, view: &DatasetView<'_>, bits: &mut Bitmap) {
-    let ds = view.dataset();
-    let ids = view.row_ids();
-    match cond {
-        // The (lo, hi) split mirrors `Condition::holds` exactly: both
-        // bounds optional, lower inclusive, upper exclusive.
-        Condition::Num { attribute, lo, hi } => {
-            let col = ds.num_column(*attribute);
-            match (*lo, *hi) {
-                (Some(l), Some(h)) => sweep(col, ids, bits, |x| x >= l && x < h),
-                (Some(l), None) => sweep(col, ids, bits, |x| x >= l),
-                (None, Some(h)) => sweep(col, ids, bits, |x| x < h),
-                (None, None) => sweep(col, ids, bits, |_| true),
-            }
-        }
-        Condition::NumEq { attribute, value } => {
-            sweep(ds.num_column(*attribute), ids, bits, |x| x == *value)
-        }
-        Condition::CatEq { attribute, code } => {
-            sweep(ds.nominal_column(*attribute), ids, bits, |c| c == *code)
-        }
-        Condition::CatNotIn { attribute, codes } => {
-            sweep(ds.nominal_column(*attribute), ids, bits, |c| {
-                !codes.contains(&c)
-            })
-        }
-    }
-}
-
-/// Packs `pred` over the selected column values into bitmap words, 64
-/// rows at a time. The full-view arm walks the column slice directly so
-/// the inner loop is a branch-free compare over contiguous memory.
-#[inline]
-fn sweep<T: Copy>(col: &[T], ids: Option<&[usize]>, bits: &mut Bitmap, pred: impl Fn(T) -> bool) {
-    let words = bits.words_mut();
-    match ids {
-        None => {
-            for (w, chunk) in col.chunks(64).enumerate() {
-                let mut word = 0u64;
-                for (i, &x) in chunk.iter().enumerate() {
-                    word |= (pred(x) as u64) << i;
-                }
-                words[w] = word;
-            }
-        }
-        Some(ids) => {
-            for (w, chunk) in ids.chunks(64).enumerate() {
-                let mut word = 0u64;
-                for (i, &r) in chunk.iter().enumerate() {
-                    word |= (pred(col[r]) as u64) << i;
-                }
-                words[w] = word;
-            }
-        }
     }
 }
 
@@ -461,18 +350,14 @@ mod tests {
     }
 
     #[test]
-    fn dag_equals_the_table_engine() {
+    fn dag_is_thread_and_shard_invariant() {
         let ds = dataset();
         let compiled = CompiledRules::compile(&ruleset());
-        assert_eq!(
-            compiled.predict_batch(&ds.view()),
-            compiled.predict_batch_table(&ds.view())
-        );
-        // And across shard grids/thread counts.
+        let reference = compiled.predict_batch(&ds.view());
         for threads in [0usize, 1, 2, 4] {
             assert_eq!(
                 compiled.predict_batch_with(&ds.view(), threads, 64),
-                compiled.predict_batch_table(&ds.view()),
+                reference,
                 "threads={threads}"
             );
         }

@@ -65,6 +65,20 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
+/// Checksummed-file reads go through `nr_store::manifest`; its corruption
+/// and I/O errors carry over one-to-one.
+impl From<nr_store::StoreError> for ServeError {
+    fn from(e: nr_store::StoreError) -> Self {
+        match e {
+            nr_store::StoreError::Io(e) => ServeError::Io(e),
+            nr_store::StoreError::Corrupt { path, section } => {
+                ServeError::Corrupt { path, section }
+            }
+            other @ nr_store::StoreError::Tabular(_) => ServeError::Json(other.to_string()),
+        }
+    }
+}
+
 /// A fitted model compiled for serving: immutable engines (compiled rule
 /// table + network scorer), a [`ServeMode`] dispatch, and JSON
 /// persistence — everything a scoring process needs, nothing it can
@@ -180,38 +194,17 @@ impl ServeModel {
     }
 
     /// Loads a bundle written by [`ServeModel::save`], verifying the
-    /// checksum footer. Pre-checksum bundles (no footer line) still load:
-    /// they are parsed as-is, and a parse failure reports that the file
-    /// is neither a checksummed nor a valid pre-checksum bundle.
+    /// checksum footer. A bundle without a valid footer is
+    /// [`ServeError::Corrupt`]; a missing file is [`ServeError::Io`].
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, ServeError> {
         let path = path.as_ref();
-        let raw = std::fs::read(path)?;
-        let text = String::from_utf8(raw).map_err(|_| ServeError::Corrupt {
-            path: path.to_path_buf(),
-            section: "bundle is not valid UTF-8".into(),
+        let file = nr_store::manifest::read_checksummed_file(path)?.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::NotFound,
+                format!("{} does not exist", path.display()),
+            )
         })?;
-        let has_footer = text
-            .lines()
-            .next_back()
-            .is_some_and(|l| l.starts_with(nr_store::manifest::CRC_FOOTER_PREFIX));
-        if has_footer {
-            let payload = nr_store::manifest::read_checksummed(&text).map_err(|section| {
-                ServeError::Corrupt {
-                    path: path.to_path_buf(),
-                    section,
-                }
-            })?;
-            return Self::from_json(payload);
-        }
-        // Pre-checksum bundle: no footer to verify — accept for backward
-        // compatibility, but make a parse failure say what this was.
-        Self::from_json(&text).map_err(|e| match e {
-            ServeError::Json(msg) => ServeError::Json(format!(
-                "not a checksummed bundle (no CRC footer) and not a valid \
-                 pre-checksum bundle either: {msg}"
-            )),
-            other => other,
-        })
+        Self::from_json(file.payload())
     }
 
     /// The hybrid fallback set: view positions no explicit rule claimed

@@ -30,9 +30,7 @@
 use std::path::{Path, PathBuf};
 
 use nr_store::crc32;
-use nr_store::manifest::{
-    atomic_replace, read_checksummed, write_checksummed_string, CRC_FOOTER_PREFIX,
-};
+use nr_store::manifest::{atomic_replace, read_checksummed_file, write_checksummed_string};
 use serde::{Deserialize, Serialize};
 
 use crate::{ServeError, ServeModel};
@@ -312,19 +310,14 @@ impl ModelRegistry {
     /// Reads and verifies the journal. `Ok(None)` when absent.
     fn load_manifest(&self) -> Result<Option<RegistryManifest>, ServeError> {
         let path = self.dir.join(REGISTRY_FILE);
-        let raw = match std::fs::read(&path) {
-            Ok(r) => r,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(file) = read_checksummed_file(&path)? else {
+            return Ok(None);
         };
         let corrupt = |section: String| ServeError::Corrupt {
             path: path.clone(),
             section,
         };
-        let text = String::from_utf8(raw)
-            .map_err(|_| corrupt("registry journal is not valid UTF-8".into()))?;
-        let payload = read_checksummed(&text).map_err(corrupt)?;
-        let mut manifest: RegistryManifest = serde_json::from_str(payload)
+        let mut manifest: RegistryManifest = serde_json::from_str(file.payload())
             .map_err(|e| corrupt(format!("registry journal json: {e}")))?;
         if manifest.format != 1 {
             return Err(corrupt(format!(
@@ -355,16 +348,10 @@ impl ModelRegistry {
                 continue;
             };
             let path = dirent.path();
-            let verifies = std::fs::read(&path).ok().and_then(|raw| {
-                let text = String::from_utf8(raw).ok()?;
-                // Rebuild admits only checksummed bundles: a footer that
-                // verifies. (Pre-checksum bundles have no integrity story
-                // to rebuild a journal from.)
-                text.lines()
-                    .next_back()
-                    .filter(|l| l.starts_with(CRC_FOOTER_PREFIX))?;
-                read_checksummed(&text).ok()?;
-                Some((text.len() as u64, crc32(text.as_bytes())))
+            // Rebuild admits only bundles whose footer verifies.
+            let verifies = read_checksummed_file(&path).ok().flatten().map(|file| {
+                let text = file.file_text();
+                (text.len() as u64, crc32(text.as_bytes()))
             });
             match verifies {
                 Some((bytes, crc)) => entries.push(RegistryEntry {

@@ -311,7 +311,7 @@ pub fn ingest_csv_file_resumable(
         }
     }
 
-    let (manifest, segments, spill_files, quarantined) = open_parts(&dir, config.allow_unchecked)?;
+    let (manifest, segments, spill_files, quarantined) = open_parts(&dir)?;
     let resumed_rows =
         usize::try_from(manifest.rows_committed).map_err(|_| StoreError::Corrupt {
             path: mpath.clone(),

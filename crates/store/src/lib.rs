@@ -42,9 +42,7 @@ pub use ingest::{
 };
 pub use manifest::{Manifest, SegmentEntry, SourceStamp};
 pub use mmap::{MappedFile, Pod, TypedRegion};
-pub use segfile::{
-    load_segment, load_segment_with, segment_file_crc, write_segment, write_segment_v1, SegmentMeta,
-};
+pub use segfile::{load_segment, segment_file_crc, write_segment, SegmentMeta};
 pub use store::{RecoveryReport, SegmentWriter, SegmentedDataset, SpillMode, StoreConfig};
 
 /// Errors produced by the store.

@@ -59,7 +59,7 @@ pub const SOURCE_STAMP_BYTES: usize = 64 * 1024;
 
 /// Footer marker of every checksummed text file (manifest; the model
 /// registry in `nr-serve` reuses the same convention via
-/// [`read_checksummed`]/[`write_checksummed_string`]).
+/// [`read_checksummed_file`]/[`write_checksummed_string`]).
 pub const CRC_FOOTER_PREFIX: &str = "#nrcrc32=";
 
 /// One committed segment, bound to its file.
@@ -146,24 +146,14 @@ impl Manifest {
     /// exists but is corrupt or unreadable.
     pub fn load(dir: &Path) -> Result<Option<Manifest>, StoreError> {
         let path = Manifest::path_in(dir);
-        let raw = match std::fs::read(&path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
+        let Some(file) = read_checksummed_file(&path)? else {
+            return Ok(None);
         };
-        // A bit flip can break UTF-8 itself — that is corruption, not I/O.
-        let text = String::from_utf8(raw).map_err(|_| StoreError::Corrupt {
-            path: path.clone(),
-            section: "manifest is not valid UTF-8".into(),
-        })?;
-        let json = read_checksummed(&text).map_err(|section| StoreError::Corrupt {
-            path: path.clone(),
-            section,
-        })?;
-        let manifest: Manifest = serde_json::from_str(json).map_err(|e| StoreError::Corrupt {
-            path: path.clone(),
-            section: format!("manifest json: {e}"),
-        })?;
+        let manifest: Manifest =
+            serde_json::from_str(file.payload()).map_err(|e| StoreError::Corrupt {
+                path: path.clone(),
+                section: format!("manifest json: {e}"),
+            })?;
         if manifest.format != 1 {
             return Err(StoreError::Corrupt {
                 path,
@@ -240,6 +230,47 @@ pub fn read_checksummed(text: &str) -> Result<&str, String> {
         ));
     }
     Ok(payload)
+}
+
+/// A text file whose checksum footer verified (see
+/// [`read_checksummed_file`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChecksummedText {
+    text: String,
+    payload_len: usize,
+}
+
+impl ChecksummedText {
+    /// Everything before the footer line (with its trailing newline).
+    pub fn payload(&self) -> &str {
+        &self.text[..self.payload_len]
+    }
+
+    /// The whole file as read, footer included.
+    pub fn file_text(&self) -> &str {
+        &self.text
+    }
+}
+
+/// Reads a checksummed text file written through
+/// [`write_checksummed_string`]. `Ok(None)` when the file does not exist;
+/// [`StoreError::Corrupt`] when it is not UTF-8 or its footer is missing,
+/// malformed, or does not match; [`StoreError::Io`] for any other read
+/// failure.
+pub fn read_checksummed_file(path: &Path) -> Result<Option<ChecksummedText>, StoreError> {
+    let raw = match std::fs::read(path) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e.into()),
+    };
+    let corrupt = |section: String| StoreError::Corrupt {
+        path: path.to_path_buf(),
+        section,
+    };
+    // A bit flip can break UTF-8 itself — that is corruption, not I/O.
+    let text = String::from_utf8(raw).map_err(|_| corrupt("file is not valid UTF-8".into()))?;
+    let payload_len = read_checksummed(&text).map_err(corrupt)?.len();
+    Ok(Some(ChecksummedText { text, payload_len }))
 }
 
 /// Atomically replaces `path` with `bytes`: write `path.tmp`, optionally
@@ -399,5 +430,25 @@ mod tests {
         let tampered = body.replace("\"k\":1", "\"k\":2");
         assert!(read_checksummed(&tampered).is_err());
         assert!(read_checksummed("no footer here\n").is_err());
+    }
+
+    #[test]
+    fn checksummed_file_reader_maps_every_outcome() {
+        let dir = temp_dir("reader");
+        let path = dir.join("file");
+        assert_eq!(read_checksummed_file(&path).unwrap(), None);
+        let body = write_checksummed_string("{\"k\":1}");
+        std::fs::write(&path, &body).unwrap();
+        let file = read_checksummed_file(&path).unwrap().unwrap();
+        assert_eq!(file.payload(), "{\"k\":1}\n");
+        assert_eq!(file.file_text(), body);
+        for bad in [&b"no footer here\n"[..], &[0xff, 0xfe, b'\n'][..]] {
+            std::fs::write(&path, bad).unwrap();
+            assert!(matches!(
+                read_checksummed_file(&path),
+                Err(StoreError::Corrupt { .. })
+            ));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

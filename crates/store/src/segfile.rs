@@ -30,9 +30,6 @@
 //! below the fold in `manifest.rs`) record the footer value to tie a file
 //! on disk to the journal entry that committed it.
 //!
-//! Legacy `NRSEG01` files (no checksums) still load, but only behind the
-//! explicit `allow_unchecked` flag of [`load_segment_with`].
-//!
 //! Spill files are transient artifacts of one store (schema and class
 //! names live in the [`crate::SegmentedDataset`]), so the header records
 //! only what is needed to validate the file against the schema in hand.
@@ -48,11 +45,8 @@ use crate::crc::{crc32, Crc32};
 use crate::mmap::{MappedFile, TypedRegion};
 use crate::StoreError;
 
-/// Magic prefix of every current-format spill segment file.
+/// Magic prefix of every spill segment file.
 const MAGIC_V2: &[u8; 8] = b"NRSEG02\n";
-
-/// Magic prefix of the legacy unchecksummed format.
-const MAGIC_V1: &[u8; 8] = b"NRSEG01\n";
 
 /// Column kind tags in the header.
 const KIND_NUM: u64 = 0;
@@ -379,31 +373,8 @@ pub fn load_segment(
     class_names: &[String],
     path: &Path,
 ) -> Result<Dataset, StoreError> {
-    load_segment_with(schema, class_names, path, false)
-}
-
-/// [`load_segment`] with an escape hatch: `allow_unchecked = true` skips
-/// checksum verification of `NRSEG02` files and accepts legacy `NRSEG01`
-/// files (which carry no checksums at all). Structural bounds checks
-/// always run — a short or lying header is an `Err` in every mode.
-pub fn load_segment_with(
-    schema: &Schema,
-    class_names: &[String],
-    path: &Path,
-    allow_unchecked: bool,
-) -> Result<Dataset, StoreError> {
     let map = Arc::new(MappedFile::open(path)?);
     let bytes = map.bytes();
-    if bytes.len() >= 8 && &bytes[..8] == MAGIC_V1 {
-        if !allow_unchecked {
-            return Err(corrupt(
-                path,
-                "legacy NRSEG01 segment carries no checksums; \
-                 pass allow_unchecked to load it without verification",
-            ));
-        }
-        return load_segment_v1(schema, class_names, path, &map);
-    }
     if bytes.len() < 8 || &bytes[..8] != MAGIC_V2 {
         return Err(corrupt(path, "magic: not a spill segment"));
     }
@@ -423,11 +394,9 @@ pub fn load_segment_with(
     if bytes.len() < header_len {
         return Err(corrupt(path, "header: truncated"));
     }
-    if !allow_unchecked {
-        let stored = read_crc(bytes, header_len - 8, path, "header checksum")?;
-        if crc32(&bytes[..header_len - 8]) != stored {
-            return Err(corrupt(path, "header checksum mismatch"));
-        }
+    let stored = read_crc(bytes, header_len - 8, path, "header checksum")?;
+    if crc32(&bytes[..header_len - 8]) != stored {
+        return Err(corrupt(path, "header checksum mismatch"));
     }
 
     // Recompute the region layout from (rows, kinds) and require the
@@ -476,29 +445,27 @@ pub fn load_segment_with(
         ));
     }
 
-    if !allow_unchecked {
-        // One streamed pass: footer binds header + region checksums, then
-        // each region is checksummed over the mapped bytes (the kernel
-        // pages them in sequentially — this is the verification cost the
-        // ingest bench bounds at < 10%).
-        let stored_file_crc = read_crc(bytes, labels_end, path, "footer checksum")?;
-        let mut expect = Crc32::new();
-        expect.update(&bytes[..header_len]);
-        for &(_, _, crc, _) in &columns_meta {
-            expect.update(&u64::from(crc).to_le_bytes());
+    // One streamed pass: footer binds header + region checksums, then
+    // each region is checksummed over the mapped bytes (the kernel
+    // pages them in sequentially — this is the verification cost the
+    // ingest bench bounds at < 10%).
+    let stored_file_crc = read_crc(bytes, labels_end, path, "footer checksum")?;
+    let mut expect = Crc32::new();
+    expect.update(&bytes[..header_len]);
+    for &(_, _, crc, _) in &columns_meta {
+        expect.update(&u64::from(crc).to_le_bytes());
+    }
+    expect.update(&u64::from(labels_crc).to_le_bytes());
+    if expect.finish() != stored_file_crc {
+        return Err(corrupt(path, "footer checksum mismatch"));
+    }
+    for (a, &(_, offset, crc, padded_end)) in columns_meta.iter().enumerate() {
+        if crc32(&bytes[offset..padded_end]) != crc {
+            return Err(corrupt(path, format!("column {a} data checksum mismatch")));
         }
-        expect.update(&u64::from(labels_crc).to_le_bytes());
-        if expect.finish() != stored_file_crc {
-            return Err(corrupt(path, "footer checksum mismatch"));
-        }
-        for (a, &(_, offset, crc, padded_end)) in columns_meta.iter().enumerate() {
-            if crc32(&bytes[offset..padded_end]) != crc {
-                return Err(corrupt(path, format!("column {a} data checksum mismatch")));
-            }
-        }
-        if crc32(&bytes[labels_offset..labels_end]) != labels_crc {
-            return Err(corrupt(path, "labels data checksum mismatch"));
-        }
+    }
+    if crc32(&bytes[labels_offset..labels_end]) != labels_crc {
+        return Err(corrupt(path, "labels data checksum mismatch"));
     }
 
     let mut columns = Vec::with_capacity(n_cols);
@@ -521,110 +488,6 @@ pub fn load_segment_with(
 
     Dataset::from_shared_parts(schema.clone(), class_names.to_vec(), columns, labels)
         .map_err(|e| corrupt(path, format!("segment does not fit the schema: {e}")))
-}
-
-/// The legacy `NRSEG01` loader: same region layout minus all checksum
-/// slots. Reached only through `allow_unchecked` — kept for spill files
-/// written by earlier builds.
-fn load_segment_v1(
-    schema: &Schema,
-    class_names: &[String],
-    path: &Path,
-    map: &Arc<MappedFile>,
-) -> Result<Dataset, StoreError> {
-    let bytes = map.bytes();
-    let rows = read_usize(bytes, 8, path, "v1 header rows")?;
-    let n_cols = read_usize(bytes, 16, path, "v1 header column count")?;
-    if n_cols != schema.arity() {
-        return Err(corrupt(
-            path,
-            format!(
-                "segment has {n_cols} columns, schema has {}",
-                schema.arity()
-            ),
-        ));
-    }
-    let mut columns = Vec::with_capacity(n_cols);
-    for a in 0..n_cols {
-        let kind = read_u64(bytes, 24 + 16 * a, path, "v1 column kind")?;
-        let offset = read_usize(bytes, 32 + 16 * a, path, "v1 column offset")?;
-        let col = match (kind, &schema.attribute(a).kind) {
-            (KIND_NUM, AttrKind::Numeric) => Column::Num(num_buf(map, offset, rows, path)?),
-            (KIND_NOMINAL, AttrKind::Nominal { .. }) => {
-                Column::Nominal(nominal_buf(map, offset, rows, path)?)
-            }
-            _ => {
-                return Err(corrupt(
-                    path,
-                    format!("segment column {a} kind {kind} does not match the schema"),
-                ))
-            }
-        };
-        columns.push(col);
-    }
-    let labels_offset = read_usize(bytes, 24 + 16 * n_cols, path, "v1 labels offset")?;
-    let labels = label_buf(map, labels_offset, rows, path)?;
-    Dataset::from_shared_parts(schema.clone(), class_names.to_vec(), columns, labels)
-        .map_err(|e| corrupt(path, format!("segment does not fit the schema: {e}")))
-}
-
-/// Writes `ds` in the legacy `NRSEG01` layout. Test-support only: real
-/// writers always emit `NRSEG02`, but compatibility tests need genuine
-/// v1 files to prove they still load behind `allow_unchecked`.
-pub fn write_segment_v1(ds: &Dataset, path: &Path) -> Result<(), StoreError> {
-    let rows = ds.len();
-    let n_cols = ds.schema().arity();
-    let header_bytes = 8 * (3 + 2 * n_cols + 1);
-    let mut offsets = Vec::with_capacity(n_cols);
-    let mut cursor = header_bytes;
-    for a in 0..n_cols {
-        offsets.push(cursor as u64);
-        let region = match ds.column(a) {
-            Column::Num(_) => rows * 8,
-            Column::Nominal(_) => rows * 4,
-        };
-        cursor = align8(cursor + region);
-    }
-    let labels_offset = cursor as u64;
-
-    let mut out = BufWriter::new(File::create(path)?);
-    out.write_all(MAGIC_V1)?;
-    out.write_all(&(rows as u64).to_le_bytes())?;
-    out.write_all(&(n_cols as u64).to_le_bytes())?;
-    for a in 0..n_cols {
-        let kind = match ds.column(a) {
-            Column::Num(_) => KIND_NUM,
-            Column::Nominal(_) => KIND_NOMINAL,
-        };
-        out.write_all(&kind.to_le_bytes())?;
-        out.write_all(&offsets[a].to_le_bytes())?;
-    }
-    out.write_all(&labels_offset.to_le_bytes())?;
-    let mut written = header_bytes;
-    for a in 0..n_cols {
-        match ds.column(a) {
-            Column::Num(xs) => {
-                for &x in xs.iter() {
-                    out.write_all(&x.to_le_bytes())?;
-                }
-                written += rows * 8;
-            }
-            Column::Nominal(cs) => {
-                for &c in cs.iter() {
-                    out.write_all(&c.to_le_bytes())?;
-                }
-                written += rows * 4;
-            }
-        }
-        let pad = align8(written) - written;
-        out.write_all(&[0u8; 8][..pad])?;
-        written += pad;
-    }
-    for &l in ds.labels() {
-        out.write_all(&(l as u64).to_le_bytes())?;
-    }
-    out.flush()?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -727,37 +590,6 @@ mod tests {
                 "truncation to {keep} bytes must be Corrupt"
             );
         }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn legacy_v1_loads_only_behind_allow_unchecked() {
-        let ds = toy(5);
-        let path = temp_path("v1");
-        write_segment_v1(&ds, &path).unwrap();
-        let refused = load_segment(ds.schema(), ds.class_names(), &path);
-        assert!(
-            matches!(refused, Err(StoreError::Corrupt { ref section, .. }) if section.contains("NRSEG01")),
-            "v1 without the flag must be refused with a pointer to allow_unchecked"
-        );
-        let back = load_segment_with(ds.schema(), ds.class_names(), &path, true).unwrap();
-        assert_eq!(back, ds);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn unchecked_mode_still_bounds_checks_v2() {
-        let ds = toy(4);
-        let path = temp_path("unchecked");
-        write_segment(&ds, &path).unwrap();
-        let clean = std::fs::read(&path).unwrap();
-        // Truncated file: allow_unchecked skips checksums but the length
-        // check still refuses (structural validation never turns off).
-        std::fs::write(&path, &clean[..clean.len() - 16]).unwrap();
-        assert!(matches!(
-            load_segment_with(ds.schema(), ds.class_names(), &path, true),
-            Err(StoreError::Corrupt { .. })
-        ));
         std::fs::remove_file(&path).unwrap();
     }
 }

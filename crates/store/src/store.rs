@@ -58,10 +58,6 @@ pub struct StoreConfig {
     /// [`SegmentedDataset::open`]; non-durable spill files are transient
     /// and deleted with the store. Disk mode only.
     pub durable: bool,
-    /// Skip checksum verification when loading spill segments (legacy
-    /// `NRSEG01` files load only with this set). Structural bounds checks
-    /// always run.
-    pub allow_unchecked: bool,
 }
 
 impl Default for StoreConfig {
@@ -71,7 +67,6 @@ impl Default for StoreConfig {
             spill: SpillMode::InRam,
             threads: 0,
             durable: false,
-            allow_unchecked: false,
         }
     }
 }
@@ -103,12 +98,6 @@ impl StoreConfig {
     /// Sets durable (journaled, fsynced, reopenable) mode.
     pub fn with_durable(mut self, durable: bool) -> Self {
         self.durable = durable;
-        self
-    }
-
-    /// Sets unchecked segment loading (see [`StoreConfig::allow_unchecked`]).
-    pub fn with_allow_unchecked(mut self, allow: bool) -> Self {
-        self.allow_unchecked = allow;
         self
     }
 }
@@ -300,11 +289,10 @@ impl SegmentWriter {
                     });
                     m.commit(dir)?;
                 }
-                let mapped = segfile::load_segment_with(
+                let mapped = segfile::load_segment(
                     self.staging.schema(),
                     self.staging.class_names(),
                     &path,
-                    self.config.allow_unchecked,
                 )?;
                 self.spill_files.push(path);
                 mapped
@@ -393,12 +381,11 @@ impl SegmentedDataset {
     /// Reopens a durable spill directory: verifies the journal, reaps the
     /// previous generation's quarantine, moves stray files (crash
     /// leftovers) into `quarantine/`, and loads every committed segment
-    /// with full checksum verification (`allow_unchecked` skips the
-    /// checksums but never the structural checks). Any listed segment
-    /// that is missing, resized, or fails verification is a
+    /// with full checksum verification. Any listed segment that is
+    /// missing, resized, or fails verification is a
     /// [`StoreError::Corrupt`].
-    pub fn open(dir: &Path, allow_unchecked: bool) -> Result<SegmentedDataset, StoreError> {
-        let (manifest, segments, spill_files, quarantined) = open_parts(dir, allow_unchecked)?;
+    pub fn open(dir: &Path) -> Result<SegmentedDataset, StoreError> {
+        let (manifest, segments, spill_files, quarantined) = open_parts(dir)?;
         SegmentedDataset::from_parts(dir, manifest, segments, spill_files, quarantined)
     }
 
@@ -527,7 +514,6 @@ impl SegmentedDataset {
 /// ingest: journal load + quarantine sweep + verified segment loads.
 pub(crate) fn open_parts(
     dir: &Path,
-    allow_unchecked: bool,
 ) -> Result<(Manifest, Vec<Dataset>, Vec<PathBuf>, usize), StoreError> {
     let manifest = Manifest::load(dir)?.ok_or_else(|| {
         StoreError::Io(std::io::Error::new(
@@ -582,18 +568,13 @@ pub(crate) fn open_parts(
                 ),
             });
         }
-        if !allow_unchecked && segfile::segment_file_crc(&path)? != entry.crc32 {
+        if segfile::segment_file_crc(&path)? != entry.crc32 {
             return Err(StoreError::Corrupt {
                 path,
                 section: "segment checksum does not match the journal".into(),
             });
         }
-        let seg = segfile::load_segment_with(
-            &manifest.schema,
-            &manifest.class_names,
-            &path,
-            allow_unchecked,
-        )?;
+        let seg = segfile::load_segment(&manifest.schema, &manifest.class_names, &path)?;
         if seg.len() as u64 != entry.rows {
             return Err(StoreError::Corrupt {
                 path,
@@ -734,7 +715,7 @@ mod tests {
         drop(store);
         // Files and journal survive the drop.
         assert!(Manifest::path_in(&dir).is_file());
-        let back = SegmentedDataset::open(&dir, false).unwrap();
+        let back = SegmentedDataset::open(&dir).unwrap();
         assert_eq!(back.to_dataset().unwrap(), ds);
         assert_eq!(back.quarantined(), 0);
         assert_eq!(back.seg_rows(), 10);
@@ -750,7 +731,7 @@ mod tests {
         // Crash leftovers: a torn temp and an unjournaled segment.
         std::fs::write(dir.join("seg-000002.nrseg.tmp"), b"torn").unwrap();
         std::fs::write(dir.join("seg-000009.nrseg"), b"orphan").unwrap();
-        let back = SegmentedDataset::open(&dir, false).unwrap();
+        let back = SegmentedDataset::open(&dir).unwrap();
         assert_eq!(back.quarantined(), 2);
         assert_eq!(back.rows(), 15);
         assert_eq!(
@@ -759,7 +740,7 @@ mod tests {
         );
         drop(back);
         // Second open: quarantine generation is reaped, nothing new strays.
-        let again = SegmentedDataset::open(&dir, false).unwrap();
+        let again = SegmentedDataset::open(&dir).unwrap();
         assert_eq!(again.quarantined(), 0);
         assert!(!dir.join(QUARANTINE_DIR).is_dir());
         std::fs::remove_dir_all(&dir).unwrap();
@@ -774,7 +755,7 @@ mod tests {
         let seg0 = dir.join(segment_file_name(0));
         crate::fault::flip_bit(&seg0, 100, 3).unwrap();
         assert!(matches!(
-            SegmentedDataset::open(&dir, false),
+            SegmentedDataset::open(&dir),
             Err(StoreError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();

@@ -8,8 +8,8 @@
 //! contradictory predicates (empty intervals on one column), and empty
 //! antecedents (a catch-all mid-list making later rules unreachable).
 //! Against every generated set, the DAG program must be bit-identical to
-//! the interpreted `RuleSet::predict_row` reference and to the retained
-//! predicate-table engine, and invariant across worker-thread counts.
+//! the interpreted `RuleSet::predict_row` reference and invariant across
+//! worker-thread counts.
 
 use nr_rules::{Condition, Predictor, Rule, RuleSet};
 use nr_serve::CompiledRules;
@@ -113,15 +113,13 @@ fn dataset_strategy() -> impl Strategy<Value = Dataset> {
 }
 
 proptest! {
-    /// DAG == interpreted == predicate table, on the full view and on a
-    /// strided gathered selection, for every generated (rule set,
-    /// dataset) pair.
+    /// DAG == interpreted, on the full view and on a strided gathered
+    /// selection, for every generated (rule set, dataset) pair.
     #[test]
-    fn dag_matches_interpreted_and_table(rs in ruleset_strategy(), ds in dataset_strategy()) {
+    fn dag_matches_interpreted(rs in ruleset_strategy(), ds in dataset_strategy()) {
         let compiled = CompiledRules::compile(&rs);
         let per_row: Vec<_> = (0..ds.len()).map(|i| rs.predict_row(&ds, i)).collect();
         prop_assert_eq!(&compiled.predict_batch(&ds.view()), &per_row, "dag vs interpreted");
-        prop_assert_eq!(&compiled.predict_batch_table(&ds.view()), &per_row, "table vs interpreted");
 
         let sel: Vec<usize> = (0..ds.len()).step_by(3).rev().collect();
         let want: Vec<_> = sel.iter().map(|&r| rs.predict_row(&ds, r)).collect();
@@ -214,7 +212,6 @@ fn adversarial_shapes_compose() {
     let compiled = CompiledRules::compile(&rs);
     let per_row: Vec<_> = (0..ds.len()).map(|i| rs.predict_row(&ds, i)).collect();
     assert_eq!(compiled.predict_batch(&ds.view()), per_row);
-    assert_eq!(compiled.predict_batch_table(&ds.view()), per_row);
     for threads in [1usize, 2, 4] {
         assert_eq!(
             compiled.predict_batch_with(&ds.view(), threads, 64),

@@ -310,7 +310,7 @@ fn kill_mid_ingest_resumes_bit_identical() {
         }
         // And the recovered directory reopens cold.
         drop(resumed);
-        let reopened = SegmentedDataset::open(&store_dir, false).unwrap();
+        let reopened = SegmentedDataset::open(&store_dir).unwrap();
         assert_eq!(reopened.rows(), n);
         drop(reopened);
         drop(reference);
@@ -452,29 +452,29 @@ fn rollback_without_registry_is_a_clean_409() {
     daemon.shutdown();
 }
 
-/// Legacy artifacts still load: a v1 (pre-checksum) segment file behind
-/// the explicit `allow_unchecked` opt-in, and refused without it.
+/// The retired unchecksummed v1 format is gone: a file carrying the
+/// `NRSEG01` magic is plain corruption, whether it is the bare magic or a
+/// full segment body behind it.
 #[test]
-fn legacy_nrseg01_loads_only_behind_the_opt_in() {
+fn legacy_nrseg01_magic_is_corrupt() {
     let dir = scratch_dir("legacy");
     let bytes = csv_bytes(12, 5);
     let ds = read_csv_streaming(agrawal_schema(), class_names(), &bytes[..]).unwrap();
     let path = dir.join("legacy.nrseg");
-    nr_store::write_segment_v1(&ds, &path).unwrap();
-    match load_segment(&agrawal_schema(), &class_names(), &path) {
-        Err(StoreError::Corrupt { section, .. }) => {
-            assert!(
-                section.contains("NRSEG01"),
-                "names the legacy format: {section}"
-            )
+    write_segment(&ds, &path).unwrap();
+    let mut full = std::fs::read(&path).unwrap();
+    full[..8].copy_from_slice(b"NRSEG01\n");
+    for file in [&b"NRSEG01\n"[..], &full[..]] {
+        std::fs::write(&path, file).unwrap();
+        match load_segment(&agrawal_schema(), &class_names(), &path) {
+            Err(StoreError::Corrupt { section, .. }) => {
+                assert!(section.contains("magic"), "names the magic: {section}")
+            }
+            other => panic!(
+                "a v1 magic must be Corrupt, got {:?}",
+                other.map(|d| d.len())
+            ),
         }
-        other => panic!(
-            "v1 without opt-in must be refused, got {:?}",
-            other.map(|d| d.len())
-        ),
     }
-    let loaded =
-        nr_store::load_segment_with(&agrawal_schema(), &class_names(), &path, true).unwrap();
-    assert_eq!(loaded.len(), ds.len());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: train → prune → extract on the paper's
 //! benchmark functions, with budgets trimmed where accuracy allows.
 
-use neurorule::NeuroRule;
+use neurorule::{NeuroRule, PipelineError};
 use nr_datagen::{Function, Generator};
 use nr_encode::Encoder;
 use nr_nn::{Trainer, TrainingAlgorithm};
@@ -166,6 +166,30 @@ fn empty_training_set_is_an_error() {
     let gen = Generator::new(9);
     let empty = gen.dataset(Function::F1, 0);
     assert!(pipeline(1).fit(&empty).is_err());
+}
+
+/// The configuration fields are public, so a struct literal can carry
+/// values the builders would never produce; `fit` must reject them with a
+/// typed error instead of panicking mid-pipeline.
+#[test]
+fn invalid_public_config_is_an_error_not_a_panic() {
+    let train = Generator::new(9).dataset(Function::F1, 50);
+    let no_hidden = NeuroRule {
+        hidden_nodes: 0,
+        ..NeuroRule::default()
+    };
+    assert_eq!(
+        no_hidden.fit(&train).unwrap_err(),
+        PipelineError::NoHiddenNodes
+    );
+    let one_bin = NeuroRule {
+        encoder_bins: 1,
+        ..NeuroRule::default()
+    };
+    assert_eq!(
+        one_bin.fit(&train).unwrap_err(),
+        PipelineError::TooFewEncoderBins(1)
+    );
 }
 
 #[test]

@@ -34,17 +34,11 @@ fn pipeline(seed: u64) -> NeuroRule {
 /// Asserts compiled == interpreted on the full view, a reversed/strided
 /// selection, and an empty selection of `ds` — and that the answer is
 /// invariant across 1/2/4 worker threads and shard grids (the DAG
-/// engine's determinism contract), and equal to the retained
-/// predicate-table engine (an independent witness).
+/// engine's determinism contract).
 fn assert_equivalent(rs: &RuleSet, ds: &Dataset) {
     let compiled = CompiledRules::compile(rs);
     let per_row: Vec<_> = (0..ds.len()).map(|i| rs.predict_row(ds, i)).collect();
     assert_eq!(compiled.predict_batch(&ds.view()), per_row, "full view");
-    assert_eq!(
-        compiled.predict_batch_table(&ds.view()),
-        per_row,
-        "predicate-table engine"
-    );
     // 128-row shards force multi-shard execution on every non-trivial
     // fixture; the stitched answer must be bit-identical at any width.
     for threads in [1usize, 2, 4] {

@@ -218,10 +218,11 @@ fn non_finite_bundles_refuse_to_serialize() {
 /// Backward compatibility: a `ServeModel` file written by the pre-DAG
 /// engine (`tests/data/predag_serve_model.json`, captured before the
 /// decision-DAG rewrite — its `CompiledRules` object carries only the
-/// predicate/rule tables, no lowered program) must still load, carry the
-/// same rule set, and score identically to the interpreted reference.
-/// The lowered DAG is a derived cache built on first use, never part of
-/// the wire format.
+/// predicate/rule tables, no lowered program; the checksum footer was
+/// appended later with the JSON left byte-for-byte as captured) must
+/// still load, carry the same rule set, and score identically to the
+/// interpreted reference. The lowered DAG is a derived cache built on
+/// first use, never part of the wire format.
 #[test]
 fn predag_model_files_still_load() {
     use nr_datagen::Function;
@@ -275,4 +276,35 @@ fn predag_model_files_still_load() {
         back.predict_batch(&ds.view()),
         model.predict_batch(&ds.view())
     );
+}
+
+/// Every bundle carries a checksum footer: the same pre-DAG payload with
+/// its footer stripped has no integrity story and loads as corruption,
+/// not as a model.
+#[test]
+fn bundle_without_footer_is_corrupt() {
+    let fixture = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/predag_serve_model.json"
+    ))
+    .unwrap();
+    let payload = fixture
+        .rsplit_once("#nrcrc32=")
+        .expect("fixture carries a footer")
+        .0;
+    assert!(
+        ServeModel::from_json(payload).is_ok(),
+        "payload itself parses"
+    );
+    let dir = std::env::temp_dir().join(format!("nr_serve_no_footer_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("model.json");
+    std::fs::write(&path, payload).unwrap();
+    match ServeModel::load(&path) {
+        Err(nr_serve::ServeError::Corrupt { section, .. }) => {
+            assert!(section.contains("footer"), "{section}")
+        }
+        other => panic!("a footer-less bundle must be Corrupt, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
