@@ -12,9 +12,13 @@
 //!   repro history stays comparable);
 //! * `interpreted-rules` — the reference `RuleSet::predict_row` loop
 //!   (per row: walk rules, short-circuit conditions);
-//! * `network-batch` — [`nr_serve::NetworkScorer`]: encode the view,
-//!   classify on the matrix kernels (what serving the *network* to the
-//!   same database costs);
+//! * `network-batch` — [`nr_serve::NetworkScorer`]'s exact tier: each
+//!   attribute's interval index → the row's set input columns → the
+//!   set-bit forward pass, chunk-parallel, no dense encode (what serving
+//!   the *network* to the same database costs);
+//! * `network-encode-reference` — the dense reference the exact tier is
+//!   pinned bit-identical to: `Encoder::encode_view` (a `rows × 87`
+//!   matrix, one-hot targets, set-bit detection) then `Mlp::classify_batch`;
 //! * `hybrid` — compiled rules with network fallback for unmatched rows.
 //!
 //! The `dag-vs-interpreted` group pits the DAG program (auto-parallel and
@@ -26,9 +30,11 @@
 //! scaling story (results stay bit-identical; the workspace concurrency
 //! test pins that).
 //!
-//! In full (non-quick) mode the run **asserts** the acceptance bar:
+//! In full (non-quick) mode the run **asserts** two acceptance bars:
 //! compiled batch scoring must beat the interpreted per-row path by ≥ 2×
-//! at 100k rows on one core.
+//! at 100k rows on one core, and the network's exact tier must beat the
+//! dense encode reference by ≥ 2× on the same view. The exact-vs-reference
+//! speedup is recorded in `BENCH_serving.json` in every mode.
 
 use std::sync::Arc;
 
@@ -37,7 +43,7 @@ use nr_bench::{bench_dataset, pruned_network};
 use nr_rules::Predictor;
 use nr_rulex::{extract, RxConfig};
 use nr_serve::{ServeMode, ServeModel};
-use nr_tabular::Dataset;
+use nr_tabular::{Dataset, DatasetView};
 
 /// Fits the serving fixture: a rule set extracted from the standard
 /// pruned network, bundled with that network into a `ServeModel`.
@@ -80,6 +86,9 @@ fn serving(c: &mut Criterion) {
     group.bench_function("network-batch", |b| {
         b.iter(|| model.network().predict_batch(&view).len());
     });
+    group.bench_function("network-encode-reference", |b| {
+        b.iter(|| network_reference(&model, &view).len());
+    });
     let hybrid = model.clone().with_mode(ServeMode::Hybrid);
     group.bench_function("hybrid", |b| {
         b.iter(|| hybrid.predict_batch(&view).len());
@@ -108,6 +117,53 @@ fn serving(c: &mut Criterion) {
     if !criterion::quick_mode() {
         assert_compiled_beats_interpreted(&model, &ruleset, &test);
     }
+    network_exact_vs_reference(&model, &view);
+}
+
+/// The dense reference path for the network: encode the whole view into
+/// a matrix, then classify it on the batch kernels.
+fn network_reference(model: &ServeModel, view: &DatasetView<'_>) -> Vec<usize> {
+    let scorer = model.network();
+    scorer
+        .network()
+        .classify_batch(&scorer.encoder().encode_view(view))
+}
+
+/// Best of five timed runs of `f`.
+fn best_of_five(f: &mut dyn FnMut() -> usize) -> std::time::Duration {
+    (0..5)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            criterion::black_box(f());
+            t0.elapsed()
+        })
+        .min()
+        .expect("non-empty reps")
+}
+
+/// The exact-tier bar: scoring the network from interval indices must
+/// answer exactly like the dense reference and, in full runs, be at
+/// least 2× faster on the same view. The speedup is recorded in
+/// `BENCH_serving.json` either way.
+fn network_exact_vs_reference(model: &ServeModel, view: &DatasetView<'_>) {
+    assert_eq!(
+        model.network().predict_batch(view),
+        network_reference(model, view),
+        "the exact tier must answer exactly like the dense reference"
+    );
+    let exact = best_of_five(&mut || model.network().predict_batch(view).len());
+    let reference = best_of_five(&mut || network_reference(model, view).len());
+    let speedup = reference.as_secs_f64() / exact.as_secs_f64();
+    eprintln!(
+        "network exact {exact:.2?} vs encode reference {reference:.2?} -> {speedup:.2}x (bar: 2x)"
+    );
+    criterion::record_metric("network-exact-vs-encode-reference", speedup, "x");
+    if !criterion::quick_mode() {
+        assert!(
+            speedup >= 2.0,
+            "the network's exact tier must beat the dense encode reference by >= 2x, got {speedup:.2}x"
+        );
+    }
 }
 
 /// The acceptance bar, self-enforced like the `ingest` bench's heap and
@@ -120,18 +176,8 @@ fn assert_compiled_beats_interpreted(
     test: &Dataset,
 ) {
     let view = test.view();
-    let best = |f: &mut dyn FnMut() -> usize| -> std::time::Duration {
-        (0..5)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                criterion::black_box(f());
-                t0.elapsed()
-            })
-            .min()
-            .expect("non-empty reps")
-    };
-    let compiled = best(&mut || model.rules().predict_batch(&view).len());
-    let interpreted = best(&mut || {
+    let compiled = best_of_five(&mut || model.rules().predict_batch(&view).len());
+    let interpreted = best_of_five(&mut || {
         (0..test.len())
             .map(|i| ruleset.predict_row(test, i))
             .sum::<usize>()

@@ -160,6 +160,73 @@ impl Encoder {
         Encoder::new(schema, codings)
     }
 
+    /// Checks the invariants encoding and scoring rely on
+    /// ([`Encoder::new`] checks only the coding count, and a
+    /// deserialized encoder carries no guarantee at all): one coding per
+    /// attribute, spans laid out back to back, a thermometer only on a
+    /// numeric attribute with ascending, non-NaN thresholds, and a
+    /// one-hot coding only on a nominal attribute with the same number of
+    /// categories.
+    pub fn validate(&self) -> Result<(), crate::EncodeError> {
+        use nr_tabular::AttrKind;
+        let bad = |msg: String| Err(crate::EncodeError::SchemaMismatch(msg));
+        let arity = self.schema.arity();
+        if self.codings.len() != arity || self.offsets.len() != arity {
+            return bad(format!(
+                "{arity} attributes vs {} codings and {} offsets",
+                self.codings.len(),
+                self.offsets.len()
+            ));
+        }
+        let mut n = 0usize;
+        for (a, (attr, coding)) in self
+            .schema
+            .attributes()
+            .iter()
+            .zip(&self.codings)
+            .enumerate()
+        {
+            if self.offsets[a] != n {
+                return bad(format!(
+                    "attribute {a} starts at bit {}, expected {n}",
+                    self.offsets[a]
+                ));
+            }
+            n += coding.bits();
+            match (&attr.kind, coding) {
+                (AttrKind::Numeric, AttrCoding::Thermometer { thresholds, .. }) => {
+                    if thresholds.iter().any(|t| t.is_nan())
+                        || thresholds.windows(2).any(|w| w[0] > w[1])
+                    {
+                        return bad(format!("attribute {a}: thresholds must ascend"));
+                    }
+                }
+                (AttrKind::Nominal { categories }, AttrCoding::OneHot { cardinality }) => {
+                    if *cardinality != categories.len() {
+                        return bad(format!(
+                            "attribute {a}: one-hot cardinality {cardinality} vs {} categories",
+                            categories.len()
+                        ));
+                    }
+                }
+                (AttrKind::Numeric, AttrCoding::OneHot { .. }) => {
+                    return bad(format!(
+                        "attribute {a}: one-hot coding on a numeric attribute"
+                    ));
+                }
+                (AttrKind::Nominal { .. }, AttrCoding::Thermometer { .. }) => {
+                    return bad(format!(
+                        "attribute {a}: thermometer coding on a nominal attribute"
+                    ));
+                }
+            }
+        }
+        if n != self.n_data_bits || u32::try_from(n).is_err() {
+            return bad(format!("{} data bits, codings span {n}", self.n_data_bits));
+        }
+        Ok(())
+    }
+
     /// The schema this encoder understands.
     pub fn schema(&self) -> &Schema {
         &self.schema

@@ -15,6 +15,9 @@
 //! paper's rule R′₁ is exactly such a case. This crate owns both directions:
 //!
 //! * [`Encoder`] — schema ⇒ bit layout, row ⇒ `f64` bit vector (+ bias);
+//! * [`IntervalCoder`] — the same coding as per-attribute interval
+//!   indices, writing rows straight into the set-bit layout (the serving
+//!   path: no dense matrix);
 //! * [`BitMeaning`] — what each bit asserts about its attribute;
 //! * [`literals_to_rule`] — literal conjunction ⇒ [`nr_rules::Rule`]
 //!   (or `None` when infeasible);
@@ -37,11 +40,13 @@
 mod coding;
 mod encoder;
 mod feasible;
+mod interval;
 mod rewrite;
 
 pub use coding::{AttrCoding, BitMeaning};
 pub use encoder::{BinaryInputs, EncodedBatch, EncodedDataset, Encoder};
 pub use feasible::{enumerate_feasible, is_feasible, PatternSpace};
+pub use interval::IntervalCoder;
 pub use rewrite::{
     literal_implies, literal_is_tautology, literals_to_conditions, literals_to_rule, Literal,
 };

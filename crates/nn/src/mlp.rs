@@ -1,5 +1,7 @@
 //! The three-layer network with prunable links.
 
+use std::ops::Range;
+
 use nr_encode::EncodedDataset;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -387,17 +389,12 @@ impl Mlp {
     /// scratch (and worker threads when the batch spans several chunks);
     /// per-row results equal [`Mlp::classify`] bit for bit.
     pub fn classify_batch_into(&self, data: &EncodedDataset, preds: &mut Vec<usize>) {
-        let dims = (self.n_in, self.n_hidden, self.n_out);
-        let rows = data.rows();
-        let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
-        let chunks = crate::par::map_chunks(rows, threads, |_c, range| {
-            chunk_forward(data, range, dims, &self.w, &self.v, |out| {
-                out.chunks_exact(self.n_out).map(argmax).collect::<Vec<_>>()
-            })
-        });
-        for chunk in chunks {
-            preds.extend(chunk);
-        }
+        self.map_rows(
+            data.rows(),
+            |range, run| run(BatchInput::select(&data.batch(), &range, self.n_in)),
+            argmax,
+            preds,
+        );
     }
 
     /// Predicted classes for every row of an encoded dataset, allocating.
@@ -408,29 +405,83 @@ impl Mlp {
     }
 
     /// Predicted class **and the winning output activation** for every
-    /// row of an encoded dataset — the scored variant backing serving's
-    /// `predict_scored_batch`. Same pooled fixed-chunk traversal as
-    /// [`Mlp::classify_batch`]; per-row results equal
-    /// [`Mlp::forward`] + argmax bit for bit.
+    /// row of an encoded dataset. Same pooled fixed-chunk traversal as
+    /// [`Mlp::classify_batch`]; per-row results equal [`Mlp::forward`] +
+    /// argmax bit for bit.
     pub fn classify_scored_batch(&self, data: &EncodedDataset) -> Vec<(usize, f64)> {
+        let mut preds = Vec::with_capacity(data.rows());
+        self.map_rows(
+            data.rows(),
+            |range, run| run(BatchInput::select(&data.batch(), &range, self.n_in)),
+            argmax_scored,
+            &mut preds,
+        );
+        preds
+    }
+
+    /// Forward pass over `rows` strictly-0/1 input rows supplied chunk by
+    /// chunk as set bits, with no dense input matrix — the serving path.
+    /// For every fixed-size row chunk (pooled like
+    /// [`Mlp::classify_batch`]), `encode(range, indices, offsets)` fills
+    /// the two buffers with the chunk's rows: row `i` of the range is
+    /// `indices[offsets[i]..offsets[i + 1]]`, its ascending set-bit
+    /// columns. `per_row` maps each row's output activations, and the
+    /// results are appended to `out` in row order.
+    ///
+    /// This is the set-bit kernel sequence [`Mlp::classify_batch`] runs on
+    /// an encoded dataset's set-bit layout, so every row's outputs equal
+    /// [`Mlp::forward`] on the dense 0/1 vector bit for bit, whatever the
+    /// thread count.
+    pub fn map_set_bit_rows<T: Send>(
+        &self,
+        rows: usize,
+        encode: impl Fn(Range<usize>, &mut Vec<u32>, &mut Vec<usize>) + Sync,
+        per_row: impl Fn(&[f64]) -> T + Sync,
+        out: &mut Vec<T>,
+    ) {
+        self.map_rows(
+            rows,
+            |range, run| {
+                let n = range.len();
+                let (mut indices, mut offsets) = (Vec::new(), Vec::new());
+                encode(range, &mut indices, &mut offsets);
+                assert_eq!(offsets.len(), n + 1, "one offset per row plus the end");
+                run(BatchInput::Bits {
+                    indices: &indices,
+                    offsets: &offsets,
+                })
+            },
+            per_row,
+            out,
+        );
+    }
+
+    /// The pooled chunk traversal behind every batch prediction: for each
+    /// fixed-size row chunk, `input(range, run)` hands the chunk's input
+    /// rows to `run`, which runs the forward pass on thread-local scratch
+    /// and maps each row's outputs through `per_row`. Chunk results are
+    /// appended to `out` in row order.
+    fn map_rows<T: Send>(
+        &self,
+        rows: usize,
+        input: impl Fn(Range<usize>, &dyn Fn(BatchInput<'_>) -> Vec<T>) -> Vec<T> + Sync,
+        per_row: impl Fn(&[f64]) -> T + Sync,
+        out: &mut Vec<T>,
+    ) {
         let dims = (self.n_in, self.n_hidden, self.n_out);
-        let rows = data.rows();
         let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
         let chunks = crate::par::map_chunks(rows, threads, |_c, range| {
-            chunk_forward(data, range, dims, &self.w, &self.v, |out| {
-                out.chunks_exact(self.n_out)
-                    .map(|row| {
-                        let class = argmax(row);
-                        (class, row[class])
-                    })
-                    .collect::<Vec<_>>()
+            let n = range.len();
+            input(range, &|batch| {
+                scratch_forward(batch, n, dims, &self.w, &self.v, |outs| {
+                    outs.chunks_exact(self.n_out).map(&per_row).collect()
+                })
             })
         });
-        let mut preds = Vec::with_capacity(rows);
+        out.reserve(rows);
         for chunk in chunks {
-            preds.extend(chunk);
+            out.extend(chunk);
         }
-        preds
     }
 
     /// Fraction of the dataset classified correctly (argmax rule).
@@ -526,25 +577,38 @@ impl Mlp {
 
 /// One chunk's forward pass over an encoded dataset with thread-local
 /// scratch, handing the output activations (`range.len() × o`, row-major)
-/// to `f`. The single setup path for every pooled dataset traversal
-/// (`count_rows`, `classify_batch_into`, `accuracy_many`).
+/// to `f`. The setup path of the counting traversals (`count_rows`,
+/// `accuracy_many`); batch predictions go through `Mlp::map_rows`.
 fn chunk_forward<T>(
     data: &EncodedDataset,
-    range: std::ops::Range<usize>,
-    (n_in, h, o): (usize, usize, usize),
+    range: Range<usize>,
+    dims: (usize, usize, usize),
     w: &Matrix,
     v: &Matrix,
     f: impl FnOnce(&[f64]) -> T,
 ) -> T {
     let batch = data.batch();
-    let n = range.len();
-    crate::par::with_scratch(&[n * h, n * o], |bufs| {
+    let input = BatchInput::select(&batch, &range, dims.0);
+    scratch_forward(input, range.len(), dims, w, v, f)
+}
+
+/// [`forward_kernel`] over `rows` input rows into thread-local scratch,
+/// handing the output activations (`rows × o`, row-major) to `f`.
+fn scratch_forward<T>(
+    input: BatchInput<'_>,
+    rows: usize,
+    (n_in, h, o): (usize, usize, usize),
+    w: &Matrix,
+    v: &Matrix,
+    f: impl FnOnce(&[f64]) -> T,
+) -> T {
+    crate::par::with_scratch(&[rows * h, rows * o], |bufs| {
         let [hidden, out] = bufs else {
             unreachable!("two scratch buffers requested");
         };
         forward_kernel(
-            BatchInput::select(&batch, &range, n_in),
-            n,
+            input,
+            rows,
             (n_in, h, o),
             w.as_slice(),
             v.as_slice(),
@@ -654,6 +718,12 @@ pub fn argmax(xs: &[f64]) -> usize {
         }
     }
     best
+}
+
+/// [`argmax`] with the winning activation: `(class, outputs[class])`.
+fn argmax_scored(outputs: &[f64]) -> (usize, f64) {
+    let class = argmax(outputs);
+    (class, outputs[class])
 }
 
 #[cfg(test)]
@@ -858,6 +928,39 @@ mod tests {
             assert_eq!(class, argmax(&out));
             assert_eq!(score, out[class], "row {i} activation must be exact");
         }
+    }
+
+    #[test]
+    fn set_bit_rows_match_dense_forward() {
+        let mut net = Mlp::random(5, 3, 2, 4);
+        net.prune(LinkId::InputHidden {
+            hidden: 1,
+            input: 2,
+        });
+        let patterns: [&[u32]; 4] = [&[4], &[0, 2, 4], &[1, 2, 3, 4], &[]];
+        // Enough rows for several pool chunks, cycling the patterns.
+        let rows = 2 * crate::par::CHUNK_ROWS + 3;
+        let encode = |range: Range<usize>, indices: &mut Vec<u32>, offsets: &mut Vec<usize>| {
+            offsets.push(0);
+            for r in range {
+                indices.extend_from_slice(patterns[r % patterns.len()]);
+                offsets.push(indices.len());
+            }
+        };
+        let mut outs = Vec::new();
+        net.map_set_bit_rows(rows, encode, |out| out.to_vec(), &mut outs);
+        assert_eq!(outs.len(), rows);
+        for (r, got) in outs.iter().enumerate() {
+            let mut x = vec![0.0; 5];
+            for &b in patterns[r % patterns.len()] {
+                x[b as usize] = 1.0;
+            }
+            let (_, want) = net.forward(&x);
+            assert_eq!(got, &want, "row {r}");
+        }
+        let mut none: Vec<usize> = Vec::new();
+        net.map_set_bit_rows(0, encode, argmax, &mut none);
+        assert!(none.is_empty());
     }
 
     #[test]

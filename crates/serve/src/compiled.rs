@@ -30,7 +30,7 @@
 use std::sync::OnceLock;
 
 use nr_rules::{Condition, Predictor, Rule, RuleSet, Scored};
-use nr_tabular::{ClassId, DatasetView};
+use nr_tabular::{ClassId, DatasetView, Schema};
 use serde::{Deserialize, Serialize};
 
 use crate::bitmap::Bitmap;
@@ -178,6 +178,52 @@ impl CompiledRules {
             }
         }
         None
+    }
+
+    /// Checks the rule tables against the schema and class count they
+    /// will be scored with: every predicate names an attribute of the
+    /// schema, of the kind its condition tests (numeric bounds on a
+    /// numeric attribute, category tests on a nominal one), and every
+    /// rule class and the default class is below `n_classes`; every rule
+    /// names predicates of the table. Backs [`crate::ServeModel::validate`].
+    pub(crate) fn validate_against(&self, schema: &Schema, n_classes: usize) -> Result<(), String> {
+        let n_predicates = self.predicates.len();
+        for (r, rule) in self.rules.iter().enumerate() {
+            if let Some(&id) = rule
+                .predicates
+                .iter()
+                .find(|&&id| id as usize >= n_predicates)
+            {
+                return Err(format!(
+                    "rule {r} names predicate {id} of a {n_predicates}-entry predicate table"
+                ));
+            }
+        }
+        for (id, pred) in self.predicates.iter().enumerate() {
+            let a = pred.attribute();
+            let Some(attr) = schema.attributes().get(a) else {
+                return Err(format!(
+                    "rule predicate {id} names attribute {a} of a {}-attribute schema",
+                    schema.arity()
+                ));
+            };
+            let numeric = matches!(pred, Condition::Num { .. } | Condition::NumEq { .. });
+            if numeric != attr.is_numeric() {
+                return Err(format!(
+                    "rule predicate {id} tests attribute {a} ({}) as {}",
+                    attr.name,
+                    if numeric { "numeric" } else { "nominal" }
+                ));
+            }
+        }
+        let classes = self.rules.iter().map(|r| r.class);
+        if let Some(class) = classes
+            .chain([self.default_class])
+            .find(|&c| c >= n_classes)
+        {
+            return Err(format!("rule class {class} of {n_classes} classes"));
+        }
+        Ok(())
     }
 
     /// The batch first-match core: appends the class of every view row to

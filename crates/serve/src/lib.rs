@@ -12,16 +12,20 @@
 //!   bit-identical to the interpreted `RuleSet::predict_row` path at any
 //!   thread count;
 //! * [`NetworkScorer`] packages encoder + pruned MLP behind the same
-//!   batch [`Predictor`](nr_rules::Predictor) trait, riding the matrix
-//!   kernels in `nr-nn`;
+//!   batch [`Predictor`](nr_rules::Predictor) trait, scoring from each
+//!   attribute's interval index straight into the set-bit forward pass
+//!   (no dense encode), bit-identical to `encode_view` +
+//!   `classify_batch`;
 //! * [`ServeModel`] bundles both behind a [`ServeMode`] dispatch (rules /
 //!   network / hybrid rules-with-network-fallback) with JSON save/load,
 //!   so a serving process starts from a file — no retraining, no
-//!   recompilation.
+//!   recompilation. Loading validates that the parts agree
+//!   ([`ServeModel::validate`]), so a loaded bundle can be scored.
 //!
-//! Every engine is immutable after construction and holds no interior
-//! mutability: wrap one in an `Arc` and score from any number of threads
-//! with results bit-identical to single-threaded runs.
+//! Every engine is immutable after construction apart from write-once
+//! derived caches (the rule DAG program, the interval tables): wrap one
+//! in an `Arc` and score from any number of threads with results
+//! bit-identical to single-threaded runs.
 //!
 //! ```no_run
 //! use nr_rules::Predictor;

@@ -33,6 +33,12 @@ pub enum ServeError {
     /// JSON cannot represent losslessly — serialization is refused instead
     /// of emitting an unloadable file.
     NonFinite(String),
+    /// The bundle parsed but cannot be scored: its parts disagree (network
+    /// width vs encoder layout, a coding vs its schema column, output
+    /// width vs the rules' class list, a rule on an attribute outside
+    /// the schema or of the wrong kind, a rule naming a predicate outside
+    /// the predicate table, a class outside the class list).
+    Invalid(String),
     /// The bundle file failed integrity verification (checksum footer
     /// mismatch, truncation, or a registry journal that disagrees with
     /// the files on disk).
@@ -50,6 +56,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "model file: {e}"),
             ServeError::Json(e) => write!(f, "model json: {e}"),
             ServeError::NonFinite(what) => write!(f, "model not serializable: {what}"),
+            ServeError::Invalid(why) => write!(f, "model not scorable: {why}"),
             ServeError::Corrupt { path, section } => {
                 write!(f, "corrupt model bundle {}: {section}", path.display())
             }
@@ -84,8 +91,10 @@ impl From<nr_store::StoreError> for ServeError {
 /// persistence — everything a scoring process needs, nothing it can
 /// mutate.
 ///
-/// `ServeModel` is `Send + Sync` with no interior mutability (asserted at
-/// compile time below): wrap one in an `Arc` and score disjoint batches
+/// `ServeModel` is `Send + Sync` (asserted at compile time below), and
+/// its only interior mutability is write-once derived caches (the rule
+/// DAG program, the network's interval tables) that are pure functions
+/// of the wire fields: wrap one in an `Arc` and score disjoint batches
 /// from as many threads as the hardware offers. Results are bit-identical
 /// to single-threaded scoring because each call's state lives entirely on
 /// the caller's stack.
@@ -168,19 +177,48 @@ impl ServeModel {
         Ok(())
     }
 
+    /// Checks that the bundle's parts agree, so every row of the schema
+    /// can be scored in every mode without a panic: the encoder passes
+    /// [`Encoder::validate`], the network's input width matches the
+    /// encoder's bit layout and it has one output per rule class, and
+    /// every rule predicate and class fits the encoder's schema and the
+    /// class list. [`ServeModel::from_json`]
+    /// runs it on every load.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        self.network.validate().map_err(ServeError::Invalid)?;
+        let n_classes = self.rules.n_classes();
+        let n_out = self.network.network().n_outputs();
+        if n_out != n_classes {
+            return Err(ServeError::Invalid(format!(
+                "the network has {n_out} outputs for {n_classes} rule classes"
+            )));
+        }
+        self.rules
+            .validate_against(self.network.encoder().schema(), n_classes)
+            .map_err(ServeError::Invalid)
+    }
+
     /// Serializes the whole bundle (rules, encoder, network, mode) to
     /// JSON. Every finite float round-trips bit-exactly; non-finite
-    /// parameters are rejected (see [`ServeModel::validate_finite`])
-    /// instead of producing JSON that [`ServeModel::from_json`] cannot
-    /// load.
+    /// parameters (see [`ServeModel::validate_finite`]) and disagreeing
+    /// parts (see [`ServeModel::validate`]) are rejected instead of
+    /// producing JSON that [`ServeModel::from_json`] cannot load.
     pub fn to_json(&self) -> Result<String, ServeError> {
         self.validate_finite()?;
+        self.validate()?;
         serde_json::to_string(self).map_err(|e| ServeError::Json(e.to_string()))
     }
 
-    /// Deserializes a bundle produced by [`ServeModel::to_json`].
+    /// Deserializes a bundle produced by [`ServeModel::to_json`] and
+    /// checks it with [`ServeModel::validate`]: a bundle that parses but
+    /// could not be scored is [`ServeError::Invalid`]. Every load path
+    /// (file, registry boot and walk-back, the daemon's hot swap) goes
+    /// through here.
     pub fn from_json(json: &str) -> Result<Self, ServeError> {
-        serde_json::from_str(json).map_err(|e| ServeError::Json(e.to_string()))
+        let model: ServeModel =
+            serde_json::from_str(json).map_err(|e| ServeError::Json(e.to_string()))?;
+        model.validate()?;
+        Ok(model)
     }
 
     /// Writes the bundle to a file: JSON with a CRC32 footer line, staged
@@ -387,6 +425,139 @@ mod tests {
             ServeMode::Rules,
         );
         assert!(matches!(broken.to_json(), Err(ServeError::NonFinite(_))));
+    }
+
+    /// The serialized form of `model`, bypassing `to_json`'s checks (a
+    /// bundle written by something else, or edited on disk).
+    fn raw_json(model: &ServeModel) -> String {
+        serde_json::to_string(model).expect("serializes")
+    }
+
+    /// `json` fails to load with an `Invalid` error naming `what`.
+    fn assert_invalid(json: &str, what: &str) {
+        match ServeModel::from_json(json) {
+            Err(ServeError::Invalid(why)) => assert!(why.contains(what), "{what}: {why}"),
+            other => panic!("{what}: expected Invalid, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rules_outside_the_schema_or_class_list_fail_at_load() {
+        let (model, _) = bundle(ServeMode::Hybrid);
+        let encoder = model.network().encoder().clone();
+        let net = model.network().network().clone();
+        let names = || vec!["Group A".to_string(), "Group B".to_string()];
+        let cases = [
+            // A rule on attribute 42 of the 9-attribute schema.
+            (
+                RuleSet::new(
+                    vec![Rule::new(vec![Condition::num_lt(42, 1.0)], 0)],
+                    1,
+                    names(),
+                ),
+                "names attribute 42",
+            ),
+            // A rule claiming class 7 of 2.
+            (
+                RuleSet::new(
+                    vec![Rule::new(vec![Condition::num_lt(0, 5e4)], 7)],
+                    1,
+                    names(),
+                ),
+                "rule class 7 of 2",
+            ),
+            (RuleSet::new(Vec::new(), 2, names()), "rule class 2 of 2"),
+            // A category test on numeric salary, then a numeric bound on
+            // nominal car.
+            (
+                RuleSet::new(
+                    vec![Rule::new(
+                        vec![Condition::CatEq {
+                            attribute: 0,
+                            code: 1,
+                        }],
+                        0,
+                    )],
+                    1,
+                    names(),
+                ),
+                "(salary) as nominal",
+            ),
+            (
+                RuleSet::new(
+                    vec![Rule::new(vec![Condition::num_ge(4, 3.0)], 0)],
+                    1,
+                    names(),
+                ),
+                "(car) as numeric",
+            ),
+        ];
+        for (rules, what) in cases {
+            let broken = ServeModel::new(&rules, encoder.clone(), net.clone(), ServeMode::Hybrid);
+            assert_invalid(&raw_json(&broken), what);
+            assert!(
+                matches!(broken.to_json(), Err(ServeError::Invalid(_))),
+                "{what}: to_json refuses to write it"
+            );
+        }
+        // A wire rule naming predicate 99 of a one-entry predicate table.
+        let rules = RuleSet::new(
+            vec![Rule::new(vec![Condition::num_lt(0, 5e4)], 0)],
+            1,
+            names(),
+        );
+        let json = raw_json(&ServeModel::new(&rules, encoder, net, ServeMode::Hybrid));
+        let dangling = json.replace("\"predicates\":[0]", "\"predicates\":[99]");
+        assert_ne!(dangling, json, "the wire format lists predicate ids");
+        assert_invalid(&dangling, "predicate 99 of a 1-entry predicate table");
+    }
+
+    #[test]
+    fn disagreeing_network_and_encoder_fail_at_load() {
+        let (model, _) = bundle(ServeMode::Network);
+        let json = raw_json(&model);
+        let net_json = serde_json::to_string(model.network().network()).unwrap();
+        // The network's input width differs from the encoder's layout.
+        let narrow = serde_json::to_string(&Mlp::random(10, 4, 2, 9)).unwrap();
+        assert_invalid(&json.replacen(&net_json, &narrow, 1), "input width is 10");
+        // Three outputs for two rule classes.
+        let wide = Mlp::random(model.network().encoder().n_inputs(), 4, 3, 9);
+        let wide = serde_json::to_string(&wide).unwrap();
+        assert_invalid(
+            &json.replacen(&net_json, &wide, 1),
+            "3 outputs for 2 rule classes",
+        );
+        // One-hot cardinality differs from the attribute's category count.
+        let car = r#"{"OneHot":{"cardinality":20}}"#;
+        assert!(json.contains(car));
+        assert_invalid(
+            &json.replacen(car, r#"{"OneHot":{"cardinality":19}}"#, 1),
+            "one-hot cardinality 19 vs 20 categories",
+        );
+        // Swapping the salary and car codings keeps the bit count per
+        // attribute consistent with neither schema column.
+        let salary = json
+            .split(r#""codings":["#)
+            .nth(1)
+            .and_then(|rest| rest.split("}},").next())
+            .map(|c| format!("{c}}}}}"))
+            .expect("first coding");
+        assert!(salary.starts_with(r#"{"Thermometer""#), "{salary}");
+        assert_invalid(
+            &json.replacen(&salary, r#"{"OneHot":{"cardinality":6}}"#, 1),
+            "one-hot coding on a numeric attribute",
+        );
+        let cuts: Vec<String> = (1..=20).map(|t| format!("{t}.0")).collect();
+        let thermometer = format!(
+            r#"{{"Thermometer":{{"thresholds":[{}],"absent_value":null}}}}"#,
+            cuts.join(",")
+        );
+        assert_invalid(
+            &json.replacen(car, &thermometer, 1),
+            "thermometer coding on a nominal attribute",
+        );
+        // The untouched bundle still loads.
+        assert_eq!(ServeModel::from_json(&json).unwrap(), model);
     }
 
     #[test]

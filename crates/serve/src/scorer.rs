@@ -1,34 +1,81 @@
 //! The network engine: encoder + pruned MLP behind the batch [`Predictor`]
-//! trait.
+//! trait, scored from interval indices.
+//!
+//! Table-2 coding makes every attribute's input bits a pure function of
+//! its interval (a thermometer suffix or one one-hot bit), so the scorer
+//! never builds the dense `rows × inputs` matrix [`Encoder::encode_view`]
+//! produces for training. [`Mlp::map_set_bit_rows`] runs the batch in
+//! fixed-size row chunks on the shared `nr-nn` worker pool; per chunk, an
+//! [`IntervalCoder`] finds each attribute's interval and writes the rows'
+//! set input columns, and the set-bit forward pass scores them. The lists
+//! and the summation order are exactly those of `encode_view` followed by
+//! [`Mlp::classify_batch`], so the answers are bit-identical to that
+//! reference (pinned by the workspace serving equivalence suite).
 
-use nr_encode::Encoder;
-use nr_nn::Mlp;
+use std::sync::OnceLock;
+
+use nr_encode::{Encoder, IntervalCoder};
+use nr_nn::{argmax, Mlp};
 use nr_rules::{Predictor, Scored};
 use nr_tabular::{ClassId, DatasetView};
 use serde::{Deserialize, Serialize};
 
 /// A fitted network packaged for serving: the input [`Encoder`] plus the
-/// (typically pruned) [`Mlp`], scoring whole batches on the matrix
-/// kernels (`encode_view` → `classify_batch`).
+/// (typically pruned) [`Mlp`], scoring whole batches from interval
+/// indices (see the module docs).
 ///
-/// Immutable after construction — share one instance behind an `Arc`
-/// across scoring threads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The compiled [`IntervalCoder`] is a derived cache, not state: it is
+/// excluded from serialization and equality and rebuilt on first use
+/// after deserialization (the same write-once `OnceLock` pattern as the
+/// compiled rules' decision program). Immutable otherwise — share one
+/// instance behind an `Arc` across scoring threads.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NetworkScorer {
     encoder: Encoder,
     network: Mlp,
+    #[serde(skip)]
+    coder: OnceLock<IntervalCoder>,
+}
+
+/// Wire-field equality: the interval tables are derived.
+impl PartialEq for NetworkScorer {
+    fn eq(&self, other: &Self) -> bool {
+        self.encoder == other.encoder && self.network == other.network
+    }
 }
 
 impl NetworkScorer {
-    /// Packages an encoder and a network. Panics when the network's input
-    /// width does not match the encoder's bit layout.
+    /// Packages an encoder and a network and builds the interval tables.
+    /// Panics when they cannot be scored together: the encoder fails
+    /// [`Encoder::validate`], or the network's input width does not match
+    /// the encoder's bit layout. Deserialized scorers are checked by
+    /// [`crate::ServeModel::from_json`] instead.
     pub fn new(encoder: Encoder, network: Mlp) -> Self {
-        assert_eq!(
-            encoder.n_inputs(),
-            network.n_inputs(),
-            "encoder bit layout must match the network's input width"
-        );
-        NetworkScorer { encoder, network }
+        let scorer = NetworkScorer {
+            encoder,
+            network,
+            coder: OnceLock::new(),
+        };
+        if let Err(why) = scorer.validate() {
+            panic!("network scorer: {why}");
+        }
+        scorer.coder();
+        scorer
+    }
+
+    /// Checks that the encoder is consistent with its schema
+    /// ([`Encoder::validate`]) and that the network's input width matches
+    /// the encoder's bit layout.
+    pub(crate) fn validate(&self) -> Result<(), String> {
+        self.encoder.validate().map_err(|e| e.to_string())?;
+        if self.encoder.n_inputs() != self.network.n_inputs() {
+            return Err(format!(
+                "encoder bit layout has {} inputs, the network's input width is {}",
+                self.encoder.n_inputs(),
+                self.network.n_inputs()
+            ));
+        }
+        Ok(())
     }
 
     /// The input encoder.
@@ -40,6 +87,33 @@ impl NetworkScorer {
     pub fn network(&self) -> &Mlp {
         &self.network
     }
+
+    /// The interval tables, built on first use.
+    fn coder(&self) -> &IntervalCoder {
+        self.coder.get_or_init(|| {
+            self.encoder
+                .interval_coder()
+                .expect("scored encoders are validated")
+        })
+    }
+
+    /// Forward pass over every view row from interval indices, mapping
+    /// each row's output activations through `per_row` and appending the
+    /// results to `out` in view order.
+    fn score_rows<T: Send>(
+        &self,
+        view: &DatasetView<'_>,
+        per_row: impl Fn(&[f64]) -> T + Sync,
+        out: &mut Vec<T>,
+    ) {
+        let coder = self.coder();
+        self.network.map_set_bit_rows(
+            view.len(),
+            |range, indices, offsets| coder.encode_rows(view, range, indices, offsets),
+            per_row,
+            out,
+        );
+    }
 }
 
 impl Predictor for NetworkScorer {
@@ -48,24 +122,24 @@ impl Predictor for NetworkScorer {
     }
 
     fn predict_batch_into(&self, view: &DatasetView<'_>, out: &mut Vec<ClassId>) {
-        if view.is_empty() {
-            return;
-        }
-        let encoded = self.encoder.encode_view(view);
-        self.network.classify_batch_into(&encoded, out);
+        self.score_rows(view, argmax, out);
     }
 
     /// Score = the winning output node's sigmoid activation (in `(0, 1)`).
     fn predict_scored_batch(&self, view: &DatasetView<'_>) -> Vec<Scored> {
-        if view.is_empty() {
-            return Vec::new();
-        }
-        let encoded = self.encoder.encode_view(view);
-        self.network
-            .classify_scored_batch(&encoded)
-            .into_iter()
-            .map(|(class, score)| Scored { class, score })
-            .collect()
+        let mut scored = Vec::with_capacity(view.len());
+        self.score_rows(
+            view,
+            |out| {
+                let class = argmax(out);
+                Scored {
+                    class,
+                    score: out[class],
+                }
+            },
+            &mut scored,
+        );
+        scored
     }
 }
 

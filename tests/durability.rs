@@ -383,6 +383,78 @@ fn daemon_reboots_into_last_good_model_after_corrupt_bundle() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// A bundle whose every checksum verifies but whose parts disagree — a
+/// rule on attribute 42 of the 9-attribute schema, another claiming
+/// class 7 of 2 — cannot be scored, so it must not load: a registry
+/// holding it as the latest version quarantines it and boots the
+/// previous good version instead of panicking at score time.
+#[test]
+fn structurally_invalid_latest_bundle_boots_previous_good() {
+    use nr_rules::{Condition, Rule, RuleSet};
+    use nr_store::manifest::{read_checksummed_file, write_checksummed_string};
+
+    let dir = scratch_dir("invalid-latest");
+    let good = small_model();
+    let mut registry = ModelRegistry::open(&dir, 4).unwrap();
+    assert_eq!(registry.commit(good).unwrap(), 1);
+    let second = good.clone().with_mode(nr_serve::ServeMode::Rules);
+    assert_eq!(registry.commit(&second).unwrap(), 2);
+    drop(registry);
+
+    // Replace v2 with the invalid bundle, footer and journal entry
+    // (size, CRC) rewritten to match: only its structure is wrong.
+    let rules = RuleSet::new(
+        vec![
+            Rule::new(vec![Condition::num_lt(42, 1.0)], 0),
+            Rule::new(vec![Condition::num_lt(0, 50_000.0)], 7),
+        ],
+        0,
+        vec!["A".into(), "B".into()],
+    );
+    let network = good.network();
+    let invalid = nr_serve::ServeModel::new(
+        &rules,
+        network.encoder().clone(),
+        network.network().clone(),
+        nr_serve::ServeMode::Hybrid,
+    );
+    assert!(invalid.to_json().is_err(), "to_json refuses to write it");
+    let body = write_checksummed_string(&serde_json::to_string(&invalid).unwrap());
+    let v2 = dir.join(nr_serve::bundle_file_name(2));
+    let old = std::fs::read(&v2).unwrap();
+    std::fs::write(&v2, &body).unwrap();
+    assert!(matches!(
+        nr_serve::ServeModel::load(&v2),
+        Err(nr_serve::ServeError::Invalid(_))
+    ));
+    let journal = dir.join(nr_serve::registry::REGISTRY_FILE);
+    let entry = |len: usize, crc: u32| format!("\"bytes\":{len},\"crc32\":{crc}");
+    let payload = read_checksummed_file(&journal)
+        .unwrap()
+        .unwrap()
+        .payload()
+        .to_string();
+    let old_entry = entry(old.len(), nr_store::crc32(&old));
+    assert_eq!(payload.matches(&old_entry).count(), 1, "{payload}");
+    let patched = payload.replace(
+        &old_entry,
+        &entry(body.len(), nr_store::crc32(body.as_bytes())),
+    );
+    std::fs::write(&journal, write_checksummed_string(&patched)).unwrap();
+
+    let mut reopened = ModelRegistry::open(&dir, 4).unwrap();
+    let (version, model) = reopened.latest_good().unwrap().expect("v1 still loads");
+    assert_eq!(version, 1, "booted the previous good version");
+    assert_eq!(&model, good);
+    assert_eq!(reopened.current_version(), Some(1));
+    assert_eq!(reopened.quarantined(), 1);
+    assert!(dir
+        .join(QUARANTINE_DIR)
+        .join(nr_serve::bundle_file_name(2))
+        .is_file());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Live rollback: deploy a new version over HTTP, roll it back over
 /// HTTP, and confirm both the serving answers and the durable pointer
 /// (a subsequent restart boots the rolled-back version).

@@ -11,10 +11,10 @@ use nr_nn::{Trainer, TrainingAlgorithm};
 use nr_opt::Bfgs;
 use nr_prune::PruneConfig;
 use nr_rules::{Condition, Predictor, Rule, RuleSet};
-use nr_serve::{CompiledRules, ServeMode};
+use nr_serve::{CompiledRules, ServeMode, ServeModel};
 use nr_tabular::{Attribute, Dataset, Schema, Value};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Paper-shaped pipeline with the cheaper retraining budget the other
 /// suites use.
@@ -274,4 +274,305 @@ fn hybrid_equals_its_per_row_composition() {
         .map(|i| model.ruleset.predict_row(&test, i))
         .collect();
     assert_eq!(rules_mode.predict_batch(&test.view()), per_row);
+}
+
+// ---------------------------------------------------------------------------
+// The network scorer's exact tier: interval indices → set bits → the
+// set-bit forward pass, with no dense encode. It must equal the dense
+// reference (`Encoder::encode_view` + `Mlp::classify_batch` /
+// `classify_scored_batch`) in every class and in the bits of every score.
+// ---------------------------------------------------------------------------
+
+/// A random mixed schema (numeric and nominal attributes) and a dataset
+/// over it whose numeric values sit on an integer grid, plus an encoder
+/// fitted to that grid with `bins` intervals: the fitted cut points are
+/// exact integers, so many values land exactly on a threshold. A second
+/// scoring dataset mixes grid values with off-grid and out-of-range ones.
+fn fitted_fixture(rng: &mut StdRng) -> (Encoder, Dataset) {
+    let bins = rng.gen_range(2..=8usize);
+    let arity = rng.gen_range(1..=6usize);
+    let attrs: Vec<Attribute> = (0..arity)
+        .map(|a| {
+            if rng.gen_bool(0.6) {
+                Attribute::numeric(format!("x{a}"))
+            } else {
+                Attribute::nominal_anon(format!("c{a}"), rng.gen_range(1..=6usize))
+            }
+        })
+        .collect();
+    let schema = Schema::new(attrs);
+    let classes: Vec<String> = (0..rng.gen_range(2..=3usize))
+        .map(|c| format!("k{c}"))
+        .collect();
+    let step = [1.0, 2.0, 5.0][rng.gen_range(0..3usize)];
+    let top = (bins * 3) as i64;
+    let value = |rng: &mut StdRng, a: usize, grid_only: bool| match schema
+        .attribute(a)
+        .cardinality()
+    {
+        Some(card) => Value::Nominal(rng.gen_range(0..card as u32)),
+        None if grid_only || rng.gen_bool(0.6) => Value::Num(step * rng.gen_range(0..=top) as f64),
+        None => Value::Num(step * rng.gen_range(-2.0..(top + 2) as f64)),
+    };
+    let mut train = Dataset::new(schema.clone(), classes.clone());
+    // The grid's two ends pin the fitted range to [0, step * top].
+    for end in [0, top] {
+        let row = (0..arity)
+            .map(|a| match schema.attribute(a).cardinality() {
+                Some(_) => Value::Nominal(0),
+                None => Value::Num(step * end as f64),
+            })
+            .collect();
+        train.push(row, 0).unwrap();
+    }
+    for _ in 0..20 {
+        let row = (0..arity).map(|a| value(rng, a, true)).collect();
+        train.push(row, rng.gen_range(0..classes.len())).unwrap();
+    }
+    let encoder = Encoder::fit(&train, bins).unwrap();
+    let mut test = Dataset::new(schema.clone(), classes.clone());
+    for _ in 0..rng.gen_range(1..=2600usize) {
+        let row = (0..arity).map(|a| value(rng, a, false)).collect();
+        test.push(row, rng.gen_range(0..classes.len())).unwrap();
+    }
+    (encoder, test)
+}
+
+/// The Table-2 Agrawal encoder on generated tuples, with a quarter of the
+/// numeric values moved exactly onto one of their attribute's finite
+/// thresholds.
+fn agrawal_fixture(rng: &mut StdRng) -> (Encoder, Dataset) {
+    let encoder = Encoder::agrawal();
+    let function = nr_datagen::Function::all()[rng.gen_range(0..10usize)];
+    let generated = Generator::new(rng.next_u64()).dataset(function, rng.gen_range(1..=2600usize));
+    let mut ds = Dataset::new(generated.schema().clone(), generated.class_names().to_vec());
+    for i in 0..generated.len() {
+        let mut row = generated.row_values(i);
+        for (a, coding) in encoder.codings().iter().enumerate() {
+            if let nr_encode::AttrCoding::Thermometer { thresholds, .. } = coding {
+                let finite: Vec<f64> = thresholds
+                    .iter()
+                    .copied()
+                    .filter(|t| t.is_finite())
+                    .collect();
+                if !finite.is_empty() && rng.gen_bool(0.25) {
+                    row[a] = Value::Num(finite[rng.gen_range(0..finite.len())]);
+                }
+            }
+        }
+        ds.push(row, generated.labels()[i]).unwrap();
+    }
+    (encoder, ds)
+}
+
+/// A random network, with a random share of its links pruned half the
+/// time.
+fn random_network(rng: &mut StdRng, n_in: usize, n_out: usize) -> nr_nn::Mlp {
+    let mut net = nr_nn::Mlp::random(n_in, rng.gen_range(1..=5usize), n_out, rng.next_u64());
+    if rng.gen_bool(0.5) {
+        let share = rng.gen_range(0.1..0.95);
+        for link in net.active_links() {
+            if rng.gen_bool(share) {
+                net.prune(link);
+            }
+        }
+    }
+    net
+}
+
+/// Row selections over `ds`: the full view, and two shuffled selections
+/// with repeats (unordered and repeated rows), one within a single
+/// 1,024-row scoring chunk (scored inline) and one spanning several
+/// (scored on the worker pool).
+fn views(rng: &mut StdRng, ds: &Dataset) -> Vec<Vec<usize>> {
+    let n = ds.len();
+    let lens = [
+        rng.gen_range(1..=1024usize),
+        rng.gen_range(1025..=2600usize),
+    ];
+    let mut views = vec![(0..n).collect()];
+    for len in lens {
+        views.push((0..len).map(|_| rng.gen_range(0..n)).collect());
+    }
+    views
+}
+
+/// The exact tier equals the dense reference on `view`: classes through
+/// `predict_batch`, classes and score bits through the scored path.
+fn assert_exact_tier(scorer: &nr_serve::NetworkScorer, view: &nr_tabular::DatasetView<'_>) {
+    let encoded = scorer.encoder().encode_view(view);
+    let classes = scorer.network().classify_batch(&encoded);
+    let scored = scorer.network().classify_scored_batch(&encoded);
+    assert_eq!(scorer.predict_batch(view), classes, "classes");
+    let got = scorer.predict_scored_batch(view);
+    assert_eq!(got.len(), scored.len());
+    for (i, (g, &(class, score))) in got.iter().zip(&scored).enumerate() {
+        assert_eq!(g.class, class, "row {i} class");
+        assert_eq!(g.score.to_bits(), score.to_bits(), "row {i} score bits");
+    }
+}
+
+/// A small random rule set over `schema` (thresholds drawn from the
+/// data), leaving rows for the network fallback.
+fn random_rules(rng: &mut StdRng, ds: &Dataset) -> RuleSet {
+    let schema = ds.schema();
+    let n_classes = ds.class_names().len();
+    let rules = (0..rng.gen_range(0..4usize))
+        .map(|_| {
+            let a = rng.gen_range(0..schema.arity());
+            let cond = match schema.attribute(a).cardinality() {
+                Some(card) => Condition::CatEq {
+                    attribute: a,
+                    code: rng.gen_range(0..card as u32),
+                },
+                None => {
+                    let x = ds.num_column(a)[rng.gen_range(0..ds.len())];
+                    if rng.gen_bool(0.5) {
+                        Condition::num_lt(a, x)
+                    } else {
+                        Condition::num_ge(a, x)
+                    }
+                }
+            };
+            Rule::new(vec![cond], rng.gen_range(0..n_classes))
+        })
+        .collect();
+    RuleSet::new(
+        rules,
+        rng.gen_range(0..n_classes),
+        ds.class_names().to_vec(),
+    )
+}
+
+/// `ServeModel`'s Network and Hybrid answers equal the replay from public
+/// parts the cross-layer benchmark times: compiled rules with their match
+/// flags, then `encode_view` + `classify_batch` on the unmatched rows.
+fn assert_serve_modes_match_replay(model: &ServeModel, view: &nr_tabular::DatasetView<'_>) {
+    let network = model.network();
+    let dense = |v: &nr_tabular::DatasetView<'_>| {
+        network
+            .network()
+            .classify_scored_batch(&network.encoder().encode_view(v))
+    };
+    let net_model = model.clone().with_mode(ServeMode::Network);
+    let want: Vec<usize> = dense(view).iter().map(|&(c, _)| c).collect();
+    assert_eq!(net_model.predict_batch(view), want, "network mode");
+
+    let hybrid = model.clone().with_mode(ServeMode::Hybrid);
+    let flags = model.rules().predict_scored_batch(view);
+    let positions: Vec<usize> = (0..flags.len())
+        .filter(|&i| flags[i].score == 0.0)
+        .collect();
+    let mut classes: Vec<usize> = flags.iter().map(|s| s.class).collect();
+    let mut scores: Vec<f64> = flags.iter().map(|_| 1.0).collect();
+    if !positions.is_empty() {
+        let sub = view.subview(positions.iter().map(|&p| view.row_id(p)).collect());
+        for (&p, (class, score)) in positions.iter().zip(dense(&sub)) {
+            classes[p] = class;
+            scores[p] = score;
+        }
+    }
+    assert_eq!(hybrid.predict_batch(view), classes, "hybrid mode");
+    for (i, s) in hybrid.predict_scored_batch(view).iter().enumerate() {
+        assert_eq!(s.class, classes[i], "hybrid scored row {i}");
+        assert_eq!(
+            s.score.to_bits(),
+            scores[i].to_bits(),
+            "hybrid score row {i}"
+        );
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+    /// Exact tier == dense reference, for fitted encoders on random mixed
+    /// schemas and the Agrawal encoder, random and pruned networks, full
+    /// and shuffled-with-repeats views, scored inline and pooled.
+    #[test]
+    fn exact_tier_matches_dense_reference(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (encoder, ds) = if rng.gen_bool(0.5) {
+            fitted_fixture(&mut rng)
+        } else {
+            agrawal_fixture(&mut rng)
+        };
+        let n_out = rng.gen_range(1..=4usize);
+        let net = random_network(&mut rng, encoder.n_inputs(), n_out);
+        let scorer = nr_serve::NetworkScorer::new(encoder, net);
+        for rows in views(&mut rng, &ds) {
+            assert_exact_tier(&scorer, &ds.view_of(rows));
+        }
+        assert!(scorer.predict_batch(&ds.view_of(Vec::new())).is_empty());
+    }
+
+    /// Whole bundles: Network and Hybrid modes equal the parts replay.
+    #[test]
+    fn serve_modes_match_the_parts_replay(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (encoder, ds) = if rng.gen_bool(0.5) {
+            fitted_fixture(&mut rng)
+        } else {
+            agrawal_fixture(&mut rng)
+        };
+        let rules = random_rules(&mut rng, &ds);
+        let net = random_network(&mut rng, encoder.n_inputs(), ds.class_names().len());
+        let model = ServeModel::new(&rules, encoder, net, ServeMode::Hybrid);
+        for rows in views(&mut rng, &ds) {
+            assert_serve_modes_match_replay(&model, &ds.view_of(rows));
+        }
+    }
+}
+
+/// Without debug assertions a zero-copy `Dataset` can carry NaN, ±∞ and
+/// nominal codes outside the category list (`from_shared_parts` only
+/// debug-asserts them); the exact tier must then still equal the dense
+/// reference. Debug builds reject such a dataset, so the check is a no-op
+/// there.
+#[test]
+fn unvalidated_shared_columns_score_like_the_reference() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let encoder = Encoder::agrawal();
+    let rows = 1500;
+    let generated = Generator::new(5).dataset(Function::F5, rows);
+    let hostile = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let columns = (0..9)
+        .map(|a| match generated.schema().attribute(a).cardinality() {
+            Some(card) => nr_tabular::Column::nominal(
+                (0..rows)
+                    .map(|i| {
+                        if i % 7 == 0 {
+                            card as u32 + (i % 3) as u32
+                        } else {
+                            generated.nominal_column(a)[i]
+                        }
+                    })
+                    .collect(),
+            ),
+            None => nr_tabular::Column::num(
+                (0..rows)
+                    .map(|i| {
+                        if i % 5 == 0 {
+                            hostile[i % 3]
+                        } else {
+                            generated.num_column(a)[i]
+                        }
+                    })
+                    .collect(),
+            ),
+        })
+        .collect();
+    let ds = Dataset::from_shared_parts(
+        generated.schema().clone(),
+        generated.class_names().to_vec(),
+        columns,
+        generated.labels().to_vec().into(),
+    )
+    .unwrap();
+    let net = nr_nn::Mlp::random(encoder.n_inputs(), 4, 2, 11);
+    let scorer = nr_serve::NetworkScorer::new(encoder, net);
+    assert_exact_tier(&scorer, &ds.view());
+    assert_exact_tier(&scorer, &ds.view_of((0..rows).rev().step_by(2).collect()));
 }
