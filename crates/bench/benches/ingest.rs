@@ -1,6 +1,7 @@
 //! Ingest scoreboard: streaming CSV → columnar `Dataset` →
-//! `Encoder::encode_dataset`, the out-of-core spill ingest, and the cost
-//! of segment checksums.
+//! `Encoder::encode_dataset`, the out-of-core spill ingest (with a
+//! single-thread parse-only arm that separates parsing from sealing), and
+//! the cost of segment checksums.
 //!
 //! Peak allocation is tracked by a counting global allocator: the
 //! out-of-core run asserts its bounded-heap bar with it, so the bench run
@@ -104,6 +105,33 @@ fn ingest(c: &mut Criterion) {
     );
 }
 
+/// Parses the rows of the Agrawal CSV `data` on the calling thread, on
+/// the store's chunk grid (line-aligned [`nr_store::INGEST_CHUNK_BYTES`]
+/// blocks), dropping each block's columns; returns the row count.
+fn parse_blocks(data: &[u8]) -> usize {
+    let schema = nr_datagen::agrawal_schema();
+    let classes = nr_datagen::class_names();
+    let body_start = data
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(data.len(), |p| p + 1);
+    let body = &data[body_start..];
+    let mut rows = 0;
+    let mut start = 0;
+    while start < body.len() {
+        let target = (start + nr_store::INGEST_CHUNK_BYTES).min(body.len());
+        let end = body[target..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(body.len(), |p| target + p + 1);
+        let (_, labels) = nr_tabular::parse_csv_block(&schema, &classes, &body[start..end], 2)
+            .expect("parse block");
+        rows += labels.len();
+        start = end;
+    }
+    rows
+}
+
 /// Out-of-core scoreboard: streaming CSV generation → mmap-backed
 /// parallel ingest into spill segments → encode → score, with the
 /// counting allocator asserting the whole pipeline's peak heap stays far
@@ -118,6 +146,10 @@ fn out_of_core(c: &mut Criterion) {
     let quick = criterion::quick_mode();
     let rows: usize = if quick { 50_000 } else { 10_000_000 };
     let seg_rows = if quick { 8_192 } else { 64 * 1024 };
+    // Thread scaling reads differently on every host: record the core
+    // count next to the timings.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    criterion::record_metric("host.cores", cores as f64, "count");
     let dir = std::env::temp_dir().join(format!("nr-bench-ingest-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create bench scratch dir");
     let csv_path = dir.join("out-of-core.csv");
@@ -145,6 +177,17 @@ fn out_of_core(c: &mut Criterion) {
             )
             .expect("parse")
             .len()
+        });
+    });
+    group.bench_function("parse-blocks-1t", |b| {
+        // Parsing alone, single-threaded: the store's chunk grid over the
+        // mapped file, each chunk parsed and dropped. Set against the
+        // spill-ingest arms, it separates parse cost from sealing.
+        let map = nr_store::MappedFile::open(&csv_path).expect("map csv");
+        b.iter(|| {
+            let parsed = parse_blocks(map.bytes());
+            assert_eq!(parsed, rows);
+            parsed
         });
     });
     for threads in [1usize, 2, 4] {

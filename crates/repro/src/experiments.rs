@@ -13,6 +13,15 @@ use crate::ablation;
 struct BenchReport {
     bench: String,
     results: Vec<BenchRow>,
+    #[serde(default)]
+    metrics: Vec<BenchMetric>,
+}
+
+/// One derived figure of a bench report (`criterion::record_metric`).
+#[derive(Debug, Deserialize)]
+struct BenchMetric {
+    name: String,
+    value: f64,
 }
 
 /// One measurement row of a bench report.
@@ -281,12 +290,20 @@ fn ingest_section(source: &str, report: &BenchReport) -> String {
             .to_string();
     };
     let rows = ooc_rows(&serial.name);
+    let cores = report
+        .metrics
+        .iter()
+        .find(|m| m.name == "host.cores")
+        .map(|m| format!("{} cores", m.value))
+        .unwrap_or_else(|| "core count not recorded".into());
     let mut out = format!(
-        "Source: `{source}` (median of the bench run, {}). The\n\
+        "Source: `{source}` (median of the bench run, {}; host: {cores}). The\n\
          mmap rows parse the same CSV into spill-file segments through\n\
          `nr_store::ingest_csv_file` — output pinned bit-identical to the\n\
-         serial reader at every thread count; thread scaling needs a\n\
-         multi-core host.\n",
+         serial reader at every thread count; parsing runs on the worker\n\
+         pool while one sealer thread appends, spills and verifies, so even\n\
+         one worker overlaps the two. The parse-only row is the same chunk\n\
+         grid parsed on one thread with no sealing at all.\n",
         rows.map(|n| format!("{n} rows"))
             .unwrap_or_else(|| "unknown size".into()),
     );
@@ -304,6 +321,7 @@ fn ingest_section(source: &str, report: &BenchReport) -> String {
             "serial streaming reader (in-RAM `Dataset`)",
             "/serial-streaming-reader",
         ),
+        ("parse only, 1 thread (no sealing)", "/parse-blocks-1t"),
         ("mmap spill ingest, 1 thread", "/mmap-spill-ingest-1t"),
         ("mmap spill ingest, 2 threads", "/mmap-spill-ingest-2t"),
         ("mmap spill ingest, 4 threads", "/mmap-spill-ingest-4t"),

@@ -183,7 +183,8 @@ impl CompiledRules {
     /// Checks the rule tables against the schema and class count they
     /// will be scored with: every predicate names an attribute of the
     /// schema, of the kind its condition tests (numeric bounds on a
-    /// numeric attribute, category tests on a nominal one), and every
+    /// numeric attribute, category tests on a nominal one, with codes
+    /// below its cardinality), and every
     /// rule class and the default class is below `n_classes`; every rule
     /// names predicates of the table. Backs [`crate::ServeModel::validate`].
     pub(crate) fn validate_against(&self, schema: &Schema, n_classes: usize) -> Result<(), String> {
@@ -214,6 +215,20 @@ impl CompiledRules {
                     attr.name,
                     if numeric { "numeric" } else { "nominal" }
                 ));
+            }
+            let max_code = match pred {
+                Condition::CatEq { code, .. } => Some(*code),
+                Condition::CatNotIn { codes, .. } => codes.last().copied(),
+                Condition::Num { .. } | Condition::NumEq { .. } => None,
+            };
+            if let (Some(code), Some(card)) = (max_code, attr.cardinality()) {
+                if code as usize >= card {
+                    return Err(format!(
+                        "rule predicate {id} tests category code {code} of attribute {a} ({}), \
+                         which has {card} categories",
+                        attr.name
+                    ));
+                }
             }
         }
         let classes = self.rules.iter().map(|r| r.class);

@@ -182,7 +182,8 @@ impl ServeModel {
     /// [`Encoder::validate`], the network's input width matches the
     /// encoder's bit layout and it has one output per rule class, and
     /// every rule predicate and class fits the encoder's schema and the
-    /// class list. [`ServeModel::from_json`]
+    /// class list (a category test names codes below its attribute's
+    /// cardinality). [`ServeModel::from_json`]
     /// runs it on every load.
     pub fn validate(&self) -> Result<(), ServeError> {
         self.network.validate().map_err(ServeError::Invalid)?;
@@ -490,6 +491,36 @@ mod tests {
                     names(),
                 ),
                 "(car) as numeric",
+            ),
+            // Category codes past the attribute's cardinality: car 20 of
+            // car's 20 categories, then zipcode 9 of 9 inside a not-in set.
+            (
+                RuleSet::new(
+                    vec![Rule::new(
+                        vec![Condition::CatEq {
+                            attribute: 4,
+                            code: 20,
+                        }],
+                        0,
+                    )],
+                    1,
+                    names(),
+                ),
+                "category code 20 of attribute 4 (car), which has 20 categories",
+            ),
+            (
+                RuleSet::new(
+                    vec![Rule::new(
+                        vec![Condition::CatNotIn {
+                            attribute: 5,
+                            codes: [0, 9].into_iter().collect(),
+                        }],
+                        0,
+                    )],
+                    1,
+                    names(),
+                ),
+                "category code 9 of attribute 5 (zipcode), which has 9 categories",
             ),
         ];
         for (rules, what) in cases {

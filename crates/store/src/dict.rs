@@ -10,9 +10,9 @@
 //! distinct strings of every nominal column, the dictionary is sealed
 //! with codes sorted by (count desc, name asc) — deterministic, and
 //! placing frequent categories at small codes — and a second parallel
-//! pass parses rows against the sealed dictionaries (hash lookups, not
-//! the linear scans of the closed-schema parser). Encoded width then
-//! tracks *observed* cardinality.
+//! pass is the plain ingest against the sealed schema (the shared row
+//! parser, [`nr_tabular::parse_csv_block`]). Encoded width then tracks
+//! *observed* cardinality.
 //!
 //! Two passes keep the out-of-core bound: holding every parsed chunk
 //! until the dictionary is known would buffer the whole dataset in RAM;
@@ -22,9 +22,7 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use nr_nn::map_indexed_scoped;
-use nr_tabular::{
-    parse_csv_cell, AttrKind, Attribute, ClassId, Column, Schema, TabularError, Value,
-};
+use nr_tabular::{parse_csv_block, AttrKind, Attribute, Schema};
 
 use crate::ingest::{check_header, chunk_ranges, ingest_parsed_body};
 use crate::mmap::MappedFile;
@@ -98,72 +96,6 @@ fn seal_dictionary(attribute: usize, name: &str, counts: HashMap<String, u64>) -
     }
 }
 
-/// Pass 2 block parser: identical line semantics to
-/// [`nr_tabular::parse_csv_block`] (trimmed cells, tolerated `\r`,
-/// skipped empty lines, chunk-relative error lines), but nominal and
-/// class cells resolve through hash maps instead of linear scans.
-fn parse_block_coded(
-    schema: &Schema,
-    dicts: &[Option<HashMap<String, u32>>],
-    class_codes: &HashMap<String, ClassId>,
-    block: &[u8],
-) -> Result<(Vec<Column>, Vec<ClassId>), TabularError> {
-    let csv_err = |line: usize, msg: String| TabularError::Csv { line, msg };
-    let arity = schema.arity();
-    let mut columns: Vec<Column> = schema
-        .attributes()
-        .iter()
-        .map(|a| Column::empty_for(&a.kind))
-        .collect();
-    let mut labels: Vec<ClassId> = Vec::new();
-    for (lineno, raw) in block.split(|&b| b == b'\n').enumerate() {
-        let raw = std::str::from_utf8(raw).map_err(|e| csv_err(lineno, e.to_string()))?;
-        let line = strip_cr(raw);
-        if line.is_empty() {
-            continue;
-        }
-        let mut cells = line.split(',');
-        for a in 0..arity {
-            let cell = cells
-                .next()
-                .ok_or_else(|| csv_err(lineno, format!("{} cells, expected {}", a, arity + 1)))?;
-            match (&mut columns[a], &dicts[a]) {
-                (Column::Nominal(cs), Some(dict)) => {
-                    let code = dict.get(cell.trim()).ok_or_else(|| {
-                        csv_err(lineno, format!("unknown category {:?}", cell.trim()))
-                    })?;
-                    cs.push(*code);
-                }
-                (col, None) => {
-                    let value = parse_csv_cell(&schema.attribute(a).kind, cell)
-                        .map_err(|msg| csv_err(lineno, msg))?;
-                    match (value, col) {
-                        (Value::Num(x), Column::Num(xs)) => xs.push(x),
-                        (Value::Nominal(code), Column::Nominal(cs)) => cs.push(code),
-                        _ => unreachable!("columns mirror the schema kinds"),
-                    }
-                }
-                (Column::Num(_), Some(_)) => unreachable!("dicts exist only for nominal attrs"),
-            }
-        }
-        let class_cell = cells
-            .next()
-            .ok_or_else(|| csv_err(lineno, format!("{arity} cells, expected {}", arity + 1)))?
-            .trim();
-        if cells.next().is_some() {
-            return Err(csv_err(
-                lineno,
-                format!("too many cells, expected {}", arity + 1),
-            ));
-        }
-        let label = class_codes
-            .get(class_cell)
-            .ok_or_else(|| csv_err(lineno, format!("unknown class {class_cell:?}")))?;
-        labels.push(*label);
-    }
-    Ok((columns, labels))
-}
-
 /// Dictionary ingest over CSV bytes (see module docs). `proto` fixes the
 /// attribute names, kinds, and order; nominal category lists in it are
 /// ignored and replaced with discovered, frequency-sorted dictionaries.
@@ -227,25 +159,12 @@ pub fn ingest_csv_bytes_with_dict(
         .collect();
     let schema = Schema::new(attributes);
 
-    // Pass 2: parallel coded parse against the sealed dictionaries.
-    let mut dicts: Vec<Option<HashMap<String, u32>>> = (0..arity).map(|_| None).collect();
-    for d in &dictionaries {
-        dicts[d.attribute] = Some(
-            d.categories
-                .iter()
-                .enumerate()
-                .map(|(code, name)| (name.clone(), code as u32))
-                .collect(),
-        );
-    }
-    let class_codes: HashMap<String, ClassId> = class_names
-        .iter()
-        .enumerate()
-        .map(|(id, name)| (name.clone(), id))
-        .collect();
+    // Pass 2: the plain parallel ingest against the sealed schema, whose
+    // category order is the dictionary code order.
     let parse_schema = schema.clone();
+    let parse_classes = class_names.clone();
     let store = ingest_parsed_body(schema, class_names, body, config, move |block| {
-        parse_block_coded(&parse_schema, &dicts, &class_codes, block)
+        parse_csv_block(&parse_schema, &parse_classes, block, 0)
     })?;
     Ok(DictIngest {
         store,
@@ -268,6 +187,7 @@ pub fn ingest_csv_file_with_dict(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nr_tabular::TabularError;
 
     /// Proto-schema with an *empty* nominal domain — the discovery case.
     fn proto() -> Schema {

@@ -3,13 +3,26 @@
 //! The input is split at **line boundaries near fixed byte targets** —
 //! the chunk grid depends only on the bytes, never on the thread count —
 //! then chunks parse concurrently on the shared `nr-nn` worker pool
-//! ([`nr_nn::map_indexed_scoped`]) and are appended to the
-//! [`SegmentWriter`] strictly in chunk order. Parsing semantics are
-//! [`nr_tabular::parse_csv_block`], the same cell semantics as
-//! [`nr_tabular::read_csv_streaming`] — so the result is **bit-identical
-//! to the serial streaming reader at any thread count**, degrading to the
-//! serial arm on single-core hosts (`resolve_threads` returns 1 and
-//! everything runs inline).
+//! ([`nr_nn::map_indexed_scoped`]) in bounded waves. Parsing semantics are
+//! [`nr_tabular::parse_csv_block`], the row parser behind
+//! [`nr_tabular::read_csv_streaming`] too — so the result is
+//! **bit-identical to the serial streaming reader at any thread count**.
+//!
+//! # The sealer thread
+//!
+//! Appending, sealing, spilling, seal-time verification and journal
+//! commits run on **one** scoped sealer thread, fed each parsed wave over
+//! a rendezvous channel: the pool parses wave `k + 1` while wave `k` is
+//! sealed, so neither side idles on the other and at most two waves are
+//! live. The order guarantee is unchanged: the sealer appends chunks
+//! strictly in chunk order and seals segments one at a time, in index
+//! order, so spill files, journal commits and crash points happen in
+//! exactly the order of a serial ingest. A sealer error stops the parse
+//! side at its next hand-over (no hang, no later seal); a parse error
+//! reaches the caller only once every chunk before it has been appended,
+//! with its absolute line number. With one worker (`threads = 1`, or a
+//! single-core host) parsing runs inline on the calling thread, still
+//! alongside the sealer.
 //!
 //! Ingesting from a file maps it first ([`crate::MappedFile`]): chunk
 //! parsing then streams straight out of the page cache, so peak heap is
@@ -81,8 +94,9 @@ type ParsedChunk = (Result<(Vec<Column>, Vec<ClassId>), TabularError>, usize);
 
 /// Chunk-parallel core shared by the plain and dictionary ingests: split
 /// `body` on the fixed chunk grid, run `parse` over the chunks on the
-/// pool, and append results **strictly in chunk order** — which is what
-/// makes the output independent of which pool thread parsed which chunk.
+/// pool, and append results **strictly in chunk order** on the sealer
+/// thread — which is what makes the output independent of which pool
+/// thread parsed which chunk.
 ///
 /// `parse` reports errors with chunk-relative line numbers (the
 /// convention of [`parse_csv_block`] with `first_line = 0`); they are
@@ -106,11 +120,15 @@ where
 /// already-seeded writer and the absolute line number of `body`'s first
 /// line (2 for a fresh ingest; higher after a resume skipped committed
 /// rows).
+///
+/// The pool parses wave `k + 1` while one sealer thread appends wave `k`
+/// (see the module docs); [`SegmentWriter::finish`] runs on the calling
+/// thread once every wave has been handed over and appended.
 fn drive_ingest<F>(
-    mut writer: SegmentWriter,
+    writer: SegmentWriter,
     body: &[u8],
     config: &StoreConfig,
-    mut first_line: usize,
+    first_line: usize,
     parse: F,
 ) -> Result<SegmentedDataset, StoreError>
 where
@@ -118,20 +136,49 @@ where
 {
     let chunks = chunk_ranges(body);
 
-    // Bounded waves: parse a few chunks per worker concurrently, append
-    // them in chunk order, seal/spill, then move to the next wave. One
-    // wave of parsed columns is all that is ever live — mapping every
-    // chunk up front would materialize the whole dataset on the heap and
-    // defeat the out-of-core bound. The chunk grid, the per-chunk parse,
-    // and the global append order are all unchanged by the wave size, so
-    // the output stays bit-identical at any thread count.
+    // Bounded waves: parse a few chunks per worker concurrently and hand
+    // the wave to the sealer. Mapping every chunk up front would
+    // materialize the whole dataset on the heap and defeat the
+    // out-of-core bound; with a rendezvous channel at most two waves are
+    // live (one being sealed, one being parsed). The chunk grid, the
+    // per-chunk parse, and the global append order are all unchanged by
+    // the wave size, so the output stays bit-identical at any thread
+    // count.
     let wave = resolve_threads(config.threads, chunks.len()) * 4;
-    for wave_chunks in chunks.chunks(wave.max(1)) {
-        let parsed: Vec<ParsedChunk> = map_indexed_scoped(wave_chunks.len(), config.threads, |k| {
-            let block = &body[wave_chunks[k].clone()];
-            let newlines = block.iter().filter(|&&b| b == b'\n').count();
-            (parse(block), newlines)
-        });
+    let (waves, sealed) = std::sync::mpsc::sync_channel::<Vec<ParsedChunk>>(0);
+    let writer = std::thread::scope(|scope| {
+        let sealer = scope.spawn(move || seal_waves(writer, first_line, sealed));
+        for wave_chunks in chunks.chunks(wave.max(1)) {
+            let parsed: Vec<ParsedChunk> =
+                map_indexed_scoped(wave_chunks.len(), config.threads, |k| {
+                    let block = &body[wave_chunks[k].clone()];
+                    let newlines = block.iter().filter(|&&b| b == b'\n').count();
+                    (parse(block), newlines)
+                });
+            if waves.send(parsed).is_err() {
+                break; // the sealer stopped on an error; join reports it
+            }
+        }
+        drop(waves);
+        sealer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    })?;
+    writer.finish()
+}
+
+/// The sealer thread: appends each received wave to `writer` strictly in
+/// chunk order (sealing, spilling and journaling segments as they fill),
+/// turning chunk-relative parse errors into absolute line numbers.
+/// Returns the writer unfinished once the parse side hangs up, or the
+/// first error — which drops the receiver, so the parse side stops at its
+/// next hand-over instead of blocking.
+fn seal_waves(
+    mut writer: SegmentWriter,
+    mut first_line: usize,
+    waves: std::sync::mpsc::Receiver<Vec<ParsedChunk>>,
+) -> Result<SegmentWriter, StoreError> {
+    for parsed in waves {
         for (result, newlines) in parsed {
             match result {
                 Ok((columns, labels)) => writer.append_columns(columns, labels)?,
@@ -147,7 +194,7 @@ where
             first_line += newlines;
         }
     }
-    writer.finish()
+    Ok(writer)
 }
 
 /// Ingests CSV bytes (header + rows, the [`nr_tabular::write_csv`]

@@ -17,7 +17,8 @@
 //! * **Parallel CSV ingest** ([`ingest_csv_bytes`] /
 //!   [`ingest_csv_file`]) — the input splits at line boundaries on a
 //!   fixed byte grid, chunks parse concurrently on the shared `nr-nn`
-//!   worker pool, and results append in chunk order: bit-identical to
+//!   worker pool, and one sealer thread appends them in chunk order
+//!   while the next wave parses: bit-identical to
 //!   [`nr_tabular::read_csv_streaming`] at any thread count.
 //! * **Dictionary encoding** ([`ingest_csv_bytes_with_dict`]) — nominal
 //!   categories discovered from the data and coded by descending

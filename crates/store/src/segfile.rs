@@ -82,16 +82,41 @@ pub struct SegmentMeta {
     pub rows: u64,
 }
 
+/// Values encoded per block by [`CrcWriter::put_le`].
+const WRITE_BLOCK_VALUES: usize = 8 * 1024;
+
 /// A buffered writer that folds everything written into a running CRC32.
 struct CrcWriter<W: Write> {
     inner: W,
     crc: Crc32,
+    /// Reusable encoding buffer of [`CrcWriter::put_le`].
+    block: Vec<u8>,
 }
 
 impl<W: Write> CrcWriter<W> {
     fn put(&mut self, bytes: &[u8]) -> io::Result<()> {
         self.crc.update(bytes);
         self.inner.write_all(bytes)
+    }
+
+    /// Writes `values` little-endian, encoding them in blocks into one
+    /// reusable buffer: one checksum update and one `write_all` per block
+    /// of [`WRITE_BLOCK_VALUES`], not per value.
+    fn put_le<T: Copy, const N: usize>(
+        &mut self,
+        values: &[T],
+        to_le: impl Fn(T) -> [u8; N],
+    ) -> io::Result<()> {
+        for chunk in values.chunks(WRITE_BLOCK_VALUES) {
+            self.block.clear();
+            self.block.resize(chunk.len() * N, 0);
+            for (dst, &v) in self.block.chunks_exact_mut(N).zip(chunk) {
+                dst.copy_from_slice(&to_le(v));
+            }
+            self.crc.update(&self.block);
+            self.inner.write_all(&self.block)?;
+        }
+        Ok(())
     }
 
     /// Takes the region checksum and resets the state for the next region.
@@ -131,6 +156,7 @@ pub fn write_segment(ds: &Dataset, path: &Path) -> Result<SegmentMeta, StoreErro
     let mut out = CrcWriter {
         inner: BufWriter::new(&mut file),
         crc: Crc32::new(),
+        block: Vec::with_capacity(WRITE_BLOCK_VALUES * 8),
     };
     // Header placeholder — rewritten with real checksums after the data
     // pass, so the file streams out in one forward sweep plus one seek.
@@ -141,15 +167,11 @@ pub fn write_segment(ds: &Dataset, path: &Path) -> Result<SegmentMeta, StoreErro
     for a in 0..n_cols {
         match ds.column(a) {
             Column::Num(xs) => {
-                for &x in xs.iter() {
-                    out.put(&x.to_le_bytes())?;
-                }
+                out.put_le(xs, f64::to_le_bytes)?;
                 written += rows * 8;
             }
             Column::Nominal(cs) => {
-                for &c in cs.iter() {
-                    out.put(&c.to_le_bytes())?;
-                }
+                out.put_le(cs, u32::to_le_bytes)?;
                 written += rows * 4;
             }
         }
@@ -159,9 +181,7 @@ pub fn write_segment(ds: &Dataset, path: &Path) -> Result<SegmentMeta, StoreErro
         written += pad;
         region_crcs.push(out.take_crc());
     }
-    for &l in ds.labels() {
-        out.put(&(l as u64).to_le_bytes())?;
-    }
+    out.put_le(ds.labels(), |l| (l as u64).to_le_bytes())?;
     let labels_crc = out.take_crc();
     region_crcs.push(labels_crc);
 

@@ -234,11 +234,9 @@ impl SegmentWriter {
     ) -> Result<(), StoreError> {
         self.staging.append_columns(columns, labels)?;
         while self.staging.len() >= self.config.seg_rows {
-            let rows = self.staging.len();
-            let head: Vec<usize> = (0..self.config.seg_rows).collect();
-            let tail: Vec<usize> = (self.config.seg_rows..rows).collect();
-            let full = self.staging.subset(&head);
-            self.staging = self.staging.subset(&tail);
+            // The full head moves out whole; only the short tail is copied.
+            let tail = self.staging.split_off(self.config.seg_rows);
+            let full = std::mem::replace(&mut self.staging, tail);
             self.seal(full)?;
         }
         Ok(())
@@ -250,7 +248,12 @@ impl SegmentWriter {
     /// (fault injection) fire between the steps.
     fn seal(&mut self, segment: Dataset) -> Result<(), StoreError> {
         let sealed = match &self.config.spill {
-            SpillMode::InRam => segment,
+            SpillMode::InRam => {
+                // The head kept the staging buffers' growth headroom.
+                let mut segment = segment;
+                segment.shrink_to_fit();
+                segment
+            }
             SpillMode::Disk(dir) => {
                 let name = segment_file_name(self.seg_index);
                 let path = dir.join(&name);

@@ -136,6 +136,20 @@ impl<T: Clone> Buf<T> {
         self.make_mut().reserve(additional);
     }
 
+    /// Moves `[at, len)` into a new owned buffer and keeps `[0, at)` in
+    /// place (copy-on-write for shared buffers). Panics when `at > len`.
+    pub fn split_off(&mut self, at: usize) -> Buf<T> {
+        Buf::Owned(self.make_mut().split_off(at))
+    }
+
+    /// Drops the spare capacity of an owned buffer (shared buffers own no
+    /// capacity).
+    pub fn shrink_to_fit(&mut self) {
+        if let Buf::Owned(v) = self {
+            v.shrink_to_fit();
+        }
+    }
+
     /// The contents as an owned `Vec` — moves out of owned buffers,
     /// copies out of shared ones.
     pub fn into_vec(self) -> Vec<T> {

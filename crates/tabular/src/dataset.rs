@@ -110,6 +110,20 @@ impl Column {
         }
     }
 
+    fn split_off(&mut self, at: usize) -> Column {
+        match self {
+            Column::Num(v) => Column::Num(v.split_off(at)),
+            Column::Nominal(v) => Column::Nominal(v.split_off(at)),
+        }
+    }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            Column::Num(v) => v.shrink_to_fit(),
+            Column::Nominal(v) => v.shrink_to_fit(),
+        }
+    }
+
     fn push_value(&mut self, value: &Value) {
         match (self, value) {
             (Column::Num(v), Value::Num(x)) => v.push(*x),
@@ -489,6 +503,31 @@ impl Dataset {
         (self.subset(&order[..n]), self.subset(&order[n..]))
     }
 
+    /// Splits the dataset at row `at`: `self` keeps rows `[0, at)` in
+    /// place (their buffers move, nothing is gathered) and the returned
+    /// dataset owns rows `[at, len)`. Panics when `at > len`.
+    pub fn split_off(&mut self, at: usize) -> Dataset {
+        assert!(
+            at <= self.len(),
+            "split point {at} beyond dataset of {}",
+            self.len()
+        );
+        Dataset {
+            schema: self.schema.clone(),
+            class_names: self.class_names.clone(),
+            columns: self.columns.iter_mut().map(|c| c.split_off(at)).collect(),
+            labels: self.labels.split_off(at),
+        }
+    }
+
+    /// Drops the spare capacity of every owned column buffer.
+    pub fn shrink_to_fit(&mut self) {
+        for c in &mut self.columns {
+            c.shrink_to_fit();
+        }
+        self.labels.shrink_to_fit();
+    }
+
     /// Materializes the subset of rows whose indices are in `indices`
     /// (column gathers — no per-row allocation).
     pub fn subset(&self, indices: &[usize]) -> Dataset {
@@ -595,6 +634,18 @@ mod tests {
         assert_eq!(ds.len(), 4);
         assert_eq!(ds.num_column(0), &[0.0, 1.0, 10.0, 11.0]);
         assert_eq!(ds.labels(), &[0, 1, 1, 0]);
+    }
+
+    #[test]
+    fn split_off_equals_subsets() {
+        let ds = toy(7);
+        for at in [0, 3, 7] {
+            let mut head = ds.clone();
+            let tail = head.split_off(at);
+            let rows: Vec<usize> = (0..ds.len()).collect();
+            assert_eq!(head, ds.subset(&rows[..at]), "head at {at}");
+            assert_eq!(tail, ds.subset(&rows[at..]), "tail at {at}");
+        }
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! * **ingest** — simulated kills at every seal crash point and around
 //!   every segment-boundary row count, then resume: the recovered store
 //!   must be bit-identical (per-segment file CRCs) to an uninterrupted
-//!   run;
+//!   run; a kill inside the pipelined sealer stops the ingest without a
+//!   hang or a later seal, and a malformed row in a later parse wave
+//!   keeps its absolute line number;
 //! * **daemon** — a restart onto a registry whose newest bundle is
 //!   corrupt boots the previous good version and serves correct answers,
 //!   and `POST /model/rollback` steps back a live daemon.
@@ -20,6 +22,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::time::Duration;
 
 use nr_daemon::fixture::serving_fixture;
 use nr_daemon::{Client, Daemon, DaemonConfig, HealthResponse, RollbackResponse, StatsResponse};
@@ -30,7 +33,7 @@ use nr_store::{
     ingest_csv_file, ingest_csv_file_resumable, load_segment, segment_file_crc, write_segment,
     Manifest, SegmentedDataset, StoreConfig, StoreError,
 };
-use nr_tabular::read_csv_streaming;
+use nr_tabular::{read_csv_streaming, TabularError};
 use proptest::prelude::*;
 
 /// A unique scratch directory under the system temp dir; tests write
@@ -316,6 +319,159 @@ fn kill_mid_ingest_resumes_bit_identical() {
         drop(reference);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Runs `f` on its own thread and fails if it has not returned within
+/// `limit`: a pipeline that hangs is a test failure, not a stuck suite.
+fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+    use std::sync::mpsc::RecvTimeoutError;
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    match rx.recv_timeout(limit) {
+        Ok(out) => {
+            worker
+                .join()
+                .expect("the worker returns right after sending");
+            out
+        }
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the worker panicked"))
+        }
+        Err(RecvTimeoutError::Timeout) => panic!("did not finish within {limit:?}"),
+    }
+}
+
+/// Files in `dir` whose names end in `suffix`, sorted.
+fn files_ending(dir: &Path, suffix: &str) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(suffix))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Agrawal rows spanning at least three parse waves of one worker (four
+/// 1 MiB chunks each), so a failure in the first wave happens while the
+/// pool is still parsing the next one.
+const PIPELINE_ROWS: usize = 130_000;
+
+/// A simulated kill inside the sealer while later waves are still being
+/// parsed: the ingest returns the kill (no hang), no seal after the
+/// killed one starts (the only temp file is the one a torn write leaves
+/// on purpose), and resuming the durable directory is bit-identical to an
+/// uninterrupted ingest.
+#[test]
+fn sealer_kill_mid_pipeline_stops_cleanly_and_resumes_bit_identical() {
+    let _guard = CRASH_LOCK.lock().unwrap();
+    let seg_rows = 8192usize;
+    let dir = scratch_dir("pipeline-kill");
+    let src = dir.join("rows.csv");
+    std::fs::write(&src, csv_bytes(PIPELINE_ROWS, 31)).unwrap();
+    assert!(std::fs::metadata(&src).unwrap().len() > 12 * nr_store::INGEST_CHUNK_BYTES as u64);
+    let ref_dir = dir.join("reference");
+    let reference = ingest_csv_file(
+        agrawal_schema(),
+        class_names(),
+        &src,
+        StoreConfig::spilling(seg_rows, &ref_dir).with_durable(true),
+    )
+    .unwrap();
+
+    for (threads, point) in [
+        (1, CrashPoint::AfterRename),
+        (2, CrashPoint::MidSegmentWrite),
+    ] {
+        let store_dir = dir.join(format!("store-{threads}"));
+        let config = StoreConfig::spilling(seg_rows, &store_dir).with_threads(threads);
+        // The second seal dies; the first wave holds five segments.
+        arm_crash(point, 1);
+        let killed = within(Duration::from_secs(120), {
+            let (src, config) = (src.clone(), config.clone());
+            move || ingest_csv_file_resumable(agrawal_schema(), class_names(), &src, config)
+        });
+        disarm_crash();
+        match killed {
+            Err(StoreError::Io(e)) if is_simulated_kill(&e) => {}
+            other => panic!(
+                "{threads} threads {point:?}: expected the simulated kill, got {:?}",
+                other.map(|r| r.store.rows())
+            ),
+        }
+        let segments = files_ending(&store_dir, ".nrseg");
+        let temps = files_ending(&store_dir, ".tmp");
+        match point {
+            CrashPoint::AfterRename => {
+                assert_eq!(segments, ["seg-000000.nrseg", "seg-000001.nrseg"]);
+                assert!(temps.is_empty(), "stray temp files {temps:?}");
+            }
+            _ => {
+                assert_eq!(segments, ["seg-000000.nrseg"]);
+                assert_eq!(temps, ["seg-000001.nrseg.tmp"], "only the torn write");
+            }
+        }
+
+        let resumed = ingest_csv_file_resumable(agrawal_schema(), class_names(), &src, config)
+            .unwrap_or_else(|e| panic!("{threads} threads {point:?}: resume: {e}"));
+        assert_eq!(resumed.resumed_rows, seg_rows);
+        assert_eq!(resumed.store.rows(), PIPELINE_ROWS);
+        assert_eq!(resumed.store.n_segments(), reference.n_segments());
+        for i in 0..reference.n_segments() {
+            let file = format!("seg-{i:06}.nrseg");
+            assert_eq!(
+                segment_file_crc(&store_dir.join(&file)).unwrap(),
+                segment_file_crc(&ref_dir.join(&file)).unwrap(),
+                "{threads} threads {point:?}: segment {file} differs from the uninterrupted ingest"
+            );
+        }
+    }
+    drop(reference);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A malformed row in a wave parsed after earlier segments were already
+/// handed to the sealer is still reported with its absolute line number.
+#[test]
+fn malformed_row_in_a_later_wave_reports_its_absolute_line() {
+    // It seals segments, so it must not race an armed crash point.
+    let _guard = CRASH_LOCK.lock().unwrap();
+    let rows = csv_bytes(PIPELINE_ROWS, 37);
+    let bad_row = PIPELINE_ROWS - 1_000; // in the last wave
+    let line = bad_row + 2; // 1-based, after the header
+    let mut csv = Vec::with_capacity(rows.len());
+    for (k, text) in rows.split_inclusive(|&b| b == b'\n').enumerate() {
+        if k + 1 == line {
+            csv.extend_from_slice(b"oops,0,45,2,car10,zip5,135000,15,100000,A\n");
+        } else {
+            csv.extend_from_slice(text);
+        }
+    }
+    let dir = scratch_dir("pipeline-bad-row");
+    for threads in [1, 2, 4] {
+        let err = within(Duration::from_secs(120), {
+            let (csv, spill) = (csv.clone(), dir.join(format!("spill-{threads}")));
+            move || {
+                nr_store::ingest_csv_bytes(
+                    agrawal_schema(),
+                    class_names(),
+                    &csv,
+                    StoreConfig::spilling(4096, spill).with_threads(threads),
+                )
+                .map(|store| store.rows())
+            }
+        });
+        match err {
+            Err(StoreError::Tabular(TabularError::Csv { line: got, msg })) => {
+                assert_eq!(got, line, "{threads} threads: {msg}");
+                assert!(msg.contains("bad number \"oops\""), "{msg}");
+            }
+            other => panic!("{threads} threads: expected the csv error, got {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A daemon restarted onto a registry whose *newest* bundle is corrupt
