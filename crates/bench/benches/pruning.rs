@@ -1,38 +1,26 @@
-//! Phase-2 benchmark: the NP pruning loop on a trained network — the
-//! scoreboard for the incremental pruning engine.
+//! Phase-2 benchmark: the NP pruning loop on a trained network.
 //!
 //! Two workload groups (the 300-tuple quick fixture and the paper-sized
-//! 1000-tuple fixture), each measuring both engines on identical trained
-//! networks and retraining budgets:
+//! 1000-tuple fixture), each pruning the same trained network with a short
+//! retraining budget: a full retrain after every removal, a full saliency
+//! rescan per round and a whole-network rollback checkpoint.
 //!
-//! * `strict` — the reference engine: full retrain every round, full
-//!   saliency rescan, whole-network checkpoints (the pre-incremental
-//!   implementation's cost model, bit-compatible with its trace);
-//! * `fast` — the incremental engine: retrain-on-demand behind batched
-//!   accuracy gates, warm-started budgeted retraining, cached saliencies,
-//!   delta checkpoints, parallel candidate gating.
-//!
-//! Throughput is reported as rounds/sec (each engine's own accepted-round
-//! count). In full (non-quick) mode the run **asserts** the acceptance
-//! bar: the fast engine must beat the strict engine by ≥ 2× on the
-//! 300-tuple group. `NR_BENCH_QUICK=1` shrinks samples and skips the
-//! 1000-tuple group; `BENCH_pruning.json` is written either way.
+//! Throughput is reported as accepted rounds/sec. `NR_BENCH_QUICK=1`
+//! shrinks samples and skips the 1000-tuple group; `BENCH_pruning.json` is
+//! written either way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nr_bench::trained_network;
-use nr_encode::EncodedDataset;
-use nr_nn::{Mlp, Trainer, TrainingAlgorithm};
+use nr_nn::{Trainer, TrainingAlgorithm};
 use nr_opt::Bfgs;
-use nr_prune::{prune, PruneConfig, PruneMode};
+use nr_prune::{prune, PruneConfig};
 
-/// Short retraining budget keeping a single bench iteration tractable
-/// (shared by both engines so the comparison is apples to apples).
-fn bench_config(mode: PruneMode) -> PruneConfig {
+/// Short retraining budget keeping a single bench iteration tractable.
+fn bench_config() -> PruneConfig {
     PruneConfig {
         retrain: Trainer::new(TrainingAlgorithm::Bfgs(
             Bfgs::default().with_max_iters(30).with_grad_tol(1e-3),
         )),
-        mode,
         ..PruneConfig::default()
     }
 }
@@ -43,79 +31,26 @@ fn pruning(c: &mut Criterion) {
     } else {
         &[300, 1000]
     };
+    let config = bench_config();
     for &n in sizes {
         let (_, data, net) = trained_network(n);
         let mut group = c.benchmark_group(format!("pruning-f2-{n}"));
         group.sample_size(10);
-        for mode in [PruneMode::Fast, PruneMode::Strict] {
-            let config = bench_config(mode);
-            // Rounds are a property of the run, not the input; measure
-            // once so the group can report rounds/sec per engine.
-            let rounds = {
+        // Rounds are a property of the run, not the input; measure once so
+        // the group can report rounds/sec.
+        let rounds = {
+            let mut candidate = net.clone();
+            prune(&mut candidate, &data, &config).rounds
+        };
+        group.throughput(Throughput::Elements(rounds as u64));
+        group.bench_function("strict", |b| {
+            b.iter(|| {
                 let mut candidate = net.clone();
-                prune(&mut candidate, &data, &config).rounds
-            };
-            group.throughput(Throughput::Elements(rounds as u64));
-            let label = match mode {
-                PruneMode::Fast => "fast",
-                PruneMode::Strict => "strict",
-            };
-            group.bench_function(label, |b| {
-                b.iter(|| {
-                    let mut candidate = net.clone();
-                    prune(&mut candidate, &data, &config)
-                });
+                prune(&mut candidate, &data, &config)
             });
-        }
+        });
         group.finish();
-
-        if n == 300 && !criterion::quick_mode() {
-            assert_fast_beats_strict(&net, &data);
-        }
     }
-}
-
-/// The acceptance bar, self-enforced like the `serving`/`ingest` benches:
-/// on the 300-tuple fixture the incremental engine must be at least 2× the
-/// reference engine (best of a few reps each, so scheduler noise can't
-/// fail a healthy build). The quality side of the bar rides along: the
-/// fast run may not stop earlier (more links) or below the floor.
-fn assert_fast_beats_strict(net: &Mlp, data: &EncodedDataset) {
-    let best = |config: &PruneConfig| -> (std::time::Duration, nr_prune::PruneOutcome) {
-        (0..5)
-            .map(|_| {
-                let mut candidate = net.clone();
-                let t0 = std::time::Instant::now();
-                let outcome = prune(&mut candidate, data, config);
-                (t0.elapsed(), outcome)
-            })
-            .min_by_key(|(t, _)| *t)
-            .expect("non-empty reps")
-    };
-    let (fast_time, fast) = best(&bench_config(PruneMode::Fast));
-    let (strict_time, strict) = best(&bench_config(PruneMode::Strict));
-    let speedup = strict_time.as_secs_f64() / fast_time.as_secs_f64();
-    eprintln!(
-        "fast {fast_time:.2?} ({} links) vs strict {strict_time:.2?} ({} links) \
-         -> {speedup:.2}x (bar: 2x)",
-        fast.remaining_links, strict.remaining_links
-    );
-    assert!(
-        speedup >= 2.0,
-        "incremental pruning must beat the reference engine by >= 2x, got {speedup:.2}x"
-    );
-    assert!(
-        fast.remaining_links <= strict.remaining_links,
-        "fast mode may not stop earlier: {} vs {} links",
-        fast.remaining_links,
-        strict.remaining_links
-    );
-    let floor = bench_config(PruneMode::Fast).accuracy_floor;
-    assert!(
-        fast.final_accuracy >= floor,
-        "fast mode broke the accuracy floor: {} < {floor}",
-        fast.final_accuracy
-    );
 }
 
 criterion_group!(benches, pruning);

@@ -114,18 +114,6 @@ impl NeuroRule {
         self
     }
 
-    /// Selects the pruning engine: [`nr_prune::PruneMode::Fast`] runs the
-    /// incremental engine (retrain-on-demand, cached saliencies, delta
-    /// checkpoints, parallel candidate gating); the default
-    /// [`nr_prune::PruneMode::Strict`] reproduces the reference trace.
-    /// The paper's semantics (accuracy floor, removal conditions) hold in
-    /// both — fast mode may remove links in a different order, so the
-    /// extracted rule set can differ in form.
-    pub fn with_prune_mode(mut self, mode: nr_prune::PruneMode) -> Self {
-        self.prune.mode = mode;
-        self
-    }
-
     /// Replaces the extraction configuration.
     pub fn with_rx(mut self, rx: RxConfig) -> Self {
         self.rx = rx;

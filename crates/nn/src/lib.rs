@@ -41,7 +41,6 @@ mod mlp;
 mod objective;
 mod par;
 mod trainer;
-mod undo;
 
 pub use activation::Activation;
 pub use describe::{describe, summarize, NetworkSummary};
@@ -49,5 +48,4 @@ pub use matrix::{axpy, gemm_bits_nt, gemm_nn, gemm_nt, gemm_tn_acc, gemm_tn_bits
 pub use mlp::{argmax, LinkId, Mlp};
 pub use objective::{CrossEntropyObjective, Penalty};
 pub use par::{map_indexed_scoped, resolve_threads};
-pub use trainer::{TrainReport, Trainer, TrainingAlgorithm, WarmState};
-pub use undo::UndoLog;
+pub use trainer::{TrainReport, Trainer, TrainingAlgorithm};

@@ -134,22 +134,6 @@ impl Mlp {
         }
     }
 
-    /// Re-activates a pruned link with the given weight — the exact
-    /// inverse of [`Mlp::prune`]; backs [`crate::UndoLog`] rollback.
-    pub fn unprune(&mut self, link: LinkId, weight: f64) {
-        assert!(!self.is_active(link), "cannot unprune active link {link:?}");
-        match link {
-            LinkId::InputHidden { hidden, input } => {
-                self.w_mask[hidden * self.n_in + input] = true;
-                self.w[(hidden, input)] = weight;
-            }
-            LinkId::HiddenOutput { output, hidden } => {
-                self.v_mask[output * self.n_hidden + hidden] = true;
-                self.v[(output, hidden)] = weight;
-            }
-        }
-    }
-
     /// Total number of links (active or not): `h(n + m)` as in §2.2.
     pub fn n_links(&self) -> usize {
         self.n_hidden * (self.n_in + self.n_out)
@@ -495,67 +479,6 @@ impl Mlp {
         correct as f64 / data.rows() as f64
     }
 
-    /// Accuracy of several **removal candidates** of this network at once:
-    /// candidate `k` is this network with the links in `removals[k]`
-    /// additionally zeroed (a pruned link and a zero weight are
-    /// forward-equivalent), so result `k` equals what [`Mlp::accuracy`]
-    /// would return after pruning those links — bit for bit.
-    ///
-    /// All `candidate × row-chunk` evaluations run as jobs on the shared
-    /// worker pool and each candidate's correct counts are reduced in
-    /// chunk order, so the results do not depend on the thread count
-    /// (`threads`: `0` = auto, `1` = inline on the caller's thread). This
-    /// is the parallel accuracy gate of the incremental pruning engine:
-    /// at paper scale a dataset is a single chunk, so cross-candidate
-    /// parallelism is what the pool actually buys.
-    pub fn accuracy_many(
-        &self,
-        data: &EncodedDataset,
-        removals: &[Vec<LinkId>],
-        threads: usize,
-    ) -> Vec<f64> {
-        if removals.is_empty() {
-            return Vec::new();
-        }
-        let rows = data.rows();
-        if rows == 0 {
-            return vec![0.0; removals.len()];
-        }
-        let chunks = crate::par::n_chunks(rows);
-        let threads = crate::par::resolve_threads(threads, removals.len() * chunks);
-        let (n_in, h, o) = (self.n_in, self.n_hidden, self.n_out);
-        let variants: Vec<(Matrix, Matrix)> = removals
-            .iter()
-            .map(|links| {
-                let mut w = self.w.clone();
-                let mut v = self.v.clone();
-                for &l in links {
-                    match l {
-                        LinkId::InputHidden { hidden, input } => w[(hidden, input)] = 0.0,
-                        LinkId::HiddenOutput { output, hidden } => v[(output, hidden)] = 0.0,
-                    }
-                }
-                (w, v)
-            })
-            .collect();
-        let targets = data.targets();
-        let counts = crate::par::map_indexed_scoped(variants.len() * chunks, threads, |j| {
-            let (cand, chunk) = (j / chunks, j % chunks);
-            let range = crate::par::chunk_range(chunk, rows);
-            let (w, v) = &variants[cand];
-            chunk_forward(data, range.clone(), (n_in, h, o), w, v, |out| {
-                out.chunks_exact(o)
-                    .zip(range.clone())
-                    .filter(|(row_out, i)| argmax(row_out) == targets[*i])
-                    .count()
-            })
-        });
-        counts
-            .chunks_exact(chunks)
-            .map(|per_chunk| per_chunk.iter().sum::<usize>() as f64 / rows as f64)
-            .collect()
-    }
-
     /// Condition (1) of the paper: `max_p |S_p − t_p| ≤ η₁`.
     pub fn condition1_holds(&self, x: &[f64], target: usize, eta1: f64) -> bool {
         let (_, out) = self.forward(x);
@@ -577,8 +500,8 @@ impl Mlp {
 
 /// One chunk's forward pass over an encoded dataset with thread-local
 /// scratch, handing the output activations (`range.len() × o`, row-major)
-/// to `f`. The setup path of the counting traversals (`count_rows`,
-/// `accuracy_many`); batch predictions go through `Mlp::map_rows`.
+/// to `f`. The setup path of the counting traversal (`count_rows`);
+/// batch predictions go through `Mlp::map_rows`.
 fn chunk_forward<T>(
     data: &EncodedDataset,
     range: Range<usize>,
@@ -993,54 +916,6 @@ mod tests {
         let json = serde_json::to_string(&net).unwrap();
         let back: Mlp = serde_json::from_str(&json).unwrap();
         assert_eq!(net, back);
-    }
-
-    #[test]
-    fn accuracy_many_matches_pruned_accuracy() {
-        // 3 inputs (last = bias), alternating classes.
-        let mut inputs = Vec::new();
-        let mut targets = Vec::new();
-        for i in 0..50 {
-            let b0 = (i % 2) as f64;
-            let b1 = ((i / 2) % 2) as f64;
-            inputs.extend_from_slice(&[b0, b1, 1.0]);
-            targets.push(if b0 == 1.0 { 0 } else { 1 });
-        }
-        let data = nr_encode::EncodedDataset::from_parts(inputs, 3, targets, 2);
-        let net = Mlp::random(3, 3, 2, 29);
-        let removals: Vec<Vec<LinkId>> = vec![
-            vec![],
-            vec![LinkId::InputHidden {
-                hidden: 0,
-                input: 0,
-            }],
-            vec![
-                LinkId::InputHidden {
-                    hidden: 1,
-                    input: 1,
-                },
-                LinkId::HiddenOutput {
-                    output: 0,
-                    hidden: 2,
-                },
-            ],
-        ];
-        for threads in [0, 1, 2] {
-            let got = net.accuracy_many(&data, &removals, threads);
-            assert_eq!(got.len(), removals.len());
-            for (links, &acc) in removals.iter().zip(&got) {
-                let mut candidate = net.clone();
-                for &l in links {
-                    candidate.prune(l);
-                }
-                assert_eq!(
-                    acc,
-                    candidate.accuracy(&data),
-                    "candidate {links:?} at {threads} threads"
-                );
-            }
-        }
-        assert_eq!(net.accuracy_many(&data, &[], 0), Vec::<f64>::new());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! High-level training entry point.
 
 use nr_encode::EncodedDataset;
-use nr_opt::{Bfgs, BfgsState, ConjugateGradient, GradientDescent, Lbfgs, LbfgsState, Optimizer};
+use nr_opt::{Bfgs, ConjugateGradient, GradientDescent, Lbfgs, Optimizer};
 use serde::{Deserialize, Serialize};
 
-use crate::{CrossEntropyObjective, LinkId, Mlp, Penalty};
+use crate::{CrossEntropyObjective, Mlp, Penalty};
 
 /// Which minimizer drives training.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,134 +90,6 @@ impl Trainer {
             accuracy: net.accuracy(data),
         }
     }
-
-    /// Warm-started, budgeted retraining — the incremental pruning loop's
-    /// workhorse. Runs at most `budget` optimizer iterations, resuming the
-    /// curvature carried in `state` from the previous call (dense-BFGS
-    /// inverse Hessian / L-BFGS pair history) instead of rebuilding it
-    /// from the identity; when pruning removed links since the last call,
-    /// the state is first projected onto the surviving coordinates.
-    ///
-    /// Algorithms without curvature state (conjugate gradient, gradient
-    /// descent) simply run with the reduced iteration budget. The first
-    /// call (or any call after [`WarmState::reset`]) is a cold bounded
-    /// run.
-    pub fn train_warm(
-        &self,
-        net: &mut Mlp,
-        data: &EncodedDataset,
-        state: &mut WarmState,
-        budget: usize,
-    ) -> TrainReport {
-        let links = net.active_links();
-        let keep = project_mask(&state.links, &links);
-        let x0 = net.flatten_active();
-        let result = {
-            let objective = CrossEntropyObjective::new(net, data, self.penalty);
-            match &self.algorithm {
-                TrainingAlgorithm::Bfgs(b) => {
-                    if let (OptWarm::Bfgs(s), Some(k)) = (&mut state.opt, keep.as_deref()) {
-                        s.retain(k);
-                    }
-                    if !matches!(&state.opt, OptWarm::Bfgs(s) if s.dim() == links.len()) {
-                        state.opt = OptWarm::Bfgs(BfgsState::identity(links.len()));
-                    }
-                    let OptWarm::Bfgs(s) = &mut state.opt else {
-                        unreachable!("state was just normalized to Bfgs");
-                    };
-                    b.clone().with_max_iters(budget).resume(&objective, x0, s)
-                }
-                TrainingAlgorithm::Lbfgs(l) => {
-                    if let (OptWarm::Lbfgs(s), Some(k)) = (&mut state.opt, keep.as_deref()) {
-                        s.retain(k);
-                    }
-                    if !matches!(&state.opt, OptWarm::Lbfgs(s)
-                        if s.dim().is_none() || s.dim() == Some(links.len()))
-                    {
-                        state.opt = OptWarm::Lbfgs(LbfgsState::new());
-                    }
-                    let OptWarm::Lbfgs(s) = &mut state.opt else {
-                        unreachable!("state was just normalized to Lbfgs");
-                    };
-                    l.clone().with_max_iters(budget).resume(&objective, x0, s)
-                }
-                TrainingAlgorithm::ConjugateGradient(c) => {
-                    c.clone().with_max_iters(budget).minimize(&objective, x0)
-                }
-                TrainingAlgorithm::GradientDescent(g) => {
-                    (*g).with_max_iters(budget).minimize(&objective, x0)
-                }
-            }
-        };
-        state.links = links;
-        net.set_active(&result.x);
-        TrainReport {
-            loss: result.value,
-            grad_norm: result.grad_norm,
-            iterations: result.iterations,
-            evaluations: result.evaluations,
-            converged: result.converged,
-            accuracy: net.accuracy(data),
-        }
-    }
-}
-
-/// Optimizer state carried across [`Trainer::train_warm`] calls, keyed to
-/// the network's active links so it can be projected when pruning shrinks
-/// the parameter vector between calls.
-#[derive(Debug, Clone, Default)]
-pub struct WarmState {
-    /// Canonical active links the carried state refers to.
-    links: Vec<LinkId>,
-    /// The algorithm-specific curvature.
-    opt: OptWarm,
-}
-
-#[derive(Debug, Clone, Default)]
-enum OptWarm {
-    /// Nothing carried yet (or state was invalidated).
-    #[default]
-    Empty,
-    /// Dense-BFGS inverse Hessian.
-    Bfgs(BfgsState),
-    /// L-BFGS curvature pairs.
-    Lbfgs(LbfgsState),
-}
-
-impl WarmState {
-    /// Fresh, empty state: the first `train_warm` call is a cold run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Drops the carried curvature (the next warm call starts cold). Call
-    /// after a rollback restored weights the state no longer describes.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-}
-
-/// `keep[k]` = whether `old[k]` survives in `new`, for `new ⊆ old` (both
-/// in canonical link order). `None` when there is no usable carried state
-/// (empty `old`, or `new` is not a subset — e.g. links were re-activated
-/// by a rollback).
-fn project_mask(old: &[LinkId], new: &[LinkId]) -> Option<Vec<bool>> {
-    if old.is_empty() {
-        return None;
-    }
-    let mut keep = vec![false; old.len()];
-    let mut oi = 0;
-    for n in new {
-        while oi < old.len() && old[oi] != *n {
-            oi += 1;
-        }
-        if oi == old.len() {
-            return None;
-        }
-        keep[oi] = true;
-        oi += 1;
-    }
-    Some(keep)
 }
 
 #[cfg(test)]
@@ -364,116 +236,5 @@ mod tests {
         let rb = Trainer::default().train(&mut b, &data);
         assert_eq!(a, b);
         assert_eq!(ra, rb);
-    }
-
-    #[test]
-    fn warm_training_learns_in_stages() {
-        let data = separable(40);
-        let mut net = Mlp::random(3, 3, 2, 5);
-        let trainer = Trainer::default();
-        let mut state = WarmState::new();
-        let mut report = trainer.train_warm(&mut net, &data, &mut state, 15);
-        for _ in 0..30 {
-            if report.converged {
-                break;
-            }
-            report = trainer.train_warm(&mut net, &data, &mut state, 15);
-        }
-        assert_eq!(report.accuracy, 1.0, "{report:?}");
-        assert!(report.iterations <= 15);
-    }
-
-    #[test]
-    fn warm_training_survives_pruning_between_calls() {
-        let data = separable(40);
-        let mut net = Mlp::random(3, 3, 2, 5);
-        let trainer = Trainer::default();
-        let mut state = WarmState::new();
-        trainer.train_warm(&mut net, &data, &mut state, 25);
-        // Remove a link: the carried curvature must be projected, not
-        // poison the next leg.
-        net.prune(crate::LinkId::InputHidden {
-            hidden: 1,
-            input: 1,
-        });
-        let mut report = trainer.train_warm(&mut net, &data, &mut state, 25);
-        for _ in 0..20 {
-            if report.converged {
-                break;
-            }
-            report = trainer.train_warm(&mut net, &data, &mut state, 25);
-        }
-        assert_eq!(report.accuracy, 1.0, "{report:?}");
-        // Pruned link stayed pruned through warm retraining.
-        assert_eq!(
-            net.weight(crate::LinkId::InputHidden {
-                hidden: 1,
-                input: 1
-            }),
-            0.0
-        );
-    }
-
-    #[test]
-    fn warm_training_works_for_every_algorithm() {
-        let data = separable(40);
-        let algorithms = [
-            TrainingAlgorithm::Bfgs(nr_opt::Bfgs::default()),
-            TrainingAlgorithm::Lbfgs(nr_opt::Lbfgs::default()),
-            TrainingAlgorithm::ConjugateGradient(nr_opt::ConjugateGradient::default()),
-            TrainingAlgorithm::GradientDescent(GradientDescent::default().with_learning_rate(0.05)),
-        ];
-        for algo in algorithms {
-            let trainer = Trainer::new(algo);
-            let mut net = Mlp::random(3, 3, 2, 5);
-            let mut state = WarmState::new();
-            for _ in 0..200 {
-                let report = trainer.train_warm(&mut net, &data, &mut state, 30);
-                if report.accuracy == 1.0 {
-                    break;
-                }
-            }
-            assert_eq!(
-                net.accuracy(&data),
-                1.0,
-                "warm staging failed for {:?}",
-                trainer.algorithm
-            );
-        }
-    }
-
-    #[test]
-    fn warm_state_reset_starts_cold() {
-        let data = separable(24);
-        let mut state = WarmState::new();
-        let mut a = Mlp::random(3, 3, 2, 3);
-        Trainer::default().train_warm(&mut a, &data, &mut state, 20);
-        state.reset();
-        // After reset, a warm call from the same start equals a fresh one.
-        let mut b = Mlp::random(3, 3, 2, 3);
-        let mut fresh = WarmState::new();
-        let mut c = Mlp::random(3, 3, 2, 3);
-        let rb = Trainer::default().train_warm(&mut b, &data, &mut state, 20);
-        let rc = Trainer::default().train_warm(&mut c, &data, &mut fresh, 20);
-        assert_eq!(b, c);
-        assert_eq!(rb, rc);
-    }
-
-    #[test]
-    fn project_mask_subsets() {
-        let l = |input: usize| crate::LinkId::InputHidden { hidden: 0, input };
-        let old = vec![l(0), l(1), l(2), l(3)];
-        assert_eq!(
-            project_mask(&old, &[l(0), l(2)]),
-            Some(vec![true, false, true, false])
-        );
-        assert_eq!(
-            project_mask(&old, &old.clone()),
-            Some(vec![true, true, true, true])
-        );
-        // Not a subset: a link unknown to the old state.
-        assert_eq!(project_mask(&old, &[l(7)]), None);
-        // No carried state at all.
-        assert_eq!(project_mask(&[], &[l(0)]), None);
     }
 }

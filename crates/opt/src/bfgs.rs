@@ -50,97 +50,19 @@ impl Bfgs {
     }
 }
 
-/// Resumable curvature state for [`Bfgs`]: the dense inverse-Hessian
-/// approximation (plus the first-update flag steering Nocedal's initial
-/// scaling), carried between [`Bfgs::resume`] calls.
-///
-/// Incremental retraining (the pruning loop) is the intended user: instead
-/// of rebuilding curvature from the identity after every link removal, the
-/// previous round's `H` is kept and [`BfgsState::retain`] projects it onto
-/// the surviving coordinates — a principal submatrix of a positive-definite
-/// matrix stays positive definite, so the projected state remains a valid
-/// inverse-Hessian seed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BfgsState {
-    /// Row-major `n × n` inverse-Hessian approximation.
-    h: Vec<f64>,
-    /// Current dimension.
-    n: usize,
-    /// True until the first curvature update (Nocedal's `H0` rescale).
-    first_update: bool,
-}
-
-impl BfgsState {
-    /// Fresh state: identity `H`, pending first-update rescale — resuming
-    /// from this is exactly a cold [`Optimizer::minimize`] run.
-    pub fn identity(n: usize) -> Self {
-        let mut h = vec![0.0; n * n];
-        reset_identity(&mut h, n);
-        BfgsState {
-            h,
-            n,
-            first_update: true,
-        }
-    }
-
-    /// Dimension the state currently describes.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Projects the state onto the coordinates where `keep` is true
-    /// (deletes the rows and columns of dropped coordinates).
-    pub fn retain(&mut self, keep: &[bool]) {
-        assert_eq!(keep.len(), self.n, "mask dimension mismatch");
-        let kept: Vec<usize> = (0..self.n).filter(|&i| keep[i]).collect();
-        let m = kept.len();
-        let mut h = vec![0.0; m * m];
-        for (r, &i) in kept.iter().enumerate() {
-            for (c, &j) in kept.iter().enumerate() {
-                h[r * m + c] = self.h[i * self.n + j];
-            }
-        }
-        self.h = h;
-        self.n = m;
-    }
-}
-
-impl Bfgs {
-    /// Like [`Optimizer::minimize`], but starts from the inverse-Hessian
-    /// approximation carried in `state` and writes the final curvature
-    /// back, so a follow-up call continues where this one stopped.
-    pub fn resume<O: Objective + ?Sized>(
-        &self,
-        objective: &O,
-        x0: Vec<f64>,
-        state: &mut BfgsState,
-    ) -> OptResult {
-        assert_eq!(
-            state.n,
-            objective.dim(),
-            "state dimension must match the objective"
-        );
-        let BfgsState {
-            h, first_update, ..
-        } = state;
-        self.run(objective, x0, h, first_update)
-    }
-
-    /// The minimization loop over borrowed curvature state; `minimize`
-    /// seeds it with the identity, `resume` with carried state.
-    fn run<O: Objective + ?Sized>(
-        &self,
-        objective: &O,
-        x0: Vec<f64>,
-        h: &mut [f64],
-        first_update: &mut bool,
-    ) -> OptResult {
+impl Optimizer for Bfgs {
+    fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
         let n = objective.dim();
         assert_eq!(x0.len(), n, "x0 has wrong dimension");
         let mut x = x0;
         let mut g = vec![0.0; n];
         let mut f = objective.value_and_gradient(&x, &mut g);
         let mut evals = 1usize;
+
+        // Inverse Hessian approximation, row-major, starts as identity.
+        let mut h = vec![0.0; n * n];
+        reset_identity(&mut h, n);
+        let mut first_update = true;
 
         let mut d = vec![0.0; n];
         let mut hy = vec![0.0; n];
@@ -165,8 +87,8 @@ impl Bfgs {
             }
             if dot(&d, &g) >= 0.0 {
                 // Not a descent direction (numerical breakdown): reset.
-                reset_identity(h, n);
-                *first_update = true;
+                reset_identity(&mut h, n);
+                first_update = true;
                 for (di, gi) in d.iter_mut().zip(&g) {
                     *di = -gi;
                 }
@@ -176,8 +98,8 @@ impl Bfgs {
                 Some(ls) => ls,
                 None => {
                     // Retry once from steepest descent before giving up.
-                    reset_identity(h, n);
-                    *first_update = true;
+                    reset_identity(&mut h, n);
+                    first_update = true;
                     for (di, gi) in d.iter_mut().zip(&g) {
                         *di = -gi;
                     }
@@ -212,14 +134,14 @@ impl Bfgs {
             f = ls.value;
 
             if sy > 1e-12 * yy.sqrt().max(1.0) {
-                if *first_update {
+                if first_update {
                     // Nocedal's scaling: H0 = (sᵀy / yᵀy) I before the first
                     // update, which makes the initial step sizes sane.
                     let scale = sy / yy.max(1e-300);
                     for (i, v) in h.iter_mut().enumerate() {
                         *v = if i % (n + 1) == 0 { scale } else { 0.0 };
                     }
-                    *first_update = false;
+                    first_update = false;
                 }
                 // H ← (I − ρ s yᵀ) H (I − ρ y sᵀ) + ρ s sᵀ, expanded as
                 // H − ρ(s·Hyᵀ + Hy·sᵀ) + (ρ² yᵀHy + ρ) s sᵀ.
@@ -269,13 +191,6 @@ impl Bfgs {
             evaluations: evals,
             converged: gnorm <= self.grad_tol,
         }
-    }
-}
-
-impl Optimizer for Bfgs {
-    fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
-        let mut state = BfgsState::identity(objective.dim());
-        self.run(objective, x0, &mut state.h, &mut state.first_update)
     }
 }
 
@@ -366,57 +281,5 @@ mod tests {
         let b = Bfgs::default().minimize(&Rosenbrock, vec![-1.2, 1.0]);
         assert_eq!(a.x, b.x);
         assert_eq!(a.evaluations, b.evaluations);
-    }
-
-    #[test]
-    fn resume_from_identity_matches_minimize() {
-        let mut state = BfgsState::identity(2);
-        let resumed = Bfgs::default().resume(&Rosenbrock, vec![-1.2, 1.0], &mut state);
-        let cold = Bfgs::default().minimize(&Rosenbrock, vec![-1.2, 1.0]);
-        assert_eq!(resumed.x, cold.x);
-        assert_eq!(resumed.evaluations, cold.evaluations);
-        assert_eq!(resumed.iterations, cold.iterations);
-    }
-
-    #[test]
-    fn staged_resume_converges_like_one_long_run() {
-        // Many small budgeted legs with carried curvature must still reach
-        // the minimum (this is the pruning loop's retraining pattern).
-        let budget = Bfgs::default().with_max_iters(10);
-        let mut state = BfgsState::identity(2);
-        let mut x = vec![-1.2, 1.0];
-        let mut last = None;
-        for _ in 0..40 {
-            let res = budget.resume(&Rosenbrock, x, &mut state);
-            x = res.x.clone();
-            let done = res.converged;
-            last = Some(res);
-            if done {
-                break;
-            }
-        }
-        let res = last.unwrap();
-        assert!(res.converged, "{res:?}");
-        assert!((x[0] - 1.0).abs() < 1e-4, "{x:?}");
-        assert!((x[1] - 1.0).abs() < 1e-4, "{x:?}");
-    }
-
-    #[test]
-    fn retain_projects_onto_surviving_coordinates() {
-        // Warm up on a 3-dim quadratic, drop the middle coordinate, and
-        // the projected state must still drive a 2-dim problem home.
-        let q3 = Quadratic::new(vec![1.0, -2.0, 5.0]);
-        let mut state = BfgsState::identity(3);
-        let warm = Bfgs::default()
-            .with_max_iters(6)
-            .resume(&q3, vec![4.0; 3], &mut state);
-        assert!(!state.first_update, "curvature should have been updated");
-        state.retain(&[true, false, true]);
-        assert_eq!(state.dim(), 2);
-        let q2 = Quadratic::new(vec![1.0, 5.0]);
-        let res = Bfgs::default().resume(&q2, vec![warm.x[0], warm.x[2]], &mut state);
-        assert!(res.converged, "{res:?}");
-        assert!((res.x[0] - 1.0).abs() < 1e-4);
-        assert!((res.x[1] - 5.0).abs() < 1e-4);
     }
 }

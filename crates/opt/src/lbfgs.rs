@@ -64,120 +64,23 @@ impl Lbfgs {
 }
 
 /// One curvature pair (s, y) with ρ = 1/(sᵀy).
-#[derive(Debug, Clone)]
 struct Pair {
     s: Vec<f64>,
     y: Vec<f64>,
     rho: f64,
 }
 
-/// Resumable curvature state for [`Lbfgs`]: the retained (s, y) pair
-/// history, carried between [`Lbfgs::resume`] calls.
-///
-/// [`LbfgsState::retain`] projects every pair onto the surviving
-/// coordinates when the problem shrinks (pruning removed parameters);
-/// pairs whose projected curvature `sᵀy` is no longer usable are dropped.
-#[derive(Debug, Clone, Default)]
-pub struct LbfgsState {
-    pairs: VecDeque<Pair>,
-    /// Dimension of the stored pairs (`None` while empty).
-    n: Option<usize>,
-}
-
-impl LbfgsState {
-    /// Empty state — resuming from this is exactly a cold
-    /// [`Optimizer::minimize`] run.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of curvature pairs currently held.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when no curvature is carried.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// Dimension the state currently describes (`None` while empty).
-    pub fn dim(&self) -> Option<usize> {
-        self.n
-    }
-
-    /// Projects every pair onto the coordinates where `keep` is true,
-    /// dropping pairs whose projected `sᵀy` falls below the curvature
-    /// threshold used at insertion time.
-    pub fn retain(&mut self, keep: &[bool]) {
-        let Some(n) = self.n else {
-            return;
-        };
-        assert_eq!(keep.len(), n, "mask dimension mismatch");
-        let m = keep.iter().filter(|&&k| k).count();
-        let project = |v: &[f64]| -> Vec<f64> {
-            v.iter()
-                .zip(keep)
-                .filter(|(_, &k)| k)
-                .map(|(&x, _)| x)
-                .collect()
-        };
-        self.pairs = self
-            .pairs
-            .iter()
-            .filter_map(|p| {
-                let s = project(&p.s);
-                let y = project(&p.y);
-                let sy = dot(&s, &y);
-                (sy > 1e-12).then(|| Pair {
-                    s,
-                    y,
-                    rho: 1.0 / sy,
-                })
-            })
-            .collect();
-        self.n = Some(m);
-    }
-}
-
-impl Lbfgs {
-    /// Like [`Optimizer::minimize`], but seeds the two-loop recursion with
-    /// the pair history carried in `state` and writes the final history
-    /// back, so a follow-up call continues where this one stopped.
-    pub fn resume<O: Objective + ?Sized>(
-        &self,
-        objective: &O,
-        x0: Vec<f64>,
-        state: &mut LbfgsState,
-    ) -> OptResult {
-        let n = objective.dim();
-        if let Some(dim) = state.n {
-            assert_eq!(dim, n, "state dimension must match the objective");
-        }
-        while state.pairs.len() > self.memory {
-            state.pairs.pop_front();
-        }
-        let result = self.run(objective, x0, &mut state.pairs);
-        state.n = Some(n);
-        result
-    }
-
-    /// The minimization loop over a borrowed pair history; `minimize`
-    /// seeds it empty, `resume` with carried state.
-    fn run<O: Objective + ?Sized>(
-        &self,
-        objective: &O,
-        x0: Vec<f64>,
-        history: &mut VecDeque<Pair>,
-    ) -> OptResult {
+impl Optimizer for Lbfgs {
+    fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
         let n = objective.dim();
         assert_eq!(x0.len(), n, "x0 has wrong dimension");
         let mut x = x0;
         let mut g = vec![0.0; n];
         let mut f = objective.value_and_gradient(&x, &mut g);
         let mut evals = 1usize;
+        let mut history: VecDeque<Pair> = VecDeque::with_capacity(self.memory);
         let mut d = vec![0.0; n];
-        let mut alpha_coefs = vec![0.0; self.memory.max(history.len())];
+        let mut alpha_coefs = vec![0.0; self.memory];
 
         for iter in 0..self.max_iters {
             let gnorm = inf_norm(&g);
@@ -285,13 +188,6 @@ impl Lbfgs {
     }
 }
 
-impl Optimizer for Lbfgs {
-    fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
-        let mut history = VecDeque::with_capacity(self.memory);
-        self.run(objective, x0, &mut history)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,52 +247,5 @@ mod tests {
             .minimize(&Rosenbrock, vec![-1.2, 1.0]);
         assert!(res.iterations <= 2);
         assert!(!res.converged);
-    }
-
-    #[test]
-    fn resume_from_empty_matches_minimize() {
-        let mut state = LbfgsState::new();
-        let resumed = Lbfgs::default().resume(&Rosenbrock, vec![-1.2, 1.0], &mut state);
-        let cold = Lbfgs::default().minimize(&Rosenbrock, vec![-1.2, 1.0]);
-        assert_eq!(resumed.x, cold.x);
-        assert_eq!(resumed.evaluations, cold.evaluations);
-        assert_eq!(state.dim(), Some(2));
-        assert!(!state.is_empty());
-    }
-
-    #[test]
-    fn staged_resume_converges() {
-        let budget = Lbfgs::default().with_max_iters(10);
-        let mut state = LbfgsState::new();
-        let mut x = vec![-1.2, 1.0];
-        let mut converged = false;
-        for _ in 0..60 {
-            let res = budget.resume(&Rosenbrock, x, &mut state);
-            x = res.x;
-            if res.converged {
-                converged = true;
-                break;
-            }
-        }
-        assert!(converged);
-        assert!((x[0] - 1.0).abs() < 1e-4, "{x:?}");
-        assert!((x[1] - 1.0).abs() < 1e-4, "{x:?}");
-    }
-
-    #[test]
-    fn retain_projects_pairs() {
-        let q3 = Quadratic::new(vec![1.0, -2.0, 5.0]);
-        let mut state = LbfgsState::new();
-        let warm = Lbfgs::default()
-            .with_max_iters(6)
-            .resume(&q3, vec![4.0; 3], &mut state);
-        assert!(!state.is_empty());
-        state.retain(&[true, false, true]);
-        assert_eq!(state.dim(), Some(2));
-        let q2 = Quadratic::new(vec![1.0, 5.0]);
-        let res = Lbfgs::default().resume(&q2, vec![warm.x[0], warm.x[2]], &mut state);
-        assert!(res.converged, "{res:?}");
-        assert!((res.x[0] - 1.0).abs() < 1e-4);
-        assert!((res.x[1] - 5.0).abs() < 1e-4);
     }
 }

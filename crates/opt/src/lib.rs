@@ -46,10 +46,10 @@ mod lbfgs;
 mod line_search;
 mod objective;
 
-pub use bfgs::{Bfgs, BfgsState};
+pub use bfgs::Bfgs;
 pub use cg::ConjugateGradient;
 pub use gd::GradientDescent;
-pub use lbfgs::{Lbfgs, LbfgsState};
+pub use lbfgs::Lbfgs;
 pub use line_search::{wolfe_line_search, WolfeParams};
 pub use objective::{numeric_gradient, Objective};
 

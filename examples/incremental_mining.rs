@@ -41,11 +41,9 @@ fn main() {
         let t0 = std::time::Instant::now();
         let report = trainer.train(&mut net, &encoded);
         // Prune/extract on a clone so the warm-start network stays dense
-        // enough to absorb future batches. The incremental engine fits
-        // this loop: pruning runs once per arriving batch, so its cost is
-        // recurring, and fast mode cuts it several-fold.
+        // enough to absorb future batches.
         let mut snapshot = net.clone();
-        prune(&mut snapshot, &encoded, &PruneConfig::fast());
+        prune(&mut snapshot, &encoded, &PruneConfig::default());
         let rx = extract(
             &snapshot,
             &encoder,

@@ -161,3 +161,173 @@ fn daemon_survives_connection_churn() {
     assert_eq!(status, 200);
     daemon.shutdown();
 }
+
+/// A `BufRead` over `data` that never hands out more than one segment at a
+/// time: `cuts` are the read boundaries, so one byte stream can be replayed
+/// under any packetisation. `pos` counts the bytes the parser consumed.
+struct Segmented<'a> {
+    data: &'a [u8],
+    cuts: Vec<usize>,
+    pos: usize,
+}
+
+impl std::io::Read for Segmented<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        use std::io::BufRead;
+        let avail = self.fill_buf()?;
+        let n = avail.len().min(buf.len());
+        buf[..n].copy_from_slice(&avail[..n]);
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl std::io::BufRead for Segmented<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        let end = self
+            .cuts
+            .iter()
+            .copied()
+            .find(|&c| c > self.pos)
+            .unwrap_or(self.data.len());
+        Ok(&self.data[self.pos..end])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+    }
+}
+
+/// What one `read_request` call returned, in comparable form.
+type Outcome = Result<Option<nr_daemon::Request>, (std::io::ErrorKind, String)>;
+
+/// Most bytes one `read_request` call may consume: the request line and up
+/// to `MAX_HEADERS + 1` further lines of at most `MAX_LINE` bytes plus the
+/// newline, then a body of at most `MAX_BODY` bytes.
+const MAX_CONSUMED: usize = (nr_daemon::http::MAX_HEADERS + 2) * (nr_daemon::http::MAX_LINE + 1)
+    + nr_daemon::http::MAX_BODY;
+
+/// Reads requests off `data` split at `cuts` until a clean close or an
+/// error, checking the buffering bounds on every call. Returns each call's
+/// outcome with the bytes it consumed.
+fn read_all(data: &[u8], cuts: Vec<usize>) -> Vec<(Outcome, usize)> {
+    use nr_daemon::http::{read_request, MAX_BODY, MAX_LINE};
+    let mut reader = Segmented { data, cuts, pos: 0 };
+    let mut outcomes = Vec::new();
+    loop {
+        let start = reader.pos;
+        let outcome = read_request(&mut reader).map_err(|e| (e.kind(), e.to_string()));
+        let consumed = reader.pos - start;
+        assert!(consumed <= MAX_CONSUMED, "consumed {consumed} bytes");
+        if let Ok(Some(req)) = &outcome {
+            assert!(req.method.len() <= MAX_LINE && req.path.len() <= MAX_LINE);
+            assert!(req.body.len() <= MAX_BODY);
+            assert!(consumed > 0, "a request must consume bytes");
+        }
+        let done = !matches!(outcome, Ok(Some(_)));
+        outcomes.push((outcome, consumed));
+        if done {
+            return outcomes;
+        }
+    }
+}
+
+/// A random wire stream built from request fragments: whole requests,
+/// request lines, headers (with valid, huge and garbage `Content-Length` and
+/// `X-Deadline-Ms` values), blank lines, raw bytes, lines at the
+/// `MAX_LINE` edge and header floods at the `MAX_HEADERS` edge, sometimes
+/// cut short at a random byte.
+fn random_wire(rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+    use nr_daemon::http::{MAX_HEADERS, MAX_LINE};
+    use rand::seq::SliceRandom;
+    use rand::Rng;
+    const METHODS: &[&str] = &["GET", "POST", "PUT", "GET", "POST", "", "\u{e9}"];
+    const PATHS: &[&str] = &["/", "/predict", "/models/a/rules", "/x?y=1", "predict", ""];
+    const NAMES: &[&str] = &[
+        "Content-Length",
+        "content-LENGTH",
+        "X-Deadline-Ms",
+        "Host",
+        "",
+    ];
+    const ALPHABET: &[u8] = b"GETPOST /:\r\n\r\n0123456789 -x\t\xc3\xa9\xff";
+    let mut wire = Vec::new();
+    for _ in 0..rng.gen_range(0..10usize) {
+        // Mostly well-formed request lines, so the header and body paths
+        // see traffic too.
+        match if wire.is_empty() && rng.gen_bool(0.7) {
+            0
+        } else {
+            rng.gen_range(0..10u32)
+        } {
+            0 | 1 => {
+                let method = METHODS.choose(rng).unwrap();
+                let path = PATHS.choose(rng).unwrap();
+                wire.extend_from_slice(format!("{method} {path} HTTP/1.1\r\n").as_bytes());
+            }
+            2 | 3 => {
+                let name = NAMES.choose(rng).unwrap();
+                let value = match rng.gen_range(0..5u32) {
+                    0 => u64::MAX.to_string(),
+                    1 => "nope".to_string(),
+                    2 => format!("-{}", rng.gen_range(0..10u32)),
+                    _ => rng.gen_range(0..24u32).to_string(),
+                };
+                wire.extend_from_slice(format!("{name}: {value}\r\n").as_bytes());
+            }
+            4 => wire.extend_from_slice(b"\r\n"),
+            5 => {
+                let len = rng.gen_range(0..40usize);
+                wire.extend((0..len).map(|_| *ALPHABET.choose(rng).unwrap()));
+            }
+            6 => {
+                let len = rng.gen_range(MAX_LINE - 2..MAX_LINE + 3);
+                wire.extend(std::iter::repeat_n(b'a', len));
+                wire.extend_from_slice(b"\r\n");
+            }
+            7 => {
+                for i in 0..rng.gen_range(MAX_HEADERS - 2..MAX_HEADERS + 3) {
+                    wire.extend_from_slice(format!("X-H{i}: v\r\n").as_bytes());
+                }
+            }
+            8 => {
+                let len = rng.gen_range(0..24usize);
+                let head = format!("POST /predict HTTP/1.1\r\nContent-Length: {len}\r\n\r\n");
+                wire.extend_from_slice(head.as_bytes());
+                wire.extend((0..len).map(|_| *ALPHABET.choose(rng).unwrap()));
+            }
+            _ => wire.push(*ALPHABET.choose(rng).unwrap()),
+        }
+    }
+    // A peer that hangs up mid-request.
+    if rng.gen_bool(0.3) {
+        wire.truncate(rng.gen_range(0..wire.len() + 1));
+    }
+    wire
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+    /// `read_request` on arbitrary byte streams split at arbitrary read
+    /// boundaries: every call returns a request, a clean close or an
+    /// `io::Error` without panicking, consumes the same bytes and gives
+    /// the same outcome under every split, and never buffers past the
+    /// line, header and body caps.
+    #[test]
+    fn read_request_is_split_invariant_and_bounded(seed in 0u64..u64::MAX) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let wire = random_wire(&mut rng);
+        let whole = read_all(&wire, Vec::new());
+        let bytewise = read_all(&wire, (1..wire.len()).collect());
+        proptest::prop_assert_eq!(&whole, &bytewise);
+        for _ in 0..4 {
+            let mut cuts: Vec<usize> = (0..rng.gen_range(0..12usize))
+                .map(|_| rng.gen_range(0..wire.len() + 1))
+                .collect();
+            cuts.sort_unstable();
+            proptest::prop_assert_eq!(&whole, &read_all(&wire, cuts));
+        }
+    }
+}

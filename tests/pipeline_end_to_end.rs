@@ -116,42 +116,6 @@ fn extraction_preserves_network_accuracy() {
 }
 
 #[test]
-fn fast_pruning_pipeline_holds_the_floors() {
-    // The incremental pruning engine slots into the full pipeline via
-    // `with_prune_mode`: same floors, different (cheaper) trajectory.
-    let gen = Generator::new(42).with_perturbation(0.05);
-    let (train, test) = gen.train_test(Function::F1, 500, 500);
-    let model = pipeline(1)
-        .with_prune_mode(nr_prune::PruneMode::Fast)
-        .fit(&train)
-        .expect("fast-mode pipeline succeeds on F1");
-    assert!(
-        model.report.prune_outcome.final_accuracy >= 0.9,
-        "{:?}",
-        model.report.prune_outcome
-    );
-    assert!(
-        model.rules_accuracy(&train) >= 0.88,
-        "train acc {}",
-        model.rules_accuracy(&train)
-    );
-    assert!(
-        model.rules_accuracy(&test) >= 0.85,
-        "test acc {}",
-        model.rules_accuracy(&test)
-    );
-    // The engine actually pruned (F1 uses one attribute; the network must
-    // shrink dramatically either way).
-    let p = &model.report.prune_outcome;
-    assert!(
-        p.remaining_links <= p.initial_links / 4,
-        "{} of {} links left",
-        p.remaining_links,
-        p.initial_links
-    );
-}
-
-#[test]
 fn deterministic_given_seeds() {
     let gen = Generator::new(9).with_perturbation(0.05);
     let train = gen.dataset(Function::F1, 400);
@@ -228,4 +192,106 @@ fn generic_encoder_path_works() {
         "{}",
         model.rules_accuracy(&train)
     );
+}
+
+#[test]
+fn degenerate_inputs_fit_compile_and_score_without_panicking() {
+    use nr_rules::Predictor;
+    use nr_tabular::{Attribute, Dataset, Schema, Value};
+
+    /// `rows` rows of `schema`, each row's values and label from `row(i)`.
+    fn dataset(
+        schema: Schema,
+        classes: &[&str],
+        rows: usize,
+        row: impl Fn(usize) -> (Vec<Value>, usize),
+    ) -> Dataset {
+        let names = classes.iter().map(|c| c.to_string()).collect();
+        let mut data = Dataset::new(schema, names);
+        for i in 0..rows {
+            let (values, label) = row(i);
+            data.push(values, label).expect("row matches schema");
+        }
+        data
+    }
+    let mixed = || {
+        Schema::new(vec![
+            Attribute::numeric("x"),
+            Attribute::nominal("colour", ["red", "green", "blue"]),
+        ])
+    };
+    let mixed_row = |i: usize| vec![Value::Num(i as f64), Value::Nominal((i % 3) as u32)];
+
+    let cases = [
+        (
+            "single class",
+            dataset(mixed(), &["yes", "no"], 60, |i| (mixed_row(i), 0)),
+        ),
+        (
+            "one class name",
+            dataset(mixed(), &["only"], 60, |i| (mixed_row(i), 0)),
+        ),
+        (
+            "one row",
+            dataset(mixed(), &["yes", "no"], 1, |i| (mixed_row(i), 1)),
+        ),
+        (
+            "constant attributes",
+            dataset(mixed(), &["yes", "no"], 60, |i| {
+                (vec![Value::Num(7.0), Value::Nominal(1)], i % 2)
+            }),
+        ),
+        (
+            "single-level nominal",
+            dataset(
+                Schema::new(vec![
+                    Attribute::numeric("x"),
+                    Attribute::nominal("kind", ["only"]),
+                ]),
+                &["low", "high"],
+                60,
+                |i| {
+                    let x = i as f64;
+                    (
+                        vec![Value::Num(x), Value::Nominal(0)],
+                        usize::from(x >= 30.0),
+                    )
+                },
+            ),
+        ),
+        (
+            "all-nominal",
+            dataset(
+                Schema::new(vec![
+                    Attribute::nominal("colour", ["red", "green", "blue"]),
+                    Attribute::nominal("size", ["s", "m", "l", "xl"]),
+                ]),
+                &["yes", "no"],
+                60,
+                |i| {
+                    let (colour, size) = ((i % 3) as u32, (i / 3 % 4) as u32);
+                    let values = vec![Value::Nominal(colour), Value::Nominal(size)];
+                    (values, usize::from(colour == 0))
+                },
+            ),
+        ),
+        (
+            "5 classes",
+            dataset(mixed(), &["a", "b", "c", "d", "e"], 100, |i| {
+                (mixed_row(i), i / 20)
+            }),
+        ),
+    ];
+    for (name, train) in cases {
+        let model = NeuroRule::default()
+            .with_seed(3)
+            .fit(&train)
+            .unwrap_or_else(|e| panic!("{name}: fit failed: {e}"));
+        let classes = model.compile().predict_batch(&train.view());
+        assert_eq!(classes.len(), train.len(), "{name}");
+        assert!(
+            classes.iter().all(|&c| c < train.n_classes()),
+            "{name}: class out of range: {classes:?}"
+        );
+    }
 }

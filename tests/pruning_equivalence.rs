@@ -1,22 +1,20 @@
-//! Pins the incremental pruning engine to the paper's semantics and the
-//! strict engine to the pre-refactor implementation, bit for bit.
+//! Pins the NP pruning loop to the paper's semantics and to the original
+//! implementation, bit for bit.
 //!
 //! * `strict_mode_reproduces_the_pre_refactor_trace` — the seeded F2-300
-//!   fixture's full strict trace (removal counts, batch flags, link
-//!   counts, accuracy *bits*) was captured from the implementation before
-//!   the incremental engine existed and is hardcoded here; `Strict` mode
-//!   must reproduce it exactly.
-//! * proptests — on randomized networks/datasets, fast mode never
-//!   violates the accuracy floor, its trace strictly shrinks, and it
-//!   never stops earlier (more links) than strict mode.
-//! * determinism — the parallel candidate gates are bit-identical across
-//!   thread counts, and a full fast run replays identically.
+//!   fixture's full trace (removal counts, batch flags, link counts,
+//!   accuracy *bits*) was captured from the original implementation and is
+//!   hardcoded here; `prune` must reproduce it exactly.
+//! * proptests — on randomized networks/datasets, pruning never violates
+//!   the accuracy floor, its trace strictly shrinks, and the reported
+//!   final accuracy is the pruned network's.
+//! * determinism — a full pruning run replays identically.
 
 use nr_datagen::{Function, Generator};
 use nr_encode::{EncodedDataset, Encoder};
 use nr_nn::{Mlp, Trainer, TrainingAlgorithm};
 use nr_opt::Bfgs;
-use nr_prune::{prune, PruneConfig, PruneMode};
+use nr_prune::{prune, PruneConfig};
 use proptest::prelude::*;
 
 /// The `nr_bench::trained_network(300)` fixture, replicated (the umbrella
@@ -34,12 +32,11 @@ fn f2_300_fixture() -> (EncodedDataset, Mlp) {
 }
 
 /// The pruning config the trace was captured under (the bench budget).
-fn capture_config(mode: PruneMode) -> PruneConfig {
+fn capture_config() -> PruneConfig {
     PruneConfig {
         retrain: Trainer::new(TrainingAlgorithm::Bfgs(
             Bfgs::default().with_max_iters(30).with_grad_tol(1e-3),
         )),
-        mode,
         ..PruneConfig::default()
     }
 }
@@ -105,7 +102,7 @@ const ONE: u64 = 0x3ff0000000000000;
 fn strict_mode_reproduces_the_pre_refactor_trace() {
     let (data, net) = f2_300_fixture();
     let mut candidate = net.clone();
-    let outcome = prune(&mut candidate, &data, &capture_config(PruneMode::Strict));
+    let outcome = prune(&mut candidate, &data, &capture_config());
 
     assert_eq!(outcome.rounds, EXPECTED_TRACE.len());
     assert_eq!(outcome.initial_links, 356);
@@ -134,32 +131,6 @@ fn strict_mode_reproduces_the_pre_refactor_trace() {
     }
 }
 
-#[test]
-fn fast_mode_beats_strict_on_the_f2_fixture_without_losing_quality() {
-    let (data, net) = f2_300_fixture();
-    let mut strict_net = net.clone();
-    let strict = prune(&mut strict_net, &data, &capture_config(PruneMode::Strict));
-    let mut fast_net = net.clone();
-    let fast = prune(&mut fast_net, &data, &capture_config(PruneMode::Fast));
-
-    assert!(fast.final_accuracy >= 0.9, "{fast:?}");
-    assert!(
-        fast.remaining_links <= strict.remaining_links,
-        "fast stopped earlier: {} vs {} links",
-        fast.remaining_links,
-        strict.remaining_links
-    );
-    // The speed mechanism is observable in the trace: most rounds skip
-    // the optimizer entirely.
-    let skipped = fast.trace.iter().filter(|r| !r.retrained).count();
-    assert!(
-        skipped * 2 > fast.trace.len(),
-        "expected most rounds to skip retraining: {} of {}",
-        skipped,
-        fast.trace.len()
-    );
-}
-
 /// Small learnable fixture: class = input bit 0, one junk bit per extra
 /// input, bias appended.
 fn synthetic(rows: usize, n_in: usize, seed: u64) -> EncodedDataset {
@@ -185,12 +156,11 @@ fn synthetic(rows: usize, n_in: usize, seed: u64) -> EncodedDataset {
     EncodedDataset::from_parts(inputs, cols, targets, 2)
 }
 
-fn quick_config(mode: PruneMode) -> PruneConfig {
+fn quick_config() -> PruneConfig {
     PruneConfig {
         retrain: Trainer::new(TrainingAlgorithm::Bfgs(
             Bfgs::default().with_max_iters(40).with_grad_tol(1e-4),
         )),
-        mode,
         ..PruneConfig::default()
     }
 }
@@ -199,7 +169,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn fast_mode_respects_the_papers_invariants(
+    fn strict_mode_respects_the_papers_invariants(
         (rows, n_in, hidden, seed) in (30usize..70, 2usize..5, 2usize..5, 0u64..1000)
     ) {
         let data = synthetic(rows, n_in, seed);
@@ -208,75 +178,31 @@ proptest! {
         // Only meaningful when training put the net above the floor.
         prop_assert!(report.accuracy >= 0.9, "fixture untrainable: {report:?}");
 
-        let mut strict_net = net.clone();
-        let strict = prune(&mut strict_net, &data, &quick_config(PruneMode::Strict));
-        let mut fast_net = net.clone();
-        let fast = prune(&mut fast_net, &data, &quick_config(PruneMode::Fast));
+        let outcome = prune(&mut net, &data, &quick_config());
 
         // Floor never violated, in the trace or at the end.
-        for round in &fast.trace {
+        for round in &outcome.trace {
             prop_assert!(round.accuracy >= 0.9, "floor violated: {round:?}");
         }
-        prop_assert!(fast.final_accuracy >= 0.9, "{fast:?}");
-        prop_assert_eq!(fast.final_accuracy, fast_net.accuracy(&data));
+        prop_assert!(outcome.final_accuracy >= 0.9, "{outcome:?}");
+        prop_assert_eq!(outcome.final_accuracy, net.accuracy(&data));
 
-        // links_left strictly decreasing (both engines).
-        for outcome in [&strict, &fast] {
-            let mut last = outcome.initial_links;
-            for round in &outcome.trace {
-                prop_assert!(round.links_left < last, "{outcome:?}");
-                last = round.links_left;
-            }
+        // links_left strictly decreasing.
+        let mut last = outcome.initial_links;
+        for round in &outcome.trace {
+            prop_assert!(round.links_left < last, "{outcome:?}");
+            last = round.links_left;
         }
-
-        // Fast mode never stops earlier than strict mode.
-        prop_assert!(
-            fast.remaining_links <= strict.remaining_links,
-            "fast {} vs strict {} links (seed {})",
-            fast.remaining_links,
-            strict.remaining_links,
-            seed
-        );
     }
 }
 
 #[test]
-fn parallel_candidate_gates_are_thread_count_invariant() {
-    let (data, net) = f2_300_fixture();
-    // Gate the 8 lowest-saliency single-link removals, like the fast
-    // engine's fallback does, at several thread settings.
-    let saliencies = {
-        let mut s = nr_prune::input_link_saliencies(&net);
-        s.sort_by(|a, b| a.1.total_cmp(&b.1));
-        s
-    };
-    let removals: Vec<Vec<nr_nn::LinkId>> =
-        saliencies.iter().take(8).map(|&(l, _)| vec![l]).collect();
-    let inline = net.accuracy_many(&data, &removals, 1);
-    for threads in [0, 2, 4, 8] {
-        assert_eq!(
-            net.accuracy_many(&data, &removals, threads),
-            inline,
-            "candidate gates drifted at {threads} threads"
-        );
-    }
-    // And each gate equals the per-candidate batch accuracy.
-    for (links, &gate) in removals.iter().zip(&inline) {
-        let mut candidate = net.clone();
-        for &l in links {
-            candidate.prune(l);
-        }
-        assert_eq!(gate, candidate.accuracy(&data));
-    }
-}
-
-#[test]
-fn fast_mode_replays_bit_identically() {
+fn strict_mode_replays_bit_identically() {
     let data = synthetic(60, 3, 77);
     let run = || {
         let mut net = Mlp::random(4, 4, 2, 9);
         Trainer::default().train(&mut net, &data);
-        let outcome = prune(&mut net, &data, &quick_config(PruneMode::Fast));
+        let outcome = prune(&mut net, &data, &quick_config());
         (net, outcome)
     };
     let (net_a, outcome_a) = run();
