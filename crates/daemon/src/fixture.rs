@@ -1,6 +1,6 @@
-//! Deterministic serving fixtures for the load harness, benches, and
-//! tests: a pair of swap-compatible models over the Agrawal schema plus
-//! a stream of CSV rows to score.
+//! Deterministic serving fixtures for `nr-daemon serve`'s demo model, the
+//! binary's load harness, and tests: a pair of swap-compatible models
+//! over the Agrawal schema plus a stream of CSV rows to score.
 //!
 //! The rule set is handcrafted rather than extracted — a lattice of
 //! salary × age boxes wide enough (dozens of shared predicates) that a
@@ -104,7 +104,7 @@ fn flipped(ruleset: &RuleSet) -> RuleSet {
 /// Renders dataset row `i` as a serving CSV line: schema order, nominal
 /// values as category names, no class column — the body format the
 /// `predict` endpoints parse with [`nr_tabular::parse_row`].
-pub fn row_csv(ds: &Dataset, i: usize) -> String {
+fn row_csv(ds: &Dataset, i: usize) -> String {
     let cells: Vec<String> = ds
         .schema()
         .attributes()
@@ -161,20 +161,64 @@ mod tests {
         assert!(a.expected_a.contains(&1));
     }
 
-    #[test]
-    fn rows_parse_back_and_models_flip() {
-        let fx = serving_fixture(64);
+    /// CSV rows parsed back into a dataset over the fixture's schema.
+    fn parsed_rows(fx: &ServingFixture, rows: &[String]) -> Dataset {
         let schema = fx.model_a.network().encoder().schema().clone();
         let mut ds = Dataset::new(schema.clone(), vec!["Group A".into(), "Group B".into()]);
-        for line in &fx.rows {
+        for line in rows {
             ds.push_unlabeled(parse_row(&schema, line).unwrap())
                 .unwrap();
         }
+        ds
+    }
+
+    #[test]
+    fn rows_parse_back_and_models_flip() {
+        let fx = serving_fixture(64);
+        let ds = parsed_rows(&fx, &fx.rows);
         let a = fx.model_a.predict_batch(&ds.view());
         let b = fx.model_b.predict_batch(&ds.view());
         assert_eq!(a, fx.expected_a, "CSV round-trip must preserve answers");
         for i in 0..a.len() {
             assert_eq!(b[i], 1 - a[i], "row {i}: B must answer 1 - A");
+        }
+    }
+
+    /// The expected answers come from the compiled engine; check them
+    /// against the interpreted reference over the whole lattice, so the
+    /// daemon's harnesses do not grade the engine against itself.
+    #[test]
+    fn expected_answers_equal_the_interpreted_rule_set() {
+        let fx = serving_fixture(512);
+        let ruleset = fx.model_a.ruleset();
+        assert_eq!(ruleset.rules.len(), 12_288);
+        let ds = parsed_rows(&fx, &fx.rows);
+        let mut fell_through = 0;
+        for i in 0..ds.len() {
+            assert_eq!(fx.expected_a[i], ruleset.predict_row(&ds, i), "row {i}");
+            fell_through += usize::from(ruleset.first_match_row(&ds, i).is_none());
+        }
+        // Both the matched and the default path are exercised.
+        assert!(fell_through > 0 && fell_through < ds.len());
+
+        // Salary is continuous, so traffic never lands on its 65 interval
+        // bounds; put it on each of them so the salary column's slot plan
+        // decides rules at its `bound <= x` edges.
+        let salary = AttrId::Salary.index();
+        let on_bounds: Vec<String> = fx
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(i, line)| {
+                let mut cells: Vec<String> = line.split(',').map(String::from).collect();
+                cells[salary] = (20_000.0 + 2_031.25 * (i % 65) as f64).to_string();
+                cells.join(",")
+            })
+            .collect();
+        let ds = parsed_rows(&fx, &on_bounds);
+        let compiled = fx.model_a.predict_batch(&ds.view());
+        for i in 0..ds.len() {
+            assert_eq!(compiled[i], ruleset.predict_row(&ds, i), "on-bound row {i}");
         }
     }
 

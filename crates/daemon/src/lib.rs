@@ -7,8 +7,8 @@
 //! the fixed costs (model snapshot, dataset assembly, predicate-table
 //! setup) per row; this daemon's [`BatchFormer`] coalesces concurrent
 //! single-row requests into one compiled column sweep, so under load the
-//! request stream is served at batch cost (the load harness in [`load`]
-//! asserts ≥2× request-at-a-time throughput).
+//! request stream is served at batch cost (the binary's `nr-daemon load`
+//! harness asserts ≥2× request-at-a-time throughput).
 //!
 //! Layers, each its own module and separately testable:
 //!
@@ -23,10 +23,14 @@
 //!   and graceful drain ([`Daemon::shutdown`] → [`DrainReport`]);
 //! * [`faults`] — deterministic fault injection (delays, panics) for the
 //!   chaos harness, a noop in production;
-//! * [`fixture`] / [`load`] — deterministic models + the load harness
-//!   that measures p50/p95/p99/rows-per-sec, proves the coalescing and
-//!   hot-swap claims over real sockets, and (in chaos mode) asserts the
-//!   overload contract at 4× saturation.
+//! * [`fixture`] — a deterministic swap pair of models plus traffic rows:
+//!   `nr-daemon serve`'s demo model and the test fixture.
+//!
+//! The load and chaos harnesses are not part of this library: they are a
+//! private module of the `nr-daemon` binary (`nr-daemon load [--quick]`
+//! measures p50/p95/p99/rows-per-sec and proves the coalescing and
+//! hot-swap claims over real sockets; `nr-daemon chaos [--quick]` asserts
+//! the overload contract at 4× saturation).
 //!
 //! Overload protection (the SLO contract): every scoring request carries
 //! a latency budget — the `X-Deadline-Ms` header, clamped, or the server
@@ -47,7 +51,6 @@ pub mod batcher;
 pub mod faults;
 pub mod fixture;
 pub mod http;
-pub mod load;
 pub mod router;
 pub mod server;
 
@@ -57,6 +60,5 @@ pub use batcher::{BatchConfig, BatchFormer, LaneStats, SubmitError};
 pub use faults::{FaultInjector, FaultPlan};
 pub use handlers::{DaemonStats, HealthResponse, RegistryStats, RollbackResponse, StatsResponse};
 pub use http::{Client, Request, ResponseOpts};
-pub use load::{ChaosConfig, ChaosReport, LoadConfig, LoadReport, ScenarioReport, SwapReport};
 pub use router::{route, Route, DEFAULT_MODEL};
 pub use server::{Daemon, DaemonConfig, DrainReport, OverloadConfig};

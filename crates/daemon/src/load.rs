@@ -1,6 +1,7 @@
-//! The load harness: drives a real daemon over real sockets with mixed
-//! single-row and bulk traffic, measures p50/p95/p99 latency and
-//! rows/sec, and proves the serving claims end to end:
+//! The load and chaos harnesses behind `nr-daemon load` and
+//! `nr-daemon chaos`: they drive a real daemon over real sockets with
+//! mixed single-row and bulk traffic, measure p50/p95/p99 latency and
+//! rows/sec, and prove the serving claims end to end:
 //!
 //! * **Coalescing pays** — the same client fleet against the same model
 //!   gets ≥2× the single-row throughput with the batch-former on
@@ -20,8 +21,10 @@
 //!   answer (429/503) is fast, stalled sockets are evicted, and a
 //!   graceful drain answers all in-flight work with zero hung threads.
 //!
-//! Results land in `BENCH_daemon.json` (cwd or `NR_BENCH_OUT_DIR`), the
-//! same contract as the criterion benches.
+//! Each harness has one entry point and one switch, `quick` (CI smoke
+//! sizing): [`run_load`] runs every scenario and writes
+//! `BENCH_daemon.json` (cwd or `NR_BENCH_OUT_DIR`, the same contract as
+//! the criterion benches); [`run_chaos`] runs only the chaos scenario.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -29,43 +32,38 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use nr_daemon::fixture::{serving_fixture, ServingFixture};
+use nr_daemon::{
+    BatchConfig, Client, Daemon, DaemonConfig, DrainReport, FaultPlan, OverloadConfig,
+    StatsResponse,
+};
 use nr_serve::PredictResponse;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-use crate::batcher::BatchConfig;
-use crate::faults::FaultPlan;
-use crate::fixture::{serving_fixture, ServingFixture};
-use crate::handlers::StatsResponse;
-use crate::http::Client;
-use crate::server::{Daemon, DaemonConfig, DrainReport, OverloadConfig};
-
-/// Harness sizing. `quick` is the CI smoke (seconds); full is the
-/// real measurement the README quotes.
+/// Harness sizing. `quick` is the CI smoke (seconds): a tiny fleet, so
+/// only the correctness bars arm (the ≥2× throughput bar needs sustained
+/// load); full is the real measurement the README quotes.
 #[derive(Debug, Clone)]
-pub struct LoadConfig {
-    /// Quick mode: tiny fleet, assertions on correctness only (the ≥2×
-    /// throughput bar needs sustained load and only arms in full runs).
-    pub quick: bool,
+struct LoadConfig {
     /// Closed-loop single-row clients per throughput scenario.
-    pub clients: usize,
+    clients: usize,
     /// Requests each single-row client issues.
-    pub requests_per_client: usize,
+    requests_per_client: usize,
     /// Closed-loop bulk clients running alongside (mixed traffic).
-    pub bulk_clients: usize,
+    bulk_clients: usize,
     /// Bulk requests each bulk client issues.
-    pub bulk_requests: usize,
+    bulk_requests: usize,
     /// Rows per bulk request body.
-    pub bulk_rows: usize,
+    bulk_rows: usize,
     /// Model swaps performed during the hot-swap scenario.
-    pub swaps: usize,
+    swaps: usize,
 }
 
 impl LoadConfig {
     /// Sizing for `quick` (CI smoke) or full (measurement) runs.
-    pub fn sized(quick: bool) -> LoadConfig {
+    fn sized(quick: bool) -> LoadConfig {
         if quick {
             LoadConfig {
-                quick,
                 clients: 4,
                 requests_per_client: 60,
                 bulk_clients: 1,
@@ -75,7 +73,6 @@ impl LoadConfig {
             }
         } else {
             LoadConfig {
-                quick,
                 clients: 32,
                 requests_per_client: 250,
                 bulk_clients: 2,
@@ -88,7 +85,7 @@ impl LoadConfig {
 }
 
 /// Measurements from one throughput scenario (one daemon, one fleet).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ScenarioReport {
     /// `"coalesced"` or `"uncoalesced"`.
     pub label: String,
@@ -101,7 +98,6 @@ pub struct ScenarioReport {
     /// Median single-row latency, microseconds.
     pub p50_us: f64,
     /// 95th-percentile single-row latency, microseconds.
-    #[serde(default)]
     pub p95_us: f64,
     /// 99th-percentile single-row latency, microseconds.
     pub p99_us: f64,
@@ -114,7 +110,7 @@ pub struct ScenarioReport {
 }
 
 /// Outcome of the hot-swap-under-load scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SwapReport {
     /// Predict requests issued while swapping.
     pub requests: u64,
@@ -133,51 +129,51 @@ pub struct SwapReport {
 /// deliberately slow (`score_delay` per batch) so a modest fleet drives
 /// it several times past saturation.
 #[derive(Debug, Clone)]
-pub struct ChaosConfig {
+struct ChaosConfig {
     /// Quick mode: smaller fleet, looser latency bars (CI smoke).
-    pub quick: bool,
+    quick: bool,
     /// Closed-loop scoring clients.
-    pub clients: usize,
+    clients: usize,
     /// How long the burst runs. Clients issue requests for the whole
     /// window (with `shed_backoff` after each shed), so demand stays
     /// above capacity for the whole run instead of draining away as
     /// fixed per-client quotas are spent.
-    pub burst_ms: u64,
+    burst_ms: u64,
     /// Pause a client takes after a shed answer before retrying. Keeps
     /// demand sustained without degenerating into a syscall spin that
     /// (on small machines) turns scheduler queueing into measured
     /// shed latency.
-    pub shed_backoff: Duration,
+    shed_backoff: Duration,
     /// Latency budget each request carries (`X-Deadline-Ms`).
-    pub deadline_ms: u64,
+    deadline_ms: u64,
     /// Injected per-batch service time (the "slow handler" fault) —
     /// calibrates the daemon's capacity.
-    pub score_delay: Duration,
+    score_delay: Duration,
     /// Lane batch capacity under chaos.
-    pub max_batch: usize,
+    max_batch: usize,
     /// Lane queue bound under chaos (small, so 429s are reachable).
-    pub max_queue: usize,
+    max_queue: usize,
     /// Stalled-socket (slowloris) clients to inject.
-    pub slowloris: usize,
+    slowloris: usize,
     /// Hot swaps landed mid-burst.
-    pub swaps: usize,
+    swaps: usize,
     /// Handler panic injected every Nth request.
-    pub panic_every: u64,
+    panic_every: u64,
     /// Socket read timeout the chaos daemon runs with (slowloris
     /// eviction bound).
-    pub read_timeout: Duration,
+    read_timeout: Duration,
     /// Grace added to the deadline for client-side latency checks
     /// (scheduling jitter, loopback, parse).
-    pub grace_ms: f64,
+    grace_ms: f64,
     /// p99 bar for shed (429/503) answer latency, milliseconds.
-    pub shed_p99_bar_ms: f64,
+    shed_p99_bar_ms: f64,
     /// Minimum demand/capacity ratio the run must reach.
-    pub saturation_bar: f64,
+    saturation_bar: f64,
 }
 
 impl ChaosConfig {
     /// Sizing for `quick` (CI smoke) or full (measurement) chaos runs.
-    pub fn sized(quick: bool) -> ChaosConfig {
+    fn sized(quick: bool) -> ChaosConfig {
         if quick {
             // Meetable backlog ≈ (deadline / score_delay) × max_batch =
             // 10 rows; 24 clients keep the daemon ~2.4× oversubscribed.
@@ -224,7 +220,7 @@ impl ChaosConfig {
 }
 
 /// What a chaos run observed — the numbers behind the overload contract.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ChaosReport {
     /// True for CI smoke runs (looser latency bars).
     pub quick: bool,
@@ -496,7 +492,7 @@ struct ChaosSample {
 /// daemon's panic barrier, so the default panic hook prints a backtrace
 /// per injection — loud, but each one is answered with a 500 and
 /// counted.
-pub fn run_chaos(cfg: &ChaosConfig, fx: &ServingFixture) -> ChaosReport {
+fn run_chaos_scenario(cfg: &ChaosConfig, fx: &ServingFixture) -> ChaosReport {
     let batch = BatchConfig {
         max_batch: cfg.max_batch,
         max_delay: Duration::from_micros(500),
@@ -808,7 +804,7 @@ pub fn run_chaos(cfg: &ChaosConfig, fx: &ServingFixture) -> ChaosReport {
 }
 
 /// Everything one harness run produced — the `BENCH_daemon.json` schema.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LoadReport {
     /// True for CI smoke runs (assertion bar not armed).
     pub quick: bool,
@@ -825,12 +821,25 @@ pub struct LoadReport {
     pub chaos: ChaosReport,
 }
 
-/// Runs the whole harness: coalesced vs uncoalesced throughput, hot swap
-/// under load, then the chaos scenario. Panics if any always-on bar
-/// fails; the ≥2× speedup bar additionally arms in full (non-quick)
-/// runs.
-pub fn run(cfg: &LoadConfig) -> LoadReport {
-    let fx = serving_fixture(if cfg.quick { 256 } else { 512 });
+/// Traffic rows the harnesses drive: fewer in quick runs.
+fn fixture_for(quick: bool) -> ServingFixture {
+    serving_fixture(if quick { 256 } else { 512 })
+}
+
+/// `nr-daemon chaos`: the chaos scenario alone, sized by `quick`. Panics
+/// on any broken SLO bar.
+pub fn run_chaos(quick: bool) -> ChaosReport {
+    run_chaos_scenario(&ChaosConfig::sized(quick), &fixture_for(quick))
+}
+
+/// `nr-daemon load`: the whole harness — coalesced vs uncoalesced
+/// throughput, hot swap under load, then the chaos scenario — written to
+/// `BENCH_daemon.json` in `NR_BENCH_OUT_DIR` (or the cwd). Panics if any
+/// always-on bar fails; the ≥2× speedup bar additionally arms in full
+/// (non-quick) runs.
+pub fn run_load(quick: bool) -> LoadReport {
+    let cfg = &LoadConfig::sized(quick);
+    let fx = fixture_for(quick);
     let coalesced = run_scenario("coalesced", BatchConfig::default(), cfg, &fx);
     let uncoalesced = run_scenario(
         "uncoalesced",
@@ -844,7 +853,7 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
     );
     let speedup = coalesced.rows_per_sec / uncoalesced.rows_per_sec;
     let swap = run_swap_scenario(cfg, &fx);
-    let chaos = run_chaos(&ChaosConfig::sized(cfg.quick), &fx);
+    let chaos = run_chaos_scenario(&ChaosConfig::sized(quick), &fx);
 
     // Always-on bars: the uncoalesced lane must genuinely be
     // request-at-a-time, and hot swap must be loss- and mix-free.
@@ -859,7 +868,7 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
         swap.mixed_version
     );
     assert_eq!(swap.final_version, cfg.swaps as u64 + 1);
-    if !cfg.quick {
+    if !quick {
         assert!(
             coalesced.largest_batch > 1,
             "full-mode load never formed a multi-row batch"
@@ -874,23 +883,47 @@ pub fn run(cfg: &LoadConfig) -> LoadReport {
             coalesced.largest_batch,
         );
     }
-    LoadReport {
-        quick: cfg.quick,
+    let report = LoadReport {
+        quick,
         coalesced,
         uncoalesced,
         speedup,
         swap,
         chaos,
-    }
-}
-
-/// Runs the harness and writes `BENCH_daemon.json` to `NR_BENCH_OUT_DIR`
-/// (or the cwd), mirroring the criterion benches' output contract.
-pub fn run_and_write(quick: bool) -> LoadReport {
-    let report = run(&LoadConfig::sized(quick));
+    };
     let out_dir = std::env::var("NR_BENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
     let path = std::path::Path::new(&out_dir).join("BENCH_daemon.json");
     let json = serde_json::to_string(&report).expect("report serializes");
     std::fs::write(&path, json).expect("write BENCH_daemon.json");
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The fault-injection harness as a test: drive a deliberately slow
+    /// daemon past saturation while panics fire, sockets stall, and swaps
+    /// land mid-burst, and assert the SLO contract — [`run_chaos_scenario`]
+    /// panics on any broken bar (deadline misses, slow sheds, mixed
+    /// versions, unevicted sockets, dirty drains), so this test passing
+    /// *is* the contract holding. Quick sizing keeps the suite fast;
+    /// `nr-daemon chaos` runs the full-sized version.
+    #[test]
+    fn chaos_quick_holds_the_slo_contract() {
+        let cfg = ChaosConfig::sized(true);
+        let fx = serving_fixture(256);
+        let report = run_chaos_scenario(&cfg, &fx);
+
+        // run_chaos_scenario already asserted the contract; spot-check the
+        // shape of the run so a silently degenerate config cannot pass.
+        assert!(report.total_requests > report.accepted);
+        assert!(report.saturation >= cfg.saturation_bar);
+        assert_eq!(report.deadline_misses, 0);
+        assert_eq!(report.mixed_version, 0);
+        assert_eq!(report.slowloris_evicted, report.slowloris_connections);
+        assert!(report.faults_panics_injected > 0);
+        assert_eq!(report.swaps, cfg.swaps as u64);
+        assert!(report.drain.clean);
+    }
 }

@@ -10,13 +10,17 @@
 //! `ServeModel` JSON bundle from `--model`, or (for demos) the built-in
 //! deterministic fixture; a line on stdin (or closing an interactive
 //! stdin) triggers a graceful drain and prints the [`DrainReport`].
-//! `load` runs the full harness against freshly spawned in-process
-//! daemons and writes `BENCH_daemon.json`; `chaos` runs just the
-//! overload/fault scenario and prints the SLO numbers.
+//! `load` is the daemon bench: it runs the full harness (private module
+//! [`load`]) against freshly spawned in-process daemons and writes
+//! `BENCH_daemon.json`; `chaos` runs just the overload/fault scenario
+//! and prints the SLO numbers. `--quick`, their only switch, is the CI
+//! smoke sizing.
 //!
 //! [`DrainReport`]: nr_daemon::DrainReport
 
-use nr_daemon::{fixture, load, Daemon, DaemonConfig};
+mod load;
+
+use nr_daemon::{fixture, Daemon, DaemonConfig};
 use nr_serve::ServeModel;
 
 fn fail(msg: &str) -> ! {
@@ -42,7 +46,7 @@ fn quick_flag(args: &[String]) -> bool {
     if let Some(bad) = args.iter().find(|a| a.as_str() != "--quick") {
         fail(&format!("unknown flag {bad:?}"));
     }
-    args.iter().any(|a| a == "--quick") || std::env::var("NR_BENCH_QUICK").is_ok_and(|v| v == "1")
+    args.iter().any(|a| a == "--quick")
 }
 
 fn serve(args: &[String]) {
@@ -121,8 +125,7 @@ fn serve(args: &[String]) {
 }
 
 fn run_load(args: &[String]) {
-    let quick = quick_flag(args);
-    let report = load::run_and_write(quick);
+    let report = load::run_load(quick_flag(args));
     println!(
         "daemon load ({}): coalesced {:.0} rows/s (p50 {:.0}us, p95 {:.0}us, p99 {:.0}us, \
          largest batch {}) vs uncoalesced {:.0} rows/s (p50 {:.0}us, p99 {:.0}us) -> {:.2}x",
@@ -150,10 +153,7 @@ fn run_load(args: &[String]) {
 }
 
 fn run_chaos(args: &[String]) {
-    let quick = quick_flag(args);
-    let fx = fixture::serving_fixture(if quick { 256 } else { 512 });
-    let report = load::run_chaos(&load::ChaosConfig::sized(quick), &fx);
-    print_chaos(&report);
+    print_chaos(&load::run_chaos(quick_flag(args)));
 }
 
 fn print_chaos(c: &load::ChaosReport) {

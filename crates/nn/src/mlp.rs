@@ -345,10 +345,10 @@ impl Mlp {
         )
     }
 
-    /// Runs `score` over the outputs of every row, on fixed-size chunks
-    /// dispatched to the shared worker pool (inline for single-chunk
-    /// datasets), summing the per-chunk counts in chunk order.
-    fn count_rows(&self, data: &EncodedDataset, score: RowScore) -> usize {
+    /// Counts the rows whose argmax output equals the target, on
+    /// fixed-size chunks dispatched to the shared worker pool (inline for
+    /// single-chunk datasets), summing the per-chunk counts in chunk order.
+    fn count_rows(&self, data: &EncodedDataset) -> usize {
         let dims = (self.n_in, self.n_hidden, self.n_out);
         let rows = data.rows();
         let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
@@ -357,10 +357,7 @@ impl Mlp {
             chunk_forward(data, range.clone(), dims, &self.w, &self.v, |out| {
                 out.chunks_exact(self.n_out)
                     .zip(range.clone())
-                    .filter(|(row_out, i)| match score {
-                        RowScore::Argmax => argmax(row_out) == targets[*i],
-                        RowScore::Condition1(eta1) => condition1(row_out, targets[*i], eta1),
-                    })
+                    .filter(|(row_out, i)| argmax(row_out) == targets[*i])
                     .count()
             })
         })
@@ -475,26 +472,7 @@ impl Mlp {
         if data.rows() == 0 {
             return 0.0;
         }
-        let correct = self.count_rows(data, RowScore::Argmax);
-        correct as f64 / data.rows() as f64
-    }
-
-    /// Condition (1) of the paper: `max_p |S_p − t_p| ≤ η₁`.
-    pub fn condition1_holds(&self, x: &[f64], target: usize, eta1: f64) -> bool {
-        let (_, out) = self.forward(x);
-        condition1(&out, target, eta1)
-    }
-
-    /// Fraction of rows satisfying condition (1) — the strict notion of
-    /// "correctly classified" used by the pruning theory (§2.2).
-    ///
-    /// Runs on the batched kernels; equal to checking row by row.
-    pub fn strict_accuracy(&self, data: &EncodedDataset, eta1: f64) -> f64 {
-        if data.rows() == 0 {
-            return 0.0;
-        }
-        let correct = self.count_rows(data, RowScore::Condition1(eta1));
-        correct as f64 / data.rows() as f64
+        self.count_rows(data) as f64 / data.rows() as f64
     }
 }
 
@@ -540,15 +518,6 @@ fn scratch_forward<T>(
         );
         f(out)
     })
-}
-
-/// Per-row acceptance criterion for [`Mlp::count_rows`] chunk jobs.
-#[derive(Clone, Copy)]
-enum RowScore {
-    /// Argmax output equals the target class.
-    Argmax,
-    /// Condition (1) of the paper holds with the given η₁.
-    Condition1(f64),
 }
 
 /// Input rows for one batched forward pass: dense row-major data, or the
@@ -619,15 +588,6 @@ pub(crate) fn forward_kernel(
     for s in out.iter_mut() {
         *s = Activation::Sigmoid.apply(*s);
     }
-}
-
-/// `max_p |S_p − t_p| ≤ η₁` for one output row.
-fn condition1(out: &[f64], target: usize, eta1: f64) -> bool {
-    out.iter()
-        .enumerate()
-        .map(|(p, s)| (s - if p == target { 1.0 } else { 0.0 }).abs())
-        .fold(0.0f64, f64::max)
-        <= eta1
 }
 
 /// Index of the maximum element, **first on ties** — the tie-breaking rule
@@ -884,16 +844,6 @@ mod tests {
         let mut none: Vec<usize> = Vec::new();
         net.map_set_bit_rows(0, encode, argmax, &mut none);
         assert!(none.is_empty());
-    }
-
-    #[test]
-    fn condition1_strictness() {
-        let net = tiny();
-        let x = [1.0, 1.0];
-        let (_, out) = net.forward(&x);
-        let err = (out[0] - 1.0).abs();
-        assert!(net.condition1_holds(&x, 0, err + 0.01));
-        assert!(!net.condition1_holds(&x, 0, err - 0.01));
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl Rule {
         self.conditions.len()
     }
 
-    /// True when some condition is an unsatisfiable interval.
-    pub fn is_contradictory(&self) -> bool {
-        self.conditions.iter().any(Condition::is_contradiction)
-    }
-
     /// Merges conditions on the same attribute into single intervals and
     /// drops conditions implied by others. Returns `None` when merging
     /// exposes a conflict (e.g. `zip = z1 ∧ zip = z2`).

@@ -115,10 +115,17 @@ const _: () = {
 
 impl ServeModel {
     /// Compiles the parts of a fitted model into a serving bundle.
+    ///
+    /// # Panics
+    ///
+    /// When [`NetworkScorer::new`] rejects the encoder and network (an
+    /// encoder failing [`Encoder::validate`], or a network whose input
+    /// width differs from the encoder's bit layout).
     pub fn new(ruleset: &RuleSet, encoder: Encoder, network: Mlp, mode: ServeMode) -> Self {
+        let network = NetworkScorer::new(encoder, network).unwrap_or_else(|e| panic!("{e}"));
         ServeModel {
             rules: CompiledRules::compile(ruleset),
-            network: NetworkScorer::new(encoder, network),
+            network,
             mode,
         }
     }

@@ -249,9 +249,7 @@ pub(crate) enum ColumnSweep {
 /// times** — baseline, AVX2, AVX-512 — by the `#[target_feature]`
 /// wrappers below, and this tier picks the widest copy at run time. The
 /// byte-mask compare loops in [`pack`] vectorize ~2× wider per tier
-/// (measured ~2.2× and ~4.5× over baseline on the serving bench), which
-/// is most of the DAG engine's single-thread margin over the retained
-/// predicate-table engine.
+/// (measured ~2.2× and ~4.5× over baseline on the serving bench).
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SimdTier {
@@ -405,9 +403,7 @@ impl ColumnSweep {
 /// 1. the compare loop writes `0/1` **bytes** into a stack buffer — a
 ///    plain mask-store pattern the auto-vectorizer handles, unlike the
 ///    classic `word |= (p(x) as u64) << i` chain whose variable shift
-///    serializes the whole loop (the retained predicate-table engine
-///    still uses that chain; the gap between the two is most of the DAG
-///    engine's single-thread margin);
+///    serializes the whole loop;
 /// 2. [`pack_bytes`] gathers the 64 mask bytes into the bitmap word,
 ///    eight at a time, with the carry-free multiply trick.
 ///

@@ -20,6 +20,8 @@ use nr_rules::{Predictor, Scored};
 use nr_tabular::{ClassId, DatasetView};
 use serde::{Deserialize, Serialize};
 
+use crate::ServeError;
+
 /// A fitted network packaged for serving: the input [`Encoder`] plus the
 /// (typically pruned) [`Mlp`], scoring whole batches from interval
 /// indices (see the module docs).
@@ -46,21 +48,20 @@ impl PartialEq for NetworkScorer {
 
 impl NetworkScorer {
     /// Packages an encoder and a network and builds the interval tables.
-    /// Panics when they cannot be scored together: the encoder fails
-    /// [`Encoder::validate`], or the network's input width does not match
-    /// the encoder's bit layout. Deserialized scorers are checked by
-    /// [`crate::ServeModel::from_json`] instead.
-    pub fn new(encoder: Encoder, network: Mlp) -> Self {
+    /// Returns [`ServeError::Invalid`] when they cannot be scored
+    /// together: the encoder fails [`Encoder::validate`], or the
+    /// network's input width does not match the encoder's bit layout.
+    /// Deserialized scorers are checked by [`crate::ServeModel::from_json`]
+    /// instead.
+    pub fn new(encoder: Encoder, network: Mlp) -> Result<Self, ServeError> {
         let scorer = NetworkScorer {
             encoder,
             network,
             coder: OnceLock::new(),
         };
-        if let Err(why) = scorer.validate() {
-            panic!("network scorer: {why}");
-        }
+        scorer.validate().map_err(ServeError::Invalid)?;
         scorer.coder();
-        scorer
+        Ok(scorer)
     }
 
     /// Checks that the encoder is consistent with its schema
@@ -153,7 +154,7 @@ mod tests {
         let ds = Generator::new(7).dataset(Function::F1, 64);
         let encoder = Encoder::agrawal();
         let net = Mlp::random(encoder.n_inputs(), 4, 2, 3);
-        let scorer = NetworkScorer::new(encoder.clone(), net.clone());
+        let scorer = NetworkScorer::new(encoder.clone(), net.clone()).unwrap();
         let preds = scorer.predict_batch(&ds.view());
         let encoded = encoder.encode_dataset(&ds);
         for i in 0..ds.len() {
@@ -175,7 +176,7 @@ mod tests {
         let ds = Generator::new(9).dataset(Function::F2, 40);
         let encoder = Encoder::agrawal();
         let net = Mlp::random(encoder.n_inputs(), 4, 2, 5);
-        let scorer = NetworkScorer::new(encoder, net);
+        let scorer = NetworkScorer::new(encoder, net).unwrap();
         let full = scorer.predict_batch(&ds.view());
         let sel = vec![30usize, 2, 17, 2];
         let picked = scorer.predict_batch(&ds.view_of(sel.clone()));
@@ -185,9 +186,29 @@ mod tests {
         assert!(scorer.predict_batch(&ds.view_of(Vec::new())).is_empty());
     }
 
+    fn invalid_reason(encoder: Encoder, net: Mlp) -> String {
+        match NetworkScorer::new(encoder, net) {
+            Err(ServeError::Invalid(why)) => why,
+            other => panic!("expected ServeError::Invalid, got {other:?}"),
+        }
+    }
+
     #[test]
-    #[should_panic(expected = "input width")]
-    fn mismatched_widths_panic() {
-        let _ = NetworkScorer::new(Encoder::agrawal(), Mlp::random(10, 4, 2, 0));
+    fn mismatched_parts_are_an_invalid_error() {
+        let why = invalid_reason(Encoder::agrawal(), Mlp::random(10, 4, 2, 0));
+        assert!(why.contains("input width is 10"), "{why}");
+        // An encoder that fails `Encoder::validate` (only reachable by
+        // deserialization): car's one-hot coding loses a category.
+        let json = serde_json::to_string(&Encoder::agrawal()).unwrap();
+        let car = r#"{"OneHot":{"cardinality":20}}"#;
+        assert!(json.contains(car));
+        let bad = json.replacen(car, r#"{"OneHot":{"cardinality":19}}"#, 1);
+        let encoder: Encoder = serde_json::from_str(&bad).unwrap();
+        let net = Mlp::random(Encoder::agrawal().n_inputs(), 4, 2, 0);
+        let why = invalid_reason(encoder, net);
+        assert!(
+            why.contains("one-hot cardinality 19 vs 20 categories"),
+            "{why}"
+        );
     }
 }

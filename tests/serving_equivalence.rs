@@ -499,7 +499,7 @@ proptest::proptest! {
         };
         let n_out = rng.gen_range(1..=4usize);
         let net = random_network(&mut rng, encoder.n_inputs(), n_out);
-        let scorer = nr_serve::NetworkScorer::new(encoder, net);
+        let scorer = nr_serve::NetworkScorer::new(encoder, net).expect("scorer parts agree");
         for rows in views(&mut rng, &ds) {
             assert_exact_tier(&scorer, &ds.view_of(rows));
         }
@@ -572,7 +572,7 @@ fn unvalidated_shared_columns_score_like_the_reference() {
     )
     .unwrap();
     let net = nr_nn::Mlp::random(encoder.n_inputs(), 4, 2, 11);
-    let scorer = nr_serve::NetworkScorer::new(encoder, net);
+    let scorer = nr_serve::NetworkScorer::new(encoder, net).expect("scorer parts agree");
     assert_exact_tier(&scorer, &ds.view());
     assert_exact_tier(&scorer, &ds.view_of((0..rows).rev().step_by(2).collect()));
 }
