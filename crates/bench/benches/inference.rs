@@ -5,15 +5,15 @@
 //! large databases (they test a handful of attributes, no arithmetic),
 //! while the network must encode every tuple and run a forward pass — and,
 //! since the batch refactor, measures how much of that network cost the
-//! dense row-major batch path claws back. The large group pits three ways
-//! of classifying the same tuples against each other in one run:
+//! set-bit batch path claws back. The large group pits three ways of
+//! classifying the same tuples against each other in one run:
 //!
 //! * `per-row-encode-classify` — the pre-batch hot path: encode each tuple,
 //!   allocate, run a scalar forward pass;
-//! * `per-row-preencoded` — per-row forward passes over the pre-encoded
-//!   dataset with reused scratch buffers (allocation-free baseline);
-//! * `batch` — [`nr_nn::Mlp::classify_batch`] over the dense
-//!   [`nr_encode::EncodedDataset::batch`] layout.
+//! * `per-row-preencoded` — per-row forward passes over dense rows encoded
+//!   before timing, with reused scratch buffers (allocation-free baseline);
+//! * `batch` — [`nr_nn::Mlp::classify_batch`] over the encoded dataset's
+//!   set bits ([`nr_encode::EncodedDataset::binary_inputs`]).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use nr_bench::{bench_dataset, bench_encoded, pruned_network};
@@ -89,12 +89,16 @@ fn batch_inference(c: &mut Criterion) {
         });
     });
     group.bench_function("per-row-preencoded", |b| {
+        let dense: Vec<Vec<f64>> = (0..raw.len())
+            .map(|i| enc.encode_row(&raw.row_values(i)))
+            .collect();
         let mut hidden = vec![0.0; net.n_hidden()];
         let mut out = vec![0.0; net.n_outputs()];
         b.iter(|| {
-            (0..data.rows())
-                .map(|i| {
-                    net.forward_into(data.input(i), &mut hidden, &mut out);
+            dense
+                .iter()
+                .map(|x| {
+                    net.forward_into(x, &mut hidden, &mut out);
                     nr_nn::argmax(&out)
                 })
                 .sum::<usize>()

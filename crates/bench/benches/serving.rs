@@ -16,9 +16,6 @@
 //!   attribute's interval index → the row's set input columns → the
 //!   set-bit forward pass, chunk-parallel, no dense encode (what serving
 //!   the *network* to the same database costs);
-//! * `network-encode-reference` — the dense reference the exact tier is
-//!   pinned bit-identical to: `Encoder::encode_view` (a `rows × 87`
-//!   matrix, one-hot targets, set-bit detection) then `Mlp::classify_batch`;
 //! * `hybrid` — compiled rules with network fallback for unmatched rows.
 //!
 //! The `dag-vs-interpreted` group pits the DAG program (auto-parallel and
@@ -30,11 +27,11 @@
 //! scaling story (results stay bit-identical; the workspace concurrency
 //! test pins that).
 //!
-//! In full (non-quick) mode the run **asserts** two acceptance bars:
+//! In full (non-quick) mode the run **asserts** the acceptance bar:
 //! compiled batch scoring must beat the interpreted per-row path by ≥ 2×
-//! at 100k rows on one core, and the network's exact tier must beat the
-//! dense encode reference by ≥ 2× on the same view. The exact-vs-reference
-//! speedup is recorded in `BENCH_serving.json` in every mode.
+//! at 100k rows on one core. Every mode checks that the network's exact
+//! tier answers like the per-row reference (`Encoder::encode_row` +
+//! `Mlp::classify`) on the whole view.
 
 use std::sync::Arc;
 
@@ -86,9 +83,6 @@ fn serving(c: &mut Criterion) {
     group.bench_function("network-batch", |b| {
         b.iter(|| model.network().predict_batch(&view).len());
     });
-    group.bench_function("network-encode-reference", |b| {
-        b.iter(|| network_reference(&model, &view).len());
-    });
     let hybrid = model.clone().with_mode(ServeMode::Hybrid);
     group.bench_function("hybrid", |b| {
         b.iter(|| hybrid.predict_batch(&view).len());
@@ -120,15 +114,6 @@ fn serving(c: &mut Criterion) {
     network_exact_vs_reference(&model, &view);
 }
 
-/// The dense reference path for the network: encode the whole view into
-/// a matrix, then classify it on the batch kernels.
-fn network_reference(model: &ServeModel, view: &DatasetView<'_>) -> Vec<usize> {
-    let scorer = model.network();
-    scorer
-        .network()
-        .classify_batch(&scorer.encoder().encode_view(view))
-}
-
 /// Best of five timed runs of `f`.
 fn best_of_five(f: &mut dyn FnMut() -> usize) -> std::time::Duration {
     (0..5)
@@ -141,29 +126,22 @@ fn best_of_five(f: &mut dyn FnMut() -> usize) -> std::time::Duration {
         .expect("non-empty reps")
 }
 
-/// The exact-tier bar: scoring the network from interval indices must
-/// answer exactly like the dense reference and, in full runs, be at
-/// least 2× faster on the same view. The speedup is recorded in
-/// `BENCH_serving.json` either way.
+/// Scoring the network from interval indices must answer exactly like
+/// the per-row reference: encode each row, then classify it.
 fn network_exact_vs_reference(model: &ServeModel, view: &DatasetView<'_>) {
+    let scorer = model.network();
+    let reference: Vec<usize> = (0..view.len())
+        .map(|i| {
+            scorer
+                .network()
+                .classify(&scorer.encoder().encode_row(&view.row_values(i)))
+        })
+        .collect();
     assert_eq!(
-        model.network().predict_batch(view),
-        network_reference(model, view),
-        "the exact tier must answer exactly like the dense reference"
+        scorer.predict_batch(view),
+        reference,
+        "the exact tier must answer exactly like the per-row reference"
     );
-    let exact = best_of_five(&mut || model.network().predict_batch(view).len());
-    let reference = best_of_five(&mut || network_reference(model, view).len());
-    let speedup = reference.as_secs_f64() / exact.as_secs_f64();
-    eprintln!(
-        "network exact {exact:.2?} vs encode reference {reference:.2?} -> {speedup:.2}x (bar: 2x)"
-    );
-    criterion::record_metric("network-exact-vs-encode-reference", speedup, "x");
-    if !criterion::quick_mode() {
-        assert!(
-            speedup >= 2.0,
-            "the network's exact tier must beat the dense encode reference by >= 2x, got {speedup:.2}x"
-        );
-    }
 }
 
 /// The acceptance bar, self-enforced like the `ingest` bench's heap and

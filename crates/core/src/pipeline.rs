@@ -4,7 +4,7 @@ use nr_encode::{EncodeError, Encoder};
 use nr_nn::{Mlp, Trainer};
 use nr_prune::{prune, PruneConfig};
 use nr_rulex::{extract, RxConfig, RxError};
-use nr_tabular::Dataset;
+use nr_tabular::{Dataset, Schema};
 
 use crate::{Model, PipelineReport};
 
@@ -135,7 +135,10 @@ impl NeuroRule {
     }
 
     /// Runs the full pipeline on a training set. The configuration is
-    /// validated here, not in the builders, because every field is public.
+    /// validated here, not in the builders, because every field is public:
+    /// a configured encoder must pass [`Encoder::validate`] and fit the
+    /// training schema (same arity, and per attribute the same kind and
+    /// category count), or the fit fails with [`PipelineError::Encode`].
     pub fn fit(&self, train: &Dataset) -> Result<Model, PipelineError> {
         if self.hidden_nodes == 0 {
             return Err(PipelineError::NoHiddenNodes);
@@ -144,7 +147,11 @@ impl NeuroRule {
             return Err(PipelineError::EmptyTrainingSet);
         }
         let encoder = match &self.encoder {
-            Some(e) => e.clone(),
+            Some(e) => {
+                e.validate()?;
+                check_schema(e, train.schema())?;
+                e.clone()
+            }
             None if self.encoder_bins < 2 => {
                 return Err(PipelineError::TooFewEncoderBins(self.encoder_bins))
             }
@@ -202,4 +209,37 @@ impl NeuroRule {
             },
         })
     }
+}
+
+/// Fails unless `schema` has the encoder's arity and, attribute by
+/// attribute, its kind and category count (names may differ).
+fn check_schema(encoder: &Encoder, schema: &Schema) -> Result<(), EncodeError> {
+    let want = encoder.schema();
+    let mismatch = |msg: String| Err(EncodeError::SchemaMismatch(msg));
+    if want.arity() != schema.arity() {
+        return mismatch(format!(
+            "the encoder has {} attributes, the training set {}",
+            want.arity(),
+            schema.arity()
+        ));
+    }
+    let kind = |categories: Option<usize>| match categories {
+        None => "numeric".to_string(),
+        Some(n) => format!("nominal with {n} categories"),
+    };
+    for (a, (w, g)) in want
+        .attributes()
+        .iter()
+        .zip(schema.attributes())
+        .enumerate()
+    {
+        if w.cardinality() != g.cardinality() {
+            return mismatch(format!(
+                "attribute {a} is {} for the encoder, {} in the training set",
+                kind(w.cardinality()),
+                kind(g.cardinality())
+            ));
+        }
+    }
+    Ok(())
 }

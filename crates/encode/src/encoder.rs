@@ -1,6 +1,6 @@
 //! The schema-level encoder: bit layout and dataset encoding.
 
-use nr_tabular::{ClassId, Column, Dataset, DatasetView, Schema, Value};
+use nr_tabular::{ClassId, Dataset, DatasetView, Schema, Value};
 use serde::{Deserialize, Serialize};
 
 use crate::{AttrCoding, BitMeaning};
@@ -19,27 +19,24 @@ pub struct Encoder {
 }
 
 impl Encoder {
-    /// Builds an encoder from explicit per-attribute codings.
+    /// Builds an encoder from explicit per-attribute codings. Fails with
+    /// [`Encoder::validate`]'s error when the codings do not fit the
+    /// schema, so every constructed encoder can be interval-coded.
     pub fn new(schema: Schema, codings: Vec<AttrCoding>) -> Result<Self, crate::EncodeError> {
-        if schema.arity() != codings.len() {
-            return Err(crate::EncodeError::SchemaMismatch(format!(
-                "{} attributes vs {} codings",
-                schema.arity(),
-                codings.len()
-            )));
-        }
         let mut offsets = Vec::with_capacity(codings.len());
         let mut n = 0usize;
         for c in &codings {
             offsets.push(n);
             n += c.bits();
         }
-        Ok(Encoder {
+        let encoder = Encoder {
             schema,
             codings,
             offsets,
             n_data_bits: n,
-        })
+        };
+        encoder.validate()?;
+        Ok(encoder)
     }
 
     /// The Table 2 encoder for the Agrawal schema: 86 data bits + bias.
@@ -160,9 +157,8 @@ impl Encoder {
         Encoder::new(schema, codings)
     }
 
-    /// Checks the invariants encoding and scoring rely on
-    /// ([`Encoder::new`] checks only the coding count, and a
-    /// deserialized encoder carries no guarantee at all): one coding per
+    /// Checks the invariants encoding and scoring rely on ([`Encoder::new`]
+    /// runs it; a deserialized encoder carries no guarantee): one coding per
     /// attribute, spans laid out back to back, a thermometer only on a
     /// numeric attribute with ascending, non-NaN thresholds, and a
     /// one-hot coding only on a nominal attribute with the same number of
@@ -301,45 +297,32 @@ impl Encoder {
         out
     }
 
-    /// Encodes a whole dataset.
-    ///
-    /// The fill is column-major over the dataset's typed columns: each
-    /// attribute's coding walks one contiguous `Vec<f64>`/`Vec<u32>` and
-    /// scatters its bit span into every output row — no per-row `Vec<Value>`
-    /// is ever materialized.
+    /// Encodes a whole dataset (see [`Encoder::encode_view`]).
     pub fn encode_dataset(&self, ds: &Dataset) -> EncodedDataset {
         self.encode_view(&ds.view())
     }
 
     /// Encodes a row selection (e.g. a cross-validation fold) without
-    /// materializing it.
+    /// materializing it: the [`IntervalCoder`](crate::IntervalCoder)
+    /// writes the rows straight into the set-bit layout.
+    ///
+    /// # Panics
+    ///
+    /// When the encoder fails [`Encoder::validate`] (only reachable by
+    /// deserializing one), or when an attribute of the view's schema is
+    /// missing or has another kind than this encoder's schema.
     pub fn encode_view(&self, view: &DatasetView<'_>) -> EncodedDataset {
-        let cols = self.n_inputs();
-        let rows = view.len();
-        let mut data = vec![0.0; rows * cols];
-        for (a, coding) in self.codings.iter().enumerate() {
-            let (start, len) = self.span(a);
-            match view.dataset().column(a) {
-                Column::Num(_) => {
-                    for (i, x) in view.num_column(a).enumerate() {
-                        let at = i * cols + start;
-                        coding.encode(&Value::Num(x), &mut data[at..at + len]);
-                    }
-                }
-                Column::Nominal(_) => {
-                    for (i, c) in view.nominal_column(a).enumerate() {
-                        let at = i * cols + start;
-                        coding.encode(&Value::Nominal(c), &mut data[at..at + len]);
-                    }
-                }
-            }
-        }
-        let bias = self.n_data_bits;
-        for i in 0..rows {
-            data[i * cols + bias] = 1.0;
-        }
-        let targets: Vec<ClassId> = view.labels().collect();
-        EncodedDataset::from_parts(data, cols, targets, view.n_classes())
+        let coder = self
+            .interval_coder()
+            .expect("encoder passes Encoder::validate");
+        let (mut indices, mut offsets) = (Vec::new(), Vec::new());
+        coder.encode_rows(view, 0..view.len(), &mut indices, &mut offsets);
+        EncodedDataset::from_bits(
+            BinaryInputs { indices, offsets },
+            self.n_inputs(),
+            view.labels().collect(),
+            view.n_classes(),
+        )
     }
 }
 
@@ -361,32 +344,28 @@ fn agrawal_schema_local() -> Schema {
     ])
 }
 
-/// A dataset encoded to network inputs: a dense row-major matrix of 0/1
-/// values (plus the bias column) and integer class targets.
+/// A dataset encoded to network inputs: each row's set input columns
+/// (the bias column included) and integer class targets.
 ///
-/// Alongside the per-row accessors, the encoded data is held in the batch
-/// layout the network's matrix kernels consume — one contiguous row-major
-/// inputs buffer plus a one-hot target matrix, both built once at encoding
-/// time and exposed through [`EncodedDataset::batch`].
+/// The paper's thermometer/one-hot coding (Table 2) produces inputs that
+/// are exactly 0.0 or 1.0, so the set bits are the whole input: the
+/// network's batch kernels read the rows straight from
+/// [`EncodedDataset::binary_inputs`], next to a one-hot target matrix
+/// built once at encoding time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EncodedDataset {
-    data: Vec<f64>,
+    bits: BinaryInputs,
     cols: usize,
     targets: Vec<ClassId>,
     n_classes: usize,
     /// Row-major `rows × n_classes` one-hot expansion of `targets`.
     onehot: Vec<f64>,
-    /// Set-bit layout of `data`, present when every entry is exactly 0/1.
-    bits: Option<BinaryInputs>,
 }
 
-/// Compressed set-bit (CSR-style) layout of a strictly-0/1 input matrix.
+/// Compressed set-bit (CSR-style) layout of a 0/1 input matrix.
 ///
-/// The paper's thermometer/one-hot coding (Table 2) produces inputs that
-/// are exactly 0.0 or 1.0, so a row's contribution to `X·Wᵀ` is a plain
-/// gather-sum over its set bits — a fraction of the dense multiply-adds.
-/// Built once at encoding time; consumers fall back to the dense buffer
-/// when the data is not binary.
+/// A row's contribution to `X·Wᵀ` is a plain gather-sum over its set
+/// bits — a fraction of the dense multiply-adds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BinaryInputs {
     /// Set-bit column indices, ascending within each row, rows concatenated.
@@ -396,39 +375,6 @@ pub struct BinaryInputs {
 }
 
 impl BinaryInputs {
-    /// Builds the layout, or `None` when any entry is not exactly 0/1.
-    fn detect(data: &[f64], cols: usize) -> Option<BinaryInputs> {
-        if cols == 0 {
-            return None;
-        }
-        let rows = data.len() / cols;
-        let mut indices = Vec::with_capacity(data.len() / 4);
-        let mut offsets = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        for r in 0..rows {
-            for (c, &v) in data[r * cols..(r + 1) * cols].iter().enumerate() {
-                if v == 1.0 {
-                    indices.push(c as u32);
-                } else if v != 0.0 {
-                    return None;
-                }
-            }
-            offsets.push(indices.len());
-        }
-        Some(BinaryInputs { indices, offsets })
-    }
-
-    /// Number of rows described.
-    pub fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Set-bit column indices of row `i`, ascending.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[u32] {
-        &self.indices[self.offsets[i]..self.offsets[i + 1]]
-    }
-
     /// All set-bit indices, rows concatenated (see [`BinaryInputs::offsets`]).
     #[inline]
     pub fn indices(&self) -> &[u32] {
@@ -442,39 +388,48 @@ impl BinaryInputs {
     }
 }
 
-/// Borrowed dense batch view of an [`EncodedDataset`]: the whole dataset as
-/// two contiguous row-major matrices, ready for matrix-matrix kernels.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EncodedBatch<'a> {
-    /// All input rows, row-major (`rows × cols`, bias column included).
-    pub inputs: &'a [f64],
-    /// One-hot targets, row-major (`rows × n_classes`).
-    pub targets_onehot: &'a [f64],
-    /// Number of rows.
-    pub rows: usize,
-    /// Number of input columns.
-    pub cols: usize,
-    /// Number of classes (columns of `targets_onehot`).
-    pub n_classes: usize,
-    /// Set-bit layout of `inputs` when the data is strictly 0/1
-    /// (always the case for the paper's Table-2 coding).
-    pub bits: Option<&'a BinaryInputs>,
-}
-
 impl EncodedDataset {
-    /// Builds an encoded dataset from raw parts (used by subnetwork training).
+    /// Builds an encoded dataset from a dense row-major matrix of `cols`
+    /// columns (used by subnetwork training and tests). Only the set bits
+    /// are kept.
+    ///
+    /// # Panics
+    ///
+    /// On a ragged matrix, a target count other than the row count, a
+    /// target of `n_classes` or more, or an entry that is not exactly
+    /// 0.0 or 1.0.
     pub fn from_parts(
-        data: Vec<f64>,
+        dense: Vec<f64>,
         cols: usize,
         targets: Vec<ClassId>,
         n_classes: usize,
     ) -> Self {
-        assert_eq!(data.len() % cols.max(1), 0, "ragged matrix");
+        assert_eq!(dense.len() % cols.max(1), 0, "ragged matrix");
         assert_eq!(
-            data.len() / cols.max(1),
+            dense.len() / cols.max(1),
             targets.len(),
             "target count mismatch"
         );
+        assert!(u32::try_from(cols).is_ok(), "{cols} columns overflow u32");
+        let mut indices = Vec::new();
+        let mut offsets = Vec::with_capacity(targets.len() + 1);
+        offsets.push(0);
+        for (r, row) in dense.chunks(cols.max(1)).enumerate() {
+            for (c, &v) in row.iter().enumerate() {
+                if v == 1.0 {
+                    indices.push(c as u32);
+                } else {
+                    assert!(v == 0.0, "entry {v} at row {r}, column {c} is not 0/1");
+                }
+            }
+            offsets.push(indices.len());
+        }
+        Self::from_bits(BinaryInputs { indices, offsets }, cols, targets, n_classes)
+    }
+
+    /// Wraps a set-bit layout with one row per target.
+    fn from_bits(bits: BinaryInputs, cols: usize, targets: Vec<ClassId>, n_classes: usize) -> Self {
+        debug_assert_eq!(bits.offsets.len(), targets.len() + 1);
         let mut onehot = vec![0.0; targets.len() * n_classes];
         for (i, &t) in targets.iter().enumerate() {
             assert!(
@@ -483,14 +438,12 @@ impl EncodedDataset {
             );
             onehot[i * n_classes + t] = 1.0;
         }
-        let bits = BinaryInputs::detect(&data, cols);
         EncodedDataset {
-            data,
+            bits,
             cols,
             targets,
             n_classes,
             onehot,
-            bits,
         }
     }
 
@@ -509,10 +462,10 @@ impl EncodedDataset {
         self.n_classes
     }
 
-    /// Input vector of row `i`.
+    /// Set input columns of row `i`, ascending.
     #[inline]
-    pub fn input(&self, i: usize) -> &[f64] {
-        &self.data[i * self.cols..(i + 1) * self.cols]
+    pub fn row_bits(&self, i: usize) -> &[u32] {
+        &self.bits.indices[self.bits.offsets[i]..self.bits.offsets[i + 1]]
     }
 
     /// Class target of row `i`.
@@ -526,12 +479,6 @@ impl EncodedDataset {
         &self.targets
     }
 
-    /// All input rows as one contiguous row-major buffer (`rows × cols`).
-    #[inline]
-    pub fn inputs_flat(&self) -> &[f64] {
-        &self.data
-    }
-
     /// One-hot targets as one contiguous row-major buffer
     /// (`rows × n_classes`).
     #[inline]
@@ -539,24 +486,11 @@ impl EncodedDataset {
         &self.onehot
     }
 
-    /// Set-bit layout of the inputs, when they are strictly 0/1.
+    /// Every row's set input columns, in the layout the network's batch
+    /// kernels consume.
     #[inline]
-    pub fn binary_inputs(&self) -> Option<&BinaryInputs> {
-        self.bits.as_ref()
-    }
-
-    /// The whole dataset as a dense batch (built once at encoding time;
-    /// this is a zero-cost borrow).
-    #[inline]
-    pub fn batch(&self) -> EncodedBatch<'_> {
-        EncodedBatch {
-            inputs: &self.data,
-            targets_onehot: &self.onehot,
-            rows: self.targets.len(),
-            cols: self.cols,
-            n_classes: self.n_classes,
-            bits: self.bits.as_ref(),
-        }
+    pub fn binary_inputs(&self) -> &BinaryInputs {
+        &self.bits
     }
 }
 
@@ -709,7 +643,11 @@ mod tests {
         assert_eq!(enc.cols(), 87);
         assert_eq!(enc.target(0), 0);
         assert_eq!(enc.target(1), 1);
-        assert_eq!(enc.input(0), enc.input(1));
+        assert_eq!(enc.row_bits(0), enc.row_bits(1));
+        // The batch encoding sets exactly the per-row encoding's ones.
+        let dense = e.encode_row(&ds.row_values(0));
+        let ones: Vec<u32> = (0..87u32).filter(|&c| dense[c as usize] == 1.0).collect();
+        assert_eq!(enc.row_bits(0), &ones[..]);
         assert_eq!(enc.n_classes(), 2);
     }
 
@@ -759,36 +697,31 @@ mod tests {
     fn batch_view_matches_per_row_accessors() {
         let ds =
             EncodedDataset::from_parts(vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0], 2, vec![0, 2, 1], 3);
-        let batch = ds.batch();
-        assert_eq!(batch.rows, 3);
-        assert_eq!(batch.cols, 2);
-        assert_eq!(batch.n_classes, 3);
+        assert_eq!(ds.rows(), 3);
+        assert_eq!(ds.cols(), 2);
+        assert_eq!(ds.n_classes(), 3);
+        let bits = ds.binary_inputs();
+        assert_eq!(bits.indices(), &[0, 1, 0, 1]);
+        assert_eq!(bits.offsets(), &[0, 1, 2, 4]);
+        assert_eq!(ds.row_bits(0), &[0]);
+        assert_eq!(ds.row_bits(1), &[1]);
+        assert_eq!(ds.row_bits(2), &[0, 1]);
         for i in 0..3 {
-            assert_eq!(&batch.inputs[i * 2..(i + 1) * 2], ds.input(i));
-            let onehot = &batch.targets_onehot[i * 3..(i + 1) * 3];
+            let onehot = &ds.targets_onehot()[i * 3..(i + 1) * 3];
             for (c, &v) in onehot.iter().enumerate() {
                 assert_eq!(v, if c == ds.target(i) { 1.0 } else { 0.0 });
             }
         }
-        assert_eq!(ds.inputs_flat().len(), 6);
         assert_eq!(ds.targets_onehot().len(), 9);
-        // Strictly-0/1 data carries the set-bit layout.
-        let bits = batch.bits.expect("binary data");
-        assert_eq!(bits.rows(), 3);
-        assert_eq!(bits.row(0), &[0]);
-        assert_eq!(bits.row(1), &[1]);
-        assert_eq!(bits.row(2), &[0, 1]);
+        // An all-zero row has no set bits.
+        let ds = EncodedDataset::from_parts(vec![0.0, 0.0], 2, vec![0], 2);
+        assert_eq!(ds.row_bits(0), &[] as &[u32]);
     }
 
     #[test]
-    fn non_binary_data_has_no_bit_layout() {
-        let ds = EncodedDataset::from_parts(vec![0.5, 1.0], 1, vec![0, 1], 2);
-        assert!(ds.binary_inputs().is_none());
-        assert!(ds.batch().bits.is_none());
-        // An empty binary row still counts as binary.
-        let ds = EncodedDataset::from_parts(vec![0.0, 0.0], 2, vec![0], 2);
-        let bits = ds.binary_inputs().expect("all zeros is binary");
-        assert_eq!(bits.row(0), &[] as &[u32]);
+    #[should_panic(expected = "is not 0/1")]
+    fn from_parts_rejects_non_binary_entries() {
+        let _ = EncodedDataset::from_parts(vec![0.5, 1.0], 1, vec![0, 1], 2);
     }
 
     #[test]

@@ -307,8 +307,8 @@ mod tests {
         let ds = Generator::new(5).dataset(Function::F2, 200);
         let encoded = e.encode_dataset(&ds);
         for i in 0..encoded.rows() {
-            let x = encoded.input(i);
-            let restricted: Vec<bool> = ps.bits.iter().map(|&b| x[b] == 1.0).collect();
+            let x = encoded.row_bits(i);
+            let restricted: Vec<bool> = ps.bits.iter().map(|&b| x.contains(&(b as u32))).collect();
             assert!(
                 ps.patterns.contains(&restricted),
                 "observed pattern {restricted:?} missing from enumeration"

@@ -8,10 +8,9 @@
 //! (none for a code outside the coding). [`IntervalCoder`] precomputes,
 //! per (attribute, interval), that interval's set input columns (always
 //! one contiguous run) and then writes rows straight into the ascending
-//! set-bit (CSR) layout the network's `gemm_bits_nt` kernel consumes.
-//! The lists are exactly what [`BinaryInputs`](crate::BinaryInputs)
-//! detects from [`Encoder::encode_view`]'s dense rows, bias column
-//! included.
+//! set-bit (CSR) layout the network's batch kernels consume. The lists
+//! are the set columns of [`Encoder::encode_row`]'s 0/1 vector, bias
+//! column included. [`Encoder::encode_view`] encodes through this coder.
 
 use std::ops::Range;
 
@@ -102,8 +101,7 @@ impl IntervalCoder {
     /// Writes view rows `rows` in set-bit (CSR) layout, replacing the
     /// contents of both buffers: row `i` of the range is
     /// `indices[offsets[i]..offsets[i + 1]]`, ascending, bias last —
-    /// exactly the [`BinaryInputs`](crate::BinaryInputs) rows of
-    /// [`Encoder::encode_view`] over the same rows.
+    /// exactly the set columns of [`Encoder::encode_row`] on that row.
     ///
     /// Interval indices are found one column at a time (a streaming
     /// pass down each typed column), then each row's runs are emitted.
@@ -286,19 +284,30 @@ mod tests {
         let e = Encoder::fit(&ds, 4).unwrap();
         let coder = e.interval_coder().unwrap();
         let view = ds.view_of(vec![39, 0, 7, 7, 20, 13]);
-        let reference = e.encode_view(&view);
-        let bits = reference.binary_inputs().unwrap();
+        let reference: Vec<Vec<u32>> = (0..view.len())
+            .map(|i| ones(&e.encode_row(&view.row_values(i))))
+            .collect();
         let (mut indices, mut offsets) = (Vec::new(), Vec::new());
         coder.encode_rows(&view, 0..view.len(), &mut indices, &mut offsets);
         assert_eq!(offsets.len(), view.len() + 1);
+        let encoded = e.encode_view(&view);
         for i in 0..view.len() {
-            assert_eq!(&indices[offsets[i]..offsets[i + 1]], bits.row(i), "row {i}");
+            assert_eq!(
+                &indices[offsets[i]..offsets[i + 1]],
+                &reference[i][..],
+                "row {i}"
+            );
+            assert_eq!(
+                encoded.row_bits(i),
+                &reference[i][..],
+                "encode_view row {i}"
+            );
         }
         // A sub-range starts its offsets at zero.
         coder.encode_rows(&view, 2..5, &mut indices, &mut offsets);
         assert_eq!(offsets[0], 0);
         for i in 0..3 {
-            assert_eq!(&indices[offsets[i]..offsets[i + 1]], bits.row(i + 2));
+            assert_eq!(&indices[offsets[i]..offsets[i + 1]], &reference[i + 2][..]);
         }
     }
 
@@ -307,7 +316,7 @@ mod tests {
         let e = Encoder::agrawal();
         let mut codings = e.codings().to_vec();
         codings.swap(0, 4); // one-hot on salary, thermometer on car
-        let bad = Encoder::new(e.schema().clone(), codings).unwrap();
-        assert!(bad.interval_coder().is_err());
+        let err = Encoder::new(e.schema().clone(), codings).unwrap_err();
+        assert!(matches!(err, EncodeError::SchemaMismatch(_)), "{err:?}");
     }
 }

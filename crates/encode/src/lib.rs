@@ -14,10 +14,12 @@
 //! one-hot exclusivity) must be recognized as infeasible and discarded — the
 //! paper's rule R′₁ is exactly such a case. This crate owns both directions:
 //!
-//! * [`Encoder`] — schema ⇒ bit layout, row ⇒ `f64` bit vector (+ bias);
+//! * [`Encoder`] — schema ⇒ bit layout; one row ⇒ `f64` bit vector
+//!   (+ bias), the per-row reference; a dataset or view ⇒
+//!   [`EncodedDataset`], which holds each row's set bits only;
 //! * [`IntervalCoder`] — the same coding as per-attribute interval
-//!   indices, writing rows straight into the set-bit layout (the serving
-//!   path: no dense matrix);
+//!   indices, writing rows straight into the set-bit layout (the one
+//!   batch encoder, behind both training and serving);
 //! * [`BitMeaning`] — what each bit asserts about its attribute;
 //! * [`literals_to_rule`] — literal conjunction ⇒ [`nr_rules::Rule`]
 //!   (or `None` when infeasible);
@@ -44,7 +46,7 @@ mod interval;
 mod rewrite;
 
 pub use coding::{AttrCoding, BitMeaning};
-pub use encoder::{BinaryInputs, EncodedBatch, EncodedDataset, Encoder};
+pub use encoder::{BinaryInputs, EncodedDataset, Encoder};
 pub use feasible::{enumerate_feasible, is_feasible, PatternSpace};
 pub use interval::IntervalCoder;
 pub use rewrite::{

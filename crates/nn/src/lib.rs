@@ -44,7 +44,7 @@ mod trainer;
 
 pub use activation::Activation;
 pub use describe::{describe, summarize, NetworkSummary};
-pub use matrix::{axpy, gemm_bits_nt, gemm_nn, gemm_nt, gemm_tn_acc, gemm_tn_bits_acc, Matrix};
+pub use matrix::Matrix;
 pub use mlp::{argmax, LinkId, Mlp};
 pub use objective::{CrossEntropyObjective, Penalty};
 pub use par::{map_indexed_scoped, resolve_threads};

@@ -182,7 +182,7 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
 
 /// `out += alpha · x` over flat slices.
 #[inline]
-pub fn axpy(alpha: f64, x: &[f64], out: &mut [f64]) {
+pub(crate) fn axpy(alpha: f64, x: &[f64], out: &mut [f64]) {
     debug_assert_eq!(x.len(), out.len());
     for (o, &v) in out.iter_mut().zip(x) {
         *o += alpha * v;
@@ -198,7 +198,7 @@ pub fn axpy(alpha: f64, x: &[f64], out: &mut [f64]) {
 /// accumulator chains; each individual output is still accumulated in
 /// ascending `k` order, keeping the result bit-identical to a scalar
 /// `z += a·b` loop.
-pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+pub(crate) fn gemm_nt(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), n * k, "B shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
@@ -260,7 +260,7 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f6
 /// has no loop-carried dependency and vectorizes cleanly. Accumulation
 /// per output element is in ascending `k` order, matching a per-row
 /// `grad += delta·activation` loop bit for bit.
-pub fn gemm_tn_acc(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+pub(crate) fn gemm_tn_acc(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     assert_eq!(a.len(), k * m, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
@@ -284,7 +284,7 @@ pub fn gemm_tn_acc(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut
 /// Used to back-propagate output deltas through the hidden→output weights
 /// (`D · V`). Row-of-`B` axpy inner loop; per-element accumulation in
 /// ascending `k` order, matching the per-row `Σ_p δ_p·v` loop.
-pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+pub(crate) fn gemm_nn(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
     assert_eq!(a.len(), m * k, "A shape mismatch");
     assert_eq!(b.len(), k * n, "B shape mismatch");
     assert_eq!(out.len(), m * n, "output shape mismatch");
@@ -309,7 +309,7 @@ pub fn gemm_nn(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f6
 /// a fraction of the dense multiply-adds. Because the indices ascend and
 /// adding a `w·0.0` term to a non-negative-zero accumulator never changes
 /// its bits, the result is bit-identical to the dense [`gemm_nt`].
-pub fn gemm_bits_nt(
+pub(crate) fn gemm_bits_nt(
     m: usize,
     n: usize,
     k: usize,
@@ -375,7 +375,7 @@ pub fn gemm_bits_nt(
 /// binary inputs: each nonzero delta scatters itself onto its row's set
 /// bits (`δ·1.0 = δ` exactly), reproducing a dense accumulation that skips
 /// zero inputs bit for bit.
-pub fn gemm_tn_bits_acc(
+pub(crate) fn gemm_tn_bits_acc(
     m: usize,
     n: usize,
     k: usize,

@@ -313,42 +313,48 @@ impl Mlp {
         argmax(&out)
     }
 
-    /// Batched forward pass over `rows` row-major input rows, writing the
-    /// hidden activations (`rows × n_hidden`) and outputs (`rows × n_out`)
-    /// into the given buffers.
+    /// Batched forward pass over every row of an encoded dataset: returns
+    /// the hidden activations (`rows × n_hidden`) and outputs
+    /// (`rows × n_out`) as matrices.
     ///
-    /// Computed as `hidden = tanh(X·Wᵀ)`, `out = σ(hidden·Vᵀ)` with the
-    /// blocked [`crate::gemm_nt`] kernel; every row's result is
-    /// bit-identical to [`Mlp::forward_into`] on that row.
-    pub fn forward_batch_into(&self, x: &[f64], rows: usize, hidden: &mut [f64], out: &mut [f64]) {
-        assert_eq!(x.len(), rows * self.n_in, "input shape mismatch");
+    /// Computed as `hidden = tanh(X·Wᵀ)`, `out = σ(hidden·Vᵀ)` with `X·Wᵀ`
+    /// gathered over each row's set bits; every row's result is
+    /// bit-identical to [`Mlp::forward_into`] on that row's 0/1 vector.
+    pub fn forward_batch(&self, data: &EncodedDataset) -> (Matrix, Matrix) {
+        self.check_width(data);
+        let rows = data.rows();
+        let bits = data.binary_inputs();
+        let mut hidden = vec![0.0; rows * self.n_hidden];
+        let mut out = vec![0.0; rows * self.n_out];
         forward_kernel(
-            BatchInput::Dense(x),
-            rows,
+            bits.indices(),
+            bits.offsets(),
             (self.n_in, self.n_hidden, self.n_out),
             self.w.as_slice(),
             self.v.as_slice(),
-            hidden,
-            out,
+            &mut hidden,
+            &mut out,
         );
-    }
-
-    /// Batched forward pass, allocating: returns the hidden activations
-    /// (`rows × n_hidden`) and outputs (`rows × n_out`) as matrices.
-    pub fn forward_batch(&self, x: &[f64], rows: usize) -> (Matrix, Matrix) {
-        let mut hidden = vec![0.0; rows * self.n_hidden];
-        let mut out = vec![0.0; rows * self.n_out];
-        self.forward_batch_into(x, rows, &mut hidden, &mut out);
         (
             Matrix::from_raw(rows, self.n_hidden, hidden),
             Matrix::from_raw(rows, self.n_out, out),
         )
     }
 
+    /// Panics unless the dataset has one column per network input.
+    fn check_width(&self, data: &EncodedDataset) {
+        assert_eq!(
+            data.cols(),
+            self.n_in,
+            "network inputs must match encoded data columns"
+        );
+    }
+
     /// Counts the rows whose argmax output equals the target, on
     /// fixed-size chunks dispatched to the shared worker pool (inline for
     /// single-chunk datasets), summing the per-chunk counts in chunk order.
     fn count_rows(&self, data: &EncodedDataset) -> usize {
+        self.check_width(data);
         let dims = (self.n_in, self.n_hidden, self.n_out);
         let rows = data.rows();
         let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
@@ -370,9 +376,13 @@ impl Mlp {
     /// scratch (and worker threads when the batch spans several chunks);
     /// per-row results equal [`Mlp::classify`] bit for bit.
     pub fn classify_batch_into(&self, data: &EncodedDataset, preds: &mut Vec<usize>) {
+        self.check_width(data);
         self.map_rows(
             data.rows(),
-            |range, run| run(BatchInput::select(&data.batch(), &range, self.n_in)),
+            |range, run| {
+                let (indices, offsets) = chunk_bits(data, &range);
+                run(indices, offsets)
+            },
             argmax,
             preds,
         );
@@ -385,21 +395,6 @@ impl Mlp {
         preds
     }
 
-    /// Predicted class **and the winning output activation** for every
-    /// row of an encoded dataset. Same pooled fixed-chunk traversal as
-    /// [`Mlp::classify_batch`]; per-row results equal [`Mlp::forward`] +
-    /// argmax bit for bit.
-    pub fn classify_scored_batch(&self, data: &EncodedDataset) -> Vec<(usize, f64)> {
-        let mut preds = Vec::with_capacity(data.rows());
-        self.map_rows(
-            data.rows(),
-            |range, run| run(BatchInput::select(&data.batch(), &range, self.n_in)),
-            argmax_scored,
-            &mut preds,
-        );
-        preds
-    }
-
     /// Forward pass over `rows` strictly-0/1 input rows supplied chunk by
     /// chunk as set bits, with no dense input matrix — the serving path.
     /// For every fixed-size row chunk (pooled like
@@ -409,8 +404,8 @@ impl Mlp {
     /// columns. `per_row` maps each row's output activations, and the
     /// results are appended to `out` in row order.
     ///
-    /// This is the set-bit kernel sequence [`Mlp::classify_batch`] runs on
-    /// an encoded dataset's set-bit layout, so every row's outputs equal
+    /// This is the kernel sequence [`Mlp::classify_batch`] runs on an
+    /// encoded dataset's set bits, so every row's outputs equal
     /// [`Mlp::forward`] on the dense 0/1 vector bit for bit, whatever the
     /// thread count.
     pub fn map_set_bit_rows<T: Send>(
@@ -427,10 +422,7 @@ impl Mlp {
                 let (mut indices, mut offsets) = (Vec::new(), Vec::new());
                 encode(range, &mut indices, &mut offsets);
                 assert_eq!(offsets.len(), n + 1, "one offset per row plus the end");
-                run(BatchInput::Bits {
-                    indices: &indices,
-                    offsets: &offsets,
-                })
+                run(&indices, &offsets)
             },
             per_row,
             out,
@@ -438,23 +430,22 @@ impl Mlp {
     }
 
     /// The pooled chunk traversal behind every batch prediction: for each
-    /// fixed-size row chunk, `input(range, run)` hands the chunk's input
+    /// fixed-size row chunk, `input(range, run)` hands the chunk's set-bit
     /// rows to `run`, which runs the forward pass on thread-local scratch
     /// and maps each row's outputs through `per_row`. Chunk results are
     /// appended to `out` in row order.
     fn map_rows<T: Send>(
         &self,
         rows: usize,
-        input: impl Fn(Range<usize>, &dyn Fn(BatchInput<'_>) -> Vec<T>) -> Vec<T> + Sync,
+        input: impl Fn(Range<usize>, &dyn Fn(&[u32], &[usize]) -> Vec<T>) -> Vec<T> + Sync,
         per_row: impl Fn(&[f64]) -> T + Sync,
         out: &mut Vec<T>,
     ) {
         let dims = (self.n_in, self.n_hidden, self.n_out);
         let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
         let chunks = crate::par::map_chunks(rows, threads, |_c, range| {
-            let n = range.len();
-            input(range, &|batch| {
-                scratch_forward(batch, n, dims, &self.w, &self.v, |outs| {
+            input(range, &|indices, offsets| {
+                scratch_forward(indices, offsets, dims, &self.w, &self.v, |outs| {
                     outs.chunks_exact(self.n_out).map(&per_row).collect()
                 })
             })
@@ -488,28 +479,38 @@ fn chunk_forward<T>(
     v: &Matrix,
     f: impl FnOnce(&[f64]) -> T,
 ) -> T {
-    let batch = data.batch();
-    let input = BatchInput::select(&batch, &range, dims.0);
-    scratch_forward(input, range.len(), dims, w, v, f)
+    let (indices, offsets) = chunk_bits(data, &range);
+    scratch_forward(indices, offsets, dims, w, v, f)
 }
 
-/// [`forward_kernel`] over `rows` input rows into thread-local scratch,
-/// handing the output activations (`rows × o`, row-major) to `f`.
+/// The set bits of `data`'s rows `range`: all indices, and the range's
+/// `range.len() + 1` absolute offsets into them.
+pub(crate) fn chunk_bits<'a>(
+    data: &'a EncodedDataset,
+    range: &Range<usize>,
+) -> (&'a [u32], &'a [usize]) {
+    let bits = data.binary_inputs();
+    (bits.indices(), &bits.offsets()[range.start..=range.end])
+}
+
+/// [`forward_kernel`] into thread-local scratch, handing the output
+/// activations (`rows × o`, row-major) to `f`.
 fn scratch_forward<T>(
-    input: BatchInput<'_>,
-    rows: usize,
+    indices: &[u32],
+    offsets: &[usize],
     (n_in, h, o): (usize, usize, usize),
     w: &Matrix,
     v: &Matrix,
     f: impl FnOnce(&[f64]) -> T,
 ) -> T {
+    let rows = offsets.len() - 1;
     crate::par::with_scratch(&[rows * h, rows * o], |bufs| {
         let [hidden, out] = bufs else {
             unreachable!("two scratch buffers requested");
         };
         forward_kernel(
-            input,
-            rows,
+            indices,
+            offsets,
             (n_in, h, o),
             w.as_slice(),
             v.as_slice(),
@@ -520,42 +521,10 @@ fn scratch_forward<T>(
     })
 }
 
-/// Input rows for one batched forward pass: dense row-major data, or the
-/// set-bit layout of strictly-0/1 data.
-pub(crate) enum BatchInput<'a> {
-    /// Row-major `rows × n_in`.
-    Dense(&'a [f64]),
-    /// Per-row ascending set-bit column indices; `offsets` (length
-    /// `rows + 1`) holds absolute positions into `indices`.
-    Bits {
-        /// Concatenated set-bit indices.
-        indices: &'a [u32],
-        /// Per-row offsets into `indices`.
-        offsets: &'a [usize],
-    },
-}
-
-impl<'a> BatchInput<'a> {
-    /// The given row range of an encoded batch, preferring the set-bit
-    /// layout when the dataset carries one.
-    pub(crate) fn select(
-        batch: &nr_encode::EncodedBatch<'a>,
-        range: &std::ops::Range<usize>,
-        n_in: usize,
-    ) -> Self {
-        match batch.bits {
-            Some(bits) => BatchInput::Bits {
-                indices: bits.indices(),
-                offsets: &bits.offsets()[range.start..=range.end],
-            },
-            None => BatchInput::Dense(&batch.inputs[range.start * n_in..range.end * n_in]),
-        }
-    }
-}
-
 /// The one batched forward sequence every batch caller shares:
-/// `hidden = tanh(X·Wᵀ)`, `out = σ(hidden·Vᵀ)`, with the input-layer
-/// product dispatched to the dense or set-bit kernel.
+/// `hidden = tanh(X·Wᵀ)`, `out = σ(hidden·Vᵀ)`, where `X` is a 0/1 matrix
+/// given by its set bits: row `i` is `indices[offsets[i]..offsets[i + 1]]`
+/// (`offsets` holds `rows + 1` absolute positions).
 ///
 /// `dims` is `(n_in, n_hidden, n_out)`; `w` is `n_hidden × n_in` and `v`
 /// is `n_out × n_hidden`, both row-major (either a network's weights or
@@ -564,8 +533,8 @@ impl<'a> BatchInput<'a> {
 /// the equivalence tests in `tests/batch_parallel.rs` pin this function
 /// for all callers at once.
 pub(crate) fn forward_kernel(
-    input: BatchInput<'_>,
-    rows: usize,
+    indices: &[u32],
+    offsets: &[usize],
     dims: (usize, usize, usize),
     w: &[f64],
     v: &[f64],
@@ -573,14 +542,10 @@ pub(crate) fn forward_kernel(
     out: &mut [f64],
 ) {
     let (n_in, n_hidden, n_out) = dims;
+    let rows = offsets.len() - 1;
     assert_eq!(hidden.len(), rows * n_hidden, "hidden shape mismatch");
     assert_eq!(out.len(), rows * n_out, "output shape mismatch");
-    match input {
-        BatchInput::Dense(x) => crate::matrix::gemm_nt(rows, n_hidden, n_in, x, w, hidden),
-        BatchInput::Bits { indices, offsets } => {
-            crate::matrix::gemm_bits_nt(rows, n_hidden, n_in, indices, offsets, w, hidden)
-        }
-    }
+    crate::matrix::gemm_bits_nt(rows, n_hidden, n_in, indices, offsets, w, hidden);
     for a in hidden.iter_mut() {
         *a = Activation::Tanh.apply(*a);
     }
@@ -601,12 +566,6 @@ pub fn argmax(xs: &[f64]) -> usize {
         }
     }
     best
-}
-
-/// [`argmax`] with the winning activation: `(class, outputs[class])`.
-fn argmax_scored(outputs: &[f64]) -> (usize, f64) {
-    let class = argmax(outputs);
-    (class, outputs[class])
 }
 
 #[cfg(test)]
@@ -789,28 +748,10 @@ mod tests {
     fn classify_and_accuracy() {
         let net = tiny();
         let data =
-            nr_encode::EncodedDataset::from_parts(vec![1.0, 1.0, -1.0, 1.0], 2, vec![0, 0], 1);
+            nr_encode::EncodedDataset::from_parts(vec![1.0, 1.0, 0.0, 1.0], 2, vec![0, 0], 1);
         // Single output: argmax is always node 0.
         assert_eq!(net.classify(&[1.0, 1.0]), 0);
         assert_eq!(net.accuracy(&data), 1.0);
-    }
-
-    #[test]
-    fn scored_batch_matches_per_row_forward() {
-        let net = tiny();
-        let data = nr_encode::EncodedDataset::from_parts(
-            vec![1.0, 1.0, -1.0, 1.0, 0.0, 1.0],
-            2,
-            vec![0, 0, 0],
-            1,
-        );
-        let scored = net.classify_scored_batch(&data);
-        assert_eq!(scored.len(), 3);
-        for (i, &(class, score)) in scored.iter().enumerate() {
-            let (_, out) = net.forward(data.input(i));
-            assert_eq!(class, argmax(&out));
-            assert_eq!(score, out[class], "row {i} activation must be exact");
-        }
     }
 
     #[test]

@@ -71,11 +71,12 @@ impl Penalty {
 /// part of the optimization problem, which keeps BFGS's dense inverse
 /// Hessian small as pruning progresses.
 ///
-/// Evaluation runs on the dataset's dense batch layout
-/// ([`nr_encode::EncodedDataset::batch`]): the forward pass is two
-/// matrix-matrix products (`hidden = tanh(X·Wᵀ)`, `S = σ(hidden·Vᵀ)`) and
-/// the backward pass is the transposed products `dV = Dᵀ·hidden` and
-/// `dW = ((D·V) ⊙ (1−hidden²))ᵀ·X` with `D = S − T`. Rows are sharded
+/// Evaluation runs on the dataset's set-bit rows
+/// ([`nr_encode::EncodedDataset::binary_inputs`]): the forward pass is two
+/// matrix-matrix products (`hidden = tanh(X·Wᵀ)`, `S = σ(hidden·Vᵀ)`, the
+/// first a gather over each row's set bits) and the backward pass is the
+/// transposed products `dV = Dᵀ·hidden` and `dW = ((D·V) ⊙ (1−hidden²))ᵀ·X`
+/// (a scatter onto the set bits) with `D = S − T`. Rows are sharded
 /// into fixed-size chunks evaluated by worker threads and reduced in chunk
 /// order, so the value and gradient are bit-identical for every thread
 /// count (see [`CrossEntropyObjective::with_threads`]).
@@ -224,11 +225,11 @@ struct Partial {
 /// delta rules as transposed matmuls.
 fn eval_chunk(ctx: &EvalCtx<'_>, range: std::ops::Range<usize>) -> Partial {
     let (h, o, n_in) = (ctx.h, ctx.o, ctx.n_in);
-    let batch = ctx.data.batch();
+    let (indices, offsets) = crate::mlp::chunk_bits(ctx.data, &range);
     // One-hot targets match the output layer only when every output node
     // corresponds to a class; subnetwork objectives with extra output
     // nodes fall back to expanding targets on the fly.
-    let onehot = (o == batch.n_classes).then_some(batch.targets_onehot);
+    let onehot = (o == ctx.data.n_classes()).then_some(ctx.data.targets_onehot());
     let targets = ctx.data.targets();
     let n = range.len();
     // The n-proportional buffers come from the thread-local scratch cache
@@ -242,8 +243,8 @@ fn eval_chunk(ctx: &EvalCtx<'_>, range: std::ops::Range<usize>) -> Partial {
 
         // Forward pass over the assembled parameter matrices.
         crate::mlp::forward_kernel(
-            crate::mlp::BatchInput::select(&batch, &range, n_in),
-            n,
+            indices,
+            offsets,
             (n_in, h, o),
             ctx.w.as_slice(),
             ctx.v.as_slice(),
@@ -290,14 +291,7 @@ fn eval_chunk(ctx: &EvalCtx<'_>, range: std::ops::Range<usize>) -> Partial {
             *b *= Activation::Tanh.derivative_from_output(a);
         }
         let mut dw = vec![0.0; h * n_in];
-        match crate::mlp::BatchInput::select(&batch, &range, n_in) {
-            crate::mlp::BatchInput::Bits { indices, offsets } => {
-                crate::matrix::gemm_tn_bits_acc(h, n_in, n, back, indices, offsets, &mut dw)
-            }
-            crate::mlp::BatchInput::Dense(xs) => {
-                crate::matrix::gemm_tn_acc(h, n_in, n, back, xs, &mut dw)
-            }
-        }
+        crate::matrix::gemm_tn_bits_acc(h, n_in, n, back, indices, offsets, &mut dw);
         Partial { loss, dw, dv }
     })
 }

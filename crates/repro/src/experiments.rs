@@ -179,10 +179,6 @@ fn serving_section(source: &str, report: &BenchReport) -> String {
             "network batch (interval indices, set bits)",
             "/network-batch",
         ),
-        (
-            "network dense reference (`encode_view` + `classify_batch`)",
-            "/network-encode-reference",
-        ),
         ("hybrid (rules, network fallback)", "/hybrid"),
     ];
     for (label, suffix) in engines {
@@ -211,15 +207,6 @@ fn serving_section(source: &str, report: &BenchReport) -> String {
         } else {
             out.push('\n');
         }
-    }
-    if let (Some(net), Some(reference)) =
-        (find("/network-batch"), find("/network-encode-reference"))
-    {
-        out.push_str(&format!(
-            "\nScoring the network from interval indices is {:.1}× the dense\n\
-             encode reference it is pinned bit-identical to.\n",
-            reference.median_ns / net.median_ns
-        ));
     }
     out.push_str(&dag_subsection(report));
     out

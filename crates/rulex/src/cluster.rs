@@ -126,7 +126,7 @@ pub fn discretize_hidden(
     let nodes = net.live_hidden();
     // Precompute raw activations in one batched forward pass, then gather
     // the live-node columns: rows × live nodes.
-    let (hidden_batch, _) = net.forward_batch(data.inputs_flat(), data.rows());
+    let (hidden_batch, _) = net.forward_batch(data);
     let mut activations: Vec<Vec<f64>> = vec![Vec::with_capacity(data.rows()); nodes.len()];
     for i in 0..data.rows() {
         let hidden = hidden_batch.row(i);
@@ -175,7 +175,7 @@ pub fn discretized_accuracy(
     }
     // Raw activations come from one batched forward pass; only the
     // (cheap) discretized output layer is recomputed per row.
-    let (mut hidden_batch, _) = net.forward_batch(data.inputs_flat(), data.rows());
+    let (mut hidden_batch, _) = net.forward_batch(data);
     let mut out = vec![0.0; net.n_outputs()];
     let mut correct = 0usize;
     for i in 0..data.rows() {

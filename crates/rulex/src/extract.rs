@@ -474,7 +474,7 @@ fn hidden_node_dnf(
             }
             let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
             for i in 0..data.rows() {
-                let row = data.input(i);
+                let row = data.row_bits(i);
                 // Build the pattern over global_bits; local values come from
                 // the row (bit_map is how this net reads its inputs).
                 let pattern: Vec<usize> = global_bits
@@ -486,7 +486,7 @@ fn hidden_node_dnf(
                             .copied()
                             .find(|&l| bit_map[l] == gb)
                             .expect("global bit has a local source");
-                        usize::from(row[l] != 0.0)
+                        usize::from(row.binary_search(&(l as u32)).is_ok())
                     })
                     .collect();
                 seen.insert(pattern);

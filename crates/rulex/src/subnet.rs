@@ -66,11 +66,16 @@ pub fn subnet_dataset(
     let mut matrix = Vec::with_capacity(data.rows() * cols);
     let mut targets = Vec::with_capacity(data.rows());
     for i in 0..data.rows() {
-        let row = data.input(i);
+        let row = data.row_bits(i);
         let mut z = 0.0;
         for &l in &local_bits {
-            matrix.push(row[l]);
-            z += parent.w()[(node, l)] * row[l];
+            let x = if row.binary_search(&(l as u32)).is_ok() {
+                1.0
+            } else {
+                0.0
+            };
+            matrix.push(x);
+            z += parent.w()[(node, l)] * x;
         }
         matrix.push(1.0); // bias
         targets.push(model.assign(z.tanh()));
@@ -215,7 +220,7 @@ mod tests {
         assert_eq!(sub.target(3), 1);
         // Bias column is all ones.
         for i in 0..4 {
-            assert_eq!(sub.input(i)[2], 1.0);
+            assert_eq!(sub.row_bits(i).last(), Some(&2));
         }
     }
 

@@ -77,14 +77,14 @@ fn self_labeled(net: &Mlp, encoder: &Encoder, n: usize) -> nr_encode::EncodedDat
     let ds = Generator::new(3)
         .with_perturbation(0.05)
         .dataset(Function::F1, n);
-    let raw = encoder.encode_dataset(&ds);
-    let mut matrix = Vec::with_capacity(raw.rows() * raw.cols());
-    let mut targets = Vec::with_capacity(raw.rows());
-    for i in 0..raw.rows() {
-        matrix.extend_from_slice(raw.input(i));
-        targets.push(net.classify(raw.input(i)));
+    let mut matrix = Vec::with_capacity(ds.len() * encoder.n_inputs());
+    let mut targets = Vec::with_capacity(ds.len());
+    for i in 0..ds.len() {
+        let x = encoder.encode_row(&ds.row_values(i));
+        targets.push(net.classify(&x));
+        matrix.extend_from_slice(&x);
     }
-    nr_encode::EncodedDataset::from_parts(matrix, raw.cols(), targets, 2)
+    nr_encode::EncodedDataset::from_parts(matrix, encoder.n_inputs(), targets, 2)
 }
 
 #[test]
@@ -249,11 +249,19 @@ fn two_node_conjunction_network() {
     // And it must reproduce the network exactly on the training data.
     let mut agreement = 0usize;
     for i in 0..data.rows() {
-        let net_class = net.classify(data.input(i));
+        let x = data.row_bits(i);
+        let mut dense = vec![0.0; data.cols()];
+        for &b in x {
+            dense[b as usize] = 1.0;
+        }
+        let net_class = net.classify(&dense);
         // Rebuild the raw row to evaluate the rule (decode from the known
         // generator — simpler: rules fire iff bits I15 and I4 are set).
-        let x = data.input(i);
-        let rule_class = if x[14] == 1.0 && x[3] == 1.0 { 0 } else { 1 };
+        let rule_class = if x.contains(&14) && x.contains(&3) {
+            0
+        } else {
+            1
+        };
         if net_class == rule_class {
             agreement += 1;
         }
@@ -301,12 +309,12 @@ fn degenerate_fully_pruned_network() {
     clear(&mut net);
     // Label everything class 1 so the constant network is "accurate".
     let ds = Generator::new(9).dataset(Function::F1, 100);
-    let raw = encoder.encode_dataset(&ds);
     let mut matrix = Vec::new();
-    for i in 0..raw.rows() {
-        matrix.extend_from_slice(raw.input(i));
+    for i in 0..ds.len() {
+        matrix.extend_from_slice(&encoder.encode_row(&ds.row_values(i)));
     }
-    let data = nr_encode::EncodedDataset::from_parts(matrix, raw.cols(), vec![0; raw.rows()], 2);
+    let data =
+        nr_encode::EncodedDataset::from_parts(matrix, encoder.n_inputs(), vec![0; ds.len()], 2);
     let outcome = extract(
         &net,
         &encoder,

@@ -14,8 +14,8 @@
 //! * [`NetworkScorer`] packages encoder + pruned MLP behind the same
 //!   batch [`Predictor`](nr_rules::Predictor) trait, scoring from each
 //!   attribute's interval index straight into the set-bit forward pass
-//!   (no dense encode), bit-identical to `encode_view` +
-//!   `classify_batch`;
+//!   (no dense encode), bit-identical to the per-row reference
+//!   (`Encoder::encode_row`, then `Mlp::forward`);
 //! * [`ServeModel`] bundles both behind a [`ServeMode`] dispatch (rules /
 //!   network / hybrid rules-with-network-fallback) with JSON save/load,
 //!   so a serving process starts from a file — no retraining, no

@@ -2,15 +2,14 @@
 //! trait, scored from interval indices.
 //!
 //! Table-2 coding makes every attribute's input bits a pure function of
-//! its interval (a thermometer suffix or one one-hot bit), so the scorer
-//! never builds the dense `rows × inputs` matrix [`Encoder::encode_view`]
-//! produces for training. [`Mlp::map_set_bit_rows`] runs the batch in
-//! fixed-size row chunks on the shared `nr-nn` worker pool; per chunk, an
-//! [`IntervalCoder`] finds each attribute's interval and writes the rows'
-//! set input columns, and the set-bit forward pass scores them. The lists
-//! and the summation order are exactly those of `encode_view` followed by
-//! [`Mlp::classify_batch`], so the answers are bit-identical to that
-//! reference (pinned by the workspace serving equivalence suite).
+//! its interval (a thermometer suffix or one one-hot bit).
+//! [`Mlp::map_set_bit_rows`] runs the batch in fixed-size row chunks on
+//! the shared `nr-nn` worker pool; per chunk, an [`IntervalCoder`] finds
+//! each attribute's interval and writes the rows' set input columns, and
+//! the set-bit forward pass scores them, holding one chunk's set bits at a
+//! time. The answers are bit-identical to the per-row reference,
+//! [`Encoder::encode_row`] followed by [`Mlp::forward`] and argmax (pinned
+//! by the workspace serving equivalence suite).
 
 use std::sync::OnceLock;
 
@@ -156,18 +155,20 @@ mod tests {
         let net = Mlp::random(encoder.n_inputs(), 4, 2, 3);
         let scorer = NetworkScorer::new(encoder.clone(), net.clone()).unwrap();
         let preds = scorer.predict_batch(&ds.view());
-        let encoded = encoder.encode_dataset(&ds);
+        let dense: Vec<Vec<f64>> = (0..ds.len())
+            .map(|i| encoder.encode_row(&ds.row_values(i)))
+            .collect();
         for i in 0..ds.len() {
-            assert_eq!(preds[i], net.classify(encoded.input(i)), "row {i}");
+            assert_eq!(preds[i], net.classify(&dense[i]), "row {i}");
         }
         // Scored predictions agree on the class and report the winning
-        // activation.
+        // activation, to the bit.
         let scored = scorer.predict_scored_batch(&ds.view());
         for (i, s) in scored.iter().enumerate() {
             assert_eq!(s.class, preds[i]);
             assert!(s.score > 0.0 && s.score < 1.0);
-            let (_, out) = net.forward(encoded.input(i));
-            assert_eq!(s.score, out[s.class]);
+            let (_, out) = net.forward(&dense[i]);
+            assert_eq!(s.score.to_bits(), out[s.class].to_bits());
         }
     }
 

@@ -60,7 +60,8 @@ proptest! {
         let (n_in, h, o, rows) = dims;
         let net = build_net(n_in, h, o, &weights, &prune_picks);
         let x = build_inputs(&input_picks);
-        let (hidden_b, out_b) = net.forward_batch(&x, rows);
+        let data = EncodedDataset::from_parts(x.clone(), n_in, vec![0; rows], 1);
+        let (hidden_b, out_b) = net.forward_batch(&data);
         for i in 0..rows {
             let (hidden, out) = net.forward(&x[i * n_in..(i + 1) * n_in]);
             prop_assert_eq!(hidden_b.row(i), &hidden[..], "hidden row {} differs", i);
@@ -68,8 +69,7 @@ proptest! {
         }
     }
 
-    /// `classify_batch` and `accuracy` equal their per-row counterparts,
-    /// through both the dense and the set-bit chunk paths.
+    /// `classify_batch` and `accuracy` equal their per-row counterparts.
     #[test]
     fn classify_batch_matches_per_row(
         (dims, weights, prune_picks, input_picks, target_picks) in
@@ -90,12 +90,11 @@ proptest! {
         let x = build_inputs(&input_picks);
         let targets: Vec<usize> = target_picks.iter().map(|&t| t % o).collect();
         let data = EncodedDataset::from_parts(x.clone(), n_in, targets.clone(), o);
-        prop_assert!(data.binary_inputs().is_some(), "0/1 inputs carry the bit layout");
 
         let batch_preds = net.classify_batch(&data);
         let mut correct = 0usize;
         for i in 0..rows {
-            let per_row = net.classify(data.input(i));
+            let per_row = net.classify(&x[i * n_in..(i + 1) * n_in]);
             prop_assert_eq!(batch_preds[i], per_row, "row {} classified differently", i);
             if per_row == targets[i] {
                 correct += 1;
@@ -107,16 +106,24 @@ proptest! {
 }
 
 /// Per-row reference implementation of eq. 2 + eq. 3 (the pre-batch code
-/// path), for pinning the batched objective.
-fn reference_objective(net: &Mlp, data: &EncodedDataset, penalty: Penalty) -> (f64, Vec<f64>) {
+/// path) over the dense row-major inputs `x` of `data`, for pinning the
+/// batched objective.
+fn reference_objective(
+    net: &Mlp,
+    x: &[f64],
+    data: &EncodedDataset,
+    penalty: Penalty,
+) -> (f64, Vec<f64>) {
     const EPS: f64 = 1e-12;
     let (h, o) = (net.n_hidden(), net.n_outputs());
     let links = net.active_links();
     let mut dw = vec![0.0; h * net.n_inputs()];
     let mut dv = vec![0.0; o * h];
     let mut loss = 0.0;
+    let n_in = net.n_inputs();
     for i in 0..data.rows() {
-        let (hidden, out) = net.forward(data.input(i));
+        let row = &x[i * n_in..(i + 1) * n_in];
+        let (hidden, out) = net.forward(row);
         let target = data.target(i);
         let mut delta = vec![0.0; o];
         for (p, (&s, d)) in out.iter().zip(delta.iter_mut()).enumerate() {
@@ -137,7 +144,7 @@ fn reference_objective(net: &Mlp, data: &EncodedDataset, penalty: Penalty) -> (f
             }
             let dz = (1.0 - hidden[m] * hidden[m]) * back;
             if dz != 0.0 {
-                for (l, &xi) in data.input(i).iter().enumerate() {
+                for (l, &xi) in row.iter().enumerate() {
                     if xi != 0.0 {
                         dw[m * net.n_inputs() + l] += dz * xi;
                     }
@@ -158,8 +165,9 @@ fn reference_objective(net: &Mlp, data: &EncodedDataset, penalty: Penalty) -> (f
     (loss, grad)
 }
 
-/// Deterministic 0/1 dataset large enough to span several 1024-row chunks.
-fn synthetic_data(rows: usize, cols: usize, classes: usize) -> EncodedDataset {
+/// Deterministic 0/1 dataset large enough to span several 1024-row chunks,
+/// with its dense row-major inputs.
+fn synthetic_data(rows: usize, cols: usize, classes: usize) -> (Vec<f64>, EncodedDataset) {
     let mut data = vec![0.0; rows * cols];
     let mut targets = Vec::with_capacity(rows);
     for i in 0..rows {
@@ -171,14 +179,17 @@ fn synthetic_data(rows: usize, cols: usize, classes: usize) -> EncodedDataset {
         data[i * cols + cols - 1] = 1.0; // bias column
         targets.push((i * 13 + i / 7) % classes);
     }
-    EncodedDataset::from_parts(data, cols, targets, classes)
+    (
+        data.clone(),
+        EncodedDataset::from_parts(data, cols, targets, classes),
+    )
 }
 
 /// Within one chunk the batched objective reproduces the per-row reference
 /// bit for bit (the kernels preserve accumulation order exactly).
 #[test]
 fn objective_bit_identical_to_reference_within_one_chunk() {
-    let data = synthetic_data(300, 12, 2); // single 1024-row chunk
+    let (x_rows, data) = synthetic_data(300, 12, 2); // single 1024-row chunk
     let mut net = Mlp::random(12, 4, 2, 99);
     net.prune(LinkId::InputHidden {
         hidden: 1,
@@ -192,7 +203,7 @@ fn objective_bit_identical_to_reference_within_one_chunk() {
     let x = net.flatten_active();
     let mut grad = vec![0.0; obj.dim()];
     let loss = obj.value_and_gradient(&x, &mut grad);
-    let (want_loss, want_grad) = reference_objective(&net, &data, Penalty::default());
+    let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
     assert_eq!(loss, want_loss, "loss bits differ");
     assert_eq!(grad, want_grad, "gradient bits differ");
 }
@@ -201,13 +212,13 @@ fn objective_bit_identical_to_reference_within_one_chunk() {
 /// within numerical noise of the per-row reference.
 #[test]
 fn objective_matches_reference_across_chunks() {
-    let data = synthetic_data(3000, 12, 3); // three chunks
+    let (x_rows, data) = synthetic_data(3000, 12, 3); // three chunks
     let net = Mlp::random(12, 5, 3, 7);
     let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
     let x = net.flatten_active();
     let mut grad = vec![0.0; obj.dim()];
     let loss = obj.value_and_gradient(&x, &mut grad);
-    let (want_loss, want_grad) = reference_objective(&net, &data, Penalty::default());
+    let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
     assert!(
         (loss - want_loss).abs() < 1e-9 * (1.0 + want_loss.abs()),
         "{loss} vs {want_loss}"
@@ -222,7 +233,7 @@ fn objective_matches_reference_across_chunks() {
 /// the same value and gradient down to the last bit.
 #[test]
 fn parallel_gradient_deterministic_across_thread_counts() {
-    let data = synthetic_data(5000, 16, 2); // five chunks
+    let (_, data) = synthetic_data(5000, 16, 2); // five chunks
     let mut net = Mlp::random(16, 5, 2, 21);
     net.prune(LinkId::InputHidden {
         hidden: 0,

@@ -28,8 +28,12 @@ fn every_generated_row_encodes_within_the_feasible_space() {
     // Encode the whole dataset on the batch path — no row materialization.
     let encoded = enc.encode_dataset(&ds);
     for i in 0..encoded.rows() {
-        let x = encoded.input(i);
-        let pattern: Vec<bool> = space.bits.iter().map(|&b| x[b] == 1.0).collect();
+        let x = encoded.row_bits(i);
+        let pattern: Vec<bool> = space
+            .bits
+            .iter()
+            .map(|&b| x.contains(&(b as u32)))
+            .collect();
         assert!(
             space.patterns.contains(&pattern),
             "encoded row produced an infeasible pattern {pattern:?}"
@@ -43,9 +47,15 @@ fn encoded_bits_are_binary_and_bias_is_one() {
     let ds = Generator::new(5).dataset(Function::F9, 200);
     let encoded = enc.encode_dataset(&ds);
     for i in 0..encoded.rows() {
-        let x = encoded.input(i);
+        // The per-row encoding is 0/1 with the bias set, and the batch
+        // encoding sets exactly its ones.
+        let x = enc.encode_row(&ds.row_values(i));
         assert!(x.iter().all(|&b| b == 0.0 || b == 1.0));
         assert_eq!(x[enc.bias_bit()], 1.0);
+        let ones: Vec<u32> = (0..x.len() as u32)
+            .filter(|&c| x[c as usize] == 1.0)
+            .collect();
+        assert_eq!(encoded.row_bits(i), &ones[..], "row {i}");
     }
 }
 

@@ -156,6 +156,45 @@ fn invalid_public_config_is_an_error_not_a_panic() {
     );
 }
 
+/// A configured encoder whose schema does not fit the training set is a
+/// typed error, not a panic inside encoding: arity, attribute kind and
+/// category count must all agree.
+#[test]
+fn encoder_schema_mismatch_is_an_error_not_a_panic() {
+    use nr_encode::EncodeError;
+    use nr_tabular::{Attribute, Dataset, Schema, Value};
+    let fit = |attrs: Vec<Attribute>, row: Vec<Value>| {
+        let mut train = Dataset::new(Schema::new(attrs), vec!["A".into(), "B".into()]);
+        train.push(row.clone(), 0).unwrap();
+        train.push(row, 1).unwrap();
+        pipeline(1).fit(&train).unwrap_err()
+    };
+    let is_mismatch =
+        |err: &PipelineError| matches!(err, PipelineError::Encode(EncodeError::SchemaMismatch(_)));
+    // The Agrawal encoder on a 2-attribute dataset.
+    let err = fit(
+        vec![Attribute::numeric("x"), Attribute::nominal_anon("c", 3)],
+        vec![Value::Num(1.0), Value::Nominal(0)],
+    );
+    assert!(is_mismatch(&err), "{err:?}");
+    // Right arity, but car is numeric / zipcode has 8 categories.
+    let agrawal = Encoder::agrawal().schema().attributes().to_vec();
+    let row = Generator::new(1).dataset(Function::F1, 1).row_values(0);
+    for (a, wrong) in [
+        (4, Attribute::numeric("car")),
+        (5, Attribute::nominal_anon("zipcode", 8)),
+    ] {
+        let mut attrs = agrawal.clone();
+        attrs[a] = wrong;
+        let mut row = row.clone();
+        if a == 4 {
+            row[a] = Value::Num(1.0);
+        }
+        let err = fit(attrs, row);
+        assert!(is_mismatch(&err), "attribute {a}: {err:?}");
+    }
+}
+
 #[test]
 fn model_serde_roundtrip() {
     let gen = Generator::new(21).with_perturbation(0.05);

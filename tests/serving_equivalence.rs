@@ -278,9 +278,9 @@ fn hybrid_equals_its_per_row_composition() {
 
 // ---------------------------------------------------------------------------
 // The network scorer's exact tier: interval indices → set bits → the
-// set-bit forward pass, with no dense encode. It must equal the dense
-// reference (`Encoder::encode_view` + `Mlp::classify_batch` /
-// `classify_scored_batch`) in every class and in the bits of every score.
+// set-bit forward pass, with no dense encode. It must equal the per-row
+// dense reference (`Encoder::encode_row` + `Mlp::forward` + argmax) in
+// every class and in the bits of every score.
 // ---------------------------------------------------------------------------
 
 /// A random mixed schema (numeric and nominal attributes) and a dataset
@@ -397,12 +397,27 @@ fn views(rng: &mut StdRng, ds: &Dataset) -> Vec<Vec<usize>> {
     views
 }
 
-/// The exact tier equals the dense reference on `view`: classes through
+/// The per-row dense reference on every row of `view`: `(class, winning
+/// activation)` from `Encoder::encode_row`, `Mlp::forward` and argmax.
+fn per_row_reference(
+    scorer: &nr_serve::NetworkScorer,
+    view: &nr_tabular::DatasetView<'_>,
+) -> Vec<(usize, f64)> {
+    (0..view.len())
+        .map(|i| {
+            let x = scorer.encoder().encode_row(&view.row_values(i));
+            let (_, out) = scorer.network().forward(&x);
+            let class = nr_nn::argmax(&out);
+            (class, out[class])
+        })
+        .collect()
+}
+
+/// The exact tier equals the per-row reference on `view`: classes through
 /// `predict_batch`, classes and score bits through the scored path.
 fn assert_exact_tier(scorer: &nr_serve::NetworkScorer, view: &nr_tabular::DatasetView<'_>) {
-    let encoded = scorer.encoder().encode_view(view);
-    let classes = scorer.network().classify_batch(&encoded);
-    let scored = scorer.network().classify_scored_batch(&encoded);
+    let scored = per_row_reference(scorer, view);
+    let classes: Vec<usize> = scored.iter().map(|&(c, _)| c).collect();
     assert_eq!(scorer.predict_batch(view), classes, "classes");
     let got = scorer.predict_scored_batch(view);
     assert_eq!(got.len(), scored.len());
@@ -446,16 +461,15 @@ fn random_rules(rng: &mut StdRng, ds: &Dataset) -> RuleSet {
 
 /// `ServeModel`'s Network and Hybrid answers equal the replay from public
 /// parts the cross-layer benchmark times: compiled rules with their match
-/// flags, then `encode_view` + `classify_batch` on the unmatched rows.
+/// flags, then the network on the unmatched rows — here the per-row
+/// reference (`encode_row` + `forward`) in place of the benchmark's batch
+/// encode.
 fn assert_serve_modes_match_replay(model: &ServeModel, view: &nr_tabular::DatasetView<'_>) {
-    let network = model.network();
-    let dense = |v: &nr_tabular::DatasetView<'_>| {
-        network
-            .network()
-            .classify_scored_batch(&network.encoder().encode_view(v))
-    };
     let net_model = model.clone().with_mode(ServeMode::Network);
-    let want: Vec<usize> = dense(view).iter().map(|&(c, _)| c).collect();
+    let want: Vec<usize> = per_row_reference(model.network(), view)
+        .iter()
+        .map(|&(c, _)| c)
+        .collect();
     assert_eq!(net_model.predict_batch(view), want, "network mode");
 
     let hybrid = model.clone().with_mode(ServeMode::Hybrid);
@@ -467,7 +481,10 @@ fn assert_serve_modes_match_replay(model: &ServeModel, view: &nr_tabular::Datase
     let mut scores: Vec<f64> = flags.iter().map(|_| 1.0).collect();
     if !positions.is_empty() {
         let sub = view.subview(positions.iter().map(|&p| view.row_id(p)).collect());
-        for (&p, (class, score)) in positions.iter().zip(dense(&sub)) {
+        for (&p, (class, score)) in positions
+            .iter()
+            .zip(per_row_reference(model.network(), &sub))
+        {
             classes[p] = class;
             scores[p] = score;
         }
