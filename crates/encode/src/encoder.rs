@@ -350,16 +350,13 @@ fn agrawal_schema_local() -> Schema {
 /// The paper's thermometer/one-hot coding (Table 2) produces inputs that
 /// are exactly 0.0 or 1.0, so the set bits are the whole input: the
 /// network's batch kernels read the rows straight from
-/// [`EncodedDataset::binary_inputs`], next to a one-hot target matrix
-/// built once at encoding time.
+/// [`EncodedDataset::binary_inputs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EncodedDataset {
     bits: BinaryInputs,
     cols: usize,
     targets: Vec<ClassId>,
     n_classes: usize,
-    /// Row-major `rows × n_classes` one-hot expansion of `targets`.
-    onehot: Vec<f64>,
 }
 
 /// Compressed set-bit (CSR-style) layout of a 0/1 input matrix.
@@ -430,20 +427,17 @@ impl EncodedDataset {
     /// Wraps a set-bit layout with one row per target.
     fn from_bits(bits: BinaryInputs, cols: usize, targets: Vec<ClassId>, n_classes: usize) -> Self {
         debug_assert_eq!(bits.offsets.len(), targets.len() + 1);
-        let mut onehot = vec![0.0; targets.len() * n_classes];
-        for (i, &t) in targets.iter().enumerate() {
+        for &t in &targets {
             assert!(
                 t < n_classes,
                 "target {t} out of range for {n_classes} classes"
             );
-            onehot[i * n_classes + t] = 1.0;
         }
         EncodedDataset {
             bits,
             cols,
             targets,
             n_classes,
-            onehot,
         }
     }
 
@@ -477,13 +471,6 @@ impl EncodedDataset {
     /// All targets.
     pub fn targets(&self) -> &[ClassId] {
         &self.targets
-    }
-
-    /// One-hot targets as one contiguous row-major buffer
-    /// (`rows × n_classes`).
-    #[inline]
-    pub fn targets_onehot(&self) -> &[f64] {
-        &self.onehot
     }
 
     /// Every row's set input columns, in the layout the network's batch
@@ -706,13 +693,8 @@ mod tests {
         assert_eq!(ds.row_bits(0), &[0]);
         assert_eq!(ds.row_bits(1), &[1]);
         assert_eq!(ds.row_bits(2), &[0, 1]);
-        for i in 0..3 {
-            let onehot = &ds.targets_onehot()[i * 3..(i + 1) * 3];
-            for (c, &v) in onehot.iter().enumerate() {
-                assert_eq!(v, if c == ds.target(i) { 1.0 } else { 0.0 });
-            }
-        }
-        assert_eq!(ds.targets_onehot().len(), 9);
+        assert_eq!(ds.targets(), &[0, 2, 1]);
+        assert_eq!(ds.target(1), 2);
         // An all-zero row has no set bits.
         let ds = EncodedDataset::from_parts(vec![0.0, 0.0], 2, vec![0], 2);
         assert_eq!(ds.row_bits(0), &[] as &[u32]);

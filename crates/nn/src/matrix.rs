@@ -1,10 +1,13 @@
 //! Dense row-major matrices and the batch matmul kernels built on them.
 //!
 //! Originally this type only stored weights for per-tuple forward passes;
-//! it now also carries the workspace's batched hot path: [`gemm_nt`]
-//! (`A·Bᵀ`, the shape of `inputs · weightsᵀ`), [`gemm_tn_acc`] (`Aᵀ·B`,
-//! the shape of the delta-rule weight gradients) and [`gemm_nn`] (`A·B`,
-//! the shape of back-propagating output deltas), plus in-place
+//! it now also carries the batched forward pass of scoring and
+//! [`crate::Mlp::forward_batch`]: [`gemm_bits_nt`] (`X·Wᵀ` over set-bit
+//! rows) and [`gemm_nt`] (`A·Bᵀ`, the shape of `hidden · Vᵀ`). The
+//! training objective runs its own active-link loops
+//! (`crate::objective`) and uses [`gemm_bits_nt`] only for fully
+//! connected hidden units. [`gemm_tn_acc`] (`Aᵀ·B`) and [`gemm_nn`]
+//! (`A·B`) back [`Matrix::matmul_tn`]/[`Matrix::matmul`], next to in-place
 //! [`Matrix::axpy`]/[`Matrix::scale`] for reductions.
 //!
 //! Two properties the rest of the workspace relies on:
@@ -368,40 +371,6 @@ pub(crate) fn gemm_bits_nt(
     }
 }
 
-/// `out += Aᵀ·S` where `A` is `k×m` row-major and `S` is a `k×n`
-/// strictly-0/1 matrix given as per-row ascending set-bit indices.
-///
-/// This is the input-side weight-gradient shape (`deltasᵀ · inputs`) with
-/// binary inputs: each nonzero delta scatters itself onto its row's set
-/// bits (`δ·1.0 = δ` exactly), reproducing a dense accumulation that skips
-/// zero inputs bit for bit.
-pub(crate) fn gemm_tn_bits_acc(
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f64],
-    indices: &[u32],
-    offsets: &[usize],
-    out: &mut [f64],
-) {
-    assert_eq!(a.len(), k * m, "A shape mismatch");
-    assert_eq!(offsets.len(), k + 1, "need one offset per row plus end");
-    assert_eq!(out.len(), m * n, "output shape mismatch");
-    for r in 0..k {
-        let ar = &a[r * m..(r + 1) * m];
-        let bits = &indices[offsets[r]..offsets[r + 1]];
-        for i in 0..m {
-            let av = ar[i];
-            if av != 0.0 {
-                let or = &mut out[i * n..(i + 1) * n];
-                for &l in bits {
-                    or[l as usize] += av;
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -564,19 +533,6 @@ mod tests {
             let mut got = vec![0.0; m * n];
             gemm_bits_nt(m, n, k, &indices, &offsets, b.as_slice(), &mut got);
             assert_eq!(got, want, "m={m} k={k} n={n}");
-        }
-    }
-
-    #[test]
-    fn gemm_tn_bits_acc_is_bit_identical_to_dense() {
-        for &(k, m, n) in &[(9, 4, 87), (5, 2, 6), (3, 3, 5), (1, 1, 4)] {
-            let (dense, indices, offsets) = binary_fixture(k, n);
-            let a = arbitrary(k, m, 11);
-            let mut want = vec![0.0; m * n];
-            gemm_tn_acc(m, n, k, a.as_slice(), &dense, &mut want);
-            let mut got = vec![0.0; m * n];
-            gemm_tn_bits_acc(m, n, k, a.as_slice(), &indices, &offsets, &mut got);
-            assert_eq!(got, want, "k={k} m={m} n={n}");
         }
     }
 }

@@ -40,19 +40,36 @@ pub(crate) fn chunk_range(c: usize, rows: usize) -> Range<usize> {
     start..rows.min(start + CHUNK_ROWS)
 }
 
+/// The pool's size: the hardware's available parallelism, capped at 8.
+///
+/// Detected once per process and shared by [`resolve_threads`] and the
+/// pool. `available_parallelism` reads cgroup files on Linux, tens of
+/// microseconds per call: a sizable share of one objective evaluation
+/// over a 1,000-row training set, which resolves its thread count every
+/// time.
+fn pool_size() -> usize {
+    static SIZE: OnceLock<usize> = OnceLock::new();
+    *SIZE.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .clamp(1, 8)
+    })
+}
+
 /// Resolves a requested thread count (`0` = auto) against the hardware and
 /// the number of chunks available. A result of `1` means "run inline on
 /// the caller's thread"; anything larger means "submit to the shared pool".
+/// Auto mode uses the pool's size (available parallelism capped at 8),
+/// detected once per process, so resolving is cheap enough to do on every
+/// call.
 ///
 /// Public so pool clients (the serving engine's chunk-parallel scorer)
 /// can pre-resolve and skip per-chunk buffer setup entirely when the
 /// answer is "inline anyway" — e.g. auto mode on a single-core host.
 pub fn resolve_threads(requested: usize, chunks: usize) -> usize {
     let t = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8)
+        pool_size()
     } else {
         requested
     };
@@ -141,14 +158,11 @@ struct Pool {
 static POOL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide worker pool, spawned on first use. Worker count is
-/// fixed at `min(available_parallelism, 8)`; determinism never depends on
-/// it (see module docs).
+/// fixed at [`pool_size`]; determinism never depends on it (see module
+/// docs).
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, 8);
+        let workers = pool_size();
         let (sender, receiver) = channel::<Job>();
         let receiver = Arc::new(Mutex::new(receiver));
         for k in 0..workers {
@@ -398,6 +412,14 @@ mod tests {
         assert_eq!(resolve_threads(1, 100), 1);
         assert!(resolve_threads(0, 100) >= 1);
         assert_eq!(resolve_threads(3, 0), 1);
+    }
+
+    #[test]
+    fn auto_threads_are_the_pool_size() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(pool_size(), cores.clamp(1, 8));
+        assert_eq!(resolve_threads(0, usize::MAX), pool_size());
+        assert_eq!(resolve_threads(0, 1), 1);
     }
 
     #[test]

@@ -257,3 +257,129 @@ fn parallel_gradient_deterministic_across_thread_counts() {
         }
     }
 }
+
+/// Builds a network with the given weights written over every link, then
+/// prunes each link whose `pick` (0..100) falls below `prune_pct`, except
+/// where hidden unit `m`'s `shapes[m]` forces its shape: `1` = no inputs,
+/// `2` = every input, `3` = no outputs (`0` = as drawn).
+fn heavy_mask_net(
+    (n_in, h, o): (usize, usize, usize),
+    weights: &[f64],
+    picks: &[u8],
+    prune_pct: u8,
+    shapes: &[usize],
+) -> Mlp {
+    let mut net = Mlp::random(n_in, h, o, 0);
+    net.set_active(weights);
+    for (link, &pick) in net.active_links().into_iter().zip(picks) {
+        let (m, input_side) = match link {
+            LinkId::InputHidden { hidden, .. } => (hidden, true),
+            LinkId::HiddenOutput { hidden, .. } => (hidden, false),
+        };
+        let drop = match (shapes[m], input_side) {
+            (1, true) | (3, false) => true,
+            (2, true) => false,
+            _ => pick < prune_pct,
+        };
+        if drop {
+            net.prune(link);
+        }
+    }
+    net
+}
+
+/// Dense 0/1 rows from per-cell picks, the last column set (a bias).
+fn rows_with_bias(picks: &[usize], n_in: usize) -> Vec<f64> {
+    let mut x = build_inputs(picks);
+    for row in x.chunks_exact_mut(n_in) {
+        row[n_in - 1] = 1.0;
+    }
+    x
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Under masks that prune 0–95% of the links, with hidden units that
+    /// have no inputs, every input or no outputs, with up to 139 inputs
+    /// (a unit's active inputs span up to three 64-bit pattern words), and
+    /// with one output per class or one extra output (rulex's
+    /// subnetworks), the objective's value and gradient equal the per-row
+    /// reference bit for bit within one chunk.
+    #[test]
+    fn heavy_mask_objective_bit_identical_to_reference(
+        (dims, weights, picks, prune_pct, shapes, input_picks, target_picks) in
+            (2usize..140, 1usize..6, 2usize..4, 0usize..2, 1usize..80)
+            .prop_flat_map(|(n_in, h, classes, extra, rows)| {
+                let o = classes + extra;
+                let links = h * (n_in + o);
+                (
+                    (n_in..n_in + 1, h..h + 1, classes..classes + 1, o..o + 1, rows..rows + 1),
+                    proptest::collection::vec(-3.0f64..3.0, links),
+                    proptest::collection::vec(0u8..100, links),
+                    0u8..96,
+                    proptest::collection::vec(0usize..4, h),
+                    proptest::collection::vec(0usize..3, rows * n_in),
+                    proptest::collection::vec(0usize..100, rows),
+                )
+            })
+    ) {
+        let (n_in, h, classes, o, _) = dims;
+        let net = heavy_mask_net((n_in, h, o), &weights, &picks, prune_pct, &shapes);
+        let x_rows = rows_with_bias(&input_picks, n_in);
+        let targets: Vec<usize> = target_picks.iter().map(|&t| t % classes).collect();
+        let data = EncodedDataset::from_parts(x_rows.clone(), n_in, targets, classes);
+
+        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+        let x = net.flatten_active();
+        let mut grad = vec![0.0; obj.dim()];
+        let loss = obj.value_and_gradient(&x, &mut grad);
+        let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
+        prop_assert_eq!(loss.to_bits(), want_loss.to_bits(), "loss {} vs {}", loss, want_loss);
+        prop_assert_eq!(obj.value(&x).to_bits(), want_loss.to_bits(), "value-only loss");
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&grad), bits(&want_grad), "gradient {:?} vs {:?}", grad, want_grad);
+    }
+}
+
+/// A heavily pruned network over five chunks (one hidden unit fed by
+/// every input, one by none, one feeding no output, the rest sparse) gives
+/// the same value and gradient bits at 1, 2 and 8 threads, within
+/// numerical noise of the per-row reference (only the chunk grouping of
+/// the sums differs from it).
+#[test]
+fn heavy_mask_objective_deterministic_across_thread_counts() {
+    let (n_in, h, o) = (20, 6, 3);
+    let (x_rows, data) = synthetic_data(4500, n_in, 3); // five chunks
+    let links = h * (n_in + o);
+    let weights: Vec<f64> = (0..links)
+        .map(|k| ((k * 37 % 101) as f64 - 50.0) / 17.0)
+        .collect();
+    let picks: Vec<u8> = (0..links).map(|k| (k * 61 % 100) as u8).collect();
+    let shapes = [2, 1, 3, 0, 0, 0];
+    let net = heavy_mask_net((n_in, h, o), &weights, &picks, 85, &shapes);
+    assert!(
+        net.n_active() < links / 2,
+        "mask too light: {}",
+        net.n_active()
+    );
+    let x = net.flatten_active();
+    let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
+
+    let mut reference: Option<(u64, Vec<u64>)> = None;
+    for threads in [1usize, 2, 8] {
+        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(threads);
+        let mut grad = vec![0.0; obj.dim()];
+        let loss = obj.value_and_gradient(&x, &mut grad);
+        assert_eq!(loss.to_bits(), obj.value(&x).to_bits(), "value-only loss");
+        assert!((loss - want_loss).abs() < 1e-9 * (1.0 + want_loss.abs()));
+        for (g, w) in grad.iter().zip(&want_grad) {
+            assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{g} vs {w}");
+        }
+        let got = (loss.to_bits(), grad.iter().map(|g| g.to_bits()).collect());
+        match &reference {
+            None => reference = Some(got),
+            Some(want) => assert_eq!(&got, want, "bits differ with {threads} threads"),
+        }
+    }
+}

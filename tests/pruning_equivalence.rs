@@ -9,7 +9,12 @@
 //!   the accuracy floor, its trace strictly shrinks, and the reported
 //!   final accuracy is the pruned network's.
 //! * determinism — a full pruning run replays identically.
+//! * weight pins — FNV-1a digests of the pruned networks' `w`/`v` f64
+//!   bits, for the F2-300 fixture and for `mine`'s three 1000-tuple fits,
+//!   captured before the objective's active-link plan replaced the dense
+//!   kernels: an objective change that moves any weight bit fails here.
 
+use neurorule::NeuroRule;
 use nr_datagen::{Function, Generator};
 use nr_encode::{EncodedDataset, Encoder};
 use nr_nn::{Mlp, Trainer, TrainingAlgorithm};
@@ -128,6 +133,54 @@ fn strict_mode_reproduces_the_pre_refactor_trace() {
             round.accuracy
         );
         assert!(round.retrained, "strict mode retrains every round");
+    }
+}
+
+/// FNV-1a over the little-endian f64 bits of every `w` entry, then every
+/// `v` entry (row-major, masked entries included).
+fn weight_digest(net: &Mlp) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &x in net.w().as_slice().iter().chain(net.v().as_slice()) {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+#[test]
+fn strict_mode_pins_the_pruned_weights() {
+    let (data, mut net) = f2_300_fixture();
+    prune(&mut net, &data, &capture_config());
+    assert_eq!(
+        weight_digest(&net),
+        0xc345_b80f_aa0e_a35f,
+        "pruned F2-300 weights drifted"
+    );
+}
+
+/// `mine`'s three fits (perfbench's pinned training sets: generator seed
+/// 5, 5% perturbation, 1000 tuples; the paper's pipeline with the Agrawal
+/// encoder) end in these exact pruned weights.
+#[test]
+fn mine_fits_pin_the_pruned_weights() {
+    let expected = [
+        (Function::F1, 0xc508_0195_a6c2_520a_u64),
+        (Function::F2, 0xd5b6_29d5_2010_aef8),
+        (Function::F4, 0x2a01_52f2_b74c_e59b),
+    ];
+    let pipeline = NeuroRule::default().with_encoder(Encoder::agrawal());
+    for (function, digest) in expected {
+        let train = Generator::new(5)
+            .with_perturbation(0.05)
+            .dataset(function, 1000);
+        let model = pipeline.fit(&train).expect("mine's fit succeeds");
+        assert_eq!(
+            weight_digest(&model.network),
+            digest,
+            "{function:?}: pruned weights drifted"
+        );
     }
 }
 
