@@ -124,7 +124,7 @@ fn parse_blocks(data: &[u8]) -> usize {
             .iter()
             .position(|&b| b == b'\n')
             .map_or(body.len(), |p| target + p + 1);
-        let (_, labels) = nr_tabular::parse_csv_block(&schema, &classes, &body[start..end], 2)
+        let (_, labels, _) = nr_tabular::parse_csv_block(&schema, &classes, &body[start..end], 2)
             .expect("parse block");
         rows += labels.len();
         start = end;

@@ -6,9 +6,8 @@
 //! rows) and [`gemm_nt`] (`A·Bᵀ`, the shape of `hidden · Vᵀ`). The
 //! training objective runs its own active-link loops
 //! (`crate::objective`) and uses [`gemm_bits_nt`] only for fully
-//! connected hidden units. [`gemm_tn_acc`] (`Aᵀ·B`) and [`gemm_nn`]
-//! (`A·B`) back [`Matrix::matmul_tn`]/[`Matrix::matmul`], next to in-place
-//! [`Matrix::axpy`]/[`Matrix::scale`] for reductions.
+//! connected hidden units. [`Matrix::matmul_nt`] wraps [`gemm_nt`], next
+//! to in-place [`Matrix::axpy`]/[`Matrix::scale`] for reductions.
 //!
 //! Two properties the rest of the workspace relies on:
 //!
@@ -103,21 +102,6 @@ impl Matrix {
         self.data.fill(0.0);
     }
 
-    /// `self · other` (shapes `m×k · k×n → m×n`).
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "matmul shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        gemm_nn(
-            self.rows,
-            other.cols,
-            self.cols,
-            &self.data,
-            &other.data,
-            &mut out.data,
-        );
-        out
-    }
-
     /// `self · otherᵀ` (shapes `m×k · (n×k)ᵀ → m×n`).
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
         assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
@@ -126,21 +110,6 @@ impl Matrix {
             self.rows,
             other.rows,
             self.cols,
-            &self.data,
-            &other.data,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// `selfᵀ · other` (shapes `(k×m)ᵀ · k×n → m×n`).
-    pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "matmul_tn shape mismatch");
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        gemm_tn_acc(
-            self.cols,
-            other.cols,
-            self.rows,
             &self.data,
             &other.data,
             &mut out.data,
@@ -254,55 +223,6 @@ pub(crate) fn gemm_nt(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &
     }
 }
 
-/// `out += Aᵀ · B` over raw row-major buffers: `A` is `k×m`, `B` is `k×n`,
-/// `out` is `m×n`, all row-major. Accumulates into `out`.
-///
-/// This is the delta-rule gradient shape (`deltasᵀ · activations`): the
-/// `k` dimension (batch rows) is the outer loop, so each step is a rank-1
-/// update streaming one row of `A` and one row of `B` — the inner axpy
-/// has no loop-carried dependency and vectorizes cleanly. Accumulation
-/// per output element is in ascending `k` order, matching a per-row
-/// `grad += delta·activation` loop bit for bit.
-pub(crate) fn gemm_tn_acc(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), k * m, "A shape mismatch");
-    assert_eq!(b.len(), k * n, "B shape mismatch");
-    assert_eq!(out.len(), m * n, "output shape mismatch");
-    for r in 0..k {
-        let ar = &a[r * m..(r + 1) * m];
-        let br = &b[r * n..(r + 1) * n];
-        for i in 0..m {
-            let av = ar[i];
-            // Pruned links and saturated deltas produce exact zeros; skip
-            // whole rank-1 rows for them (adding ±0.0 would be a no-op).
-            if av != 0.0 {
-                axpy(av, br, &mut out[i * n..(i + 1) * n]);
-            }
-        }
-    }
-}
-
-/// `out = A · B` over raw row-major buffers: `A` is `m×k`, `B` is `k×n`,
-/// `out` is `m×n`, all row-major.
-///
-/// Used to back-propagate output deltas through the hidden→output weights
-/// (`D · V`). Row-of-`B` axpy inner loop; per-element accumulation in
-/// ascending `k` order, matching the per-row `Σ_p δ_p·v` loop.
-pub(crate) fn gemm_nn(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-    assert_eq!(a.len(), m * k, "A shape mismatch");
-    assert_eq!(b.len(), k * n, "B shape mismatch");
-    assert_eq!(out.len(), m * n, "output shape mismatch");
-    for i in 0..m {
-        let ar = &a[i * k..(i + 1) * k];
-        let or = &mut out[i * n..(i + 1) * n];
-        or.fill(0.0);
-        for (l, &av) in ar.iter().enumerate() {
-            if av != 0.0 {
-                axpy(av, &b[l * n..(l + 1) * n], or);
-            }
-        }
-    }
-}
-
 /// `out = S·Bᵀ` where `S` is an `m×k` strictly-0/1 matrix given as per-row
 /// ascending set-bit column indices (`S` row `i` = `indices[offsets[i]..
 /// offsets[i+1]]`). `B` is `n×k` row-major, `out` is `m×n`.
@@ -411,32 +331,11 @@ mod tests {
         let _ = Matrix::from_raw(2, 2, vec![1.0; 3]);
     }
 
-    /// Reference implementation: naive triple loop.
-    fn naive_matmul(a: &Matrix, b: &Matrix) -> Matrix {
-        Matrix::from_fn(a.rows(), b.cols(), |i, j| {
-            (0..a.cols()).map(|l| a[(i, l)] * b[(l, j)]).sum()
-        })
-    }
-
     fn arbitrary(rows: usize, cols: usize, seed: u64) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
             let x = (r * 31 + c * 7 + seed as usize) as f64;
             (x * 0.37).sin()
         })
-    }
-
-    #[test]
-    fn matmul_matches_naive() {
-        // Dimensions straddling the 4/2/1-column block boundaries.
-        for &(m, k, n) in &[(1, 1, 1), (3, 5, 4), (7, 87, 6), (4, 3, 9), (2, 8, 2)] {
-            let a = arbitrary(m, k, 1);
-            let b = arbitrary(k, n, 2);
-            let got = a.matmul(&b);
-            let want = naive_matmul(&a, &b);
-            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                assert!((g - w).abs() < 1e-12, "{g} vs {w}");
-            }
-        }
     }
 
     #[test]
@@ -474,19 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_tn_matches_naive() {
-        for &(k, m, n) in &[(1, 1, 1), (10, 4, 3), (5, 2, 6), (7, 3, 2)] {
-            let a = arbitrary(k, m, 7);
-            let b = arbitrary(k, n, 8);
-            let got = a.matmul_tn(&b);
-            let want = Matrix::from_fn(m, n, |i, j| (0..k).map(|r| a[(r, i)] * b[(r, j)]).sum());
-            for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
-                assert!((g - w).abs() < 1e-12, "{g} vs {w}");
-            }
-        }
-    }
-
-    #[test]
     fn axpy_and_scale() {
         let mut m = Matrix::from_fn(2, 2, |r, c| (r + c) as f64);
         let other = Matrix::from_fn(2, 2, |_, _| 1.0);
@@ -496,14 +382,6 @@ mod tests {
         assert_eq!(m.as_slice(), &[1.0, 1.5, 1.5, 2.0]);
         m.fill_zero();
         assert_eq!(m.as_slice(), &[0.0; 4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "matmul shape mismatch")]
-    fn matmul_rejects_bad_shapes() {
-        let a = Matrix::zeros(2, 3);
-        let b = Matrix::zeros(2, 3);
-        let _ = a.matmul(&b);
     }
 
     /// Binary matrix fixture: rows of 0/1 plus the CSR layout.

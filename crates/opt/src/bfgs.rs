@@ -65,6 +65,7 @@ impl Optimizer for Bfgs {
         let mut first_update = true;
 
         let mut d = vec![0.0; n];
+        let mut y = vec![0.0; n];
         let mut hy = vec![0.0; n];
 
         for iter in 0..self.max_iters {
@@ -80,10 +81,10 @@ impl Optimizer for Bfgs {
                 };
             }
 
-            // d = -H g
-            for i in 0..n {
-                let row = &h[i * n..(i + 1) * n];
-                d[i] = -dot(row, &g);
+            // d = -H g, each row summed from -0.0 like `dot`.
+            mat_vec(&h, &g, -0.0, &mut d);
+            for di in d.iter_mut() {
+                *di = -*di;
             }
             if dot(&d, &g) >= 0.0 {
                 // Not a descent direction (numerical breakdown): reset.
@@ -125,9 +126,9 @@ impl Optimizer for Bfgs {
             let mut yy = 0.0;
             for i in 0..n {
                 let s_i = ls.alpha * d[i];
-                let y_i = ls.gradient[i] - g[i];
-                sy += s_i * y_i;
-                yy += y_i * y_i;
+                y[i] = ls.gradient[i] - g[i];
+                sy += s_i * y[i];
+                yy += y[i] * y[i];
                 x[i] += s_i;
             }
             let f_prev = f;
@@ -146,15 +147,10 @@ impl Optimizer for Bfgs {
                 // H ← (I − ρ s yᵀ) H (I − ρ y sᵀ) + ρ s sᵀ, expanded as
                 // H − ρ(s·Hyᵀ + Hy·sᵀ) + (ρ² yᵀHy + ρ) s sᵀ.
                 let rho = 1.0 / sy;
+                mat_vec(&h, &y, 0.0, &mut hy);
                 let mut yhy = 0.0;
-                for i in 0..n {
-                    let mut acc = 0.0;
-                    let row = &h[i * n..(i + 1) * n];
-                    for j in 0..n {
-                        acc += row[j] * (ls.gradient[j] - g[j]);
-                    }
-                    hy[i] = acc;
-                    yhy += acc * (ls.gradient[i] - g[i]);
+                for (hy_i, y_i) in hy.iter().zip(&y) {
+                    yhy += hy_i * y_i;
                 }
                 let c = rho * rho * yhy + rho;
                 for i in 0..n {
@@ -191,6 +187,39 @@ impl Optimizer for Bfgs {
             evaluations: evals,
             converged: gnorm <= self.grad_tol,
         }
+    }
+}
+
+/// `out = H·v` for the row-major `n × n` matrix `h`: four rows side by
+/// side, each row's sum starting from `start` and adding its terms in
+/// ascending column order, so every entry is bit-identical to a plain
+/// per-row loop.
+fn mat_vec(h: &[f64], v: &[f64], start: f64, out: &mut [f64]) {
+    let n = v.len();
+    if n == 0 {
+        return;
+    }
+    let mut rows = h.chunks_exact(4 * n);
+    let mut outs = out.chunks_exact_mut(4);
+    for (block, out) in (&mut rows).zip(&mut outs) {
+        let (r0, rest) = block.split_at(n);
+        let (r1, rest) = rest.split_at(n);
+        let (r2, r3) = rest.split_at(n);
+        let mut acc = [start; 4];
+        for j in 0..n {
+            acc[0] += r0[j] * v[j];
+            acc[1] += r1[j] * v[j];
+            acc[2] += r2[j] * v[j];
+            acc[3] += r3[j] * v[j];
+        }
+        out.copy_from_slice(&acc);
+    }
+    for (row, out) in rows.remainder().chunks_exact(n).zip(outs.into_remainder()) {
+        let mut acc = start;
+        for (h_j, v_j) in row.iter().zip(v) {
+            acc += h_j * v_j;
+        }
+        *out = acc;
     }
 }
 

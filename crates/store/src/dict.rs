@@ -22,9 +22,9 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use nr_nn::map_indexed_scoped;
-use nr_tabular::{parse_csv_block, AttrKind, Attribute, Schema};
+use nr_tabular::{parse_csv_block, AttrKind, Attribute, CsvScanner, Schema};
 
-use crate::ingest::{check_header, chunk_ranges, ingest_parsed_body};
+use crate::ingest::{check_header, chunk_ranges, ingest_parsed_body, WAVE_CHUNKS_PER_WORKER};
 use crate::mmap::MappedFile;
 use crate::{SegmentedDataset, StoreConfig, StoreError};
 
@@ -52,33 +52,59 @@ pub struct DictIngest {
     pub dictionaries: Vec<Dictionary>,
 }
 
-/// Strips the `\r` a CRLF line leaves behind.
-fn strip_cr(line: &str) -> &str {
-    line.strip_suffix('\r').unwrap_or(line)
-}
-
-/// Pass 1 over one chunk: count category strings per nominal attribute.
-/// Malformed rows are skipped here — pass 2 re-parses everything and
-/// reports them with exact line numbers.
+/// Pass 1 over one chunk: count category strings per nominal attribute,
+/// splitting rows with the shared scanner ([`CsvScanner`]). Malformed
+/// rows (the wrong number of cells, or not UTF-8) are skipped here —
+/// pass 2 re-parses everything and reports them with exact line numbers.
+/// A category allocates its key only on its first sighting in the chunk.
 fn count_block(arity: usize, nominal_attrs: &[usize], block: &[u8]) -> Vec<HashMap<String, u64>> {
     let mut counts: Vec<HashMap<String, u64>> =
         nominal_attrs.iter().map(|_| HashMap::new()).collect();
-    for raw in block.split(|&b| b == b'\n') {
-        let Ok(raw) = std::str::from_utf8(raw) else {
-            continue;
+    let nominal: Vec<bool> = (0..=arity).map(|a| nominal_attrs.contains(&a)).collect();
+    // The current row's nominal cells, in attribute order.
+    let mut cells: Vec<&str> = Vec::with_capacity(nominal_attrs.len());
+    let mut rest = block;
+    while !rest.is_empty() {
+        // The longest line-aligned UTF-8 prefix, then the line after it
+        // (the one that is not UTF-8) is skipped.
+        let (text, next) = match std::str::from_utf8(rest) {
+            Ok(text) => (text, &rest[rest.len()..]),
+            Err(e) => {
+                let bad = e.valid_up_to();
+                let start = rest[..bad]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |p| p + 1);
+                let end = rest[bad..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(rest.len(), |p| bad + p + 1);
+                let text = std::str::from_utf8(&rest[..start])
+                    .expect("a prefix of valid UTF-8 ending after a newline is valid");
+                (text, &rest[end..])
+            }
         };
-        let line = strip_cr(raw);
-        if line.is_empty() {
-            continue;
+        let mut rows = CsvScanner::new(text);
+        while let Some(row) = rows.next_row(arity + 1, |a, cell| {
+            if nominal[a] {
+                cells.push(cell);
+            }
+            Ok(())
+        }) {
+            if row.is_ok() {
+                for (count, cell) in counts.iter_mut().zip(&cells) {
+                    let cell = cell.trim();
+                    match count.get_mut(cell) {
+                        Some(n) => *n += 1,
+                        None => {
+                            count.insert(cell.to_string(), 1);
+                        }
+                    }
+                }
+            }
+            cells.clear();
         }
-        let cells: Vec<&str> = line.split(',').collect();
-        if cells.len() != arity + 1 {
-            continue;
-        }
-        for (k, &a) in nominal_attrs.iter().enumerate() {
-            let cell = cells[a].trim();
-            *counts[k].entry(cell.to_string()).or_insert(0) += 1;
-        }
+        rest = next;
     }
     counts
 }
@@ -119,7 +145,7 @@ pub fn ingest_csv_bytes_with_dict(
     // holding every chunk's map at once would break the out-of-core
     // bound. Totals are unaffected by the wave size.
     let chunks = chunk_ranges(body);
-    let wave = nr_nn::resolve_threads(config.threads, chunks.len()) * 4;
+    let wave = nr_nn::resolve_threads(config.threads, chunks.len()) * WAVE_CHUNKS_PER_WORKER;
     let mut totals: Vec<HashMap<String, u64>> =
         nominal_attrs.iter().map(|_| HashMap::new()).collect();
     for wave_chunks in chunks.chunks(wave.max(1)) {
@@ -263,6 +289,77 @@ mod tests {
                 got.store.to_dataset().unwrap(),
                 base.store.to_dataset().unwrap(),
                 "{threads} threads"
+            );
+        }
+    }
+
+    /// Pass 1 as plain `str::split` code: each line checked as UTF-8 on
+    /// its own, one `\r` stripped, split on `,`, skipped unless it has
+    /// exactly `arity + 1` cells.
+    fn reference_count(
+        arity: usize,
+        nominal_attrs: &[usize],
+        block: &[u8],
+    ) -> Vec<HashMap<String, u64>> {
+        let mut counts: Vec<HashMap<String, u64>> =
+            nominal_attrs.iter().map(|_| HashMap::new()).collect();
+        for raw in block.split(|&b| b == b'\n') {
+            let Ok(raw) = std::str::from_utf8(raw) else {
+                continue;
+            };
+            let line = raw.strip_suffix('\r').unwrap_or(raw);
+            if line.is_empty() {
+                continue;
+            }
+            let cells: Vec<&str> = line.split(',').collect();
+            if cells.len() != arity + 1 {
+                continue;
+            }
+            for (k, &a) in nominal_attrs.iter().enumerate() {
+                *counts[k].entry(cells[a].trim().to_string()).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn pass_one_counts_like_str_split() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        // Cells, separators and damage: padding, empty cells, trap bytes
+        // beside delimiters (`-`, `\u{b}`, and `Ê`/`¬`, whose second UTF-8
+        // bytes are `\n`/`,` with the high bit set), CR, invalid UTF-8.
+        const PIECES: &[&[u8]] = &[
+            b"oslo",
+            b"lima",
+            b" oslo ",
+            b"",
+            b"-",
+            b"\x0b",
+            b"\xc3\x8a",
+            b"\xc2\xac",
+            b"\r",
+            b"\xff",
+            b"\xe2\x82",
+            b"1.5",
+            b"\t",
+            b"\xc2\xa0x",
+        ];
+        const SEPARATORS: &[&[u8]] = &[b",", b",", b",", b"\n", b"\r\n", b""];
+        for seed in 0..300u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let arity = rng.gen_range(1..=4usize);
+            let nominal_attrs: Vec<usize> = (0..arity).filter(|_| rng.gen_bool(0.6)).collect();
+            let mut block = Vec::new();
+            for _ in 0..rng.gen_range(0..200usize) {
+                block.extend_from_slice(PIECES.choose(&mut rng).unwrap());
+                block.extend_from_slice(SEPARATORS.choose(&mut rng).unwrap());
+            }
+            assert_eq!(
+                count_block(arity, &nominal_attrs, &block),
+                reference_count(arity, &nominal_attrs, &block),
+                "block {:?}",
+                String::from_utf8_lossy(&block)
             );
         }
     }

@@ -43,6 +43,12 @@ use crate::{SegmentWriter, SegmentedDataset, SpillMode, StoreConfig, StoreError}
 /// pure function of the input bytes.
 pub const INGEST_CHUNK_BYTES: usize = 1 << 20;
 
+/// Chunks parsed per pool worker in one wave. At most two waves are live
+/// (one parsing, one sealing), so this bounds the parse staging on the
+/// heap; the parse side often finishes a wave while the sealer still
+/// holds part of the previous one, so the peak is near two full waves.
+pub(crate) const WAVE_CHUNKS_PER_WORKER: usize = 3;
+
 /// Splits `body` into ranges of roughly [`INGEST_CHUNK_BYTES`] that end
 /// on line boundaries (each range ends just after a `\n`, except possibly
 /// the last).
@@ -87,10 +93,10 @@ pub(crate) fn check_header(schema: &Schema, data: &[u8]) -> Result<usize, StoreE
     Ok(body_start)
 }
 
-/// One parsed chunk: the columns + labels, or the error with a line
-/// number **relative to the chunk**, plus the chunk's newline count so
-/// absolute line numbers can be reconstructed in order.
-type ParsedChunk = (Result<(Vec<Column>, Vec<ClassId>), TabularError>, usize);
+/// One parsed chunk: the columns, labels and the chunk's newline count
+/// (so absolute line numbers can be reconstructed in order), or the error
+/// with a line number **relative to the chunk**.
+type ParsedChunk = Result<(Vec<Column>, Vec<ClassId>, usize), TabularError>;
 
 /// Chunk-parallel core shared by the plain and dictionary ingests: split
 /// `body` on the fixed chunk grid, run `parse` over the chunks on the
@@ -100,8 +106,8 @@ type ParsedChunk = (Result<(Vec<Column>, Vec<ClassId>), TabularError>, usize);
 ///
 /// `parse` reports errors with chunk-relative line numbers (the
 /// convention of [`parse_csv_block`] with `first_line = 0`); they are
-/// made absolute here, where the preceding chunks' newline counts are in
-/// hand.
+/// made absolute here, from the newline counts `parse` handed back for
+/// the preceding chunks.
 pub(crate) fn ingest_parsed_body<F>(
     schema: Schema,
     class_names: Vec<String>,
@@ -110,7 +116,7 @@ pub(crate) fn ingest_parsed_body<F>(
     parse: F,
 ) -> Result<SegmentedDataset, StoreError>
 where
-    F: Fn(&[u8]) -> Result<(Vec<Column>, Vec<ClassId>), TabularError> + Send + Sync,
+    F: Fn(&[u8]) -> ParsedChunk + Send + Sync,
 {
     let writer = SegmentWriter::new(schema, class_names, config.clone())?;
     drive_ingest(writer, body, &config, 2, parse) // line 1 is the header
@@ -132,7 +138,7 @@ fn drive_ingest<F>(
     parse: F,
 ) -> Result<SegmentedDataset, StoreError>
 where
-    F: Fn(&[u8]) -> Result<(Vec<Column>, Vec<ClassId>), TabularError> + Send + Sync,
+    F: Fn(&[u8]) -> ParsedChunk + Send + Sync,
 {
     let chunks = chunk_ranges(body);
 
@@ -144,16 +150,14 @@ where
     // per-chunk parse, and the global append order are all unchanged by
     // the wave size, so the output stays bit-identical at any thread
     // count.
-    let wave = resolve_threads(config.threads, chunks.len()) * 4;
+    let wave = resolve_threads(config.threads, chunks.len()) * WAVE_CHUNKS_PER_WORKER;
     let (waves, sealed) = std::sync::mpsc::sync_channel::<Vec<ParsedChunk>>(0);
     let writer = std::thread::scope(|scope| {
         let sealer = scope.spawn(move || seal_waves(writer, first_line, sealed));
         for wave_chunks in chunks.chunks(wave.max(1)) {
             let parsed: Vec<ParsedChunk> =
                 map_indexed_scoped(wave_chunks.len(), config.threads, |k| {
-                    let block = &body[wave_chunks[k].clone()];
-                    let newlines = block.iter().filter(|&&b| b == b'\n').count();
-                    (parse(block), newlines)
+                    parse(&body[wave_chunks[k].clone()])
                 });
             if waves.send(parsed).is_err() {
                 break; // the sealer stopped on an error; join reports it
@@ -179,9 +183,12 @@ fn seal_waves(
     waves: std::sync::mpsc::Receiver<Vec<ParsedChunk>>,
 ) -> Result<SegmentWriter, StoreError> {
     for parsed in waves {
-        for (result, newlines) in parsed {
+        for result in parsed {
             match result {
-                Ok((columns, labels)) => writer.append_columns(columns, labels)?,
+                Ok((columns, labels, newlines)) => {
+                    writer.append_columns(columns, labels)?;
+                    first_line += newlines;
+                }
                 Err(TabularError::Csv { line, msg }) => {
                     return Err(TabularError::Csv {
                         line: first_line + line,
@@ -191,7 +198,6 @@ fn seal_waves(
                 }
                 Err(other) => return Err(other.into()),
             }
-            first_line += newlines;
         }
     }
     Ok(writer)

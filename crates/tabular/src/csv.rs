@@ -7,20 +7,25 @@
 //! or embedded commas — generated identifiers never contain either).
 //!
 //! Every reader goes through **one row parser**. A block of rows is
-//! validated as UTF-8 once, split on `b'\n'` and `b','` (each line and
-//! cell splits exactly like `str::split`), and decoded cell by cell:
-//! numbers with `str::parse::<f64>`, nominal and class cells through
-//! name tables built once per parse from the schema (first match wins, as
-//! a `position` scan would). Cells are trimmed with `str::trim`, skipped
-//! when a cell's first and last bytes are printable ASCII and so cannot be
-//! whitespace. [`parse_csv_block`] is that parser over one in-memory
-//! block (the unit of `nr-store`'s parallel ingest); [`read_csv_streaming`]
-//! feeds it line-aligned blocks read from a [`BufRead`] and bulk-appends
-//! each block's columns ([`Dataset::append_columns`]), so peak memory
-//! beyond the dataset is one block of staging. [`parse_row`] (one label-free
-//! row, the serving path) shares the cell splitter and cell semantics
-//! ([`parse_csv_cell`]) but builds no tables. Parse errors carry the
-//! 1-based line number ([`TabularError::Csv`]).
+//! validated as UTF-8 once, its newlines are counted (eight bytes at a
+//! time) to size the columns exactly, and then one forward scan
+//! ([`CsvScanner`]) finds each next `b','` or `b'\n'` eight bytes at a
+//! time and decodes each cell as soon as its delimiter is found, so every
+//! byte is split once (lines and cells split exactly like `str::split`).
+//! Numbers decode with `str::parse::<f64>`, nominal and class cells
+//! through name tables built once per parse from the schema (first match
+//! wins, as a `position` scan would). Cells are trimmed with `str::trim`,
+//! skipped when a cell's first and last bytes are printable ASCII and so
+//! cannot be whitespace. [`parse_csv_block`] is that parser over one
+//! in-memory block (the unit of `nr-store`'s parallel ingest), and it
+//! hands back the block's newline count so the caller can number the
+//! next block's lines; [`read_csv_streaming`] feeds it line-aligned
+//! blocks read from a [`BufRead`] and bulk-appends each block's columns
+//! ([`Dataset::append_columns`]), so peak memory beyond the dataset is one
+//! block of staging. [`parse_row`] (one label-free row, the serving path)
+//! splits with the same scanner, on `,` only, and shares the cell
+//! semantics ([`parse_csv_cell`]) but builds no tables. Parse errors carry
+//! the 1-based line number ([`TabularError::Csv`]).
 
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
@@ -116,12 +121,12 @@ pub fn read_csv_streaming<R: BufRead>(
         }
         // Any error aborts the whole read (the partial dataset is
         // dropped), so a half-parsed block can never leak out.
-        let (columns, labels) = parser.parse(&block, first_line)?;
+        let (columns, labels, newlines) = parser.parse(&block, first_line)?;
         // The parser validated every cell, so this only fails on logic
         // errors; map them to the block's first line for diagnosability.
         ds.append_columns(columns, labels)
             .map_err(|e| csv_err(first_line, format!("chunk append failed: {e}")))?;
-        first_line += count_newlines(&block);
+        first_line += newlines;
     }
 }
 
@@ -148,8 +153,68 @@ fn read_block<R: BufRead>(input: &mut R, block: &mut Vec<u8>) -> std::io::Result
     Ok(())
 }
 
+/// `0x01` in every byte of a word.
+const LO: u64 = u64::from_le_bytes([0x01; 8]);
+/// `0x7F` in every byte of a word.
+const LOW7: u64 = u64::from_le_bytes([0x7F; 8]);
+/// `0x80` in every byte of a word.
+const HI: u64 = u64::from_le_bytes([0x80; 8]);
+/// `b','` in every byte of a word.
+const COMMAS: u64 = LO * b',' as u64;
+/// `b'\n'` in every byte of a word.
+const NEWLINES: u64 = LO * b'\n' as u64;
+
+/// The eight bytes of `bytes` at `at` as a little-endian word, so the
+/// lowest-addressed byte is the least significant.
+fn word(bytes: &[u8], at: usize) -> Option<u64> {
+    let eight = bytes.get(at..at + 8)?;
+    Some(u64::from_le_bytes(eight.try_into().expect("eight bytes")))
+}
+
+/// Flags (with `0x80`) the zero bytes of `x`, and possibly bytes above a
+/// zero byte: a borrow out of a zero byte can flag a `0x01` above it.
+/// Only the lowest flag is exact, so this may only locate a first match.
+fn lowest_zero_byte(x: u64) -> u64 {
+    x.wrapping_sub(LO) & !x & HI
+}
+
+/// Flags (with `0x80`) exactly the zero bytes of `x`: no carry crosses a
+/// byte, so every flag is a match and every match is flagged.
+fn zero_bytes(x: u64) -> u64 {
+    !(((x & LOW7) + LOW7) | x | LOW7) & HI
+}
+
+/// Counts the `b'\n'` bytes of `bytes`, eight at a time.
 fn count_newlines(bytes: &[u8]) -> usize {
-    bytes.iter().filter(|&&b| b == b'\n').count()
+    let mut words = bytes.chunks_exact(8);
+    let mut n = 0;
+    for eight in &mut words {
+        let x = u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+        n += zero_bytes(x ^ NEWLINES).count_ones() as usize;
+    }
+    n + words.remainder().iter().filter(|&&b| b == b'\n').count()
+}
+
+/// The index of the first cell delimiter in `bytes[from..]`, or
+/// `bytes.len()` if there is none. The delimiters are `b','` and, when
+/// `LINES`, `b'\n'`. Scans eight bytes at a time; a byte `>= 0x80` is
+/// never a match.
+#[inline]
+fn find_delimiter<const LINES: bool>(bytes: &[u8], mut from: usize) -> usize {
+    while let Some(x) = word(bytes, from) {
+        let mut hits = lowest_zero_byte(x ^ COMMAS);
+        if LINES {
+            hits |= lowest_zero_byte(x ^ NEWLINES);
+        }
+        if hits != 0 {
+            return from + (hits.trailing_zeros() / 8) as usize;
+        }
+        from += 8;
+    }
+    bytes[from..]
+        .iter()
+        .position(|&b| b == b',' || (LINES && b == b'\n'))
+        .map_or(bytes.len(), |p| from + p)
 }
 
 /// Drops one trailing `\r` (the remnant of a CRLF line end once the
@@ -158,50 +223,110 @@ fn strip_cr(line: &str) -> &str {
     line.strip_suffix('\r').unwrap_or(line)
 }
 
-/// The cells of one line, split on `b','` with exactly `str::split(',')`
-/// semantics: `n` commas give `n + 1` cells, empty ones included.
-struct Cells<'l> {
-    rest: Option<&'l str>,
+/// The one CSV splitter behind every reader: a single forward scan over
+/// a block of text that finds each cell's delimiter (`b','` or `b'\n'`)
+/// eight bytes at a time and hands the cell over as soon as it is found.
+///
+/// Rows split exactly like `str::split`: the text into lines on `\n`,
+/// one trailing `\r` stripped from each line, and a line into cells on
+/// `,` (`n` commas give `n + 1` cells, empty ones included). Lines that
+/// are empty once the `\r` is stripped are skipped but still counted, so
+/// [`CsvScanner::line`] always names the line of the last row returned.
+#[derive(Debug)]
+pub struct CsvScanner<'t> {
+    text: &'t str,
+    /// Byte offset of the next unread byte; after a row, its `\n`.
+    pos: usize,
+    /// Newlines consumed so far.
+    line: usize,
 }
 
-impl<'l> Iterator for Cells<'l> {
-    type Item = &'l str;
-
-    fn next(&mut self) -> Option<&'l str> {
-        let rest = self.rest?;
-        match rest.bytes().position(|b| b == b',') {
-            Some(i) => {
-                self.rest = Some(&rest[i + 1..]);
-                Some(&rest[..i])
-            }
-            None => {
-                self.rest = None;
-                Some(rest)
-            }
+impl<'t> CsvScanner<'t> {
+    /// A scanner at the start of `text`.
+    pub fn new(text: &'t str) -> Self {
+        CsvScanner {
+            text,
+            pos: 0,
+            line: 0,
         }
     }
-}
 
-/// The row loop shared by every reader: splits `line` into exactly
-/// `expected` cells and hands each to `cell` in order. A line with too
-/// few cells fails at the first missing one, naming how many it had; a
-/// line with too many fails after every expected cell was accepted.
-fn for_each_cell<'l>(
-    line: &'l str,
-    expected: usize,
-    mut cell: impl FnMut(usize, &'l str) -> Result<(), String>,
-) -> Result<(), String> {
-    let mut cells = Cells { rest: Some(line) };
-    for k in 0..expected {
-        let text = cells
-            .next()
-            .ok_or_else(|| format!("{k} cells, expected {expected}"))?;
-        cell(k, text)?;
+    /// The 0-based line of the row [`CsvScanner::next_row`] last
+    /// returned (the number of newlines before it); once the text is
+    /// exhausted, the number of newlines in the whole text.
+    pub fn line(&self) -> usize {
+        self.line
     }
-    if cells.next().is_some() {
-        return Err(format!("too many cells, expected {expected}"));
+
+    /// Splits the next non-empty line into exactly `expected` cells,
+    /// handing each to `cell` in order; `None` once the text is
+    /// exhausted. A line with too few cells fails after its last cell was
+    /// accepted, naming how many it had; a line with too many fails after
+    /// every expected cell was accepted; an error from `cell` stops the
+    /// line at that cell. After an error the scanner moves to the end of
+    /// the line (still on it, for [`CsvScanner::line`]), so the next call
+    /// starts on the line after it.
+    pub fn next_row(
+        &mut self,
+        expected: usize,
+        cell: impl FnMut(usize, &'t str) -> Result<(), String>,
+    ) -> Option<Result<(), String>> {
+        loop {
+            match &self.text.as_bytes()[self.pos..] {
+                [] | [b'\r'] => {
+                    self.pos = self.text.len();
+                    return None;
+                }
+                [b'\n', ..] => self.pos += 1,
+                [b'\r', b'\n', ..] => self.pos += 2,
+                _ => {
+                    let row = self.split_row::<true>(expected, cell);
+                    if row.is_err() {
+                        self.skip_line();
+                    }
+                    return Some(row);
+                }
+            }
+            self.line += 1;
+        }
     }
-    Ok(())
+
+    /// Moves to the end of the current line.
+    fn skip_line(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+    }
+
+    /// Splits the row at the current position (see
+    /// [`CsvScanner::next_row`]); on success, leaves the scanner on the
+    /// row's `\n` or at the end of the text. Without `LINES` the row is
+    /// the whole rest of the text and `\n` is an ordinary byte.
+    fn split_row<const LINES: bool>(
+        &mut self,
+        expected: usize,
+        mut cell: impl FnMut(usize, &'t str) -> Result<(), String>,
+    ) -> Result<(), String> {
+        let bytes = self.text.as_bytes();
+        let mut k = 0;
+        loop {
+            if k == expected {
+                return Err(format!("too many cells, expected {expected}"));
+            }
+            let end = find_delimiter::<LINES>(bytes, self.pos);
+            let last = end == bytes.len() || (LINES && bytes[end] == b'\n');
+            let text = &self.text[self.pos..end];
+            cell(k, if last { strip_cr(text) } else { text })?;
+            k += 1;
+            if last {
+                if k < expected {
+                    return Err(format!("{k} cells, expected {expected}"));
+                }
+                self.pos = end;
+                return Ok(());
+            }
+            self.pos = end + 1;
+        }
+    }
 }
 
 /// `str::trim`, skipped when the first and last bytes are printable ASCII:
@@ -278,7 +403,7 @@ impl<'s> BlockParser<'s> {
     }
 
     /// Parses a header-less block (see [`parse_csv_block`]).
-    fn parse(&self, block: &[u8], first_line: usize) -> crate::Result<(Vec<Column>, Vec<ClassId>)> {
+    fn parse(&self, block: &[u8], first_line: usize) -> crate::Result<ParsedBlock> {
         let csv_err = |line: usize, msg: String| TabularError::Csv { line, msg };
         // One UTF-8 check for the whole block. On failure, parse the
         // lines before the offending one first (their errors come first),
@@ -309,49 +434,36 @@ impl<'s> BlockParser<'s> {
             .collect();
         let mut labels: Vec<ClassId> = Vec::with_capacity(rows);
         let arity = stages.len();
-        let mut rest = text;
-        let mut lineno = first_line;
-        while !rest.is_empty() {
-            let line = match rest.bytes().position(|b| b == b'\n') {
-                Some(i) => {
-                    let line = &rest[..i];
-                    rest = &rest[i + 1..];
-                    line
-                }
-                None => std::mem::take(&mut rest),
-            };
-            let line = strip_cr(line);
-            if !line.is_empty() {
-                let mut class_cell = "";
-                for_each_cell(line, arity + 1, |k, cell| {
-                    let cell = trim_cell(cell);
-                    match stages.get_mut(k) {
-                        Some(Stage::Num(xs)) => xs.push(parse_num(cell)?),
-                        Some(Stage::Nominal(table, codes)) => codes.push(
-                            table
-                                .get(cell)
-                                .ok_or_else(|| format!("unknown category {cell:?}"))?
-                                as u32,
-                        ),
-                        // The class resolves after the cell count is
-                        // checked, so a long row reports "too many cells".
-                        None => class_cell = cell,
-                    }
-                    Ok(())
-                })
-                .map_err(|msg| csv_err(lineno, msg))?;
-                let label = self
-                    .classes
-                    .get(class_cell)
-                    .ok_or_else(|| csv_err(lineno, format!("unknown class {class_cell:?}")))?;
-                labels.push(label);
+        let mut scanner = CsvScanner::new(text);
+        let mut class_cell = "";
+        while let Some(row) = scanner.next_row(arity + 1, |k, cell| {
+            let cell = trim_cell(cell);
+            match stages.get_mut(k) {
+                Some(Stage::Num(xs)) => xs.push(parse_num(cell)?),
+                Some(Stage::Nominal(table, codes)) => codes.push(
+                    table
+                        .get(cell)
+                        .ok_or_else(|| format!("unknown category {cell:?}"))?
+                        as u32,
+                ),
+                // The class resolves after the cell count is checked, so
+                // a long row reports "too many cells".
+                None => class_cell = cell,
             }
-            lineno += 1;
+            Ok(())
+        }) {
+            let lineno = first_line + scanner.line();
+            row.map_err(|msg| csv_err(lineno, msg))?;
+            let label = self
+                .classes
+                .get(class_cell)
+                .ok_or_else(|| csv_err(lineno, format!("unknown class {class_cell:?}")))?;
+            labels.push(label);
         }
         if let Some(msg) = utf8_error {
-            // `text` ends just before the offending line, so the loop
-            // left `lineno` on it.
-            return Err(csv_err(lineno, msg));
+            // `text` ends just before the offending line, so the scanner
+            // counted every newline up to it.
+            return Err(csv_err(first_line + scanner.line(), msg));
         }
         let columns = stages
             .into_iter()
@@ -360,23 +472,28 @@ impl<'s> BlockParser<'s> {
                 Stage::Nominal(_, codes) => Column::nominal(codes),
             })
             .collect();
-        Ok((columns, labels))
+        Ok((columns, labels, scanner.line()))
     }
 }
 
+/// One parsed block: per-attribute columns, labels, and the number of
+/// newlines the block held.
+type ParsedBlock = (Vec<Column>, Vec<ClassId>, usize);
+
 /// Parses a header-less block of CSV rows (each with a trailing class
 /// column) into per-attribute column buffers plus labels — the unit of
-/// work of a parallel chunked ingest. Cells mean what [`parse_csv_cell`]
-/// says they mean; a trailing `\r` per line and empty lines are
-/// tolerated; errors carry the absolute 1-based line number
-/// `first_line + offset_within_block`, including a line that is not
-/// UTF-8. The category and class tables are built once per call.
+/// work of a parallel chunked ingest — and counts the block's newlines,
+/// so a caller can number the lines of the block after it. Cells mean
+/// what [`parse_csv_cell`] says they mean; a trailing `\r` per line and
+/// empty lines are tolerated; errors carry the absolute 1-based line
+/// number `first_line + offset_within_block`, including a line that is
+/// not UTF-8. The category and class tables are built once per call.
 pub fn parse_csv_block(
     schema: &Schema,
     class_names: &[String],
     block: &[u8],
     first_line: usize,
-) -> crate::Result<(Vec<Column>, Vec<ClassId>)> {
+) -> crate::Result<(Vec<Column>, Vec<ClassId>, usize)> {
     BlockParser::new(schema, class_names).parse(block, first_line)
 }
 
@@ -406,7 +523,7 @@ pub fn parse_csv_cell(kind: &AttrKind, cell: &str) -> Result<Value, String> {
 /// no table build.
 pub fn parse_row(schema: &Schema, line: &str) -> Result<Vec<Value>, String> {
     let mut values = Vec::with_capacity(schema.arity());
-    for_each_cell(strip_cr(line), schema.arity(), |a, cell| {
+    CsvScanner::new(line).split_row::<false>(schema.arity(), |a, cell| {
         values.push(parse_csv_cell(&schema.attribute(a).kind, cell)?);
         Ok(())
     })?;
@@ -612,6 +729,126 @@ mod tests {
         assert!(parse_row(ds.schema(), "foo,red").is_err());
         assert!(parse_row(ds.schema(), "1.5,mauve").is_err());
         assert!(parse_row(ds.schema(), "inf,red").is_err(), "non-finite");
+    }
+
+    /// Random bytes rich in delimiters and in the values the borrow-based
+    /// zero-byte test confuses with them: `0x0B` and `0x2D` (one above
+    /// `\n` and `,`) and `0x8A` and `0xAC` (`\n` and `,` with the high
+    /// bit set).
+    fn trap_bytes(len: usize, seed: u64) -> Vec<u8> {
+        use rand::{Rng, SeedableRng};
+        const ALPHABET: &[u8] = b"\n,\x0b\x2d\x8a\xac\r\x00\x01\x7f\x80\xffa0";
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+            .collect()
+    }
+
+    #[test]
+    fn count_newlines_is_exact_at_every_length_and_offset() {
+        for seed in 0..64 {
+            let bytes = trap_bytes(72, seed);
+            for start in 0..8 {
+                for len in 0..=64 {
+                    let slice = &bytes[start..start + len];
+                    let naive = slice.iter().filter(|&&b| b == b'\n').count();
+                    assert_eq!(count_newlines(slice), naive, "{slice:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn find_delimiter_finds_the_first_at_every_length_and_offset() {
+        for seed in 0..64 {
+            let bytes = trap_bytes(72, seed);
+            for start in 0..8 {
+                for len in 0..=64 {
+                    let slice = &bytes[start..start + len];
+                    for from in 0..=len {
+                        let first = |hit: fn(u8) -> bool| {
+                            slice[from..]
+                                .iter()
+                                .position(|&b| hit(b))
+                                .map_or(len, |p| from + p)
+                        };
+                        assert_eq!(
+                            find_delimiter::<true>(slice, from),
+                            first(|b| b == b',' || b == b'\n'),
+                            "{slice:?} from {from}"
+                        );
+                        assert_eq!(
+                            find_delimiter::<false>(slice, from),
+                            first(|b| b == b','),
+                            "{slice:?} from {from}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rows [`CsvScanner`] yields for `text`: each row's line and its
+    /// cells, or its error.
+    fn scan(text: &str, expected: usize) -> Vec<(usize, Result<Vec<&str>, String>)> {
+        let mut rows = CsvScanner::new(text);
+        let mut out = Vec::new();
+        loop {
+            let mut cells = Vec::new();
+            let Some(row) = rows.next_row(expected, |_, cell| {
+                cells.push(cell);
+                Ok(())
+            }) else {
+                break;
+            };
+            out.push((rows.line(), row.map(|()| cells)));
+        }
+        out
+    }
+
+    #[test]
+    fn scanner_splits_like_str_split() {
+        let text = "a,b\r\n\r\n\n,\r\nx,y,z\nq\n\r";
+        assert_eq!(
+            scan(text, 2),
+            vec![
+                (0, Ok(vec!["a", "b"])),
+                (3, Ok(vec!["", ""])),
+                (4, Err("too many cells, expected 2".into())),
+                (5, Err("1 cells, expected 2".into())),
+            ]
+        );
+        let mut rows = CsvScanner::new(text);
+        while rows.next_row(3, |_, _| Ok(())).is_some() {}
+        assert_eq!(rows.line(), 6, "every newline is counted");
+        // A cell error stops the row at that cell.
+        let mut rows = CsvScanner::new("1,2,3\n4,5,6");
+        let mut seen = Vec::new();
+        let row = rows.next_row(3, |k, cell| {
+            seen.push(cell);
+            if k == 1 {
+                Err("bad".into())
+            } else {
+                Ok(())
+            }
+        });
+        assert_eq!(row, Some(Err("bad".into())));
+        assert_eq!(seen, ["1", "2"]);
+        assert_eq!(rows.line(), 0);
+        assert_eq!(rows.next_row(3, |_, _| Ok(())), Some(Ok(())));
+        assert_eq!(rows.line(), 1);
+    }
+
+    #[test]
+    fn parse_row_keeps_newlines_inside_cells() {
+        // A single row splits on `,` only, like `str::split(',')`.
+        let ds = toy();
+        let row = parse_row(ds.schema(), "1.5\n,\nred\r").unwrap();
+        assert_eq!(row, vec![Value::Num(1.5), Value::Nominal(0)]);
+        assert!(
+            parse_row(ds.schema(), "").is_err(),
+            "an empty row is one empty cell"
+        );
     }
 
     #[test]

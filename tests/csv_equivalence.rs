@@ -267,7 +267,7 @@ fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
 
 fn assert_block_matches(schema: &Schema, classes: &[String], block: &[u8], first_line: usize) {
     let want = reference_block(schema, classes, block, first_line);
-    let got = parse_csv_block(schema, classes, block, first_line).map(|(c, l)| (bits(&c), l));
+    let got = parse_csv_block(schema, classes, block, first_line).map(|(c, l, _)| (bits(&c), l));
     assert_eq!(got, want, "block {:?}", String::from_utf8_lossy(block));
 
     // The streaming reader over the same rows behind a header.
@@ -383,8 +383,115 @@ fn parallel_ingest_equals_streaming_reader_at_any_thread_count() {
     let streamed = read_csv_streaming(schema.clone(), classes.clone(), &csv[..]).unwrap();
     let want = reference_block(&schema, &classes, &body, 2).unwrap();
     assert_eq!(dataset_bits(&streamed), want);
-    // At four workers a wave is sixteen chunks, so even then the body
+    // At four workers a wave is twelve chunks, so even then the body
     // spans two waves.
+    for threads in [1, 2, 4] {
+        let store = ingest_csv_bytes(
+            schema.clone(),
+            classes.clone(),
+            &csv,
+            StoreConfig::in_ram(10_000).with_threads(threads),
+        )
+        .unwrap();
+        assert_eq!(
+            dataset_bits(&store.to_dataset().unwrap()),
+            want,
+            "{threads} threads"
+        );
+    }
+}
+
+/// A cell of exactly `len` bytes cycling through values beside which the
+/// word-at-a-time scanner's zero-byte test could misfire: `\u{b}` and `-`
+/// (one above `\n` and `,`), and `Ê` and `¬` (UTF-8 `c3 8a` and `c2 ac`,
+/// whose second bytes are `\n` and `,` with the high bit set).
+fn trap_cell(len: usize, phase: usize) -> String {
+    const CHARS: [char; 5] = ['\u{b}', '-', 'Ê', '¬', 'x'];
+    let mut cell = String::new();
+    for k in phase.. {
+        let room = len - cell.len();
+        if room == 0 {
+            break;
+        }
+        match CHARS[k % CHARS.len()] {
+            c if c.len_utf8() <= room => cell.push(c),
+            _ => cell.push('-'),
+        }
+    }
+    cell
+}
+
+/// A number cell of exactly `len >= 1` bytes.
+fn number_cell(len: usize) -> String {
+    match len {
+        1 => "7".into(),
+        _ => format!("-{}7", "0".repeat(len - 2)),
+    }
+}
+
+/// Cells of every length 0–24 in rows of every shape, so that cell
+/// delimiters and `\r`s land at every position of an eight-byte word next
+/// to trap bytes; the last line has no `\n`. Every reader agrees with the
+/// reference, and the block parser counts the block's newlines.
+#[test]
+fn delimiters_at_every_word_position_match_reference() {
+    let mut categories: Vec<String> = Vec::new();
+    for len in 0..=24 {
+        for phase in 0..5 {
+            categories.push(trap_cell(len, phase).trim().to_string());
+        }
+    }
+    let schema = Schema::new(vec![
+        Attribute::nominal("c0", categories.clone()),
+        Attribute::numeric("n1"),
+        Attribute::nominal("c2", categories),
+    ]);
+    let classes: Vec<String> = ["A", "Ê¬-"].map(String::from).to_vec();
+    let mut body = String::new();
+    let mut r = 0usize;
+    while body.len() < nr_store::INGEST_CHUNK_BYTES + 4096 {
+        let (l0, l1, l2) = (r % 25, 1 + (r / 25) % 24, (r * 7 + r / 600) % 25);
+        body.push_str(&trap_cell(l0, r));
+        body.push(',');
+        body.push_str(&number_cell(l1));
+        body.push(',');
+        body.push_str(&trap_cell(l2, r / 5));
+        body.push(',');
+        body.push_str(&classes[r % 2]);
+        body.push_str(["\n", "\r\n", "\n\r\n", "\r\n\n"][(r / 3) % 4]);
+        r += 1;
+    }
+    body.truncate(body.trim_end_matches(['\r', '\n']).len());
+    let block = body.as_bytes();
+    for delimiter in [b',', b'\n', b'\r'] {
+        for offset in 0..8 {
+            assert!(
+                (offset..block.len())
+                    .step_by(8)
+                    .any(|i| block[i] == delimiter),
+                "no {delimiter:#x} at word offset {offset}"
+            );
+        }
+    }
+
+    let want = reference_block(&schema, &classes, block, 2);
+    assert!(want.is_ok(), "every row is valid");
+    let (_, _, newlines) = parse_csv_block(&schema, &classes, block, 2).unwrap();
+    assert_eq!(newlines, block.iter().filter(|&&b| b == b'\n').count());
+    assert_block_matches(&schema, &classes, block, 2);
+
+    for line in body.split('\n') {
+        let row = line.rsplit_once(',').map_or(line, |(head, _)| head);
+        assert_eq!(
+            parse_row(&schema, row),
+            reference_row(&schema, row),
+            "row {row:?}"
+        );
+    }
+
+    let mut csv = b"c0,n1,c2,class\n".to_vec();
+    csv.extend_from_slice(block);
+    let want = want.unwrap();
     for threads in [1, 2, 4] {
         let store = ingest_csv_bytes(
             schema.clone(),
