@@ -23,8 +23,8 @@
 //!
 //! Each harness has one entry point and one switch, `quick` (CI smoke
 //! sizing): [`run_load`] runs every scenario and writes
-//! `BENCH_daemon.json` (cwd or `NR_BENCH_OUT_DIR`, the same contract as
-//! the criterion benches); [`run_chaos`] runs only the chaos scenario.
+//! `BENCH_daemon.json` to the working directory; [`run_chaos`] runs only
+//! the chaos scenario.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -834,7 +834,7 @@ pub fn run_chaos(quick: bool) -> ChaosReport {
 
 /// `nr-daemon load`: the whole harness — coalesced vs uncoalesced
 /// throughput, hot swap under load, then the chaos scenario — written to
-/// `BENCH_daemon.json` in `NR_BENCH_OUT_DIR` (or the cwd). Panics if any
+/// `BENCH_daemon.json` in the working directory. Panics if any
 /// always-on bar fails; the ≥2× speedup bar additionally arms in full
 /// (non-quick) runs.
 pub fn run_load(quick: bool) -> LoadReport {
@@ -891,10 +891,8 @@ pub fn run_load(quick: bool) -> LoadReport {
         swap,
         chaos,
     };
-    let out_dir = std::env::var("NR_BENCH_OUT_DIR").unwrap_or_else(|_| ".".into());
-    let path = std::path::Path::new(&out_dir).join("BENCH_daemon.json");
     let json = serde_json::to_string(&report).expect("report serializes");
-    std::fs::write(&path, json).expect("write BENCH_daemon.json");
+    std::fs::write("BENCH_daemon.json", json).expect("write BENCH_daemon.json");
     report
 }
 

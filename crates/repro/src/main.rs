@@ -11,12 +11,15 @@
 //! repro accuracy    §4.1: accuracy table, pruned networks vs C4.5
 //! repro table3      Table 3: per-rule statistics for Function 4
 //! repro ablation    extra: BFGS vs gradient descent, penalty on/off
-//! repro experiments writes EXPERIMENTS.md: the ablation tables plus the
-//!                   serving-throughput comparison from BENCH_serving.json
-//!                   (optional arg: output path)
+//! repro experiments writes EXPERIMENTS.md: the ablation tables, the
+//!                   serving and out-of-core ingest scoreboards measured
+//!                   at full size (asserting their four bars; ~1 GiB of
+//!                   scratch CSV in the temp dir) and the dictionary
+//!                   table (optional arg: output path)
 //! repro all         everything above in order (except experiments)
-//! repro --quick     CI smoke: schema + coding tables and one reduced
-//!                   end-to-end pipeline fit with floor assertions
+//! repro --quick     CI smoke: schema + coding tables, one reduced
+//!                   end-to-end pipeline fit with floor assertions, and
+//!                   the quick-sized scoreboards (spill bar armed only)
 //! ```
 
 mod ablation;
@@ -24,6 +27,7 @@ mod accuracy;
 mod common;
 mod experiments;
 mod figures;
+mod scoreboard;
 mod smoke;
 mod table3;
 mod tables;

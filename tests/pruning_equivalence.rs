@@ -22,9 +22,8 @@ use nr_opt::Bfgs;
 use nr_prune::{prune, PruneConfig};
 use proptest::prelude::*;
 
-/// The `nr_bench::trained_network(300)` fixture, replicated (the umbrella
-/// package does not depend on nr-bench): F2, 5% perturbation, seed 42 data,
-/// seed 12345 network, default trainer.
+/// The seeded F2-300 fixture the trace was captured on: F2, 5%
+/// perturbation, seed 42 data, seed 12345 network, default trainer.
 fn f2_300_fixture() -> (EncodedDataset, Mlp) {
     let raw = Generator::new(42)
         .with_perturbation(0.05)
@@ -36,7 +35,8 @@ fn f2_300_fixture() -> (EncodedDataset, Mlp) {
     (data, net)
 }
 
-/// The pruning config the trace was captured under (the bench budget).
+/// The pruning config the trace was captured under (a trimmed retraining
+/// budget).
 fn capture_config() -> PruneConfig {
     PruneConfig {
         retrain: Trainer::new(TrainingAlgorithm::Bfgs(
