@@ -54,13 +54,6 @@ pub struct BatchConfig {
     /// Capacity threshold: a forming batch is dispatched as soon as it
     /// holds this many rows. `1` disables coalescing (request-at-a-time)
     /// — the load harness's baseline.
-    ///
-    /// Keep this below [`nr_serve::parallel_row_threshold`]: a coalesced
-    /// batch then scores entirely on the lane's own thread, and the
-    /// serve crate's chunk-parallel path (which borrows the shared
-    /// worker pool) engages only for bulk bodies and offline scans —
-    /// never underneath every live lane at once. A unit test pins the
-    /// default against the threshold.
     pub max_batch: usize,
     /// Deadline threshold: a forming batch is dispatched this long after
     /// its first row arrived, full or not. Only applies while the lane
@@ -532,15 +525,6 @@ mod tests {
     use super::*;
     use crate::fixture::serving_fixture;
     use nr_tabular::parse_row;
-
-    /// The lane/serve-crate thread contract (see [`BatchConfig::max_batch`]):
-    /// a default-size coalesced batch must stay below the serve crate's
-    /// parallel threshold so lane batches never fan out onto the shared
-    /// worker pool underneath every handler thread at once.
-    #[test]
-    fn default_lane_batches_stay_below_the_parallel_threshold() {
-        assert!(BatchConfig::default().max_batch < nr_serve::parallel_row_threshold());
-    }
 
     fn lane(
         max_batch: usize,

@@ -320,10 +320,10 @@ fn predict(entry: &ModelEntry, body: &str, deadline: Instant) -> Reply {
     }
 }
 
-/// Rows scored per deadline check in [`predict_bulk`]. Twice the serve
-/// crate's parallel threshold, so each slice still fans out across the
-/// worker pool; checks land every few milliseconds of scoring, which is
-/// plenty against deadlines measured in hundreds.
+/// Rows scored per deadline check in [`predict_bulk`]. Thirty-two of the
+/// network scorer's 1,024-row chunks, so a network or hybrid slice still
+/// fans out across the worker pool; checks land every few milliseconds
+/// of scoring, which is plenty against deadlines measured in hundreds.
 const BULK_CHUNK_ROWS: usize = 32 * 1024;
 
 /// Bulk predict: the body is already a batch (one CSV row per line,

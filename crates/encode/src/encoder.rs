@@ -45,7 +45,7 @@ impl Encoder {
     /// age I14–I19, elevel I20–I23, car I24–I43, zipcode I44–I52,
     /// hvalue I53–I66, hyears I67–I76, loan I77–I86, bias I87.
     pub fn agrawal() -> Encoder {
-        let schema = agrawal_schema_local();
+        let schema = nr_datagen::agrawal_schema();
         let step = |lo: f64, step: f64, n: usize| -> Vec<f64> {
             (1..=n).map(|i| lo + step * i as f64).collect()
         };
@@ -324,24 +324,6 @@ impl Encoder {
             view.n_classes(),
         )
     }
-}
-
-/// Local copy of the Agrawal schema to avoid a dependency cycle with
-/// `nr-datagen` (which depends on nothing here; both crates must agree —
-/// an integration test in the workspace root asserts they do).
-fn agrawal_schema_local() -> Schema {
-    use nr_tabular::Attribute;
-    Schema::new(vec![
-        Attribute::numeric("salary"),
-        Attribute::numeric("commission"),
-        Attribute::numeric("age"),
-        Attribute::numeric("elevel"),
-        Attribute::nominal("car", (1..=20).map(|i| format!("car{i}"))),
-        Attribute::nominal("zipcode", (1..=9).map(|i| format!("zip{i}"))),
-        Attribute::numeric("hvalue"),
-        Attribute::numeric("hyears"),
-        Attribute::numeric("loan"),
-    ])
 }
 
 /// A dataset encoded to network inputs: each row's set input columns

@@ -6,8 +6,8 @@
 //! rows) and [`gemm_nt`] (`A·Bᵀ`, the shape of `hidden · Vᵀ`). The
 //! training objective runs its own active-link loops
 //! (`crate::objective`) and uses [`gemm_bits_nt`] only for fully
-//! connected hidden units. [`Matrix::matmul_nt`] wraps [`gemm_nt`], next
-//! to in-place [`Matrix::axpy`]/[`Matrix::scale`] for reductions.
+//! connected hidden units, and the flat [`axpy`] to reduce its per-chunk
+//! gradients.
 //!
 //! Two properties the rest of the workspace relies on:
 //!
@@ -95,43 +95,6 @@ impl Matrix {
     /// Mutable flat view of all entries (row-major).
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
-    }
-
-    /// Sets every entry to zero (reusing the allocation).
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// `self · otherᵀ` (shapes `m×k · (n×k)ᵀ → m×n`).
-    pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.cols, "matmul_nt shape mismatch");
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        gemm_nt(
-            self.rows,
-            other.rows,
-            self.cols,
-            &self.data,
-            &other.data,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// `self += alpha · other`, in place.
-    pub fn axpy(&mut self, alpha: f64, other: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "axpy shape mismatch"
-        );
-        axpy(alpha, &other.data, &mut self.data);
-    }
-
-    /// `self *= alpha`, in place.
-    pub fn scale(&mut self, alpha: f64) {
-        for v in &mut self.data {
-            *v *= alpha;
-        }
     }
 }
 
@@ -343,7 +306,8 @@ mod tests {
         for &(m, k, n) in &[(1, 1, 1), (5, 87, 4), (3, 6, 7), (2, 4, 2), (6, 5, 3)] {
             let a = arbitrary(m, k, 3);
             let b = arbitrary(n, k, 4);
-            let got = a.matmul_nt(&b);
+            let mut got = Matrix::zeros(m, n);
+            gemm_nt(m, n, k, a.as_slice(), b.as_slice(), got.as_mut_slice());
             // A·Bᵀ element (i, j) = dot(A row i, B row j).
             let want = Matrix::from_fn(m, n, |i, j| {
                 a.row(i).iter().zip(b.row(j)).map(|(x, y)| x * y).sum()
@@ -360,7 +324,8 @@ mod tests {
         // order; the blocked kernel must reproduce those exact bits.
         let a = arbitrary(9, 87, 5);
         let b = arbitrary(4, 87, 6);
-        let got = a.matmul_nt(&b);
+        let mut got = Matrix::zeros(9, 4);
+        gemm_nt(9, 4, 87, a.as_slice(), b.as_slice(), got.as_mut_slice());
         for i in 0..9 {
             for j in 0..4 {
                 let mut z = 0.0;
@@ -372,16 +337,15 @@ mod tests {
         }
     }
 
+    /// The flat `out += alpha · x` kernel behind the objective's
+    /// per-chunk gradient reduction, at a unit and a scaling `alpha`.
     #[test]
     fn axpy_and_scale() {
-        let mut m = Matrix::from_fn(2, 2, |r, c| (r + c) as f64);
-        let other = Matrix::from_fn(2, 2, |_, _| 1.0);
-        m.axpy(2.0, &other);
-        assert_eq!(m.as_slice(), &[2.0, 3.0, 3.0, 4.0]);
-        m.scale(0.5);
-        assert_eq!(m.as_slice(), &[1.0, 1.5, 1.5, 2.0]);
-        m.fill_zero();
-        assert_eq!(m.as_slice(), &[0.0; 4]);
+        let mut out = vec![0.0, 1.0, 1.0, 2.0];
+        axpy(1.0, &[1.0; 4], &mut out);
+        assert_eq!(out, [1.0, 2.0, 2.0, 3.0]);
+        axpy(-0.5, &[2.0, 4.0, 4.0, 6.0], &mut out);
+        assert_eq!(out, [0.0; 4]);
     }
 
     /// Binary matrix fixture: rows of 0/1 plus the CSR layout.

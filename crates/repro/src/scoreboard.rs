@@ -212,7 +212,7 @@ pub struct Serving {
     rows: usize,
     /// Compiled rules, interpreted rules, network batch, hybrid.
     pub engines: Vec<Timing>,
-    /// Decision DAG on auto threads and on one thread, interpreted.
+    /// Decision DAG on one thread, interpreted.
     pub dag: Vec<Timing>,
     speedup: Bar,
 }
@@ -242,10 +242,7 @@ pub fn serving(model: &Model, size: &Size) -> Serving {
         }),
     ];
     let dag = vec![
-        median("decision DAG (auto threads)", &compiled),
-        median("decision DAG (1 thread)", &|| {
-            serve.rules().predict_batch_with(&view, 1, 8192).len()
-        }),
+        median("decision DAG (1 thread)", &compiled),
         median("interpreted (`RuleSet::predict_row`)", &interpreted),
     ];
     let speedup = speedup_bar(runs(5, compiled)[0], runs(5, interpreted)[0]).enforce(size.armed);
@@ -534,9 +531,9 @@ mod tests {
     }
 
     #[test]
-    fn quick_serving_renders_all_seven_engine_rows() {
+    fn quick_serving_renders_all_six_engine_rows() {
         let serving = serving(quick_model(), &QUICK);
-        assert_eq!((serving.engines.len(), serving.dag.len()), (4, 3));
+        assert_eq!((serving.engines.len(), serving.dag.len()), (4, 2));
         let markdown = serving.markdown();
         assert_rendered(&serving.engines, &markdown);
         assert_rendered(&serving.dag, &markdown);

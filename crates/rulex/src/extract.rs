@@ -35,12 +35,6 @@ pub struct RxConfig {
     pub max_dnf_terms: usize,
     /// Cover-engine limits.
     pub cover: CoverLimits,
-    /// Default class of the final rule set; `None` = training majority.
-    pub default_class: Option<usize>,
-    /// When clustering cannot reach the accuracy floor even at minimum ε,
-    /// fall back to the best discretization found instead of failing
-    /// (lower-fidelity rules beat no rules).
-    pub fallback_best_discretization: bool,
     /// Hidden-node splitting (§3.2) parameters.
     pub subnet: SubnetConfig,
 }
@@ -56,8 +50,6 @@ impl Default for RxConfig {
             max_input_patterns: 4096,
             max_dnf_terms: 20_000,
             cover: CoverLimits::default(),
-            default_class: None,
-            fallback_best_discretization: true,
             subnet: SubnetConfig::default(),
         }
     }
@@ -144,7 +136,7 @@ pub fn extract(
     class_names: &[String],
     config: &RxConfig,
 ) -> Result<RxOutcome, RxError> {
-    let default_class = config.default_class.unwrap_or_else(|| majority(data));
+    let default_class = majority(data);
     let wanted: Vec<usize> = (0..data.n_classes())
         .filter(|&c| c != default_class)
         .collect();
@@ -236,6 +228,9 @@ pub(crate) fn literal_dnf_for_classes(
     );
 
     // --- Step 1: discretize hidden activations. -------------------------
+    // When no ε reaches the accuracy floor, fall back to the best
+    // discretization found instead of failing: lower-fidelity rules beat
+    // no rules.
     let disc = match discretize_hidden(
         net,
         data,
@@ -245,9 +240,7 @@ pub(crate) fn literal_dnf_for_classes(
         config.accuracy_floor,
     ) {
         Ok(d) => d,
-        Err(RxError::ClusteringFailed { best_accuracy, .. })
-            if config.fallback_best_discretization =>
-        {
+        Err(RxError::ClusteringFailed { best_accuracy, .. }) => {
             // Second pass aiming at the best accuracy any ε achieved; the
             // decay loop stops at the first (= largest, coarsest) such ε.
             discretize_hidden(
@@ -451,10 +444,7 @@ fn hidden_node_dnf(
         }
         Err(_) => {
             // Too many feasible patterns: try a subnetwork (§3.2) first.
-            if config.subnet.enabled
-                && depth < config.subnet.max_depth
-                && local_bits.len() >= config.subnet.min_inputs
-            {
+            if depth < config.subnet.max_depth && local_bits.len() >= config.subnet.min_inputs {
                 let split = crate::subnet::split(
                     net, node, model, encoder, bit_map, data, used, config, depth,
                 );

@@ -24,8 +24,6 @@ use crate::RxError;
 /// Parameters of hidden-node splitting.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SubnetConfig {
-    /// Master switch.
-    pub enabled: bool,
     /// Only split nodes with at least this many input links (cheaper
     /// fallbacks cover smaller nodes).
     pub min_inputs: usize,
@@ -42,7 +40,6 @@ pub struct SubnetConfig {
 impl Default for SubnetConfig {
     fn default() -> Self {
         SubnetConfig {
-            enabled: true,
             min_inputs: 8,
             hidden: 3,
             seed: 0x5EED_CAFE,
@@ -227,7 +224,6 @@ mod tests {
     #[test]
     fn default_config_sane() {
         let c = SubnetConfig::default();
-        assert!(c.enabled);
         assert!(c.max_depth >= 1);
         assert!(c.min_inputs > 0);
     }

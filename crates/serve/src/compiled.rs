@@ -20,9 +20,8 @@
 //! as a flat op list over bitmap registers with **fused column sweeps**
 //! (every predicate on a column evaluated in one pass down it) and
 //! first-match arbitration per op (see [`crate::dag`] and
-//! [`crate::program`] for the layout). Large batches shard across the
-//! shared `nr-nn` worker pool, chunk-ordered so results never depend on
-//! the thread count.
+//! [`crate::program`] for the layout). Every batch scores on the
+//! caller's thread.
 //!
 //! The engine is pinned **bit-identical** to the interpreted
 //! [`RuleSet::predict_row`] path by the workspace equivalence suite.
@@ -35,16 +34,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::bitmap::Bitmap;
 use crate::dag::{self, PredicateInterner};
-use crate::program::{DagProgram, PAR_ROW_THRESHOLD, PAR_SHARD_ROWS};
-
-/// Batch size at and above which [`CompiledRules`] shards scoring across
-/// the shared worker pool. Below it everything runs on the caller's
-/// thread — sized so the daemon batch-former's coalesced lane batches
-/// (tens of rows) never fan out under a loaded daemon, while bulk bodies
-/// and offline scans do.
-pub fn parallel_row_threshold() -> usize {
-    PAR_ROW_THRESHOLD
-}
+use crate::program::{DagProgram, SHARD_ROWS};
 
 /// One lowered rule: predicate ids (indices into the predicate table, in
 /// original condition order) and the implied class.
@@ -244,37 +234,13 @@ impl CompiledRules {
     /// The batch first-match core: appends the class of every view row to
     /// `out` and returns the bitmap of rows claimed by an **explicit**
     /// rule (unset = default fallthrough). Everything public routes
-    /// through here. Batches of [`parallel_row_threshold`] rows or more
-    /// shard across the worker pool; results are identical either way.
+    /// through here.
     pub(crate) fn match_batch_into(
         &self,
         view: &DatasetView<'_>,
         out: &mut Vec<ClassId>,
     ) -> Bitmap {
-        let threads = if view.len() >= PAR_ROW_THRESHOLD {
-            0
-        } else {
-            1
-        };
-        self.program()
-            .match_batch_into(view, out, threads, PAR_SHARD_ROWS)
-    }
-
-    /// [`Predictor::predict_batch`] with an explicit worker-thread count
-    /// and shard size (`shard_rows` must be a positive multiple of 64;
-    /// `threads` `0` = auto). The determinism contract, callable: output
-    /// is **bit-identical for every** `(threads, shard_rows)` — the
-    /// equivalence suite exercises 1/2/4 workers through this.
-    pub fn predict_batch_with(
-        &self,
-        view: &DatasetView<'_>,
-        threads: usize,
-        shard_rows: usize,
-    ) -> Vec<ClassId> {
-        let mut out = Vec::with_capacity(view.len());
-        self.program()
-            .match_batch_into(view, &mut out, threads, shard_rows);
-        out
+        self.program().match_batch_into(view, out, SHARD_ROWS)
     }
 }
 
@@ -410,17 +376,34 @@ mod tests {
         }
     }
 
+    /// Shard seams inside a small fixture: 64- and 128-row shards split
+    /// the 100-row dataset and a 150-row gathered view of it (scrambled,
+    /// repeated rows) with a partial tail shard; classes and
+    /// explicit-match bits must equal the interpreted first match row by
+    /// row.
     #[test]
-    fn dag_is_thread_and_shard_invariant() {
+    fn dag_is_shard_invariant() {
         let ds = dataset();
-        let compiled = CompiledRules::compile(&ruleset());
-        let reference = compiled.predict_batch(&ds.view());
-        for threads in [0usize, 1, 2, 4] {
-            assert_eq!(
-                compiled.predict_batch_with(&ds.view(), threads, 64),
-                reference,
-                "threads={threads}"
-            );
+        let rs = ruleset();
+        let compiled = CompiledRules::compile(&rs);
+        let full: Vec<usize> = (0..ds.len()).collect();
+        let gathered: Vec<usize> = (0..150).map(|i| (i * 37) % ds.len()).collect();
+        for (view, rows) in [(ds.view(), full), (ds.view_of(gathered.clone()), gathered)] {
+            for shard_rows in [64usize, 128] {
+                let mut got = Vec::new();
+                let matched = compiled
+                    .program()
+                    .match_batch_into(&view, &mut got, shard_rows);
+                for (pos, &r) in rows.iter().enumerate() {
+                    let at = format!("row {r}, shard_rows={shard_rows}");
+                    assert_eq!(got[pos], rs.predict_row(&ds, r), "{at}");
+                    assert_eq!(
+                        matched.get(pos),
+                        rs.first_match_row(&ds, r).is_some(),
+                        "{at}"
+                    );
+                }
+            }
         }
     }
 

@@ -6,11 +6,9 @@
 //!
 //! * [`CompiledRules`] lowers a [`nr_rules::RuleSet`] into a deduplicated
 //!   predicate table and a shared-prefix decision DAG, executed as a
-//!   branch-free bitmap program with fused per-column sweeps; batches of
-//!   [`parallel_row_threshold`] rows or more shard across the shared
-//!   worker pool — first-match semantics resolved per batch,
-//!   bit-identical to the interpreted `RuleSet::predict_row` path at any
-//!   thread count;
+//!   branch-free bitmap program with fused per-column sweeps, run on the
+//!   caller's thread — first-match semantics resolved per batch,
+//!   bit-identical to the interpreted `RuleSet::predict_row` path;
 //! * [`NetworkScorer`] packages encoder + pruned MLP behind the same
 //!   batch [`Predictor`](nr_rules::Predictor) trait, scoring from each
 //!   attribute's interval index straight into the set-bit forward pass
@@ -52,7 +50,7 @@ mod scorer;
 mod swap;
 
 pub use api::{BulkResponse, ErrorResponse, ModelInfo, PredictResponse, SwapResponse};
-pub use compiled::{parallel_row_threshold, CompiledRules};
+pub use compiled::CompiledRules;
 pub use model::{ServeError, ServeMode, ServeModel};
 pub use registry::{bundle_file_name, ModelRegistry, RegistryEntry, DEFAULT_RETAIN};
 pub use scorer::NetworkScorer;

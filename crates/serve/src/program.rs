@@ -27,12 +27,10 @@
 //! * [`Op::ClaimRest`] is the empty-antecedent rule: every still-
 //!   undecided row takes the class, terminally.
 //!
-//! Batches at or above [`PAR_ROW_THRESHOLD`] rows are split into fixed
-//! [`PAR_SHARD_ROWS`]-row shards scored on the shared `nr-nn` worker pool
-//! ([`nr_nn::map_indexed_scoped`]) and stitched back in shard order.
-//! Because rows are scored independently and the shard grid never depends
-//! on the thread count, the output is **bit-identical at any thread
-//! count** — the serving equivalence suite pins this at 1/2/4 workers.
+//! Every batch runs on the caller's thread, split into fixed
+//! [`SHARD_ROWS`]-row shards scored one after another, so the register
+//! bitmaps stay cache-sized however large the batch is. Rows are scored
+//! independently, so the output never depends on the shard size.
 
 use std::ops::Range;
 
@@ -40,19 +38,11 @@ use nr_tabular::{ClassId, DatasetView};
 
 use crate::bitmap::Bitmap;
 
-/// Batches below this many rows always score on the caller's thread.
-///
-/// Chosen above the daemon batch-former's lane batches (`max_batch`
-/// defaults to 64 rows) by two orders of magnitude: coalesced lanes keep
-/// their single-thread latency profile and never oversubscribe handler
-/// threads, while bulk bodies and offline scans fan out.
-pub(crate) const PAR_ROW_THRESHOLD: usize = 16 * 1024;
-
-/// Rows per parallel shard. A multiple of 64 so every shard boundary is
-/// word-aligned (shard bitmaps concatenate into the batch bitmap by plain
-/// word copy), and fixed regardless of thread count (the determinism
-/// grid).
-pub(crate) const PAR_SHARD_ROWS: usize = 8 * 1024;
+/// Rows per shard: a 1 KiB bitmap per register. A multiple of 64, so
+/// every shard boundary is word-aligned (shard bitmaps concatenate into
+/// the batch bitmap by plain word copy). One whole-batch shard measured
+/// about 10% slower at 1M rows on a 2-core x86-64 host.
+pub(crate) const SHARD_ROWS: usize = 8 * 1024;
 
 /// One instruction of the lowered program. Register ids index a dense
 /// per-shard register file; every register is written before it is read
@@ -481,7 +471,7 @@ fn sweep_nom_chunk(chunk: &[u32], w: usize, tests: &[(u32, NomTest)], regs: &mut
 
 /// The lowered program (see the module docs). Built once per compiled
 /// rule set by [`crate::dag::lower`]; immutable and `Sync` afterwards, so
-/// any number of shard jobs interpret it concurrently.
+/// any number of threads interpret it concurrently.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DagProgram {
     /// Class of rows no rule claims.
@@ -500,7 +490,7 @@ pub(crate) struct DagProgram {
 }
 
 /// The per-shard interpreter state: the register file plus the
-/// arbitration bitmaps, reused across shards of a serial run.
+/// arbitration bitmaps, reused across the shards of a batch.
 struct RegSet {
     regs: Vec<Bitmap>,
     undecided: Bitmap,
@@ -585,15 +575,14 @@ impl DagProgram {
     }
 
     /// Scores `view` into `out` (appending one class per row) and returns
-    /// the explicit-match bitmap. `threads` is the worker count for
-    /// shard-parallel execution (`0` = auto, `1` = serial); `shard_rows`
-    /// is the fixed shard size and must be a positive multiple of 64.
-    /// Output is bit-identical for any `(threads, shard_rows)`.
+    /// the explicit-match bitmap, one `shard_rows`-row shard after
+    /// another (production passes [`SHARD_ROWS`]; unit tests pass small
+    /// sizes to put shard seams inside small fixtures). `shard_rows` must
+    /// be a positive multiple of 64; the output is identical for any.
     pub(crate) fn match_batch_into(
         &self,
         view: &DatasetView<'_>,
         out: &mut Vec<ClassId>,
-        threads: usize,
         shard_rows: usize,
     ) -> Bitmap {
         assert!(
@@ -607,43 +596,13 @@ impl DagProgram {
         if n == 0 {
             return matched;
         }
-        let shards = n.div_ceil(shard_rows);
-        let shard_range = |s: usize| -> Range<usize> {
-            let lo = s * shard_rows;
-            lo..n.min(lo + shard_rows)
-        };
-        // Resolve "auto" against the hardware up front: when the pool
-        // would run inline anyway (single-core host, or more workers than
-        // shards collapsing to one), take the serial arm and skip the
-        // per-shard buffer allocation entirely. The shard grid — and so
-        // the output — is identical either way.
-        let workers = nr_nn::resolve_threads(threads, shards);
-        if shards == 1 || workers <= 1 {
-            let classes = &mut out[start..];
-            let mut state = RegSet::new(self.n_regs, shard_range(0).len());
-            for s in 0..shards {
-                let range = shard_range(s);
-                let words = range.start / 64..range.end.div_ceil(64);
-                let m = self.run_shard(view, range.clone(), &mut classes[range], &mut state);
-                matched.words_mut()[words].copy_from_slice(m.words());
-            }
-        } else {
-            // Fixed-size shards on the shared pool, stitched in shard
-            // order: bit-identical at any thread count.
-            let shard_results = nr_nn::map_indexed_scoped(shards, workers, |s| {
-                let range = shard_range(s);
-                let mut classes = vec![self.default_class; range.len()];
-                let mut state = RegSet::new(self.n_regs, range.len());
-                let m = self.run_shard(view, range, &mut classes, &mut state);
-                (classes, m)
-            });
-            let classes = &mut out[start..];
-            for (s, (shard_classes, m)) in shard_results.into_iter().enumerate() {
-                let range = shard_range(s);
-                let words = range.start / 64..range.end.div_ceil(64);
-                classes[range].copy_from_slice(&shard_classes);
-                matched.words_mut()[words].copy_from_slice(m.words());
-            }
+        let classes = &mut out[start..];
+        let mut state = RegSet::new(self.n_regs, n.min(shard_rows));
+        for lo in (0..n).step_by(shard_rows) {
+            let range = lo..n.min(lo + shard_rows);
+            let words = lo / 64..range.end.div_ceil(64);
+            let m = self.run_shard(view, range.clone(), &mut classes[range], &mut state);
+            matched.words_mut()[words].copy_from_slice(m.words());
         }
         matched.debug_assert_tail_clear();
         matched

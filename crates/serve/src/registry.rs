@@ -23,6 +23,11 @@
 //! * [`ModelRegistry::rollback`] steps `current` back to the previous
 //!   good version the same way.
 //!
+//! Version numbers never repeat: a commit takes a number above every
+//! bundle the directory still shows, live or quarantined, and a file
+//! parked under a name `quarantine/` already holds gets a numbered
+//! suffix instead of replacing the earlier one.
+//!
 //! Retention is bounded: committing past `retain` versions deletes the
 //! oldest non-current bundles, so the directory cannot grow without
 //! limit under continuous redeployment.
@@ -143,11 +148,12 @@ impl ModelRegistry {
 
     /// Commits `model` as the next version: bundle written atomically
     /// (checksummed, fsynced), journal updated, retention enforced.
-    /// Returns the new version number. On success the bundle is durable
-    /// **before** this returns — the caller can safely swap traffic to
-    /// the model knowing a crash reboots into it.
+    /// Returns the new version number, one above every bundle number the
+    /// directory still shows (see the module docs). On success the bundle
+    /// is durable **before** this returns — the caller can safely swap
+    /// traffic to the model knowing a crash reboots into it.
     pub fn commit(&mut self, model: &ServeModel) -> Result<u64, ServeError> {
-        let version = self.manifest.entries.last().map_or(1, |e| e.version + 1);
+        let version = self.highest_version_on_disk()? + 1;
         let file = bundle_file_name(version);
         let body = write_checksummed_string(&model.to_json()?);
         let path = self.dir.join(&file);
@@ -294,14 +300,42 @@ impl ModelRegistry {
         }
     }
 
+    /// The highest version in the journal or named by a bundle file in
+    /// the directory or in `quarantine/` (0 when there is none).
+    fn highest_version_on_disk(&self) -> Result<u64, ServeError> {
+        let mut highest = self.manifest.entries.last().map_or(0, |e| e.version);
+        for dir in [self.dir.clone(), self.dir.join(QUARANTINE_DIR)] {
+            let listing = match std::fs::read_dir(&dir) {
+                Ok(listing) => listing,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(e.into()),
+            };
+            for dirent in listing {
+                let name = dirent?.file_name();
+                if let Some(version) = parse_parked_name(&name.to_string_lossy()) {
+                    highest = highest.max(version);
+                }
+            }
+        }
+        Ok(highest)
+    }
+
     /// Moves a file into `quarantine/` (counting it); missing files count
-    /// too — the journal entry referencing them is what gets dropped.
+    /// too — the journal entry referencing them is what gets dropped. A
+    /// name already parked there gets the first free `.1`, `.2`, …
+    /// suffix, so earlier evidence is never overwritten.
     fn quarantine(&mut self, path: &Path) -> Result<(), ServeError> {
         if path.is_file() {
             let qdir = self.dir.join(QUARANTINE_DIR);
             std::fs::create_dir_all(&qdir)?;
-            let name = path.file_name().unwrap_or_default();
-            std::fs::rename(path, qdir.join(name))?;
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            let mut target = qdir.join(name.as_ref());
+            let mut suffix = 0u64;
+            while target.exists() {
+                suffix += 1;
+                target = qdir.join(format!("{name}.{suffix}"));
+            }
+            std::fs::rename(path, target)?;
         }
         self.quarantined += 1;
         Ok(())
@@ -397,6 +431,16 @@ fn parse_bundle_name(name: &str) -> Option<u64> {
     stem.parse().ok()
 }
 
+/// Parses a bundle name as [`parse_bundle_name`] does, also with the
+/// numbered suffix quarantine adds: `v000042.model.json.1` → `Some(42)`.
+fn parse_parked_name(name: &str) -> Option<u64> {
+    parse_bundle_name(name).or_else(|| {
+        let (base, suffix) = name.rsplit_once('.')?;
+        let numbered = !suffix.is_empty() && suffix.bytes().all(|b| b.is_ascii_digit());
+        numbered.then(|| parse_bundle_name(base)).flatten()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,6 +525,57 @@ mod tests {
         let (v, _) = reopened.latest_good().unwrap().unwrap();
         assert_eq!(v, 2);
         assert_eq!(reopened.quarantined(), 1, "old journal parked");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A quarantined version number is never committed again, also after
+    /// the journal is rebuilt from the bundle files.
+    #[test]
+    fn versions_never_repeat_after_quarantine() {
+        let dir = temp_dir("no-repeat");
+        let mut reg = ModelRegistry::open(&dir, 4).unwrap();
+        for s in 1..=3 {
+            reg.commit(&model(s)).unwrap();
+        }
+        nr_store::fault::flip_bit(&dir.join(bundle_file_name(3)), 40, 1).unwrap();
+        let mut booted = ModelRegistry::open(&dir, 4).unwrap();
+        assert_eq!(booted.latest_good().unwrap().unwrap().0, 2);
+        assert_eq!(booted.commit(&model(4)).unwrap(), 4, "v3 is quarantined");
+
+        // Corrupt v4 and trash the journal: the rebuild parks v4 too, and
+        // the next commit still passes both quarantined numbers.
+        nr_store::fault::flip_bit(&dir.join(bundle_file_name(4)), 40, 1).unwrap();
+        std::fs::write(dir.join(REGISTRY_FILE), b"garbage").unwrap();
+        let mut rebuilt = ModelRegistry::open(&dir, 4).unwrap();
+        assert_eq!(rebuilt.versions().collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(rebuilt.commit(&model(5)).unwrap(), 5);
+        let qdir = dir.join(QUARANTINE_DIR);
+        assert!(qdir.join(bundle_file_name(3)).is_file());
+        assert!(qdir.join(bundle_file_name(4)).is_file());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two quarantines of the same file name keep both files.
+    #[test]
+    fn quarantine_never_overwrites_evidence() {
+        let dir = temp_dir("two-parks");
+        let mut reg = ModelRegistry::open(&dir, 4).unwrap();
+        reg.commit(&model(1)).unwrap();
+        for garbage in [&b"first garbage"[..], b"second garbage"] {
+            std::fs::write(dir.join(REGISTRY_FILE), garbage).unwrap();
+            ModelRegistry::open(&dir, 4).unwrap();
+        }
+        let qdir = dir.join(QUARANTINE_DIR);
+        assert_eq!(
+            std::fs::read(qdir.join(REGISTRY_FILE)).unwrap(),
+            b"first garbage"
+        );
+        assert_eq!(
+            std::fs::read(qdir.join(format!("{REGISTRY_FILE}.1"))).unwrap(),
+            b"second garbage"
+        );
+        assert_eq!(parse_parked_name("v000042.model.json.1"), Some(42));
+        assert_eq!(parse_parked_name("v000042.model.json."), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

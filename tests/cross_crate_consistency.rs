@@ -1,18 +1,11 @@
-//! Consistency checks that span crates: the generator's schema matches the
-//! encoder's, rules evaluate identically across representations, and the
-//! C4.5 baseline interoperates with the shared rule model.
+//! Consistency checks that span crates: generated rows encode within the
+//! encoder's feasible space, rules evaluate identically across
+//! representations, and the C4.5 baseline interoperates with the shared
+//! rule model.
 
-use nr_datagen::{agrawal_schema, class_names, Function, Generator};
+use nr_datagen::{class_names, Function, Generator};
 use nr_encode::{enumerate_feasible, Encoder};
 use nr_tree::{to_rules, DecisionTree, TreeConfig};
-
-#[test]
-fn generator_and_encoder_agree_on_the_schema() {
-    // `nr-encode` keeps a local copy of the Agrawal schema to avoid a
-    // dependency cycle; this test pins the two definitions together.
-    let enc = Encoder::agrawal();
-    assert_eq!(enc.schema(), &agrawal_schema());
-}
 
 #[test]
 fn every_generated_row_encodes_within_the_feasible_space() {

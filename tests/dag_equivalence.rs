@@ -8,13 +8,17 @@
 //! contradictory predicates (empty intervals on one column), and empty
 //! antecedents (a catch-all mid-list making later rules unreachable).
 //! Against every generated set, the DAG program must be bit-identical to
-//! the interpreted `RuleSet::predict_row` reference and invariant across
-//! worker-thread counts.
+//! the interpreted `RuleSet::predict_row` reference, also when the batch
+//! spans the engine's shard seams.
 
 use nr_rules::{Condition, Predictor, Rule, RuleSet};
 use nr_serve::CompiledRules;
 use nr_tabular::{Attribute, Dataset, Schema, Value};
 use proptest::prelude::*;
+
+/// The engine's fixed shard size: batches score one 8,192-row shard
+/// after another, so a batch longer than two of them crosses two seams.
+const SHARD_ROWS: usize = 8 * 1024;
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -130,25 +134,30 @@ proptest! {
         );
     }
 
-    /// Thread-count invariance: 64-row shards force multi-shard
-    /// execution on almost every case, and the stitched answer must be
-    /// bit-identical at every worker count (0 = auto).
+    /// Shard seams: the generated dataset tiled past two shard seams into
+    /// a partial tail shard (37 copies of its rows past the second seam),
+    /// scored on the full view and on a gathered view of its rows in
+    /// scrambled order; classes and explicit-match scores must equal the
+    /// interpreted reference row by row.
     #[test]
-    fn dag_is_thread_invariant(rs in ruleset_strategy(), ds in dataset_strategy()) {
+    fn dag_is_shard_seam_invariant(rs in ruleset_strategy(), ds in dataset_strategy()) {
         let compiled = CompiledRules::compile(&rs);
-        let reference = compiled.predict_batch_with(&ds.view(), 1, 64);
-        for threads in [0usize, 2, 4] {
-            prop_assert_eq!(
-                &compiled.predict_batch_with(&ds.view(), threads, 64),
-                &reference,
-                "threads={}", threads
-            );
+        let n = 2 * SHARD_ROWS + 37 * ds.len();
+        let tiled: Vec<usize> = (0..n).map(|i| i % ds.len()).collect();
+        let big = ds.subset(&tiled);
+        let per_row: Vec<_> = (0..n).map(|i| rs.predict_row(&big, i)).collect();
+        prop_assert_eq!(&compiled.predict_batch(&big.view()), &per_row, "full view");
+        for (i, s) in compiled.predict_scored_batch(&big.view()).iter().enumerate() {
+            let explicit = rs.first_match_row(&big, i).is_some();
+            prop_assert_eq!(s.score, if explicit { 1.0 } else { 0.0 }, "row {} score", i);
         }
-        // And shard size must not matter either.
+
+        let sel: Vec<usize> = (0..n).map(|i| (i * 7919) % ds.len()).collect();
+        let want: Vec<_> = sel.iter().map(|&r| rs.predict_row(&ds, r)).collect();
         prop_assert_eq!(
-            &compiled.predict_batch_with(&ds.view(), 4, 128),
-            &reference,
-            "shard_rows=128"
+            &compiled.predict_batch(&ds.view_of(sel)),
+            &want,
+            "gathered view"
         );
     }
 }
@@ -212,11 +221,8 @@ fn adversarial_shapes_compose() {
     let compiled = CompiledRules::compile(&rs);
     let per_row: Vec<_> = (0..ds.len()).map(|i| rs.predict_row(&ds, i)).collect();
     assert_eq!(compiled.predict_batch(&ds.view()), per_row);
-    for threads in [1usize, 2, 4] {
-        assert_eq!(
-            compiled.predict_batch_with(&ds.view(), threads, 64),
-            per_row,
-            "threads={threads}"
-        );
-    }
+    // The same shapes across two shard seams and a partial tail shard.
+    let tiled: Vec<usize> = (0..2 * SHARD_ROWS + 100).map(|i| i % ds.len()).collect();
+    let want: Vec<_> = tiled.iter().map(|&r| per_row[r]).collect();
+    assert_eq!(compiled.predict_batch(&ds.subset(&tiled).view()), want);
 }

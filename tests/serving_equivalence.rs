@@ -31,23 +31,32 @@ fn pipeline(seed: u64) -> NeuroRule {
         .with_prune(prune)
 }
 
+/// The rule engine's fixed shard size (rows scored per shard).
+const SHARD_ROWS: usize = 8 * 1024;
+
 /// Asserts compiled == interpreted on the full view, a reversed/strided
-/// selection, and an empty selection of `ds` — and that the answer is
-/// invariant across 1/2/4 worker threads and shard grids (the DAG
-/// engine's determinism contract).
+/// selection, and an empty selection of `ds`, and on `ds` tiled past two
+/// shard seams into a partial tail shard (full and gathered views).
 fn assert_equivalent(rs: &RuleSet, ds: &Dataset) {
     let compiled = CompiledRules::compile(rs);
     let per_row: Vec<_> = (0..ds.len()).map(|i| rs.predict_row(ds, i)).collect();
     assert_eq!(compiled.predict_batch(&ds.view()), per_row, "full view");
-    // 128-row shards force multi-shard execution on every non-trivial
-    // fixture; the stitched answer must be bit-identical at any width.
-    for threads in [1usize, 2, 4] {
-        assert_eq!(
-            compiled.predict_batch_with(&ds.view(), threads, 128),
-            per_row,
-            "sharded, {threads} worker thread(s)"
-        );
-    }
+    // A tiled row is a copy of row `i % len`, so it shares that row's
+    // answer.
+    let tiled: Vec<usize> = (0..2 * SHARD_ROWS + ds.len())
+        .map(|i| i % ds.len())
+        .collect();
+    let want: Vec<_> = tiled.iter().map(|&r| per_row[r]).collect();
+    assert_eq!(
+        compiled.predict_batch(&ds.subset(&tiled).view()),
+        want,
+        "tiled across shard seams"
+    );
+    assert_eq!(
+        compiled.predict_batch(&ds.view_of(tiled)),
+        want,
+        "gathered across shard seams"
+    );
 
     let sel: Vec<usize> = (0..ds.len()).rev().step_by(3).collect();
     let want: Vec<_> = sel.iter().map(|&r| rs.predict_row(ds, r)).collect();
