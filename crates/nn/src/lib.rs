@@ -47,5 +47,5 @@ pub use describe::{describe, summarize, NetworkSummary};
 pub use matrix::Matrix;
 pub use mlp::{argmax, LinkId, Mlp};
 pub use objective::{CrossEntropyObjective, Penalty};
-pub use par::{map_indexed_scoped, resolve_threads};
+pub use par::{join, map_indexed_scoped, resolve_threads};
 pub use trainer::{TrainReport, Trainer, TrainingAlgorithm};

@@ -212,8 +212,6 @@ pub struct Serving {
     rows: usize,
     /// Compiled rules, interpreted rules, network batch, hybrid.
     pub engines: Vec<Timing>,
-    /// Decision DAG on one thread, interpreted.
-    pub dag: Vec<Timing>,
     speedup: Bar,
 }
 
@@ -241,15 +239,10 @@ pub fn serving(model: &Model, size: &Size) -> Serving {
             hybrid.predict_batch(&view).len()
         }),
     ];
-    let dag = vec![
-        median("decision DAG (1 thread)", &compiled),
-        median("interpreted (`RuleSet::predict_row`)", &interpreted),
-    ];
     let speedup = speedup_bar(runs(5, compiled)[0], runs(5, interpreted)[0]).enforce(size.armed);
     Serving {
         rows,
         engines,
-        dag,
         speedup,
     }
 }
@@ -266,16 +259,13 @@ impl Serving {
              path on the same batch — the paper's \"rules are cheap to apply to\n\
              large databases\" claim (§1), measured. The compiled engine is {:.1}× the\n\
              interpreted per-row rule path.\n\n\
-             Bar: {}.\n\n\
-             ### Rule engines (same workload, batches of {} rows)\n\n{}",
+             Bar: {}.\n",
             self.rows,
             host_cores(),
             table("engine", "batch", &self.engines, 1),
             network.median.as_secs_f64() / compiled.median.as_secs_f64(),
             interpreted.median.as_secs_f64() / compiled.median.as_secs_f64(),
             self.speedup.line(),
-            self.rows,
-            table("engine", "batch", &self.dag, 1),
         )
     }
 }
@@ -531,12 +521,11 @@ mod tests {
     }
 
     #[test]
-    fn quick_serving_renders_all_six_engine_rows() {
+    fn quick_serving_renders_all_four_engine_rows() {
         let serving = serving(quick_model(), &QUICK);
-        assert_eq!((serving.engines.len(), serving.dag.len()), (4, 2));
+        assert_eq!(serving.engines.len(), 4);
         let markdown = serving.markdown();
         assert_rendered(&serving.engines, &markdown);
-        assert_rendered(&serving.dag, &markdown);
     }
 
     #[test]

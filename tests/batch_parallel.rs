@@ -383,3 +383,72 @@ fn heavy_mask_objective_deterministic_across_thread_counts() {
         }
     }
 }
+
+/// The single-chunk variant: 1,000 rows, the paper-scale training set
+/// size, so 2 and 8 threads split each evaluation between the caller and
+/// the pool's session worker. Every thread count gives the per-row
+/// reference's bits exactly.
+#[test]
+fn heavy_mask_single_chunk_objective_deterministic_across_thread_counts() {
+    let (n_in, h, o) = (20, 6, 3);
+    let (x_rows, data) = synthetic_data(1000, n_in, 3); // one chunk
+    let links = h * (n_in + o);
+    let weights: Vec<f64> = (0..links)
+        .map(|k| ((k * 37 % 101) as f64 - 50.0) / 17.0)
+        .collect();
+    let picks: Vec<u8> = (0..links).map(|k| (k * 61 % 100) as u8).collect();
+    let shapes = [2, 1, 3, 0, 0, 0];
+    let net = heavy_mask_net((n_in, h, o), &weights, &picks, 85, &shapes);
+    let x = net.flatten_active();
+    let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
+    let want_bits: Vec<u64> = want_grad.iter().map(|g| g.to_bits()).collect();
+
+    for threads in [1usize, 2, 8] {
+        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(threads);
+        // Repeated, so later evaluations find the session worker live.
+        for _ in 0..20 {
+            let mut grad = vec![0.0; obj.dim()];
+            let loss = obj.value_and_gradient(&x, &mut grad);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{threads} threads");
+            assert_eq!(obj.value(&x).to_bits(), want_loss.to_bits(), "value-only");
+            let got: Vec<u64> = grad.iter().map(|g| g.to_bits()).collect();
+            assert_eq!(
+                got, want_bits,
+                "gradient bits differ with {threads} threads"
+            );
+        }
+    }
+}
+
+/// Four threads evaluating single-chunk objectives at once (one of them at
+/// most holds the session worker; the others run inline or take their
+/// halves back) all get the inline evaluation's bits.
+#[test]
+fn concurrent_single_chunk_evaluations_agree() {
+    let (n_in, h, o) = (20, 6, 3);
+    let (_, data) = synthetic_data(1000, n_in, 3);
+    let links = h * (n_in + o);
+    let weights: Vec<f64> = (0..links)
+        .map(|k| ((k * 53 % 97) as f64 - 48.0) / 19.0)
+        .collect();
+    let picks: Vec<u8> = (0..links).map(|k| (k * 29 % 100) as u8).collect();
+    let net = heavy_mask_net((n_in, h, o), &weights, &picks, 60, &[2, 0, 0, 1, 0, 0]);
+    let x = net.flatten_active();
+    let inline = CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(1);
+    let mut want_grad = vec![0.0; inline.dim()];
+    let want_loss = inline.value_and_gradient(&x, &mut want_grad);
+
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| {
+                let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+                for _ in 0..50 {
+                    let mut grad = vec![0.0; obj.dim()];
+                    let loss = obj.value_and_gradient(&x, &mut grad);
+                    assert_eq!(loss.to_bits(), want_loss.to_bits());
+                    assert_eq!(grad, want_grad);
+                }
+            });
+        }
+    });
+}
