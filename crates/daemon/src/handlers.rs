@@ -11,8 +11,10 @@
 use std::time::{Duration, Instant};
 
 use nr_rules::Predictor;
-use nr_serve::{BulkResponse, ErrorResponse, ModelInfo, ModelRegistry, ServeModel, SwapResponse};
-use nr_tabular::{parse_row, AttrKind, Dataset, Value};
+use nr_serve::{
+    BulkResponse, ErrorResponse, ModelInfo, ModelRegistry, ServeError, ServeModel, SwapResponse,
+};
+use nr_tabular::{parse_row, Dataset};
 use serde::Serialize;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
@@ -383,98 +385,34 @@ fn predict_bulk(entry: &ModelEntry, body: &str, deadline: Instant) -> Reply {
     })
 }
 
-/// Rows scored by the canary check before a swap is admitted.
-const CANARY_ROWS: usize = 16;
-
-/// Builds the deterministic canary batch for `model`'s schema: synthetic
-/// rows spanning each column's shape (varied numerics, every nominal
-/// category cycled). Pure function of the schema, so a given deployment
-/// always faces the same canary.
-fn canary_batch(model: &ServeModel) -> Result<Dataset, String> {
-    let schema = model.network().encoder().schema();
-    let mut ds = Dataset::new(schema.clone(), model.rules().class_names().to_vec());
-    for i in 0..CANARY_ROWS {
-        let row: Vec<Value> = schema
-            .attributes()
-            .iter()
-            .enumerate()
-            .map(|(a, attr)| match &attr.kind {
-                // A spread of magnitudes either side of zero, different
-                // per column, hitting rule thresholds' neighborhoods only
-                // incidentally — the canary tests the engine, not the
-                // model's accuracy.
-                AttrKind::Numeric => {
-                    let v = ((i * 31 + a * 17) % 97) as f64;
-                    Value::Num((v - 48.0) * (10f64).powi((a % 5) as i32 - 1))
-                }
-                AttrKind::Nominal { categories } => {
-                    Value::Nominal(((i + a) % categories.len().max(1)) as u32)
-                }
-            })
-            .collect();
-        ds.push_unlabeled(row)
-            .map_err(|e| format!("canary row rejected by schema: {e}"))?;
+/// The deployment check every swap and rollback passes on top of
+/// [`ServeModel::validate`]: the incoming model keeps the deployed
+/// schema and class list, so rows queued against the current deployment
+/// stay valid for the next. `Err` says what differs.
+fn admit(current: &ServeModel, incoming: &ServeModel) -> Result<(), &'static str> {
+    if incoming.network().encoder().schema() != current.network().encoder().schema() {
+        return Err("its schema differs from the deployed one");
     }
-    Ok(ds)
-}
-
-/// Scores the canary batch against `model` and checks the answers are
-/// sane: no panic, every class index in range, and bit-identical across
-/// two runs. `Err` explains what failed (the handler answers 409).
-fn canary_validate(model: &ServeModel) -> Result<(), String> {
-    let ds = canary_batch(model)?;
-    let view = ds.view();
-    let score = || {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| model.predict_batch(&view)))
-            .map_err(|_| "model panicked scoring the canary batch".to_string())
-    };
-    let first = score()?;
-    let n_classes = model.rules().class_names().len();
-    if let Some(&bad) = first.iter().find(|&&c| c >= n_classes) {
-        return Err(format!(
-            "model answered class index {bad} with only {n_classes} classes"
-        ));
-    }
-    if score()? != first {
-        return Err("model is nondeterministic on the canary batch".to_string());
+    if incoming.rules().class_names() != current.rules().class_names() {
+        return Err("its class list differs from the deployed one");
     }
     Ok(())
 }
 
-/// Hot swap: parse the incoming bundle, admit it (finite parameters,
-/// identical schema and class list — so queued rows parsed against the
-/// old deployment stay valid), score it against the deterministic canary
-/// batch (409 on panic, out-of-range class, or nondeterminism), commit
-/// it durably to the model registry when one is configured, and only
-/// then swap atomically. The commit precedes the swap so a crash right
-/// after the 200 reboots into the version the client was told is live.
+/// Hot swap: parse the incoming bundle ([`ServeModel::from_json`] runs
+/// [`ServeModel::validate`], so a non-finite parameter or disagreeing
+/// parts answer 400), [`admit`] it against the deployment (409 on a
+/// changed schema or class list), commit it durably to the model
+/// registry when one is configured, and only then swap atomically. The
+/// commit precedes the swap so a crash right after the 200 reboots into
+/// the version the client was told is live.
 fn swap(entry: &ModelEntry, body: &str) -> Reply {
     let incoming = match ServeModel::from_json(body) {
         Ok(model) => model,
         Err(e) => return error(400, format!("bad model bundle: {e}")),
     };
-    if let Err(e) = incoming.validate_finite() {
-        return error(400, format!("refusing swap: {e}"));
-    }
-    let current = entry.handle.load();
-    if incoming.network().encoder().schema() != current.model().network().encoder().schema() {
-        return error(
-            409,
-            "refusing swap: incoming model's schema differs from the deployed one",
-        );
-    }
-    if incoming.rules().class_names() != current.model().rules().class_names() {
-        return error(
-            409,
-            "refusing swap: incoming model's class list differs from the deployed one",
-        );
-    }
-    drop(current);
-    if let Err(why) = canary_validate(&incoming) {
-        return error(
-            409,
-            format!("refusing swap: canary validation failed: {why}"),
-        );
+    if let Err(why) = admit(entry.handle.load().model(), &incoming) {
+        return error(409, format!("refusing swap: {why}"));
     }
     if let Some(registry) = &entry.registry {
         if let Err(e) = lock_registry(registry).commit(&incoming) {
@@ -486,7 +424,9 @@ fn swap(entry: &ModelEntry, body: &str) -> Reply {
 }
 
 /// `POST .../rollback`: step the durable registry back to the previous
-/// good version (quarantining corrupt intermediates) and swap it in.
+/// good version (quarantining corrupt intermediates), [`admit`] it, and
+/// swap it in. A refused version (409) leaves the registry's pointer
+/// where it was, so a restart boots what is serving now.
 fn rollback(entry: &ModelEntry) -> Reply {
     let Some(registry) = &entry.registry else {
         return error(
@@ -494,69 +434,23 @@ fn rollback(entry: &ModelEntry) -> Reply {
             "rollback unavailable: daemon is running without a model registry",
         );
     };
-    let (registry_version, model) = match lock_registry(registry).rollback() {
+    let current = entry.handle.load();
+    let rolled = lock_registry(registry).rollback(|model| {
+        admit(current.model(), model).map_err(|why| ServeError::Invalid(why.to_string()))
+    });
+    let (registry_version, model) = match rolled {
         Ok(rolled) => rolled,
-        Err(nr_serve::ServeError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+        Err(ServeError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
             return error(409, format!("rollback refused: {e}"));
+        }
+        Err(ServeError::Invalid(why)) => {
+            return error(409, format!("rollback refused: archived model: {why}"));
         }
         Err(e) => return error(500, format!("rollback failed: {e}")),
     };
-    // The registry only ever held admitted models, but re-check the swap
-    // invariants anyway — parsing contracts must hold for queued rows.
-    let current = entry.handle.load();
-    if model.network().encoder().schema() != current.model().network().encoder().schema()
-        || model.rules().class_names() != current.model().rules().class_names()
-    {
-        return error(
-            409,
-            "rollback refused: archived model no longer matches the deployed schema",
-        );
-    }
-    drop(current);
     let version = entry.handle.swap(model);
     ok_json(&RollbackResponse {
         version,
         registry_version,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use nr_serve::ServeMode;
-
-    fn model_with_default_class(default: usize) -> ServeModel {
-        let encoder = nr_encode::Encoder::agrawal();
-        let net = nr_nn::Mlp::random(encoder.n_inputs(), 4, 2, 3);
-        let rules = nr_rules::RuleSet::new(Vec::new(), default, vec!["A".into(), "B".into()]);
-        ServeModel::new(&rules, encoder, net, ServeMode::Rules)
-    }
-
-    #[test]
-    fn canary_accepts_a_sane_model() {
-        canary_validate(&model_with_default_class(1)).expect("well-formed model passes");
-    }
-
-    #[test]
-    fn canary_rejects_out_of_range_class_answers() {
-        // An empty rule table answers its default class for every row; a
-        // default outside the class list is exactly the "plausible JSON,
-        // broken model" bundle the canary exists to keep out.
-        let why = canary_validate(&model_with_default_class(7))
-            .expect_err("out-of-range answers must fail the canary");
-        assert!(why.contains("class index"), "names the failure: {why}");
-    }
-
-    #[test]
-    fn canary_batch_is_deterministic() {
-        let model = model_with_default_class(0);
-        let a = canary_batch(&model).unwrap();
-        let b = canary_batch(&model).unwrap();
-        assert_eq!(a.len(), CANARY_ROWS);
-        for i in 0..a.len() {
-            for c in 0..a.schema().attributes().len() {
-                assert_eq!(a.value(i, c), b.value(i, c), "row {i} col {c}");
-            }
-        }
-    }
 }

@@ -40,10 +40,15 @@
 //! Admin routes (`/healthz`, `/stats`, model info) are never shed.
 //!
 //! Hot swap rides `nr_serve`'s [`ModelHandle`](nr_serve::ModelHandle):
-//! `PUT /model` admits a bundle (finite parameters, unchanged schema and
-//! class list) and swaps it in atomically — in-flight batches finish on
-//! their snapshot, later batches see the new version, and no batch ever
-//! mixes two.
+//! `PUT /model` loads a bundle through
+//! [`ServeModel::from_json`](nr_serve::ServeModel::from_json), whose
+//! [`validate`](nr_serve::ServeModel::validate) is the one gate for
+//! finite parameters and parts that agree (400 otherwise), admits it
+//! when its schema and class list are unchanged (409 otherwise), and
+//! swaps it in atomically — in-flight batches finish on their snapshot,
+//! later batches see the new version, and no batch ever mixes two.
+//! `POST /model/rollback` admits the archived version the same way
+//! before the registry's pointer moves.
 
 #![deny(missing_docs)]
 

@@ -67,6 +67,44 @@ impl Mlp {
         }
     }
 
+    /// Checks that the weight matrices and link masks have the shapes
+    /// the node counts give (`n_hidden × n_in` and `n_out × n_hidden`).
+    /// Every constructor guarantees it; a deserialized network may not,
+    /// and a forward pass over one that fails this panics.
+    pub fn validate(&self) -> Result<(), String> {
+        let layers = [
+            (
+                "input-hidden",
+                &self.w,
+                &self.w_mask,
+                self.n_hidden,
+                self.n_in,
+            ),
+            (
+                "hidden-output",
+                &self.v,
+                &self.v_mask,
+                self.n_out,
+                self.n_hidden,
+            ),
+        ];
+        for (name, m, mask, rows, cols) in layers {
+            let len = rows.checked_mul(cols);
+            let (values, bits) = (Some(m.as_slice().len()), Some(mask.len()));
+            if (m.rows(), m.cols()) != (rows, cols) || values != len || bits != len {
+                return Err(format!(
+                    "{name} weights are {}x{} with {} values and {} mask bits \
+                     for {rows}x{cols} links",
+                    m.rows(),
+                    m.cols(),
+                    m.as_slice().len(),
+                    mask.len()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of input nodes (including the encoder's bias input).
     pub fn n_inputs(&self) -> usize {
         self.n_in
@@ -807,6 +845,25 @@ mod tests {
         let json = serde_json::to_string(&net).unwrap();
         let back: Mlp = serde_json::from_str(&json).unwrap();
         assert_eq!(net, back);
+    }
+
+    #[test]
+    fn validate_rejects_shapes_the_node_counts_do_not_give() {
+        let net = tiny();
+        assert_eq!(net.validate(), Ok(()));
+        let json = serde_json::to_string(&net).unwrap();
+        let n_hidden = format!("\"n_hidden\":{}", net.n_hidden());
+        let wider = json.replacen(
+            &n_hidden,
+            &format!("\"n_hidden\":{}", net.n_hidden() + 1),
+            1,
+        );
+        let short_mask = json.replacen(",true]", "]", 1);
+        for bad in [wider, short_mask] {
+            assert_ne!(bad, json);
+            let back: Mlp = serde_json::from_str(&bad).unwrap();
+            assert!(back.validate().is_err(), "{bad}");
+        }
     }
 
     #[test]

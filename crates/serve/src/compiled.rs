@@ -152,7 +152,7 @@ impl CompiledRules {
 
     /// First non-finite numeric threshold across the predicate table, as a
     /// human-readable description — `None` when every bound is finite.
-    /// Backs [`crate::ServeModel::validate_finite`].
+    /// Backs [`crate::ServeModel::validate`].
     pub(crate) fn first_non_finite(&self) -> Option<String> {
         for (id, pred) in self.predicates.iter().enumerate() {
             let bad = match pred {

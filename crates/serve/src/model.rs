@@ -1,6 +1,6 @@
 //! The deployable unit: compiled rules + network behind one dispatch.
 
-use nr_encode::Encoder;
+use nr_encode::{AttrCoding, Encoder};
 use nr_nn::Mlp;
 use nr_rules::{Predictor, RuleSet, Scored};
 use nr_tabular::{ClassId, DatasetView};
@@ -29,12 +29,14 @@ pub enum ServeError {
     Io(std::io::Error),
     /// The model JSON did not parse.
     Json(String),
-    /// The bundle holds a non-finite parameter (a diverged trainer), which
-    /// JSON cannot represent losslessly — serialization is refused instead
-    /// of emitting an unloadable file.
+    /// The bundle holds a non-finite parameter (a diverged trainer, or a
+    /// `1e999` in the JSON), which JSON cannot represent losslessly: it
+    /// is refused on load, and on write instead of emitting an
+    /// unloadable file.
     NonFinite(String),
     /// The bundle parsed but cannot be scored: its parts disagree (network
-    /// width vs encoder layout, a coding vs its schema column, output
+    /// weight shapes vs its node counts, network width vs encoder layout,
+    /// a coding vs its schema column, output
     /// width vs the rules' class list, a rule on an attribute outside
     /// the schema or of the wrong kind, a rule naming a predicate outside
     /// the predicate table, a class outside the class list).
@@ -158,41 +160,24 @@ impl ServeModel {
         self.rules.to_ruleset()
     }
 
-    /// Checks that every parameter of the bundle is a finite float.
+    /// The one gate every bundle passes ([`ServeModel::from_json`] on
+    /// every load, [`ServeModel::to_json`] on every write): a bundle that
+    /// passes round-trips through JSON unchanged and scores every row of
+    /// its schema in every mode without a panic and within its class list.
     ///
-    /// JSON has no encoding for NaN/±∞ — the vendored serde_json (like
-    /// upstream) prints them as `null`, so a diverged trainer's weights
-    /// would serialize into a bundle that cannot be parsed back. Serving
-    /// admission (the daemon's hot-swap endpoint) and serialization both
-    /// gate on this.
-    pub fn validate_finite(&self) -> Result<(), ServeError> {
-        if let Some(what) = self.rules.first_non_finite() {
+    /// - [`ServeError::NonFinite`]: a rule bound, absent value or weight
+    ///   is NaN or ±∞. JSON prints those as `null`, and an out-of-range
+    ///   literal such as `1e999` parses as ±∞.
+    /// - [`ServeError::Invalid`]: the parts disagree. The encoder must
+    ///   pass [`Encoder::validate`] and the network [`Mlp::validate`];
+    ///   the network's input width must match the encoder's bit layout,
+    ///   with one output per rule class; every rule predicate and class
+    ///   must fit the schema and the class list (category codes below
+    ///   the attribute's cardinality).
+    pub fn validate(&self) -> Result<(), ServeError> {
+        if let Some(what) = self.first_non_finite() {
             return Err(ServeError::NonFinite(what));
         }
-        let net = self.network.network();
-        for (name, m) in [
-            ("input-hidden weight", net.w()),
-            ("hidden-output weight", net.v()),
-        ] {
-            if let Some(pos) = m.as_slice().iter().position(|x| !x.is_finite()) {
-                return Err(ServeError::NonFinite(format!(
-                    "{name} {pos} is {}",
-                    m.as_slice()[pos]
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks that the bundle's parts agree, so every row of the schema
-    /// can be scored in every mode without a panic: the encoder passes
-    /// [`Encoder::validate`], the network's input width matches the
-    /// encoder's bit layout and it has one output per rule class, and
-    /// every rule predicate and class fits the encoder's schema and the
-    /// class list (a category test names codes below its attribute's
-    /// cardinality). [`ServeModel::from_json`]
-    /// runs it on every load.
-    pub fn validate(&self) -> Result<(), ServeError> {
         self.network.validate().map_err(ServeError::Invalid)?;
         let n_classes = self.rules.n_classes();
         let n_out = self.network.network().n_outputs();
@@ -206,22 +191,51 @@ impl ServeModel {
             .map_err(ServeError::Invalid)
     }
 
+    /// The first parameter JSON cannot carry, described; `None` when
+    /// every rule bound, absent value and weight is finite. (Thermometer
+    /// thresholds may be ±∞: their codec writes them as tagged strings.)
+    fn first_non_finite(&self) -> Option<String> {
+        if let Some(what) = self.rules.first_non_finite() {
+            return Some(what);
+        }
+        for (a, coding) in self.network.encoder().codings().iter().enumerate() {
+            if let AttrCoding::Thermometer {
+                absent_value: Some(x),
+                ..
+            } = coding
+            {
+                if !x.is_finite() {
+                    return Some(format!("attribute {a} absent value is {x}"));
+                }
+            }
+        }
+        let net = self.network.network();
+        for (name, m) in [
+            ("input-hidden weight", net.w()),
+            ("hidden-output weight", net.v()),
+        ] {
+            if let Some(pos) = m.as_slice().iter().position(|x| !x.is_finite()) {
+                return Some(format!("{name} {pos} is {}", m.as_slice()[pos]));
+            }
+        }
+        None
+    }
+
     /// Serializes the whole bundle (rules, encoder, network, mode) to
-    /// JSON. Every finite float round-trips bit-exactly; non-finite
-    /// parameters (see [`ServeModel::validate_finite`]) and disagreeing
-    /// parts (see [`ServeModel::validate`]) are rejected instead of
-    /// producing JSON that [`ServeModel::from_json`] cannot load.
+    /// JSON. Every finite float round-trips bit-exactly; a bundle that
+    /// fails [`ServeModel::validate`] is rejected instead of producing
+    /// JSON that [`ServeModel::from_json`] cannot load.
     pub fn to_json(&self) -> Result<String, ServeError> {
-        self.validate_finite()?;
         self.validate()?;
         serde_json::to_string(self).map_err(|e| ServeError::Json(e.to_string()))
     }
 
     /// Deserializes a bundle produced by [`ServeModel::to_json`] and
     /// checks it with [`ServeModel::validate`]: a bundle that parses but
-    /// could not be scored is [`ServeError::Invalid`]. Every load path
-    /// (file, registry boot and walk-back, the daemon's hot swap) goes
-    /// through here.
+    /// holds a non-finite parameter is [`ServeError::NonFinite`], one
+    /// that could not be scored is [`ServeError::Invalid`]. Every load
+    /// path (file, registry boot and walk-back, the daemon's hot swap)
+    /// goes through here.
     pub fn from_json(json: &str) -> Result<Self, ServeError> {
         let model: ServeModel =
             serde_json::from_str(json).map_err(|e| ServeError::Json(e.to_string()))?;
@@ -433,6 +447,35 @@ mod tests {
             ServeMode::Rules,
         );
         assert!(matches!(broken.to_json(), Err(ServeError::NonFinite(_))));
+    }
+
+    /// An out-of-range literal parses as ±∞, so a bundle edited by hand
+    /// can carry one in a weight, a rule bound or an absent value:
+    /// loading refuses it as `to_json` refuses to write it.
+    #[test]
+    fn non_finite_literals_fail_at_load() {
+        let (model, _) = bundle(ServeMode::Hybrid);
+        let json = raw_json(&model);
+        let (head, net) = json.split_once(r#""w":{"#).expect("weights");
+        let w0 = format!("{:?}", model.network().network().w().as_slice()[0]);
+        let fields = [
+            (r#""hi":75000.0"#, r#""hi":"#),
+            (r#""absent_value":0.0"#, r#""absent_value":"#),
+        ];
+        for literal in ["1e999", "-1e999"] {
+            let mut broken = vec![format!(r#"{head}"w":{{{}"#, net.replacen(&w0, literal, 1))];
+            for (field, key) in fields {
+                assert!(json.contains(field), "{field}");
+                broken.push(json.replacen(field, &format!("{key}{literal}"), 1));
+            }
+            for bad in broken {
+                assert_ne!(bad, json);
+                match ServeModel::from_json(&bad) {
+                    Err(ServeError::NonFinite(_)) => {}
+                    other => panic!("{literal}: expected NonFinite, got {other:?}"),
+                }
+            }
+        }
     }
 
     /// The serialized form of `model`, bypassing `to_json`'s checks (a

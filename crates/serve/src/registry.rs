@@ -21,7 +21,8 @@
 //!   and verifying until one passes — corrupt bundles are quarantined,
 //!   never served and never silently deleted;
 //! * [`ModelRegistry::rollback`] steps `current` back to the previous
-//!   good version the same way.
+//!   good version the same way, moving the pointer only once the
+//!   caller has admitted that version.
 //!
 //! Version numbers never repeat: a commit takes a number above every
 //! bundle the directory still shows, live or quarantined, and a file
@@ -182,77 +183,74 @@ impl ModelRegistry {
         let Some(start) = start else {
             return Ok(None);
         };
+        let found = self.walk_back(start.saturating_add(1))?;
+        let version = found.as_ref().map(|(v, _)| *v);
+        if self.manifest.current != version {
+            self.manifest.current = version;
+            self.commit_manifest()?;
+        }
+        Ok(found)
+    }
+
+    /// Steps `current` back to the previous good version, if `admit`
+    /// accepts it, and loads it. Corrupt intermediates are quarantined
+    /// and skipped. The pointer moves, in memory and on disk, only after
+    /// `admit` passes; its error is returned with `current` unchanged.
+    /// Errors with `Io(NotFound)` when there is no earlier version to
+    /// roll back to.
+    pub fn rollback(
+        &mut self,
+        admit: impl FnOnce(&ServeModel) -> Result<(), ServeError>,
+    ) -> Result<(u64, ServeModel), ServeError> {
+        let not_found =
+            |why: &str| ServeError::Io(std::io::Error::new(std::io::ErrorKind::NotFound, why));
+        let current = self
+            .manifest
+            .current
+            .ok_or_else(|| not_found("registry has no current version"))?;
+        let (version, model) = self
+            .walk_back(current)?
+            .ok_or_else(|| not_found("no earlier good version to roll back to"))?;
+        admit(&model)?;
+        self.manifest.current = Some(version);
+        self.commit_manifest()?;
+        Ok((version, model))
+    }
+
+    /// Loads the newest journal entry below version `bound` that
+    /// verifies. Every entry on the way that does not is quarantined and
+    /// dropped from the journal, which is then committed; `current` is
+    /// left for the caller to move. `Ok(None)` when no entry below
+    /// `bound` loads.
+    fn walk_back(&mut self, bound: u64) -> Result<Option<(u64, ServeModel)>, ServeError> {
         let mut dirty = false;
-        loop {
+        let found = loop {
             let candidate = self
                 .manifest
                 .entries
                 .iter()
                 .rev()
-                .find(|e| e.version <= start)
+                .find(|e| e.version < bound)
                 .cloned();
             let Some(entry) = candidate else {
-                self.manifest.current = None;
-                self.commit_manifest()?;
-                return Ok(None);
+                break None;
             };
             match self.load_entry(&entry) {
-                Ok(model) => {
-                    if self.manifest.current != Some(entry.version) || dirty {
-                        self.manifest.current = Some(entry.version);
-                        self.commit_manifest()?;
-                    }
-                    return Ok(Some((entry.version, model)));
-                }
+                Ok(model) => break Some((entry.version, model)),
                 Err(ServeError::Io(e)) => return Err(ServeError::Io(e)),
                 Err(_) => {
-                    // Corrupt (or unparseable) bundle: park it, drop the
-                    // journal entry, keep walking back.
+                    // Corrupt, unparseable or unscorable bundle: park it,
+                    // drop the journal entry, keep walking back.
                     self.quarantine(&self.dir.join(&entry.file))?;
                     self.manifest.entries.retain(|e| e.version != entry.version);
                     dirty = true;
                 }
             }
+        };
+        if dirty {
+            self.commit_manifest()?;
         }
-    }
-
-    /// Steps `current` back to the previous good version and loads it.
-    /// Corrupt intermediates are quarantined and skipped. Errors with
-    /// `Io(NotFound)` when there is no earlier version to roll back to.
-    pub fn rollback(&mut self) -> Result<(u64, ServeModel), ServeError> {
-        let current = self.manifest.current.ok_or_else(|| {
-            ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                "registry has no current version",
-            ))
-        })?;
-        loop {
-            let previous = self
-                .manifest
-                .entries
-                .iter()
-                .rev()
-                .find(|e| e.version < current)
-                .cloned();
-            let Some(entry) = previous else {
-                return Err(ServeError::Io(std::io::Error::new(
-                    std::io::ErrorKind::NotFound,
-                    "no earlier good version to roll back to",
-                )));
-            };
-            match self.load_entry(&entry) {
-                Ok(model) => {
-                    self.manifest.current = Some(entry.version);
-                    self.commit_manifest()?;
-                    return Ok((entry.version, model));
-                }
-                Err(ServeError::Io(e)) => return Err(ServeError::Io(e)),
-                Err(_) => {
-                    self.quarantine(&self.dir.join(&entry.file))?;
-                    self.manifest.entries.retain(|e| e.version != entry.version);
-                }
-            }
-        }
+        Ok(found)
     }
 
     /// Loads and fully verifies one journal entry: size and whole-file
@@ -482,13 +480,38 @@ mod tests {
         assert_eq!(booted.to_json().unwrap(), model(2).to_json().unwrap());
 
         // Rollback steps to v1 and persists the pointer.
-        let (rv, rolled) = reopened.rollback().unwrap();
+        let (rv, rolled) = reopened.rollback(|_| Ok(())).unwrap();
         assert_eq!(rv, 1);
         assert_eq!(rolled.to_json().unwrap(), model(1).to_json().unwrap());
         assert_eq!(
             ModelRegistry::open(&dir, 4).unwrap().current_version(),
             Some(1)
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A rollback the caller refuses leaves `current` where it was, in
+    /// memory and on disk.
+    #[test]
+    fn refused_rollback_keeps_the_pointer() {
+        let dir = temp_dir("refused");
+        let mut reg = ModelRegistry::open(&dir, 4).unwrap();
+        reg.commit(&model(1)).unwrap();
+        reg.commit(&model(2)).unwrap();
+        let refused = reg.rollback(|m| {
+            assert_eq!(m, &model(1), "offers the previous version");
+            Err(ServeError::Invalid("refused".into()))
+        });
+        assert!(
+            matches!(refused, Err(ServeError::Invalid(_))),
+            "{refused:?}"
+        );
+        assert_eq!(reg.current_version(), Some(2));
+        assert_eq!(
+            ModelRegistry::open(&dir, 4).unwrap().current_version(),
+            Some(2)
+        );
+        assert_eq!(reg.rollback(|_| Ok(())).unwrap().0, 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -64,10 +64,12 @@ impl NetworkScorer {
     }
 
     /// Checks that the encoder is consistent with its schema
-    /// ([`Encoder::validate`]) and that the network's input width matches
-    /// the encoder's bit layout.
+    /// ([`Encoder::validate`]), that the network's weights have the
+    /// shapes its node counts give ([`Mlp::validate`]), and that its
+    /// input width matches the encoder's bit layout.
     pub(crate) fn validate(&self) -> Result<(), String> {
         self.encoder.validate().map_err(|e| e.to_string())?;
+        self.network.validate()?;
         if self.encoder.n_inputs() != self.network.n_inputs() {
             return Err(format!(
                 "encoder bit layout has {} inputs, the network's input width is {}",

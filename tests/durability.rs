@@ -16,8 +16,11 @@
 //!   hang or a later seal, and a malformed row in a later parse wave
 //!   keeps its absolute line number;
 //! * **daemon** — a restart onto a registry whose newest bundle is
-//!   corrupt boots the previous good version and serves correct answers,
-//!   and `POST /model/rollback` steps back a live daemon.
+//!   corrupt, structurally invalid or holds a `1e999` weight boots the
+//!   previous good version and serves correct answers, `PUT /model`
+//!   refuses a non-finite bundle with a 400, and `POST /model/rollback`
+//!   steps back a live daemon, moving the durable pointer only when it
+//!   admits the archived version.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,7 +30,10 @@ use std::time::Duration;
 use nr_daemon::fixture::serving_fixture;
 use nr_daemon::{Client, Daemon, DaemonConfig, HealthResponse, RollbackResponse, StatsResponse};
 use nr_datagen::{agrawal_schema, class_names, Function, Generator};
-use nr_serve::{registry::QUARANTINE_DIR, ModelRegistry, PredictResponse, SwapResponse};
+use nr_serve::{
+    registry::QUARANTINE_DIR, ErrorResponse, ModelInfo, ModelRegistry, PredictResponse,
+    SwapResponse,
+};
 use nr_store::fault::{arm_crash, disarm_crash, is_simulated_kill, CrashPoint, DiskFaultInjector};
 use nr_store::{
     ingest_csv_file, ingest_csv_file_resumable, load_segment, segment_file_crc, write_segment,
@@ -539,6 +545,45 @@ fn daemon_reboots_into_last_good_model_after_corrupt_bundle() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
+/// Replaces committed bundle `version` under the registry at `dir` with
+/// `json`, its checksum footer and its journal entry (size, CRC)
+/// rewritten to match, so only the bundle's content is wrong. Returns
+/// the bundle's path.
+fn replace_committed_bundle(dir: &Path, version: u64, json: &str) -> PathBuf {
+    use nr_store::manifest::{read_checksummed_file, write_checksummed_string};
+
+    let body = write_checksummed_string(json);
+    let path = dir.join(nr_serve::bundle_file_name(version));
+    let old = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &body).unwrap();
+    let journal = dir.join(nr_serve::registry::REGISTRY_FILE);
+    let entry = |len: usize, crc: u32| format!("\"bytes\":{len},\"crc32\":{crc}");
+    let payload = read_checksummed_file(&journal)
+        .unwrap()
+        .unwrap()
+        .payload()
+        .to_string();
+    let old_entry = entry(old.len(), nr_store::crc32(&old));
+    assert_eq!(payload.matches(&old_entry).count(), 1, "{payload}");
+    let patched = payload.replace(
+        &old_entry,
+        &entry(body.len(), nr_store::crc32(body.as_bytes())),
+    );
+    std::fs::write(&journal, write_checksummed_string(&patched)).unwrap();
+    path
+}
+
+/// `model`'s JSON with its first input-hidden weight written as `1e999`,
+/// a literal that parses as +∞: what a hand-edited or foreign bundle can
+/// carry although `to_json` never writes it.
+fn json_with_infinite_weight(model: &nr_serve::ServeModel) -> String {
+    let json = model.to_json().unwrap();
+    let (head, net) = json.split_once(r#""w":{"#).expect("weights");
+    let w0 = format!("{:?}", model.network().network().w().as_slice()[0]);
+    assert!(net.contains(&w0), "{w0}");
+    format!(r#"{head}"w":{{{}"#, net.replacen(&w0, "1e999", 1))
+}
+
 /// A bundle whose every checksum verifies but whose parts disagree — a
 /// rule on attribute 42 of the 9-attribute schema, another claiming
 /// class 7 of 2 — cannot be scored, so it must not load: a registry
@@ -547,7 +592,6 @@ fn daemon_reboots_into_last_good_model_after_corrupt_bundle() {
 #[test]
 fn structurally_invalid_latest_bundle_boots_previous_good() {
     use nr_rules::{Condition, Rule, RuleSet};
-    use nr_store::manifest::{read_checksummed_file, write_checksummed_string};
 
     let dir = scratch_dir("invalid-latest");
     let good = small_model();
@@ -575,28 +619,11 @@ fn structurally_invalid_latest_bundle_boots_previous_good() {
         nr_serve::ServeMode::Hybrid,
     );
     assert!(invalid.to_json().is_err(), "to_json refuses to write it");
-    let body = write_checksummed_string(&serde_json::to_string(&invalid).unwrap());
-    let v2 = dir.join(nr_serve::bundle_file_name(2));
-    let old = std::fs::read(&v2).unwrap();
-    std::fs::write(&v2, &body).unwrap();
+    let v2 = replace_committed_bundle(&dir, 2, &serde_json::to_string(&invalid).unwrap());
     assert!(matches!(
         nr_serve::ServeModel::load(&v2),
         Err(nr_serve::ServeError::Invalid(_))
     ));
-    let journal = dir.join(nr_serve::registry::REGISTRY_FILE);
-    let entry = |len: usize, crc: u32| format!("\"bytes\":{len},\"crc32\":{crc}");
-    let payload = read_checksummed_file(&journal)
-        .unwrap()
-        .unwrap()
-        .payload()
-        .to_string();
-    let old_entry = entry(old.len(), nr_store::crc32(&old));
-    assert_eq!(payload.matches(&old_entry).count(), 1, "{payload}");
-    let patched = payload.replace(
-        &old_entry,
-        &entry(body.len(), nr_store::crc32(body.as_bytes())),
-    );
-    std::fs::write(&journal, write_checksummed_string(&patched)).unwrap();
 
     let mut reopened = ModelRegistry::open(&dir, 4).unwrap();
     let (version, model) = reopened.latest_good().unwrap().expect("v1 still loads");
@@ -609,6 +636,133 @@ fn structurally_invalid_latest_bundle_boots_previous_good() {
         .join(nr_serve::bundle_file_name(2))
         .is_file());
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A bundle whose checksums verify but which holds a `1e999` weight
+/// fails `ServeModel::validate` like a structural fault: a registry
+/// holding it as the latest version quarantines it on boot and serves
+/// the previous good version.
+#[test]
+fn non_finite_latest_bundle_boots_previous_good() {
+    let dir = scratch_dir("non-finite-latest");
+    let good = small_model();
+    let mut registry = ModelRegistry::open(&dir, 4).unwrap();
+    assert_eq!(registry.commit(good).unwrap(), 1);
+    let second = good.clone().with_mode(nr_serve::ServeMode::Rules);
+    assert_eq!(registry.commit(&second).unwrap(), 2);
+    drop(registry);
+
+    let v2 = replace_committed_bundle(&dir, 2, &json_with_infinite_weight(&second));
+    assert!(matches!(
+        nr_serve::ServeModel::load(&v2),
+        Err(nr_serve::ServeError::NonFinite(_))
+    ));
+
+    let mut reopened = ModelRegistry::open(&dir, 4).unwrap();
+    let (version, model) = reopened.latest_good().unwrap().expect("v1 still loads");
+    assert_eq!(version, 1, "booted the previous good version");
+    assert_eq!(&model, good);
+    assert_eq!(reopened.current_version(), Some(1));
+    assert_eq!(reopened.quarantined(), 1);
+    assert!(dir
+        .join(QUARANTINE_DIR)
+        .join(nr_serve::bundle_file_name(2))
+        .is_file());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `PUT /model` with a `1e999` weight in the JSON is a 400: the live
+/// version and the registry's pointer stay where they were.
+#[test]
+fn non_finite_swap_is_refused_and_the_deployment_stays() {
+    let root = scratch_dir("non-finite-swap");
+    let fx = serving_fixture(1);
+    let config = DaemonConfig {
+        registry: Some(root.clone()),
+        ..DaemonConfig::default()
+    };
+    let daemon = Daemon::start(config, vec![("default".into(), fx.model_a.clone())]).unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    let (status, body) = client
+        .request("PUT", "/model", &json_with_infinite_weight(&fx.model_b))
+        .unwrap();
+    assert_eq!(status, 400, "{body}");
+    let err: ErrorResponse = serde_json::from_str(&body).unwrap();
+    assert!(err.error.contains("not serializable"), "{}", err.error);
+    let (_, body) = client.request("GET", "/model", "").unwrap();
+    assert_eq!(serde_json::from_str::<ModelInfo>(&body).unwrap().version, 1);
+    let (_, body) = client.request("POST", "/predict", &fx.rows[0]).unwrap();
+    let p: PredictResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(
+        (p.class, p.version),
+        (fx.expected_a[0], 1),
+        "model A serves"
+    );
+    drop(client);
+    daemon.shutdown();
+    let registry = ModelRegistry::open(root.join("default"), 4).unwrap();
+    assert_eq!(registry.current_version(), Some(1));
+    assert_eq!(registry.history_depth(), 1, "nothing committed");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// A rollback the daemon refuses (the archived version names other
+/// classes) must not move the registry's durable pointer: after the
+/// 409 the journal still names the version being served, and a restart
+/// boots it.
+#[test]
+fn refused_rollback_keeps_the_durable_pointer() {
+    let root = scratch_dir("refused-rollback");
+    let dir = root.join("default");
+    let good = small_model();
+    let renamed = {
+        let rules = nr_rules::RuleSet::new(Vec::new(), 0, vec!["X".into(), "Y".into()]);
+        let network = good.network();
+        nr_serve::ServeModel::new(
+            &rules,
+            network.encoder().clone(),
+            network.network().clone(),
+            nr_serve::ServeMode::Network,
+        )
+    };
+    let mut registry = ModelRegistry::open(&dir, 4).unwrap();
+    assert_eq!(registry.commit(good).unwrap(), 1);
+    assert_eq!(registry.commit(&renamed).unwrap(), 2);
+    drop(registry);
+    let config = || DaemonConfig {
+        registry: Some(root.clone()),
+        ..DaemonConfig::default()
+    };
+    let class_names = |client: &mut Client| {
+        let (status, body) = client.request("GET", "/model", "").unwrap();
+        assert_eq!(status, 200);
+        serde_json::from_str::<ModelInfo>(&body)
+            .unwrap()
+            .class_names
+    };
+
+    let daemon = Daemon::start(config(), vec![("default".into(), good.clone())]).unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    assert_eq!(class_names(&mut client), ["X", "Y"], "booted v2");
+    let (status, body) = client.request("POST", "/model/rollback", "").unwrap();
+    assert_eq!(status, 409, "{body}");
+    assert_eq!(class_names(&mut client), ["X", "Y"], "v2 still serves");
+    drop(client);
+    daemon.shutdown();
+    assert_eq!(
+        ModelRegistry::open(&dir, 4).unwrap().current_version(),
+        Some(2)
+    );
+
+    let daemon = Daemon::start(config(), vec![("default".into(), good.clone())]).unwrap();
+    let mut client = Client::connect(daemon.addr()).unwrap();
+    assert_eq!(class_names(&mut client), ["X", "Y"], "a restart boots v2");
+    let (_, body) = client.request("GET", "/healthz", "").unwrap();
+    let health: HealthResponse = serde_json::from_str(&body).unwrap();
+    assert_eq!(health.registry[0].current_version, 2);
+    drop(client);
+    daemon.shutdown();
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// Live rollback: deploy a new version over HTTP, roll it back over
