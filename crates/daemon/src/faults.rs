@@ -22,18 +22,17 @@
 //!   drive exactly 4× saturation.
 //!
 //! Stalled *sockets* (slowloris) are injected client-side by the chaos
-//! harness in [`crate::load`]: a fault plan cannot fake a dead peer.
+//! harness of the `nr-daemon` binary (`nr-daemon chaos`): a fault plan
+//! cannot fake a dead peer.
 //!
 //! **Disk faults** (bit flips, truncation, torn renames, kill-mid-write)
-//! live in [`disk`] — re-exported from `nr_store::fault` so the
-//! durability harness drives corruption of segment files, store
-//! journals, and model-registry bundles through one module. The
-//! contract those injectors test: every corrupted artifact loads as a
-//! clean typed error (never a panic, hang, or silently wrong data), and
-//! a daemon rebooted onto a corrupt registry quarantines its way back
-//! to the last good model.
-
-pub use nr_store::fault as disk;
+//! are not here: they live in `nr_store::fault`, which the durability
+//! harness (`tests/durability.rs`) imports directly to corrupt segment
+//! files, store journals, and model-registry bundles. The contract those
+//! injectors test: every corrupted artifact loads as a clean typed error
+//! (never a panic, hang, or silently wrong data), and a daemon rebooted
+//! onto a corrupt registry quarantines its way back to the last good
+//! model.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

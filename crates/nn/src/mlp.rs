@@ -388,27 +388,6 @@ impl Mlp {
         );
     }
 
-    /// Counts the rows whose argmax output equals the target, on
-    /// fixed-size chunks dispatched to the shared worker pool (inline for
-    /// single-chunk datasets), summing the per-chunk counts in chunk order.
-    fn count_rows(&self, data: &EncodedDataset) -> usize {
-        self.check_width(data);
-        let dims = (self.n_in, self.n_hidden, self.n_out);
-        let rows = data.rows();
-        let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
-        let targets = data.targets();
-        crate::par::map_chunks(rows, threads, |_c, range| {
-            chunk_forward(data, range.clone(), dims, &self.w, &self.v, |out| {
-                out.chunks_exact(self.n_out)
-                    .zip(range.clone())
-                    .filter(|(row_out, i)| argmax(row_out) == targets[*i])
-                    .count()
-            })
-        })
-        .into_iter()
-        .sum()
-    }
-
     /// Predicted classes for every row of an encoded dataset (argmax rule),
     /// appended to `preds`. Processes fixed-size row chunks with reusable
     /// scratch (and worker threads when the batch spans several chunks);
@@ -496,29 +475,20 @@ impl Mlp {
 
     /// Fraction of the dataset classified correctly (argmax rule).
     ///
-    /// Runs on the batched kernels; equal to classifying row by row.
+    /// Counts [`Mlp::classify_batch`] against the targets; equal to
+    /// classifying row by row.
     pub fn accuracy(&self, data: &EncodedDataset) -> f64 {
         if data.rows() == 0 {
             return 0.0;
         }
-        self.count_rows(data) as f64 / data.rows() as f64
+        let preds = self.classify_batch(data);
+        let correct = preds
+            .iter()
+            .zip(data.targets())
+            .filter(|(p, t)| p == t)
+            .count();
+        correct as f64 / data.rows() as f64
     }
-}
-
-/// One chunk's forward pass over an encoded dataset with thread-local
-/// scratch, handing the output activations (`range.len() × o`, row-major)
-/// to `f`. The setup path of the counting traversal (`count_rows`);
-/// batch predictions go through `Mlp::map_rows`.
-fn chunk_forward<T>(
-    data: &EncodedDataset,
-    range: Range<usize>,
-    dims: (usize, usize, usize),
-    w: &Matrix,
-    v: &Matrix,
-    f: impl FnOnce(&[f64]) -> T,
-) -> T {
-    let (indices, offsets) = chunk_bits(data, &range);
-    scratch_forward(indices, offsets, dims, w, v, f)
 }
 
 /// The set bits of `data`'s rows `range`: all indices, and the range's

@@ -2,8 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::line_search::wolfe_line_search;
-use crate::{dot, inf_norm, Objective, OptResult, Optimizer, WolfeParams};
+use crate::descent::{descend, Method};
+use crate::{Objective, OptResult, Optimizer};
 
 /// BFGS with a strong-Wolfe line search.
 ///
@@ -11,18 +11,17 @@ use crate::{dot, inf_norm, Objective, OptResult, Optimizer, WolfeParams};
 /// the paper's networks have a few hundred weights, for which dense BFGS is
 /// the right tool (it is the method class the paper uses, with superlinear
 /// convergence against gradient descent's linear rate).
+///
+/// Only the direction `−H·g` is its own; the loop and its fixed constants
+/// (c₂ = 0.9) are shared with [`crate::Lbfgs`] and
+/// [`crate::ConjugateGradient`]. On a failed line search `H` is reset and
+/// the search retried once along `−g`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Bfgs {
     /// Stop when the gradient infinity norm falls below this.
     pub grad_tol: f64,
     /// Outer iteration budget.
     pub max_iters: usize,
-    /// Also stop when the objective improves by less than this between
-    /// iterations (relative to `1 + |f|`). Guards against line-search stalls.
-    pub f_tol: f64,
-    /// Line search parameters.
-    #[serde(skip, default)]
-    pub wolfe: WolfeParams,
 }
 
 impl Default for Bfgs {
@@ -30,8 +29,6 @@ impl Default for Bfgs {
         Bfgs {
             grad_tol: 1e-5,
             max_iters: 500,
-            f_tol: 1e-12,
-            wolfe: WolfeParams::default(),
         }
     }
 }
@@ -53,139 +50,83 @@ impl Bfgs {
 impl Optimizer for Bfgs {
     fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
         let n = objective.dim();
-        assert_eq!(x0.len(), n, "x0 has wrong dimension");
-        let mut x = x0;
-        let mut g = vec![0.0; n];
-        let mut f = objective.value_and_gradient(&x, &mut g);
-        let mut evals = 1usize;
+        let mut method = InverseHessian {
+            h: vec![0.0; n * n],
+            first_update: true,
+            hy: vec![0.0; n],
+        };
+        method.reset();
+        descend(objective, x0, self.grad_tol, self.max_iters, &mut method)
+    }
+}
 
-        // Inverse Hessian approximation, row-major, starts as identity.
-        let mut h = vec![0.0; n * n];
-        reset_identity(&mut h, n);
-        let mut first_update = true;
+/// The dense inverse-Hessian approximation, row-major `n × n`.
+struct InverseHessian {
+    h: Vec<f64>,
+    /// True until the first update, which rescales `H` first.
+    first_update: bool,
+    /// Scratch for `H·y`.
+    hy: Vec<f64>,
+}
 
-        let mut d = vec![0.0; n];
-        let mut y = vec![0.0; n];
-        let mut hy = vec![0.0; n];
+impl Method for InverseHessian {
+    const C2: f64 = 0.9;
 
-        for iter in 0..self.max_iters {
-            let gnorm = inf_norm(&g);
-            if gnorm <= self.grad_tol {
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter,
-                    evaluations: evals,
-                    converged: true,
-                };
-            }
-
-            // d = -H g, each row summed from -0.0 like `dot`.
-            mat_vec(&h, &g, -0.0, &mut d);
-            for di in d.iter_mut() {
-                *di = -*di;
-            }
-            if dot(&d, &g) >= 0.0 {
-                // Not a descent direction (numerical breakdown): reset.
-                reset_identity(&mut h, n);
-                first_update = true;
-                for (di, gi) in d.iter_mut().zip(&g) {
-                    *di = -gi;
-                }
-            }
-
-            let ls = match wolfe_line_search(objective, &x, f, &g, &d, &self.wolfe) {
-                Some(ls) => ls,
-                None => {
-                    // Retry once from steepest descent before giving up.
-                    reset_identity(&mut h, n);
-                    first_update = true;
-                    for (di, gi) in d.iter_mut().zip(&g) {
-                        *di = -gi;
-                    }
-                    match wolfe_line_search(objective, &x, f, &g, &d, &self.wolfe) {
-                        Some(ls) => ls,
-                        None => {
-                            return OptResult {
-                                x,
-                                value: f,
-                                grad_norm: gnorm,
-                                iterations: iter,
-                                evaluations: evals,
-                                converged: gnorm <= self.grad_tol,
-                            }
-                        }
-                    }
-                }
-            };
-            evals += ls.evaluations;
-
-            // s = alpha d ; y = g_new - g.
-            let mut sy = 0.0;
-            let mut yy = 0.0;
-            for i in 0..n {
-                let s_i = ls.alpha * d[i];
-                y[i] = ls.gradient[i] - g[i];
-                sy += s_i * y[i];
-                yy += y[i] * y[i];
-                x[i] += s_i;
-            }
-            let f_prev = f;
-            f = ls.value;
-
-            if sy > 1e-12 * yy.sqrt().max(1.0) {
-                if first_update {
-                    // Nocedal's scaling: H0 = (sᵀy / yᵀy) I before the first
-                    // update, which makes the initial step sizes sane.
-                    let scale = sy / yy.max(1e-300);
-                    for (i, v) in h.iter_mut().enumerate() {
-                        *v = if i % (n + 1) == 0 { scale } else { 0.0 };
-                    }
-                    first_update = false;
-                }
-                // H ← (I − ρ s yᵀ) H (I − ρ y sᵀ) + ρ s sᵀ, expanded as
-                // H − ρ(s·Hyᵀ + Hy·sᵀ) + (ρ² yᵀHy + ρ) s sᵀ.
-                let rho = 1.0 / sy;
-                mat_vec(&h, &y, 0.0, &mut hy);
-                let mut yhy = 0.0;
-                for (hy_i, y_i) in hy.iter().zip(&y) {
-                    yhy += hy_i * y_i;
-                }
-                let c = rho * rho * yhy + rho;
-                for i in 0..n {
-                    let s_i = ls.alpha * d[i];
-                    let row = &mut h[i * n..(i + 1) * n];
-                    for j in 0..n {
-                        let s_j = ls.alpha * d[j];
-                        row[j] += -rho * (s_i * hy[j] + hy[i] * s_j) + c * s_i * s_j;
-                    }
-                }
-            }
-
-            g.copy_from_slice(&ls.gradient);
-
-            if (f_prev - f).abs() <= self.f_tol * (1.0 + f.abs()) {
-                let gnorm = inf_norm(&g);
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter + 1,
-                    evaluations: evals,
-                    converged: gnorm <= self.grad_tol,
-                };
-            }
+    fn direction(&mut self, _iter: usize, g: &[f64], d: &mut [f64]) {
+        // d = -H g, each row summed from -0.0 like `dot`.
+        mat_vec(&self.h, g, -0.0, d);
+        for di in d.iter_mut() {
+            *di = -*di;
         }
+    }
 
-        let gnorm = inf_norm(&g);
-        OptResult {
-            x,
-            value: f,
-            grad_norm: gnorm,
-            iterations: self.max_iters,
-            evaluations: evals,
-            converged: gnorm <= self.grad_tol,
+    fn reset(&mut self) -> bool {
+        let n = self.hy.len();
+        self.h.fill(0.0);
+        for i in 0..n {
+            self.h[i * n + i] = 1.0;
+        }
+        self.first_update = true;
+        true
+    }
+
+    fn update(&mut self, s: &[f64], y: &[f64], _g: &[f64], _g_new: &[f64]) {
+        let n = self.hy.len();
+        let mut sy = 0.0;
+        let mut yy = 0.0;
+        for i in 0..n {
+            sy += s[i] * y[i];
+            yy += y[i] * y[i];
+        }
+        // Skip pairs with too little curvature to keep H positive definite.
+        if sy > 1e-12 * yy.sqrt().max(1.0) {
+            let h = &mut self.h;
+            if self.first_update {
+                // Nocedal's scaling: H0 = (sᵀy / yᵀy) I before the first
+                // update, which makes the initial step sizes sane.
+                let scale = sy / yy.max(1e-300);
+                for (i, v) in h.iter_mut().enumerate() {
+                    *v = if i % (n + 1) == 0 { scale } else { 0.0 };
+                }
+                self.first_update = false;
+            }
+            // H ← (I − ρ s yᵀ) H (I − ρ y sᵀ) + ρ s sᵀ, expanded as
+            // H − ρ(s·Hyᵀ + Hy·sᵀ) + (ρ² yᵀHy + ρ) s sᵀ.
+            let rho = 1.0 / sy;
+            let hy = &mut self.hy;
+            mat_vec(h, y, 0.0, hy);
+            let mut yhy = 0.0;
+            for (hy_i, y_i) in hy.iter().zip(y) {
+                yhy += hy_i * y_i;
+            }
+            let c = rho * rho * yhy + rho;
+            for i in 0..n {
+                let (s_i, hy_i) = (s[i], hy[i]);
+                let row = &mut h[i * n..(i + 1) * n];
+                for j in 0..n {
+                    row[j] += -rho * (s_i * hy[j] + hy_i * s[j]) + c * s_i * s[j];
+                }
+            }
         }
     }
 }
@@ -220,13 +161,6 @@ fn mat_vec(h: &[f64], v: &[f64], start: f64, out: &mut [f64]) {
             acc += h_j * v_j;
         }
         *out = acc;
-    }
-}
-
-fn reset_identity(h: &mut [f64], n: usize) {
-    h.fill(0.0);
-    for i in 0..n {
-        h[i * n + i] = 1.0;
     }
 }
 

@@ -5,36 +5,28 @@
 //! gradient between plain gradient descent and quasi-Newton: no matrix
 //! storage at all, yet far better directions than steepest descent. This
 //! implementation uses the PR+ β (clipped at zero, which implicitly
-//! restarts on loss of conjugacy) and the same strong-Wolfe line search as
-//! the BFGS family.
+//! restarts on loss of conjugacy) and the same line-search loop as the BFGS
+//! family.
 
 use serde::{Deserialize, Serialize};
 
-use crate::line_search::wolfe_line_search;
-use crate::{dot, inf_norm, Objective, OptResult, Optimizer, WolfeParams};
+use crate::descent::{descend, Method};
+use crate::{dot, Objective, OptResult, Optimizer};
+
+/// Steepest-descent restart period, on top of PR+'s implicit restarts.
+const RESTART_EVERY: usize = 100;
 
 /// Polak–Ribière+ conjugate gradient.
+///
+/// Only the direction `−g + β d` (`−g` every 100 iterations) is its own; the
+/// loop is shared with [`crate::Bfgs`]. Its fixed c₂ = 0.45 is tighter than
+/// quasi-Newton's 0.9, which CG needs to keep its directions descending.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConjugateGradient {
     /// Stop when the gradient infinity norm falls below this.
     pub grad_tol: f64,
     /// Outer iteration budget.
     pub max_iters: usize,
-    /// Relative objective-improvement stopping threshold.
-    pub f_tol: f64,
-    /// Hard restart (steepest descent) every this many iterations.
-    pub restart_every: usize,
-    /// Line search parameters (c₂ = 0.45: CG needs a tighter curvature
-    /// condition than quasi-Newton to keep directions descent).
-    #[serde(skip, default = "cg_wolfe")]
-    pub wolfe: WolfeParams,
-}
-
-fn cg_wolfe() -> WolfeParams {
-    WolfeParams {
-        c2: 0.45,
-        ..WolfeParams::default()
-    }
 }
 
 impl Default for ConjugateGradient {
@@ -42,9 +34,6 @@ impl Default for ConjugateGradient {
         ConjugateGradient {
             grad_tol: 1e-5,
             max_iters: 1000,
-            f_tol: 1e-12,
-            restart_every: 100,
-            wolfe: cg_wolfe(),
         }
     }
 }
@@ -65,82 +54,38 @@ impl ConjugateGradient {
 
 impl Optimizer for ConjugateGradient {
     fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
-        let n = objective.dim();
-        assert_eq!(x0.len(), n, "x0 has wrong dimension");
-        let mut x = x0;
-        let mut g = vec![0.0; n];
-        let mut f = objective.value_and_gradient(&x, &mut g);
-        let mut evals = 1usize;
-        let mut d: Vec<f64> = g.iter().map(|v| -v).collect();
+        let mut method = PolakRibiere { beta: 0.0 };
+        descend(objective, x0, self.grad_tol, self.max_iters, &mut method)
+    }
+}
 
-        for iter in 0..self.max_iters {
-            let gnorm = inf_norm(&g);
-            if gnorm <= self.grad_tol {
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter,
-                    evaluations: evals,
-                    converged: true,
-                };
-            }
-            if dot(&d, &g) >= 0.0 || (iter > 0 && iter % self.restart_every == 0) {
-                for (di, gi) in d.iter_mut().zip(&g) {
-                    *di = -gi;
-                }
-            }
-            let Some(ls) = wolfe_line_search(objective, &x, f, &g, &d, &self.wolfe) else {
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter,
-                    evaluations: evals,
-                    converged: gnorm <= self.grad_tol,
-                };
-            };
-            evals += ls.evaluations;
+/// The PR+ β of the last accepted step.
+struct PolakRibiere {
+    beta: f64,
+}
 
-            for (xi, di) in x.iter_mut().zip(&d) {
-                *xi += ls.alpha * di;
-            }
-            let f_prev = f;
-            f = ls.value;
+impl Method for PolakRibiere {
+    const C2: f64 = 0.45;
 
-            // PR+ beta from g (old) and ls.gradient (new).
-            let gg = dot(&g, &g);
-            let mut num = 0.0;
-            for (gn, go) in ls.gradient.iter().zip(&g) {
-                num += gn * (gn - go);
-            }
-            let beta = if gg > 0.0 { (num / gg).max(0.0) } else { 0.0 };
-            for ((di, gn), _) in d.iter_mut().zip(&ls.gradient).zip(&g) {
-                *di = -gn + beta * *di;
-            }
-            g.copy_from_slice(&ls.gradient);
-
-            if (f_prev - f).abs() <= self.f_tol * (1.0 + f.abs()) {
-                let gnorm = inf_norm(&g);
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter + 1,
-                    evaluations: evals,
-                    converged: gnorm <= self.grad_tol,
-                };
-            }
+    fn direction(&mut self, iter: usize, g: &[f64], d: &mut [f64]) {
+        let restart = iter % RESTART_EVERY == 0;
+        for (di, gi) in d.iter_mut().zip(g) {
+            *di = if restart { -gi } else { -gi + self.beta * *di };
         }
-        let gnorm = inf_norm(&g);
-        OptResult {
-            x,
-            value: f,
-            grad_norm: gnorm,
-            iterations: self.max_iters,
-            evaluations: evals,
-            converged: gnorm <= self.grad_tol,
+    }
+
+    fn reset(&mut self) -> bool {
+        // β only scales the last direction, which the loop replaces by −g.
+        false
+    }
+
+    fn update(&mut self, _s: &[f64], _y: &[f64], g: &[f64], g_new: &[f64]) {
+        let gg = dot(g, g);
+        let mut num = 0.0;
+        for (gn, go) in g_new.iter().zip(g) {
+            num += gn * (gn - go);
         }
+        self.beta = if gg > 0.0 { (num / gg).max(0.0) } else { 0.0 };
     }
 }
 

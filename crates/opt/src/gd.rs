@@ -91,9 +91,8 @@ impl Optimizer for GradientDescent {
             }
         }
 
-        let f = objective.value_and_gradient(&best_x, &mut g);
+        objective.value_and_gradient(&best_x, &mut g);
         evals += 1;
-        let _ = f;
         let gnorm = inf_norm(&g);
         OptResult {
             x: best_x,

@@ -3,53 +3,43 @@
 //! Dense BFGS keeps an `n × n` inverse-Hessian approximation — fine for the
 //! paper's few-hundred-weight networks, but quadratic in memory. L-BFGS
 //! (Nocedal & Wright, Algorithm 7.4/7.5) reconstructs the quasi-Newton
-//! direction from the last `m` curvature pairs in `O(mn)`, which is what a
-//! production deployment would use for larger networks; it is also a useful
-//! ablation point ("how much does the full Hessian memory buy?").
+//! direction from the last [`MEMORY`] curvature pairs in `O(mn)`, which is
+//! what a production deployment would use for larger networks; it is also a
+//! useful ablation point ("how much does the full Hessian memory buy?").
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 
-use crate::line_search::wolfe_line_search;
-use crate::{dot, inf_norm, Objective, OptResult, Optimizer, WolfeParams};
+use crate::descent::{descend, Method};
+use crate::{dot, Objective, OptResult, Optimizer};
+
+/// Curvature pairs retained (Nocedal & Wright suggest 3 to 20).
+const MEMORY: usize = 10;
 
 /// L-BFGS with a strong-Wolfe line search.
+///
+/// Only the direction, the two-loop recursion over the last 10 pairs, is its
+/// own; the loop and its fixed constants (c₂ = 0.9) are shared with
+/// [`crate::Bfgs`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Lbfgs {
-    /// Number of curvature pairs retained.
-    pub memory: usize,
     /// Stop when the gradient infinity norm falls below this.
     pub grad_tol: f64,
     /// Outer iteration budget.
     pub max_iters: usize,
-    /// Relative objective-improvement stopping threshold.
-    pub f_tol: f64,
-    /// Line search parameters.
-    #[serde(skip, default)]
-    pub wolfe: WolfeParams,
 }
 
 impl Default for Lbfgs {
     fn default() -> Self {
         Lbfgs {
-            memory: 10,
             grad_tol: 1e-5,
             max_iters: 500,
-            f_tol: 1e-12,
-            wolfe: WolfeParams::default(),
         }
     }
 }
 
 impl Lbfgs {
-    /// Sets the history size.
-    pub fn with_memory(mut self, m: usize) -> Self {
-        assert!(m > 0, "memory must be positive");
-        self.memory = m;
-        self
-    }
-
     /// Sets the gradient tolerance.
     pub fn with_grad_tol(mut self, tol: f64) -> Self {
         self.grad_tol = tol;
@@ -63,127 +53,73 @@ impl Lbfgs {
     }
 }
 
-/// One curvature pair (s, y) with ρ = 1/(sᵀy).
+impl Optimizer for Lbfgs {
+    fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
+        let mut history = VecDeque::with_capacity(MEMORY);
+        descend(objective, x0, self.grad_tol, self.max_iters, &mut history)
+    }
+}
+
+/// One curvature pair (s, y) with ρ = 1/(sᵀy), and its coefficient `a` from
+/// the two-loop recursion's first loop.
 struct Pair {
     s: Vec<f64>,
     y: Vec<f64>,
     rho: f64,
+    a: f64,
 }
 
-impl Optimizer for Lbfgs {
-    fn minimize<O: Objective + ?Sized>(&self, objective: &O, x0: Vec<f64>) -> OptResult {
-        let n = objective.dim();
-        assert_eq!(x0.len(), n, "x0 has wrong dimension");
-        let mut x = x0;
-        let mut g = vec![0.0; n];
-        let mut f = objective.value_and_gradient(&x, &mut g);
-        let mut evals = 1usize;
-        let mut history: VecDeque<Pair> = VecDeque::with_capacity(self.memory);
-        let mut d = vec![0.0; n];
-        let mut alpha_coefs = vec![0.0; self.memory];
+/// L-BFGS's state: the last [`MEMORY`] curvature pairs, oldest first.
+impl Method for VecDeque<Pair> {
+    const C2: f64 = 0.9;
 
-        for iter in 0..self.max_iters {
-            let gnorm = inf_norm(&g);
-            if gnorm <= self.grad_tol {
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter,
-                    evaluations: evals,
-                    converged: true,
-                };
-            }
-
-            // Two-loop recursion: d = -H g.
-            d.copy_from_slice(&g);
-            for (k, pair) in history.iter().enumerate().rev() {
-                let a = pair.rho * dot(&pair.s, &d);
-                alpha_coefs[k] = a;
-                for (di, yi) in d.iter_mut().zip(&pair.y) {
-                    *di -= a * yi;
-                }
-            }
-            if let Some(last) = history.back() {
-                // Initial scaling γ = sᵀy / yᵀy.
-                let gamma = 1.0 / (last.rho * dot(&last.y, &last.y));
-                for di in d.iter_mut() {
-                    *di *= gamma;
-                }
-            }
-            for (k, pair) in history.iter().enumerate() {
-                let b = pair.rho * dot(&pair.y, &d);
-                let a = alpha_coefs[k];
-                for (di, si) in d.iter_mut().zip(&pair.s) {
-                    *di += (a - b) * si;
-                }
-            }
-            for di in d.iter_mut() {
-                *di = -*di;
-            }
-            if dot(&d, &g) >= 0.0 {
-                history.clear();
-                for (di, gi) in d.iter_mut().zip(&g) {
-                    *di = -gi;
-                }
-            }
-
-            let Some(ls) = wolfe_line_search(objective, &x, f, &g, &d, &self.wolfe) else {
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter,
-                    evaluations: evals,
-                    converged: gnorm <= self.grad_tol,
-                };
-            };
-            evals += ls.evaluations;
-
-            let mut s = vec![0.0; n];
-            let mut y = vec![0.0; n];
-            let mut sy = 0.0;
-            for i in 0..n {
-                s[i] = ls.alpha * d[i];
-                y[i] = ls.gradient[i] - g[i];
-                sy += s[i] * y[i];
-                x[i] += s[i];
-            }
-            let f_prev = f;
-            f = ls.value;
-            g.copy_from_slice(&ls.gradient);
-
-            if sy > 1e-12 {
-                if history.len() == self.memory {
-                    history.pop_front();
-                }
-                history.push_back(Pair {
-                    s,
-                    y,
-                    rho: 1.0 / sy,
-                });
-            }
-
-            if (f_prev - f).abs() <= self.f_tol * (1.0 + f.abs()) {
-                let gnorm = inf_norm(&g);
-                return OptResult {
-                    x,
-                    value: f,
-                    grad_norm: gnorm,
-                    iterations: iter + 1,
-                    evaluations: evals,
-                    converged: gnorm <= self.grad_tol,
-                };
+    fn direction(&mut self, _iter: usize, g: &[f64], d: &mut [f64]) {
+        // Two-loop recursion: d = -H g.
+        d.copy_from_slice(g);
+        for pair in self.iter_mut().rev() {
+            pair.a = pair.rho * dot(&pair.s, d);
+            for (di, yi) in d.iter_mut().zip(&pair.y) {
+                *di -= pair.a * yi;
             }
         }
-        let gnorm = inf_norm(&g);
-        OptResult {
-            x,
-            value: f,
-            grad_norm: gnorm,
-            iterations: self.max_iters,
-            evaluations: evals,
-            converged: gnorm <= self.grad_tol,
+        if let Some(last) = self.back() {
+            // Initial scaling γ = sᵀy / yᵀy.
+            let gamma = 1.0 / (last.rho * dot(&last.y, &last.y));
+            for di in d.iter_mut() {
+                *di *= gamma;
+            }
+        }
+        for pair in self.iter() {
+            let b = pair.rho * dot(&pair.y, d);
+            for (di, si) in d.iter_mut().zip(&pair.s) {
+                *di += (pair.a - b) * si;
+            }
+        }
+        for di in d.iter_mut() {
+            *di = -*di;
+        }
+    }
+
+    fn reset(&mut self) -> bool {
+        self.clear();
+        false
+    }
+
+    fn update(&mut self, s: &[f64], y: &[f64], _g: &[f64], _g_new: &[f64]) {
+        let mut sy = 0.0;
+        for (si, yi) in s.iter().zip(y) {
+            sy += si * yi;
+        }
+        if sy > 1e-12 {
+            if self.len() == MEMORY {
+                self.pop_front();
+            }
+            self.push_back(Pair {
+                s: s.to_vec(),
+                y: y.to_vec(),
+                rho: 1.0 / sy,
+                a: 0.0,
+            });
         }
     }
 }
@@ -211,15 +147,6 @@ mod tests {
         assert!(res.converged, "{res:?}");
         assert!((res.x[0] - 1.0).abs() < 1e-4);
         assert!((res.x[1] - 1.0).abs() < 1e-4);
-    }
-
-    #[test]
-    fn small_memory_still_works() {
-        let res = Lbfgs::default()
-            .with_memory(2)
-            .with_max_iters(5000)
-            .minimize(&Rosenbrock, vec![-1.2, 1.0]);
-        assert!(res.converged, "{res:?}");
     }
 
     #[test]

@@ -15,6 +15,12 @@
 //!   classic backpropagation update, kept as an ablation baseline;
 //! * [`Objective`] — the function/gradient abstraction they all consume.
 //!
+//! The three line-search methods share one loop and differ only in their
+//! search direction. Each is set by `grad_tol` and `max_iters` alone; the
+//! Wolfe constants, L-BFGS's history and CG's restart period are fixed,
+//! since no caller ever changed them. `tests/trajectory_pins.rs` pins every
+//! trajectory by bits.
+//!
 //! ```
 //! use nr_opt::{Bfgs, Objective, Optimizer};
 //!
@@ -41,6 +47,7 @@
 
 mod bfgs;
 mod cg;
+mod descent;
 mod gd;
 mod lbfgs;
 mod line_search;
@@ -50,7 +57,6 @@ pub use bfgs::Bfgs;
 pub use cg::ConjugateGradient;
 pub use gd::GradientDescent;
 pub use lbfgs::Lbfgs;
-pub use line_search::{wolfe_line_search, WolfeParams};
 pub use objective::{numeric_gradient, Objective};
 
 use serde::{Deserialize, Serialize};

@@ -57,7 +57,7 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::Io(e) => write!(f, "model file: {e}"),
             ServeError::Json(e) => write!(f, "model json: {e}"),
-            ServeError::NonFinite(what) => write!(f, "model not serializable: {what}"),
+            ServeError::NonFinite(what) => write!(f, "non-finite model parameter: {what}"),
             ServeError::Invalid(why) => write!(f, "model not scorable: {why}"),
             ServeError::Corrupt { path, section } => {
                 write!(f, "corrupt model bundle {}: {section}", path.display())

@@ -688,7 +688,11 @@ fn non_finite_swap_is_refused_and_the_deployment_stays() {
         .unwrap();
     assert_eq!(status, 400, "{body}");
     let err: ErrorResponse = serde_json::from_str(&body).unwrap();
-    assert!(err.error.contains("not serializable"), "{}", err.error);
+    assert!(
+        err.error.contains("non-finite model parameter"),
+        "{}",
+        err.error
+    );
     let (_, body) = client.request("GET", "/model", "").unwrap();
     assert_eq!(serde_json::from_str::<ModelInfo>(&body).unwrap().version, 1);
     let (_, body) = client.request("POST", "/predict", &fx.rows[0]).unwrap();

@@ -207,7 +207,10 @@ fn non_finite_bundles_refuse_to_serialize() {
     );
     let model = ServeModel::new(&rs, encoder, net, ServeMode::Network);
     let err = model.to_json().expect_err("NaN weight must be rejected");
-    assert!(err.to_string().contains("not serializable"), "{err}");
+    assert!(
+        err.to_string().contains("non-finite model parameter"),
+        "{err}"
+    );
     assert!(model.validate().is_err());
     let path = std::env::temp_dir().join("nr_serve_nonfinite_refused.json");
     std::fs::remove_file(&path).ok();
