@@ -54,13 +54,20 @@ pub(crate) fn descend<O: Objective + ?Sized, M: Method>(
             steepest_descent(&g, &mut d);
         }
         let mut ls = wolfe_line_search(objective, &x, f, &g, &d, M::C2);
-        if ls.is_none() && method.reset() {
-            steepest_descent(&g, &mut d);
-            ls = wolfe_line_search(objective, &x, f, &g, &d, M::C2);
+        if let Err(spent) = ls {
+            if method.reset() {
+                evaluations += spent;
+                steepest_descent(&g, &mut d);
+                ls = wolfe_line_search(objective, &x, f, &g, &d, M::C2);
+            }
         }
-        let Some(ls) = ls else {
-            iterations = iter;
-            break;
+        let ls = match ls {
+            Ok(ls) => ls,
+            Err(spent) => {
+                evaluations += spent;
+                iterations = iter;
+                break;
+            }
         };
         evaluations += ls.evaluations;
 

@@ -12,7 +12,8 @@ const ALPHA_MAX: f64 = 1e4;
 const MAX_PROBES: usize = 60;
 
 /// An accepted step length α, the value and gradient at `x + α·d`, and the
-/// objective evaluations the search made.
+/// objective evaluations the search made. A failed search returns only its
+/// evaluation count.
 pub(crate) struct LineSearchResult {
     pub alpha: f64,
     pub value: f64,
@@ -44,8 +45,8 @@ impl<O: Objective + ?Sized> Search<'_, O> {
         (phi, dot(&self.grad, self.d))
     }
 
-    fn accept(self, alpha: f64, value: f64) -> Option<LineSearchResult> {
-        Some(LineSearchResult {
+    fn accept(self, alpha: f64, value: f64) -> Result<LineSearchResult, usize> {
+        Ok(LineSearchResult {
             alpha,
             value,
             gradient: self.grad,
@@ -56,7 +57,7 @@ impl<O: Objective + ?Sized> Search<'_, O> {
     /// Algorithm 3.6: shrinks the interval between `lo = (α, φ, φ′)` and
     /// `hi = (α, φ)`, where `lo` has the lower φ and the interval brackets a
     /// Wolfe point.
-    fn zoom(mut self, lo: (f64, f64, f64), hi: (f64, f64)) -> Option<LineSearchResult> {
+    fn zoom(mut self, lo: (f64, f64, f64), hi: (f64, f64)) -> Result<LineSearchResult, usize> {
         let (mut alpha_lo, mut phi_lo, mut dphi_lo) = lo;
         let (mut alpha_hi, mut phi_hi) = hi;
         for _ in 0..MAX_PROBES {
@@ -78,7 +79,7 @@ impl<O: Objective + ?Sized> Search<'_, O> {
                 alpha = 0.5 * (alpha_lo + alpha_hi);
             }
             if span < 1e-14 {
-                return None;
+                return Err(self.evals);
             }
 
             let (phi, dphi) = self.eval(alpha);
@@ -98,14 +99,15 @@ impl<O: Objective + ?Sized> Search<'_, O> {
                 dphi_lo = dphi;
             }
         }
-        None
+        Err(self.evals)
     }
 }
 
 /// Searches for a step length satisfying the strong Wolfe conditions, with
 /// curvature constant `c2`, along descent direction `d` from `x`, where
-/// `f0`/`g0` are the value and gradient at `x`. Returns `None` when `d` is
-/// not a descent direction or no acceptable step is found within the budget.
+/// `f0`/`g0` are the value and gradient at `x`. Fails with the number of
+/// evaluations it made when `d` is not a descent direction or no acceptable
+/// step is found within the budget.
 pub(crate) fn wolfe_line_search<O: Objective + ?Sized>(
     obj: &O,
     x: &[f64],
@@ -113,10 +115,10 @@ pub(crate) fn wolfe_line_search<O: Objective + ?Sized>(
     g0: &[f64],
     d: &[f64],
     c2: f64,
-) -> Option<LineSearchResult> {
+) -> Result<LineSearchResult, usize> {
     let dphi0 = dot(g0, d);
     if dphi0 >= 0.0 || !dphi0.is_finite() {
-        return None;
+        return Err(0);
     }
     let mut search = Search {
         obj,
@@ -154,7 +156,7 @@ pub(crate) fn wolfe_line_search<O: Objective + ?Sized>(
             break; // pinned at ALPHA_MAX
         }
     }
-    None
+    Err(search.evals)
 }
 
 #[cfg(test)]
@@ -205,7 +207,7 @@ mod tests {
         let f0 = q.value_and_gradient(&x, &mut g);
         // d = +g is an ascent direction.
         let res = wolfe_line_search(&q, &x, f0, &g, &g.clone(), 0.9);
-        assert!(res.is_none());
+        assert_eq!(res.err(), Some(0));
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! so under a zero tolerance every method resets its direction on the first
 //! iteration and stops on the failed search that follows.
 
+use std::cell::Cell;
+
 use nr_opt::{Bfgs, ConjugateGradient, Lbfgs, Objective, OptResult, Optimizer};
 
 /// `Σ cᵢ (xᵢ − tᵢ)²`, condition number 250.
@@ -112,8 +114,39 @@ fn digest(r: &OptResult) -> u64 {
     h
 }
 
+/// Counts the calls made to `inner`, each an objective evaluation.
+struct Counted<'a> {
+    inner: &'a dyn Objective,
+    calls: Cell<usize>,
+}
+
+impl Counted<'_> {
+    fn call(&self) {
+        self.calls.set(self.calls.get() + 1);
+    }
+}
+
+impl Objective for Counted<'_> {
+    fn dim(&self) -> usize {
+        self.inner.dim()
+    }
+    fn value(&self, x: &[f64]) -> f64 {
+        self.call();
+        self.inner.value(x)
+    }
+    fn gradient(&self, x: &[f64], g: &mut [f64]) {
+        self.call();
+        self.inner.gradient(x, g);
+    }
+    fn value_and_gradient(&self, x: &[f64], g: &mut [f64]) -> f64 {
+        self.call();
+        self.inner.value_and_gradient(x, g)
+    }
+}
+
 /// Runs `run` on every objective, budget and tolerance and formats one line
 /// per run: `objective budget tol digest iterations evaluations converged`.
+/// Every run must report exactly the evaluations it made.
 fn trajectories(run: impl Fn(usize, f64, &dyn Objective, Vec<f64>) -> OptResult) -> String {
     let objectives: [(&str, &dyn Objective, &[f64]); 5] = [
         ("quad", &Quad, &[8.0, 8.0, -8.0, -8.0]),
@@ -126,7 +159,16 @@ fn trajectories(run: impl Fn(usize, f64, &dyn Objective, Vec<f64>) -> OptResult)
     for (name, objective, x0) in objectives {
         for budget in BUDGETS {
             for tol in TOLERANCES {
-                let r = run(budget, tol, objective, x0.to_vec());
+                let counted = Counted {
+                    inner: objective,
+                    calls: Cell::new(0),
+                };
+                let r = run(budget, tol, &counted, x0.to_vec());
+                assert_eq!(
+                    r.evaluations,
+                    counted.calls.get(),
+                    "{name} {budget} {tol:e}: evaluations miscounted"
+                );
                 out += &format!(
                     "{name} {budget} {tol:e} {:016x} {} {} {}\n",
                     digest(&r),
@@ -215,24 +257,24 @@ kink_a 0 0e0 d226de786395409c 0 1 false
 kink_a 1 1e-5 fbafb63a5499c225 1 5 false
 kink_a 1 1e-9 fbafb63a5499c225 1 5 false
 kink_a 1 0e0 fbafb63a5499c225 1 5 false
-kink_a 5 1e-5 b7dbfb6f662908e1 5 12 false
-kink_a 5 1e-9 b7dbfb6f662908e1 5 12 false
-kink_a 5 0e0 b7dbfb6f662908e1 5 12 false
-kink_a 250 1e-5 d04fa37c13ec5100 28 48 true
-kink_a 250 1e-9 5be45f692a132798 29 49 false
-kink_a 250 0e0 5be45f692a132798 29 49 false
+kink_a 5 1e-5 b7dbfb6f662908e1 5 42 false
+kink_a 5 1e-9 b7dbfb6f662908e1 5 42 false
+kink_a 5 0e0 b7dbfb6f662908e1 5 42 false
+kink_a 250 1e-5 d04fa37c13ec5100 28 138 true
+kink_a 250 1e-9 5be45f692a132798 29 139 false
+kink_a 250 0e0 5be45f692a132798 29 139 false
 kink_b 0 1e-5 fff0016418fcaf13 0 1 false
 kink_b 0 1e-9 fff0016418fcaf13 0 1 false
 kink_b 0 0e0 fff0016418fcaf13 0 1 false
 kink_b 1 1e-5 939f9c2b9dc74ae5 1 5 false
 kink_b 1 1e-9 939f9c2b9dc74ae5 1 5 false
 kink_b 1 0e0 939f9c2b9dc74ae5 1 5 false
-kink_b 5 1e-5 372915e80347e98a 4 8 false
-kink_b 5 1e-9 372915e80347e98a 4 8 false
-kink_b 5 0e0 372915e80347e98a 4 8 false
-kink_b 250 1e-5 372915e80347e98a 4 8 false
-kink_b 250 1e-9 372915e80347e98a 4 8 false
-kink_b 250 0e0 372915e80347e98a 4 8 false
+kink_b 5 1e-5 372915e80347e98a 4 77 false
+kink_b 5 1e-9 372915e80347e98a 4 77 false
+kink_b 5 0e0 372915e80347e98a 4 77 false
+kink_b 250 1e-5 372915e80347e98a 4 77 false
+kink_b 250 1e-9 372915e80347e98a 4 77 false
+kink_b 250 0e0 372915e80347e98a 4 77 false
 flat 0 1e-5 f5f298d97aa98344 0 1 true
 flat 0 1e-9 f5f298d97aa98344 0 1 true
 flat 0 0e0 f5f298d97aa98344 0 1 false
@@ -278,24 +320,24 @@ kink_a 0 0e0 d226de786395409c 0 1 false
 kink_a 1 1e-5 fbafb63a5499c225 1 5 false
 kink_a 1 1e-9 fbafb63a5499c225 1 5 false
 kink_a 1 0e0 fbafb63a5499c225 1 5 false
-kink_a 5 1e-5 b45e74fd658e2792 3 8 false
-kink_a 5 1e-9 b45e74fd658e2792 3 8 false
-kink_a 5 0e0 b45e74fd658e2792 3 8 false
-kink_a 250 1e-5 b45e74fd658e2792 3 8 false
-kink_a 250 1e-9 b45e74fd658e2792 3 8 false
-kink_a 250 0e0 b45e74fd658e2792 3 8 false
+kink_a 5 1e-5 b45e74fd658e2792 3 41 false
+kink_a 5 1e-9 b45e74fd658e2792 3 41 false
+kink_a 5 0e0 b45e74fd658e2792 3 41 false
+kink_a 250 1e-5 b45e74fd658e2792 3 41 false
+kink_a 250 1e-9 b45e74fd658e2792 3 41 false
+kink_a 250 0e0 b45e74fd658e2792 3 41 false
 kink_b 0 1e-5 fff0016418fcaf13 0 1 false
 kink_b 0 1e-9 fff0016418fcaf13 0 1 false
 kink_b 0 0e0 fff0016418fcaf13 0 1 false
 kink_b 1 1e-5 939f9c2b9dc74ae5 1 5 false
 kink_b 1 1e-9 939f9c2b9dc74ae5 1 5 false
 kink_b 1 0e0 939f9c2b9dc74ae5 1 5 false
-kink_b 5 1e-5 814d49295f221e81 4 10 false
-kink_b 5 1e-9 814d49295f221e81 4 10 false
-kink_b 5 0e0 814d49295f221e81 4 10 false
-kink_b 250 1e-5 814d49295f221e81 4 10 false
-kink_b 250 1e-9 814d49295f221e81 4 10 false
-kink_b 250 0e0 814d49295f221e81 4 10 false
+kink_b 5 1e-5 814d49295f221e81 4 41 false
+kink_b 5 1e-9 814d49295f221e81 4 41 false
+kink_b 5 0e0 814d49295f221e81 4 41 false
+kink_b 250 1e-5 814d49295f221e81 4 41 false
+kink_b 250 1e-9 814d49295f221e81 4 41 false
+kink_b 250 0e0 814d49295f221e81 4 41 false
 flat 0 1e-5 f5f298d97aa98344 0 1 true
 flat 0 1e-9 f5f298d97aa98344 0 1 true
 flat 0 0e0 f5f298d97aa98344 0 1 false
@@ -357,8 +399,8 @@ kink_b 5 1e-5 b16e17ab7d95a300 5 14 false
 kink_b 5 1e-9 b16e17ab7d95a300 5 14 false
 kink_b 5 0e0 b16e17ab7d95a300 5 14 false
 kink_b 250 1e-5 c01036a3b5d364f8 13 37 true
-kink_b 250 1e-9 c01036a3b5d364f8 13 37 false
-kink_b 250 0e0 c01036a3b5d364f8 13 37 false
+kink_b 250 1e-9 c01036a3b5d364f8 13 82 false
+kink_b 250 0e0 c01036a3b5d364f8 13 82 false
 flat 0 1e-5 f5f298d97aa98344 0 1 true
 flat 0 1e-9 f5f298d97aa98344 0 1 true
 flat 0 0e0 f5f298d97aa98344 0 1 false

@@ -37,12 +37,13 @@ use nr_nn::{LinkId, Mlp, Trainer};
 use nr_opt::Bfgs;
 use serde::{Deserialize, Serialize};
 
+/// η₂ of conditions (4)/(5); links with saliency ≤ `4·η₂` are removable.
+/// It satisfies `η₁ + η₂ < 0.5` with the training η₁.
+const ETA2: f64 = 0.1;
+
 /// Parameters of the NP algorithm.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PruneConfig {
-    /// η₂ of conditions (4)/(5); links with saliency ≤ `4·η₂` are removable.
-    /// Must satisfy `η₁ + η₂ < 0.5` with the training η₁.
-    pub eta2: f64,
     /// Lowest acceptable (argmax) training accuracy; pruning stops rather
     /// than sink below this (the paper sets 90%).
     pub accuracy_floor: f64,
@@ -55,7 +56,6 @@ pub struct PruneConfig {
 impl Default for PruneConfig {
     fn default() -> Self {
         PruneConfig {
-            eta2: 0.1,
             accuracy_floor: 0.9,
             max_rounds: 300,
             retrain: Trainer::new(nr_nn::TrainingAlgorithm::Bfgs(
@@ -155,7 +155,7 @@ fn output_candidates(net: &Mlp, threshold: f64) -> Vec<LinkId> {
 
 /// Runs NP on `net` in place.
 pub fn prune(net: &mut Mlp, data: &EncodedDataset, config: &PruneConfig) -> PruneOutcome {
-    let threshold = 4.0 * config.eta2;
+    let threshold = 4.0 * ETA2;
     let initial_links = net.n_active();
     let mut trace = Vec::new();
 

@@ -1,14 +1,17 @@
 //! Step 1 of RX: activation-value discretization via clustering.
 
 use nr_encode::EncodedDataset;
-use nr_nn::Mlp;
-use serde::{Deserialize, Serialize};
+use nr_nn::{Matrix, Mlp};
 
-use crate::RxError;
+/// Each failed ε is multiplied by this (Figure 4 step 1(e): "decrease ε
+/// and repeat").
+const EPSILON_DECAY: f64 = 0.75;
+/// The search stops before ε falls below this.
+const MIN_EPSILON: f64 = 1e-3;
 
 /// The discrete activation values of one hidden node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ClusterModel {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ClusterModel {
     /// Cluster centers (mean activation of each cluster), in creation order.
     pub centers: Vec<f64>,
 }
@@ -17,11 +20,6 @@ impl ClusterModel {
     /// Number of discrete activation values (`D` in Figure 4).
     pub fn len(&self) -> usize {
         self.centers.len()
-    }
-
-    /// True when the model has no clusters (empty training data).
-    pub fn is_empty(&self) -> bool {
-        self.centers.is_empty()
     }
 
     /// Index of the nearest cluster center.
@@ -49,7 +47,7 @@ impl ClusterModel {
 /// values; join the nearest existing cluster when within `epsilon`,
 /// otherwise open a new one; finally replace each cluster value by the mean
 /// of its members.
-pub fn cluster_activations(values: &[f64], epsilon: f64) -> ClusterModel {
+pub(crate) fn cluster_activations(values: &[f64], epsilon: f64) -> ClusterModel {
     assert!(epsilon > 0.0, "epsilon must be positive");
     let mut heads: Vec<f64> = Vec::new(); // H(j), fixed during the scan
     let mut counts: Vec<usize> = Vec::new();
@@ -81,112 +79,89 @@ pub fn cluster_activations(values: &[f64], epsilon: f64) -> ClusterModel {
 }
 
 /// Discretization of all live hidden nodes of a network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HiddenDiscretization {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct HiddenDiscretization {
     /// The live hidden node indices, ascending (dead nodes have no model).
     pub nodes: Vec<usize>,
     /// One cluster model per entry of `nodes`.
     pub models: Vec<ClusterModel>,
-    /// The ε that met the accuracy floor.
+    /// The ε the search settled on.
     pub epsilon: f64,
     /// Accuracy of the network with discretized activations.
     pub accuracy: f64,
 }
 
-impl HiddenDiscretization {
-    /// The cluster model of hidden node `m`, if it is live.
-    pub fn model_of(&self, m: usize) -> Option<&ClusterModel> {
-        self.nodes
-            .iter()
-            .position(|&n| n == m)
-            .map(|i| &self.models[i])
-    }
-
-    /// Total number of activation combinations (`Π D_m`).
-    pub fn combination_count(&self) -> usize {
-        self.models.iter().map(ClusterModel::len).product()
-    }
-}
-
 /// Runs step 1 end to end: cluster each live hidden node's activations at
 /// `epsilon`, check the accuracy of the discretized network (step 1(d)),
-/// and decay ε (step 1(e)) until the floor is met.
-pub fn discretize_hidden(
+/// and decay ε (step 1(e)) until the floor is met. Returns the first ε
+/// that meets `accuracy_floor`; when none down to [`MIN_EPSILON`] does,
+/// the first ε with the best accuracy.
+pub(crate) fn discretize_hidden(
     net: &Mlp,
     data: &EncodedDataset,
     mut epsilon: f64,
-    decay: f64,
-    min_epsilon: f64,
     accuracy_floor: f64,
-) -> Result<HiddenDiscretization, RxError> {
-    assert!(
-        (0.0..1.0).contains(&decay) && decay > 0.0,
-        "decay must be in (0,1)"
-    );
+) -> HiddenDiscretization {
     let nodes = net.live_hidden();
-    // Precompute raw activations in one batched forward pass, then gather
-    // the live-node columns: rows × live nodes.
+    // One batched forward pass gives every raw activation; each ε is
+    // scored from it. Gather the live-node columns: live nodes × rows.
     let (hidden_batch, _) = net.forward_batch(data);
-    let mut activations: Vec<Vec<f64>> = vec![Vec::with_capacity(data.rows()); nodes.len()];
-    for i in 0..data.rows() {
-        let hidden = hidden_batch.row(i);
-        for (k, &m) in nodes.iter().enumerate() {
-            activations[k].push(hidden[m]);
-        }
-    }
+    let activations: Vec<Vec<f64>> = nodes
+        .iter()
+        .map(|&m| (0..data.rows()).map(|i| hidden_batch.row(i)[m]).collect())
+        .collect();
 
-    let mut best_accuracy = f64::NEG_INFINITY;
+    let mut best: Option<HiddenDiscretization> = None;
     loop {
         let models: Vec<ClusterModel> = activations
             .iter()
             .map(|vals| cluster_activations(vals, epsilon))
             .collect();
-        let accuracy = discretized_accuracy(net, data, &nodes, &models);
+        let accuracy = discretized_accuracy(net, data, &hidden_batch, &nodes, &models);
+        let disc = HiddenDiscretization {
+            nodes: nodes.clone(),
+            models,
+            epsilon,
+            accuracy,
+        };
         if accuracy >= accuracy_floor {
-            return Ok(HiddenDiscretization {
-                nodes,
-                models,
-                epsilon,
-                accuracy,
-            });
+            return disc;
         }
-        best_accuracy = best_accuracy.max(accuracy);
-        let next = epsilon * decay;
-        if next < min_epsilon {
-            return Err(RxError::ClusteringFailed {
-                best_accuracy,
-                floor: accuracy_floor,
-            });
+        if best.as_ref().is_none_or(|b| accuracy > b.accuracy) {
+            best = Some(disc);
         }
-        epsilon = next;
+        epsilon *= EPSILON_DECAY;
+        if epsilon < MIN_EPSILON {
+            return best.expect("at least one ε was scored");
+        }
     }
 }
 
-/// Accuracy with every live hidden activation replaced by its cluster center
-/// (Figure 4, step 1(d)).
-pub fn discretized_accuracy(
+/// Accuracy with every live hidden activation of `hidden_batch` (the raw
+/// rows × hidden activations) replaced by its cluster center (Figure 4,
+/// step 1(d)).
+fn discretized_accuracy(
     net: &Mlp,
     data: &EncodedDataset,
+    hidden_batch: &Matrix,
     nodes: &[usize],
     models: &[ClusterModel],
 ) -> f64 {
     if data.rows() == 0 {
         return 0.0;
     }
-    // Raw activations come from one batched forward pass; only the
-    // (cheap) discretized output layer is recomputed per row.
-    let (mut hidden_batch, _) = net.forward_batch(data);
+    let mut hidden = vec![0.0; net.n_hidden()];
     let mut out = vec![0.0; net.n_outputs()];
     let mut correct = 0usize;
     for i in 0..data.rows() {
-        let hidden = hidden_batch.row_mut(i);
+        hidden.copy_from_slice(hidden_batch.row(i));
         // Replace live activations by their cluster centers; dead nodes have
         // no output links, so their value is irrelevant.
         for (k, &m) in nodes.iter().enumerate() {
             let model = &models[k];
             hidden[m] = model.center(model.assign(hidden[m]));
         }
-        net.output_from_hidden(hidden, &mut out);
+        net.output_from_hidden(&hidden, &mut out);
         if nr_nn::argmax(&out) == data.target(i) {
             correct += 1;
         }
@@ -268,15 +243,11 @@ mod tests {
     #[test]
     fn discretize_meets_floor() {
         let (net, data) = trained_net();
-        let disc = discretize_hidden(&net, &data, 0.6, 0.75, 1e-3, 0.95).unwrap();
+        let disc = discretize_hidden(&net, &data, 0.6, 0.95);
         assert!(disc.accuracy >= 0.95);
         assert_eq!(disc.nodes, net.live_hidden());
         assert_eq!(disc.models.len(), disc.nodes.len());
-        assert!(disc.combination_count() >= 1);
-        for m in &disc.nodes {
-            assert!(disc.model_of(*m).is_some());
-        }
-        assert_eq!(disc.model_of(99), None);
+        assert!(disc.models.iter().all(|m| m.len() >= 1));
     }
 
     #[test]
@@ -284,16 +255,34 @@ mod tests {
         let (net, data) = trained_net();
         // A silly-large starting epsilon lumps everything into one cluster;
         // the loop must shrink it until accuracy recovers.
-        let disc = discretize_hidden(&net, &data, 4.0, 0.5, 1e-6, 0.95).unwrap();
+        let disc = discretize_hidden(&net, &data, 4.0, 0.95);
         assert!(disc.epsilon < 4.0);
         assert!(disc.accuracy >= 0.95);
     }
 
+    /// No ε reaches a floor above 1, so the search keeps the first ε with
+    /// the best accuracy. The bits were captured from the earlier two-pass
+    /// search (fail at the floor, then rerun the decay aiming just under
+    /// the best accuracy seen).
     #[test]
-    fn impossible_floor_errors() {
+    fn unreachable_floor_keeps_the_first_best_epsilon() {
         let (net, data) = trained_net();
-        let err = discretize_hidden(&net, &data, 0.6, 0.75, 0.5, 1.1).unwrap_err();
-        assert!(matches!(err, RxError::ClusteringFailed { .. }));
+        let disc = discretize_hidden(&net, &data, 0.6, 1.1);
+        assert_eq!(disc.epsilon.to_bits(), 0x3fe3_3333_3333_3333);
+        assert_eq!(disc.accuracy.to_bits(), 0x3ff0_0000_0000_0000);
+        assert_eq!(disc.nodes, vec![0, 1]);
+        let centers: Vec<Vec<u64>> = disc
+            .models
+            .iter()
+            .map(|m| m.centers.iter().map(|c| c.to_bits()).collect())
+            .collect();
+        assert_eq!(
+            centers,
+            vec![
+                vec![0xbeb1_0603_f0fc_4716],
+                vec![0xbfeb_d97e_da07_cda0, 0x3fee_a2ef_097f_d5de],
+            ]
+        );
     }
 
     #[test]
@@ -311,7 +300,7 @@ mod tests {
         net.remove_dead_hidden();
         let acc = net.accuracy(&data);
         if acc >= 0.9 {
-            let disc = discretize_hidden(&net, &data, 0.6, 0.75, 1e-3, 0.9).unwrap();
+            let disc = discretize_hidden(&net, &data, 0.6, 0.9);
             assert_eq!(disc.nodes, vec![0]);
         }
     }

@@ -20,26 +20,13 @@ use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{DecisionTable, TableRow};
+use crate::table::{DecisionTable, TableRow};
 
-/// Resource limits for the cover engines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CoverLimits {
-    /// Use the exact prime-implicant engine up to this many columns.
-    pub max_exact_cols: usize,
-    /// Also require `positives · 2^cols · rows` below this before going
-    /// exact — wide *and* tall tables would take minutes otherwise.
-    pub max_exact_work: u64,
-}
-
-impl Default for CoverLimits {
-    fn default() -> Self {
-        CoverLimits {
-            max_exact_cols: 16,
-            max_exact_work: 200_000_000,
-        }
-    }
-}
+/// Use the exact prime-implicant engine up to this many columns.
+const MAX_EXACT_COLS: usize = 16;
+/// Also require `positives · 2^cols · rows` below this before going exact:
+/// wide *and* tall tables would take minutes otherwise.
+const MAX_EXACT_WORK: u64 = 200_000_000;
 
 /// One rule over table columns: `∧ (column = value) ⇒ class`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -62,7 +49,7 @@ impl TableRule {
 /// Guarantees: every row with `class == target` is covered by some returned
 /// rule, and no returned rule covers a row of another class. Returns an
 /// empty vector when the class has no rows.
-pub fn perfect_rules(table: &DecisionTable, target: usize, limits: &CoverLimits) -> Vec<TableRule> {
+pub(crate) fn perfect_rules(table: &DecisionTable, target: usize) -> Vec<TableRule> {
     let positives: Vec<&TableRow> = table.rows.iter().filter(|r| r.class == target).collect();
     if positives.is_empty() {
         return Vec::new();
@@ -77,7 +64,7 @@ pub fn perfect_rules(table: &DecisionTable, target: usize, limits: &CoverLimits)
     let work = (positives.len() as u64)
         .saturating_mul(1u64 << table.n_cols().min(63))
         .saturating_mul(table.n_rows() as u64);
-    let rules = if table.n_cols() <= limits.max_exact_cols && work <= limits.max_exact_work {
+    let rules = if table.n_cols() <= MAX_EXACT_COLS && work <= MAX_EXACT_WORK {
         exact_cover(table.n_cols(), &positives, &negatives, target)
     } else {
         greedy_cover(table.n_cols(), &positives, &negatives, target)
@@ -87,7 +74,7 @@ pub fn perfect_rules(table: &DecisionTable, target: usize, limits: &CoverLimits)
 }
 
 /// Checks the perfect-cover property (used by tests and debug assertions).
-pub fn is_perfect_cover(rules: &[TableRule], table: &DecisionTable, target: usize) -> bool {
+fn is_perfect_cover(rules: &[TableRule], table: &DecisionTable, target: usize) -> bool {
     table.rows.iter().all(|row| {
         let covered = rules.iter().any(|r| r.covers(&row.values));
         if row.class == target {
@@ -253,7 +240,7 @@ mod tests {
 
     #[test]
     fn and_function_single_rule() {
-        let rules = perfect_rules(&and_table(), 1, &CoverLimits::default());
+        let rules = perfect_rules(&and_table(), 1);
         assert_eq!(rules.len(), 1);
         assert_eq!(rules[0].conditions, vec![(0, 1), (1, 1)]);
         assert!(is_perfect_cover(&rules, &and_table(), 1));
@@ -261,7 +248,7 @@ mod tests {
 
     #[test]
     fn and_complement_two_rules() {
-        let rules = perfect_rules(&and_table(), 0, &CoverLimits::default());
+        let rules = perfect_rules(&and_table(), 0);
         // a=0 and b=0 each suffice; a minimal cover has 2 rules.
         assert_eq!(rules.len(), 2);
         assert!(is_perfect_cover(&rules, &and_table(), 0));
@@ -272,7 +259,7 @@ mod tests {
 
     #[test]
     fn empty_class_no_rules() {
-        let rules = perfect_rules(&and_table(), 7, &CoverLimits::default());
+        let rules = perfect_rules(&and_table(), 7);
         assert!(rules.is_empty());
     }
 
@@ -281,7 +268,7 @@ mod tests {
         let mut t = DecisionTable::new(vec![2]);
         t.push(vec![0], 3);
         t.push(vec![1], 3);
-        let rules = perfect_rules(&t, 3, &CoverLimits::default());
+        let rules = perfect_rules(&t, 3);
         assert_eq!(rules.len(), 1);
         assert!(rules[0].conditions.is_empty());
     }
@@ -315,7 +302,7 @@ mod tests {
         // The paper's R11–R13 cover C1 with 3 rules; our minimal cover must
         // be exactly as compact.
         let t = paper_table();
-        let rules = perfect_rules(&t, 0, &CoverLimits::default());
+        let rules = perfect_rules(&t, 0);
         assert!(is_perfect_cover(&rules, &t, 0));
         assert_eq!(rules.len(), 3, "{rules:?}");
         // R11 (α2=0, α3=−1) is the only 2-condition implicant covering three
@@ -329,15 +316,10 @@ mod tests {
     #[test]
     fn greedy_matches_exact_on_paper_table() {
         let t = paper_table();
-        let exact = perfect_rules(&t, 0, &CoverLimits::default());
-        let greedy = perfect_rules(
-            &t,
-            0,
-            &CoverLimits {
-                max_exact_cols: 0,
-                ..CoverLimits::default()
-            },
-        );
+        let exact = perfect_rules(&t, 0);
+        let positives: Vec<&TableRow> = t.rows.iter().filter(|r| r.class == 0).collect();
+        let negatives: Vec<&TableRow> = t.rows.iter().filter(|r| r.class != 0).collect();
+        let greedy = greedy_cover(t.n_cols(), &positives, &negatives, 0);
         assert!(is_perfect_cover(&greedy, &t, 0));
         // Greedy may produce a slightly different set but stays small.
         assert!(
@@ -359,15 +341,15 @@ mod tests {
         // Dedup rows (the generator above repeats combinations).
         t.rows.sort_by(|a, b| a.values.cmp(&b.values));
         t.rows.dedup();
-        let rules = perfect_rules(&t, 1, &CoverLimits::default());
+        let rules = perfect_rules(&t, 1);
         assert!(is_perfect_cover(&rules, &t, 1), "{rules:?}");
     }
 
     #[test]
     fn rules_are_deterministic() {
         let t = paper_table();
-        let a = perfect_rules(&t, 0, &CoverLimits::default());
-        let b = perfect_rules(&t, 0, &CoverLimits::default());
+        let a = perfect_rules(&t, 0);
+        let b = perfect_rules(&t, 0);
         assert_eq!(a, b);
     }
 

@@ -8,49 +8,34 @@ use nr_rules::{Rule, RuleSet};
 use serde::{Deserialize, Serialize};
 
 use crate::cluster::{discretize_hidden, ClusterModel};
-use crate::cover::{perfect_rules, CoverLimits, TableRule};
-use crate::subnet::SubnetConfig;
+use crate::cover::{perfect_rules, TableRule};
+use crate::subnet::MAX_DEPTH;
 use crate::table::DecisionTable;
 use crate::RxError;
 
-/// Parameters of RX.
+/// Cap on the activation-combination table (the paper's example has 18).
+const MAX_ACTIVATION_COMBOS: usize = 4096;
+/// Cap on a hidden node's feasible input patterns before it is split by a
+/// subnetwork (§3.2) or falls back to its observed patterns.
+const MAX_INPUT_PATTERNS: usize = 4096;
+/// Cap on the conjunctions produced by rule substitution.
+const MAX_DNF_TERMS: usize = 20_000;
+
+/// Parameters of RX: the two the paper sets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RxConfig {
     /// Initial clustering ε (the paper uses 0.6 for Function 2).
     pub epsilon: f64,
-    /// Multiplier applied to ε when the discretized accuracy is too low
-    /// (Figure 4 step 1(e): "decrease ε and repeat").
-    pub epsilon_decay: f64,
-    /// Give up shrinking ε below this.
-    pub min_epsilon: f64,
     /// Accuracy the discretized network must keep (the paper reuses the
     /// pruning threshold, 90%).
     pub accuracy_floor: f64,
-    /// Cap on the activation-combination table (the paper's example has 18).
-    pub max_activation_combos: usize,
-    /// Cap on per-hidden-node feasible input patterns before switching to a
-    /// subnetwork (§3.2) or the observed-pattern fallback.
-    pub max_input_patterns: usize,
-    /// Cap on conjunctions produced by rule substitution.
-    pub max_dnf_terms: usize,
-    /// Cover-engine limits.
-    pub cover: CoverLimits,
-    /// Hidden-node splitting (§3.2) parameters.
-    pub subnet: SubnetConfig,
 }
 
 impl Default for RxConfig {
     fn default() -> Self {
         RxConfig {
             epsilon: 0.6,
-            epsilon_decay: 0.75,
-            min_epsilon: 1e-3,
             accuracy_floor: 0.9,
-            max_activation_combos: 4096,
-            max_input_patterns: 4096,
-            max_dnf_terms: 20_000,
-            cover: CoverLimits::default(),
-            subnet: SubnetConfig::default(),
         }
     }
 }
@@ -143,16 +128,16 @@ pub fn extract(
 
     let mut trace = RxTrace::default();
     let identity: Vec<usize> = (0..encoder.n_inputs()).collect();
-    let dnf = literal_dnf_for_classes(
+    let rx = Rx {
         net,
         encoder,
-        &identity,
+        bit_map: &identity,
         data,
-        &wanted,
-        config,
-        0,
-        Some(&mut trace),
-    )?;
+        epsilon: config.epsilon,
+        accuracy_floor: config.accuracy_floor,
+        depth: 0,
+    };
+    let dnf = rx.literal_dnf(&wanted, Some(&mut trace))?;
 
     // Rewrite literal conjunctions into attribute rules.
     let mut bit_rules = Vec::new();
@@ -203,303 +188,256 @@ fn majority(data: &EncodedDataset) -> usize {
         .unwrap_or(0)
 }
 
-/// Steps 1–4 of RX in *literal space*: returns, for each wanted class, the
-/// DNF (list of literal conjunctions over **global** input bits) that makes
-/// the network predict that class.
-///
-/// `bit_map[l]` maps the network's local input `l` to a global encoder bit;
-/// the top level passes the identity, subnetworks pass their parent's
-/// connected bits. `depth` guards §3.2 recursion.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn literal_dnf_for_classes(
-    net: &Mlp,
-    encoder: &Encoder,
-    bit_map: &[usize],
-    data: &EncodedDataset,
-    wanted: &[usize],
-    config: &RxConfig,
-    depth: usize,
-    mut trace: Option<&mut RxTrace>,
-) -> Result<BTreeMap<usize, Vec<Vec<Literal>>>, RxError> {
-    assert_eq!(
-        bit_map.len(),
-        net.n_inputs(),
-        "bit map must cover every network input"
-    );
+/// For each class, a DNF: literal conjunctions over global input bits.
+pub(crate) type ClassDnf = BTreeMap<usize, Vec<Vec<Literal>>>;
 
-    // --- Step 1: discretize hidden activations. -------------------------
-    // When no ε reaches the accuracy floor, fall back to the best
-    // discretization found instead of failing: lower-fidelity rules beat
-    // no rules.
-    let disc = match discretize_hidden(
-        net,
-        data,
-        config.epsilon,
-        config.epsilon_decay,
-        config.min_epsilon,
-        config.accuracy_floor,
-    ) {
-        Ok(d) => d,
-        Err(RxError::ClusteringFailed { best_accuracy, .. }) => {
-            // Second pass aiming at the best accuracy any ε achieved; the
-            // decay loop stops at the first (= largest, coarsest) such ε.
-            discretize_hidden(
-                net,
-                data,
-                config.epsilon,
-                config.epsilon_decay,
-                config.min_epsilon,
-                (best_accuracy - 1e-9).max(0.0),
-            )?
-        }
-        Err(e) => return Err(e),
-    };
-    let live = disc.nodes.clone();
-    if live.is_empty() {
-        // Fully pruned network: every prediction is the constant argmax of
-        // zero hidden input. All-wanted classes get empty DNFs.
-        return Ok(wanted.iter().map(|&c| (c, Vec::new())).collect());
-    }
-
-    // --- Step 2: activation table and output rules. ---------------------
-    let arity: Vec<usize> = disc.models.iter().map(ClusterModel::len).collect();
-    let needed: usize = arity.iter().product();
-    if needed > config.max_activation_combos {
-        return Err(RxError::ActivationSpaceTooLarge {
-            needed,
-            cap: config.max_activation_combos,
-        });
-    }
-    let mut activation_rows: Vec<ActivationRow> = Vec::with_capacity(needed);
-    let table = {
-        let mut hidden = vec![0.0; net.n_hidden()];
-        let mut out = vec![0.0; net.n_outputs()];
-        DecisionTable::enumerate(arity.clone(), config.max_activation_combos, |combo| {
-            hidden.iter_mut().for_each(|h| *h = 0.0);
-            let mut centers = Vec::with_capacity(live.len());
-            for (k, &m) in live.iter().enumerate() {
-                let c = disc.models[k].center(combo[k]);
-                hidden[m] = c;
-                centers.push(c);
-            }
-            net.output_from_hidden(&hidden, &mut out);
-            let class = nr_nn::argmax(&out);
-            activation_rows.push(ActivationRow {
-                combo: combo.to_vec(),
-                centers,
-                outputs: out.clone(),
-                class,
-            });
-            class
-        })
-        .expect("cap checked above")
-    };
-
-    let mut output_rules: BTreeMap<usize, Vec<TableRule>> = BTreeMap::new();
-    for &class in wanted {
-        output_rules.insert(class, perfect_rules(&table, class, &config.cover));
-    }
-
-    // --- Step 3: per-hidden-node rules for the used cluster values. ------
-    // Which (live-node-index, cluster) pairs appear in step-2 rules?
-    let mut used_clusters: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for rules in output_rules.values() {
-        for rule in rules {
-            for &(k, d) in &rule.conditions {
-                used_clusters.entry(k).or_default().insert(d);
-            }
-        }
-    }
-
-    let mut hidden_dnf: BTreeMap<usize, BTreeMap<usize, Vec<Vec<Literal>>>> = BTreeMap::new();
-    for (&k, clusters) in &used_clusters {
-        let node = live[k];
-        let used: Vec<usize> = clusters.iter().copied().collect();
-        let dnf = hidden_node_dnf(
-            net,
-            encoder,
-            bit_map,
-            data,
-            node,
-            &disc.models[k],
-            &used,
-            config,
-            depth,
-            trace.as_deref_mut(),
-        )?;
-        hidden_dnf.insert(k, dnf);
-    }
-
-    // --- Step 4: substitution in literal space. --------------------------
-    let mut result: BTreeMap<usize, Vec<Vec<Literal>>> = BTreeMap::new();
-    let mut before_filter = 0usize;
-    for (&class, rules) in &output_rules {
-        let mut class_terms: BTreeSet<Vec<Literal>> = BTreeSet::new();
-        for rule in rules {
-            // Cross product of the DNFs of each condition.
-            let mut terms: Vec<Vec<Literal>> = vec![Vec::new()];
-            for &(k, d) in &rule.conditions {
-                let dnf = hidden_dnf
-                    .get(&k)
-                    .and_then(|m| m.get(&d))
-                    .cloned()
-                    .unwrap_or_default();
-                let mut next: Vec<Vec<Literal>> = Vec::new();
-                for base in &terms {
-                    for conj in &dnf {
-                        if let Some(merged) = merge_literals(base, conj) {
-                            next.push(merged);
-                        }
-                    }
-                    if next.len() > config.max_dnf_terms {
-                        return Err(RxError::DnfTooLarge {
-                            cap: config.max_dnf_terms,
-                        });
-                    }
-                }
-                terms = next;
-            }
-            before_filter += terms.len();
-            for t in terms {
-                class_terms.insert(t);
-            }
-        }
-        result.insert(
-            class,
-            minimize_dnf(encoder, class_terms.into_iter().collect()),
-        );
-    }
-
-    if let Some(t) = trace {
-        t.epsilon = disc.epsilon;
-        t.discretized_accuracy = disc.accuracy;
-        t.live_hidden = live;
-        t.cluster_counts = arity;
-        t.cluster_centers = disc.models.iter().map(|m| m.centers.clone()).collect();
-        t.activation_table = activation_rows;
-        t.output_rules = output_rules.into_values().flatten().collect();
-        t.conjunctions_before_filter = before_filter;
-    }
-    Ok(result)
+/// One level of RX: a network, what its inputs mean, the data it is read
+/// against and the accuracy its discretization must keep. The top level
+/// reads the pruned network; each §3.2 subnetwork gets its own level, one
+/// `depth` deeper.
+pub(crate) struct Rx<'a> {
+    pub net: &'a Mlp,
+    pub encoder: &'a Encoder,
+    /// `bit_map[l]` is the global encoder bit behind the network's input
+    /// `l`: the identity at the top level, the parent node's connected bits
+    /// in a subnetwork.
+    pub bit_map: &'a [usize],
+    pub data: &'a EncodedDataset,
+    pub epsilon: f64,
+    pub accuracy_floor: f64,
+    pub depth: usize,
 }
 
-/// Derives the literal DNF of each used cluster value of one hidden node
-/// (Figure 4 step 3), choosing between feasible enumeration, a subnetwork
-/// (§3.2), and the observed-pattern fallback.
-#[allow(clippy::too_many_arguments)]
-fn hidden_node_dnf(
-    net: &Mlp,
-    encoder: &Encoder,
-    bit_map: &[usize],
-    data: &EncodedDataset,
-    node: usize,
-    model: &ClusterModel,
-    used: &[usize],
-    config: &RxConfig,
-    depth: usize,
-    mut trace: Option<&mut RxTrace>,
-) -> Result<BTreeMap<usize, Vec<Vec<Literal>>>, RxError> {
-    let local_bits = net.hidden_inputs(node);
-    let global_bits: Vec<usize> = {
-        let mut g: Vec<usize> = local_bits.iter().map(|&l| bit_map[l]).collect();
-        g.sort_unstable();
-        g.dedup();
-        g
-    };
+impl Rx<'_> {
+    /// Steps 1–4 of RX in *literal space*: returns, for each wanted class,
+    /// the DNF that makes the network predict that class.
+    pub(crate) fn literal_dnf(
+        &self,
+        wanted: &[usize],
+        mut trace: Option<&mut RxTrace>,
+    ) -> Result<ClassDnf, RxError> {
+        let net = self.net;
+        assert_eq!(
+            self.bit_map.len(),
+            net.n_inputs(),
+            "bit map must cover every network input"
+        );
 
-    // Activation of `node` for an assignment of the global bits.
-    let activation = |value_of: &dyn Fn(usize) -> f64| -> f64 {
-        let mut z = 0.0;
-        for &l in &local_bits {
-            z += net.w()[(node, l)] * value_of(bit_map[l]);
+        // --- Step 1: discretize hidden activations. ---------------------
+        let disc = discretize_hidden(net, self.data, self.epsilon, self.accuracy_floor);
+        let live = disc.nodes.clone();
+        if live.is_empty() {
+            // Fully pruned network: every prediction is the constant argmax
+            // of zero hidden input. All-wanted classes get empty DNFs.
+            return Ok(wanted.iter().map(|&c| (c, Vec::new())).collect());
         }
-        z.tanh()
-    };
 
-    match enumerate_feasible(encoder, &global_bits, config.max_input_patterns) {
-        Ok(ps) => {
-            let mut table = DecisionTable::new(vec![2; ps.bits.len()]);
-            for pattern in &ps.patterns {
-                let value_of = |bit: usize| -> f64 {
-                    let idx = ps.bits.binary_search(&bit).expect("bit in pattern space");
-                    if pattern[idx] {
-                        1.0
-                    } else {
-                        0.0
-                    }
-                };
-                let a = activation(&value_of);
-                let cluster = model.assign(a);
-                table.push(pattern.iter().map(|&b| usize::from(b)).collect(), cluster);
-            }
-            let mut out = BTreeMap::new();
-            for &d in used {
-                let rules = perfect_rules(&table, d, &config.cover);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.hidden_rule_counts.push((node, d, rules.len()));
+        // --- Step 2: activation table and output rules. -----------------
+        let arity: Vec<usize> = disc.models.iter().map(ClusterModel::len).collect();
+        let needed: usize = arity.iter().product();
+        if needed > MAX_ACTIVATION_COMBOS {
+            return Err(RxError::ActivationSpaceTooLarge {
+                needed,
+                cap: MAX_ACTIVATION_COMBOS,
+            });
+        }
+        let mut activation_rows: Vec<ActivationRow> = Vec::with_capacity(needed);
+        let table = {
+            let mut hidden = vec![0.0; net.n_hidden()];
+            let mut out = vec![0.0; net.n_outputs()];
+            DecisionTable::enumerate(arity.clone(), MAX_ACTIVATION_COMBOS, |combo| {
+                hidden.iter_mut().for_each(|h| *h = 0.0);
+                let mut centers = Vec::with_capacity(live.len());
+                for (k, &m) in live.iter().enumerate() {
+                    let c = disc.models[k].center(combo[k]);
+                    hidden[m] = c;
+                    centers.push(c);
                 }
-                out.insert(d, rules_to_literals(&rules, &ps.bits));
-            }
-            Ok(out)
+                net.output_from_hidden(&hidden, &mut out);
+                let class = nr_nn::argmax(&out);
+                activation_rows.push(ActivationRow {
+                    combo: combo.to_vec(),
+                    centers,
+                    outputs: out.clone(),
+                    class,
+                });
+                class
+            })
+            .expect("cap checked above")
+        };
+
+        let mut output_rules: BTreeMap<usize, Vec<TableRule>> = BTreeMap::new();
+        for &class in wanted {
+            output_rules.insert(class, perfect_rules(&table, class));
         }
-        Err(_) => {
-            // Too many feasible patterns: try a subnetwork (§3.2) first.
-            if depth < config.subnet.max_depth && local_bits.len() >= config.subnet.min_inputs {
-                let split = crate::subnet::split(
-                    net, node, model, encoder, bit_map, data, used, config, depth,
-                );
-                if let Ok(dnf) = split {
+
+        // --- Step 3: per-hidden-node rules for the used cluster values. --
+        // Which (live-node-index, cluster) pairs appear in step-2 rules?
+        let mut used_clusters: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
+        for rules in output_rules.values() {
+            for rule in rules {
+                for &(k, d) in &rule.conditions {
+                    used_clusters.entry(k).or_default().insert(d);
+                }
+            }
+        }
+
+        let mut hidden_dnf: BTreeMap<usize, ClassDnf> = BTreeMap::new();
+        for (&k, clusters) in &used_clusters {
+            let used: Vec<usize> = clusters.iter().copied().collect();
+            let dnf =
+                self.hidden_node_dnf(live[k], &disc.models[k], &used, trace.as_deref_mut())?;
+            hidden_dnf.insert(k, dnf);
+        }
+
+        // --- Step 4: substitution in literal space. ----------------------
+        let mut result = ClassDnf::new();
+        let mut before_filter = 0usize;
+        for (&class, rules) in &output_rules {
+            let mut class_terms: BTreeSet<Vec<Literal>> = BTreeSet::new();
+            for rule in rules {
+                // Cross product of the DNFs of each condition.
+                let mut terms: Vec<Vec<Literal>> = vec![Vec::new()];
+                for &(k, d) in &rule.conditions {
+                    let dnf = hidden_dnf
+                        .get(&k)
+                        .and_then(|m| m.get(&d))
+                        .cloned()
+                        .unwrap_or_default();
+                    let mut next: Vec<Vec<Literal>> = Vec::new();
+                    for base in &terms {
+                        for conj in &dnf {
+                            if let Some(merged) = merge_literals(base, conj) {
+                                next.push(merged);
+                            }
+                        }
+                        if next.len() > MAX_DNF_TERMS {
+                            return Err(RxError::DnfTooLarge { cap: MAX_DNF_TERMS });
+                        }
+                    }
+                    terms = next;
+                }
+                before_filter += terms.len();
+                class_terms.extend(terms);
+            }
+            result.insert(
+                class,
+                minimize_dnf(self.encoder, class_terms.into_iter().collect()),
+            );
+        }
+
+        if let Some(t) = trace {
+            t.epsilon = disc.epsilon;
+            t.discretized_accuracy = disc.accuracy;
+            t.live_hidden = live;
+            t.cluster_counts = arity;
+            t.cluster_centers = disc.models.iter().map(|m| m.centers.clone()).collect();
+            t.activation_table = activation_rows;
+            t.output_rules = output_rules.into_values().flatten().collect();
+            t.conjunctions_before_filter = before_filter;
+        }
+        Ok(result)
+    }
+
+    /// Derives the literal DNF of each used cluster value of one hidden
+    /// node (Figure 4 step 3). The node's input patterns come from feasible
+    /// enumeration; when there are too many, a subnetwork (§3.2) articulates
+    /// the node instead, and failing that, the patterns observed in the
+    /// data form the table.
+    fn hidden_node_dnf(
+        &self,
+        node: usize,
+        model: &ClusterModel,
+        used: &[usize],
+        mut trace: Option<&mut RxTrace>,
+    ) -> Result<ClassDnf, RxError> {
+        let local_bits = self.net.hidden_inputs(node);
+        let mut global_bits: Vec<usize> = local_bits.iter().map(|&l| self.bit_map[l]).collect();
+        global_bits.sort_unstable();
+        global_bits.dedup();
+
+        // `bits` are ascending global bits; each pattern holds one 0/1 per bit.
+        let (bits, patterns): (Vec<usize>, Vec<Vec<usize>>) =
+            match enumerate_feasible(self.encoder, &global_bits, MAX_INPUT_PATTERNS) {
+                Ok(space) => {
+                    let patterns = space
+                        .patterns
+                        .iter()
+                        .map(|p| p.iter().map(|&b| usize::from(b)).collect())
+                        .collect();
+                    (space.bits, patterns)
+                }
+                Err(_) => {
+                    if self.depth < MAX_DEPTH {
+                        // A subnetwork that cannot be articulated either is
+                        // not fatal: fall through to the observed patterns.
+                        if let Ok(dnf) = self.split(node, model, used) {
+                            if let Some(t) = trace.as_deref_mut() {
+                                t.used_subnet.push(node);
+                            }
+                            return Ok(dnf);
+                        }
+                    }
                     if let Some(t) = trace.as_deref_mut() {
-                        t.used_subnet.push(node);
+                        t.observed_fallback.push(node);
                     }
-                    return Ok(dnf);
+                    let patterns = self.observed_patterns(&local_bits, &global_bits);
+                    (global_bits, patterns)
                 }
-                // A subnetwork that cannot be articulated either is not
-                // fatal: fall through to the observed-pattern fallback.
+            };
+
+        // The node's activation on each pattern picks the row's cluster.
+        let columns: Vec<usize> = local_bits
+            .iter()
+            .map(|&l| {
+                bits.binary_search(&self.bit_map[l])
+                    .expect("bit in pattern")
+            })
+            .collect();
+        let mut table = DecisionTable::new(vec![2; bits.len()]);
+        for pattern in patterns {
+            let mut z = 0.0;
+            for (&l, &col) in local_bits.iter().zip(&columns) {
+                z += self.net.w()[(node, l)] * pattern[col] as f64;
             }
-            // Observed-pattern fallback: the distinct restricted patterns
-            // actually present in the training data.
-            if let Some(t) = trace.as_deref_mut() {
-                t.observed_fallback.push(node);
-            }
-            let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
-            for i in 0..data.rows() {
-                let row = data.row_bits(i);
-                // Build the pattern over global_bits; local values come from
-                // the row (bit_map is how this net reads its inputs).
-                let pattern: Vec<usize> = global_bits
-                    .iter()
-                    .map(|&gb| {
-                        // Find a local input mapping to this global bit.
-                        let l = local_bits
-                            .iter()
-                            .copied()
-                            .find(|&l| bit_map[l] == gb)
-                            .expect("global bit has a local source");
-                        usize::from(row.binary_search(&(l as u32)).is_ok())
-                    })
-                    .collect();
-                seen.insert(pattern);
-            }
-            let mut table = DecisionTable::new(vec![2; global_bits.len()]);
-            for pattern in &seen {
-                let value_of = |bit: usize| -> f64 {
-                    let idx = global_bits.binary_search(&bit).expect("bit in set");
-                    pattern[idx] as f64
-                };
-                let a = activation(&value_of);
-                table.push(pattern.clone(), model.assign(a));
-            }
-            let mut out = BTreeMap::new();
-            for &d in used {
-                let rules = perfect_rules(&table, d, &config.cover);
-                if let Some(t) = trace.as_deref_mut() {
-                    t.hidden_rule_counts.push((node, d, rules.len()));
-                }
-                out.insert(d, rules_to_literals(&rules, &global_bits));
-            }
-            Ok(out)
+            table.push(pattern, model.assign(z.tanh()));
         }
+        let mut out = ClassDnf::new();
+        for &d in used {
+            let rules = perfect_rules(&table, d);
+            if let Some(t) = trace.as_deref_mut() {
+                t.hidden_rule_counts.push((node, d, rules.len()));
+            }
+            out.insert(d, rules_to_literals(&rules, &bits));
+        }
+        Ok(out)
+    }
+
+    /// The distinct patterns of `global_bits` (ascending) present in the
+    /// data, ascending. Each global bit is read from the first local input
+    /// of `local_bits` that maps to it.
+    fn observed_patterns(&self, local_bits: &[usize], global_bits: &[usize]) -> Vec<Vec<usize>> {
+        let sources: Vec<u32> = global_bits
+            .iter()
+            .map(|&gb| {
+                let l = local_bits
+                    .iter()
+                    .find(|&&l| self.bit_map[l] == gb)
+                    .expect("global bit has a local source");
+                *l as u32
+            })
+            .collect();
+        let mut seen: BTreeSet<Vec<usize>> = BTreeSet::new();
+        for i in 0..self.data.rows() {
+            let row = self.data.row_bits(i);
+            seen.insert(
+                sources
+                    .iter()
+                    .map(|l| usize::from(row.binary_search(l).is_ok()))
+                    .collect(),
+            );
+        }
+        seen.into_iter().collect()
     }
 }
 

@@ -3,19 +3,32 @@
 //! Given a *pruned* network, RX articulates it as symbolic rules in four
 //! steps:
 //!
-//! 1. **Discretize** the continuous hidden-node activations by ε-clustering
-//!    ([`cluster`]), shrinking ε until the discretized network still meets
-//!    the accuracy requirement;
+//! 1. **Discretize** the continuous hidden-node activations by ε-clustering,
+//!    shrinking ε until the discretized network still meets the accuracy
+//!    requirement. This is Figure 4's one loop: cluster, check accuracy,
+//!    "decrease ε and repeat". ε decays by 0.75 per step down to 1e-3;
+//!    when no ε meets the floor, RX keeps the first ε with the best
+//!    accuracy, so extraction always continues;
 //! 2. **Enumerate** the discrete activation combinations, compute the
 //!    network outputs for each, and generate *perfect rules* describing the
-//!    outputs in terms of discretized activations ([`table`], [`cover`]);
-//! 3. For each hidden node, enumerate the (feasible) input patterns and
-//!    generate perfect rules describing each discrete activation value in
-//!    terms of input bits — falling back to a trained **subnetwork**
-//!    (§3.2, [`subnet`]) when a node keeps too many input links;
+//!    outputs in terms of discretized activations;
+//! 3. For each hidden node, tabulate its input patterns — the feasible ones
+//!    under the coding, or, when a node keeps too many input links, those
+//!    of a trained **subnetwork** (§3.2) or the patterns observed in the
+//!    training data — and generate perfect rules describing each discrete
+//!    activation value in terms of input bits;
 //! 4. **Substitute** step-3 rules into step-2 rules, drop conjunctions the
 //!    coding can never produce (the paper's R′₁), simplify, and rewrite the
 //!    result into conditions over the original attributes.
+//!
+//! [`RxConfig`] sets only the paper's two parameters: the initial ε and
+//! the accuracy floor. Everything else is a fixed constant of the
+//! algorithm, because no caller varies it and every rule RX emits is pinned
+//! by digest on four fits: the ε decay and floor above, caps of 4,096
+//! activation combinations, 4,096 feasible input patterns per hidden node
+//! and 20,000 substituted conjunctions, the exact rule cover up to 16
+//! columns and 2e8 work, and §3.2 subnetworks of width 3 (seed
+//! `0x5EED_CAFE`, pruned to a 90% floor) nested at most two deep.
 //!
 //! The entry point is [`extract`]; [`RxOutcome`] carries the final
 //! [`nr_rules::RuleSet`] plus a full trace (cluster counts, the
@@ -24,19 +37,14 @@
 
 #![deny(missing_docs)]
 
-pub mod cluster;
-pub mod cover;
+mod cluster;
+mod cover;
 mod extract;
-pub mod subnet;
-pub mod table;
+mod subnet;
+mod table;
 
-pub use cluster::{
-    cluster_activations, discretize_hidden, discretized_accuracy, ClusterModel,
-    HiddenDiscretization,
-};
-pub use cover::{perfect_rules, CoverLimits, TableRule};
-pub use extract::{extract, BitRule, RxConfig, RxOutcome, RxTrace};
-pub use table::{DecisionTable, TableRow};
+pub use cover::TableRule;
+pub use extract::{extract, ActivationRow, BitRule, RxConfig, RxOutcome, RxTrace};
 
 /// Errors from rule extraction.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,24 +53,14 @@ pub enum RxError {
     ActivationSpaceTooLarge {
         /// Number of combinations required.
         needed: usize,
-        /// Configured cap.
+        /// The cap.
         cap: usize,
     },
-    /// Clustering could not reach the accuracy floor even at minimum ε.
-    ClusteringFailed {
-        /// Best accuracy achieved.
-        best_accuracy: f64,
-        /// The accuracy floor requested.
-        floor: f64,
-    },
-    /// Substitution produced more conjunctions than the configured cap.
+    /// Substitution produced more conjunctions than the cap.
     DnfTooLarge {
-        /// Configured cap.
+        /// The cap.
         cap: usize,
     },
-    /// The network has no live hidden nodes and no default-only ruleset was
-    /// permitted.
-    DegenerateNetwork,
 }
 
 impl std::fmt::Display for RxError {
@@ -71,17 +69,9 @@ impl std::fmt::Display for RxError {
             RxError::ActivationSpaceTooLarge { needed, cap } => {
                 write!(f, "activation table needs {needed} rows, cap is {cap}")
             }
-            RxError::ClusteringFailed {
-                best_accuracy,
-                floor,
-            } => write!(
-                f,
-                "activation clustering reached accuracy {best_accuracy:.3}, below floor {floor:.3}"
-            ),
             RxError::DnfTooLarge { cap } => {
                 write!(f, "rule substitution exceeded {cap} conjunctions")
             }
-            RxError::DegenerateNetwork => write!(f, "pruned network has no live hidden nodes"),
         }
     }
 }

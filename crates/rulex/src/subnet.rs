@@ -7,52 +7,30 @@
 //! the clustering of step 1). The subnetwork is trained and pruned like the
 //! original, and rule extraction recurses on it, yielding rules from input
 //! bits to the parent node's discretized activation — exactly what step 3
-//! needs. The paper applies this recursively; `SubnetConfig::max_depth`
-//! bounds the recursion.
+//! needs. The paper applies this recursively; [`MAX_DEPTH`] bounds the
+//! recursion.
 
-use std::collections::BTreeMap;
-
-use nr_encode::{EncodedDataset, Encoder, Literal};
+use nr_encode::EncodedDataset;
 use nr_nn::{Mlp, Trainer};
 use nr_prune::{prune, PruneConfig};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::ClusterModel;
-use crate::extract::{literal_dnf_for_classes, RxConfig};
+use crate::extract::{ClassDnf, Rx};
 use crate::RxError;
 
-/// Parameters of hidden-node splitting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SubnetConfig {
-    /// Only split nodes with at least this many input links (cheaper
-    /// fallbacks cover smaller nodes).
-    pub min_inputs: usize,
-    /// Hidden-layer width of the subnetwork.
-    pub hidden: usize,
-    /// Weight-initialization seed.
-    pub seed: u64,
-    /// Recursion depth limit (1 = one level of subnetworks).
-    pub max_depth: usize,
-    /// Accuracy floor for subnetwork pruning (on the cluster-id task).
-    pub accuracy_floor: f64,
-}
-
-impl Default for SubnetConfig {
-    fn default() -> Self {
-        SubnetConfig {
-            min_inputs: 8,
-            hidden: 3,
-            seed: 0x5EED_CAFE,
-            max_depth: 2,
-            accuracy_floor: 0.9,
-        }
-    }
-}
+/// Subnetworks nest at most this deep (1 = one level of subnetworks).
+pub(crate) const MAX_DEPTH: usize = 2;
+/// Hidden-layer width of a subnetwork.
+const HIDDEN: usize = 3;
+/// Weight-initialization seed, mixed with the split node's index.
+const SEED: u64 = 0x5EED_CAFE;
+/// Accuracy floor for pruning a subnetwork (on the cluster-id task).
+const PRUNE_FLOOR: f64 = 0.9;
 
 /// Builds the subnetwork's training set for `node`: inputs are the node's
 /// connected bits (+ a fresh bias column), targets are the cluster ids of
 /// the node's activation on each training row.
-pub fn subnet_dataset(
+fn subnet_dataset(
     parent: &Mlp,
     node: usize,
     model: &ClusterModel,
@@ -84,62 +62,52 @@ pub fn subnet_dataset(
     )
 }
 
-/// Trains and prunes a subnetwork for `node` and recursively extracts the
-/// literal DNF of each used cluster value.
-#[allow(clippy::too_many_arguments)]
-pub fn split(
-    parent: &Mlp,
-    node: usize,
-    model: &ClusterModel,
-    encoder: &Encoder,
-    bit_map: &[usize],
-    data: &EncodedDataset,
-    used: &[usize],
-    config: &RxConfig,
-    depth: usize,
-) -> Result<BTreeMap<usize, Vec<Vec<Literal>>>, RxError> {
-    let (sub_data, local_bits) = subnet_dataset(parent, node, model, data);
+impl Rx<'_> {
+    /// Trains and prunes a subnetwork for `node` and recursively extracts
+    /// the literal DNF of each used cluster value.
+    pub(crate) fn split(
+        &self,
+        node: usize,
+        model: &ClusterModel,
+        used: &[usize],
+    ) -> Result<ClassDnf, RxError> {
+        let (sub_data, local_bits) = subnet_dataset(self.net, node, model, self.data);
 
-    // The subnetwork reads the same global bits as the parent node, plus
-    // the constant-one bias which is identified with the encoder's bias bit
-    // (also constant one) so feasibility reasoning stays sound.
-    let mut sub_bit_map: Vec<usize> = local_bits.iter().map(|&l| bit_map[l]).collect();
-    sub_bit_map.push(encoder.bias_bit());
+        // The subnetwork reads the same global bits as the parent node, plus
+        // the constant-one bias which is identified with the encoder's bias
+        // bit (also constant one) so feasibility reasoning stays sound.
+        let mut sub_bit_map: Vec<usize> = local_bits.iter().map(|&l| self.bit_map[l]).collect();
+        sub_bit_map.push(self.encoder.bias_bit());
 
-    let mut subnet = Mlp::random(
-        sub_data.cols(),
-        config.subnet.hidden,
-        model.len().max(2),
-        config.subnet.seed ^ node as u64,
-    );
-    let trained = Trainer::default().train(&mut subnet, &sub_data);
-    let prune_config = PruneConfig {
-        accuracy_floor: config
-            .subnet
-            .accuracy_floor
-            .min((trained.accuracy - 0.01).max(0.0)),
-        ..PruneConfig::default()
-    };
-    let pruned = prune(&mut subnet, &sub_data, &prune_config);
+        let mut subnet = Mlp::random(
+            sub_data.cols(),
+            HIDDEN,
+            model.len().max(2),
+            SEED ^ node as u64,
+        );
+        let trained = Trainer::default().train(&mut subnet, &sub_data);
+        let prune_config = PruneConfig {
+            accuracy_floor: PRUNE_FLOOR.min((trained.accuracy - 0.01).max(0.0)),
+            ..PruneConfig::default()
+        };
+        let pruned = prune(&mut subnet, &sub_data, &prune_config);
 
-    // Recurse: the subnetwork's "classes" are the parent's cluster ids.
-    // The recursion must preserve *this subnetwork's* accuracy on the
-    // cluster-id task, which may legitimately sit below the top-level
-    // floor — aim just under whatever the subnetwork achieved.
-    let mut sub_config = config.clone();
-    sub_config.accuracy_floor = sub_config
-        .accuracy_floor
-        .min((pruned.final_accuracy - 0.01).max(0.0));
-    literal_dnf_for_classes(
-        &subnet,
-        encoder,
-        &sub_bit_map,
-        &sub_data,
-        used,
-        &sub_config,
-        depth + 1,
-        None,
-    )
+        // Recurse: the subnetwork's "classes" are the parent's cluster ids.
+        // The recursion must preserve *this subnetwork's* accuracy on the
+        // cluster-id task, which may legitimately sit below the top-level
+        // floor — aim just under whatever the subnetwork achieved.
+        Rx {
+            net: &subnet,
+            bit_map: &sub_bit_map,
+            data: &sub_data,
+            accuracy_floor: self
+                .accuracy_floor
+                .min((pruned.final_accuracy - 0.01).max(0.0)),
+            depth: self.depth + 1,
+            ..*self
+        }
+        .literal_dnf(used, None)
+    }
 }
 
 #[cfg(test)]
@@ -219,12 +187,5 @@ mod tests {
         for i in 0..4 {
             assert_eq!(sub.row_bits(i).last(), Some(&2));
         }
-    }
-
-    #[test]
-    fn default_config_sane() {
-        let c = SubnetConfig::default();
-        assert!(c.max_depth >= 1);
-        assert!(c.min_inputs > 0);
     }
 }

@@ -6,11 +6,9 @@
 //! combination to a class (the predicted output class in step 2; the
 //! cluster id of the resulting activation in step 3).
 
-use serde::{Deserialize, Serialize};
-
 /// One row: a full assignment of the columns plus its class.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TableRow {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct TableRow {
     /// One value per column, `values[c] < arity[c]`.
     pub values: Vec<usize>,
     /// The class of this combination.
@@ -18,8 +16,8 @@ pub struct TableRow {
 }
 
 /// A decision table over discrete multi-valued columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DecisionTable {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct DecisionTable {
     /// Number of possible values per column.
     pub arity: Vec<usize>,
     /// The rows; combinations are unique by construction in RX usage.
@@ -50,23 +48,6 @@ impl DecisionTable {
         debug_assert_eq!(values.len(), self.arity.len());
         debug_assert!(values.iter().zip(&self.arity).all(|(v, a)| v < a));
         self.rows.push(TableRow { values, class });
-    }
-
-    /// Distinct classes appearing, ascending.
-    pub fn classes(&self) -> Vec<usize> {
-        let mut cs: Vec<usize> = self.rows.iter().map(|r| r.class).collect();
-        cs.sort_unstable();
-        cs.dedup();
-        cs
-    }
-
-    /// Number of rows per class, keyed by class id.
-    pub fn class_counts(&self) -> std::collections::BTreeMap<usize, usize> {
-        let mut counts = std::collections::BTreeMap::new();
-        for r in &self.rows {
-            *counts.entry(r.class).or_insert(0) += 1;
-        }
-        counts
     }
 
     /// Enumerates the full cartesian product of column values and fills the
@@ -138,17 +119,5 @@ mod tests {
         let t = DecisionTable::enumerate(vec![], 10, |_| 0).unwrap();
         assert_eq!(t.n_rows(), 0);
         assert_eq!(t.n_cols(), 0);
-    }
-
-    #[test]
-    fn classes_and_counts() {
-        let mut t = DecisionTable::new(vec![2, 2]);
-        t.push(vec![0, 0], 1);
-        t.push(vec![0, 1], 0);
-        t.push(vec![1, 0], 1);
-        assert_eq!(t.classes(), vec![0, 1]);
-        let counts = t.class_counts();
-        assert_eq!(counts[&0], 1);
-        assert_eq!(counts[&1], 2);
     }
 }

@@ -15,30 +15,37 @@ fn clear(net: &mut Mlp) {
 }
 
 /// A network that classifies `age ≥ 60` as class 0 via one hidden node:
-/// `α = tanh(5·I15 − 2.5)`, `S₀ = σ(4α)`, `S₁ = σ(−4α)`.
-fn age_network() -> Mlp {
+/// `α = tanh(5·I15 − 2.5)`, `S₀ = σ(4α)`, `S₁ = σ(−4α)`. The node also
+/// keeps a link from each input in `extra`, at weight 1e-3.
+fn age_network(extra: &[usize]) -> Mlp {
     // Start fresh and prune the complement of the links we want.
     let mut net = Mlp::random(87, 2, 2, 0);
     for link in net.active_links() {
-        let keep = matches!(
-            link,
-            LinkId::InputHidden {
-                hidden: 0,
-                input: 14
-            } | LinkId::InputHidden {
-                hidden: 0,
-                input: 86
-            } | LinkId::HiddenOutput {
-                output: 0,
-                hidden: 0
-            } | LinkId::HiddenOutput {
-                output: 1,
-                hidden: 0
-            }
-        );
+        let extra_link =
+            matches!(link, LinkId::InputHidden { hidden: 0, input } if extra.contains(&input));
+        let keep = extra_link
+            || matches!(
+                link,
+                LinkId::InputHidden {
+                    hidden: 0,
+                    input: 14
+                } | LinkId::InputHidden {
+                    hidden: 0,
+                    input: 86
+                } | LinkId::HiddenOutput {
+                    output: 0,
+                    hidden: 0
+                } | LinkId::HiddenOutput {
+                    output: 1,
+                    hidden: 0
+                }
+            );
         if !keep {
             net.prune(link);
         }
+    }
+    for &input in extra {
+        net.set_weight(LinkId::InputHidden { hidden: 0, input }, 1e-3);
     }
     net.set_weight(
         LinkId::InputHidden {
@@ -90,7 +97,7 @@ fn self_labeled(net: &Mlp, encoder: &Encoder, n: usize) -> nr_encode::EncodedDat
 #[test]
 fn recovers_exact_rule_from_hand_built_network() {
     let encoder = Encoder::agrawal();
-    let net = age_network();
+    let net = age_network(&[]);
     let data = self_labeled(&net, &encoder, 400);
     let outcome = extract(
         &net,
@@ -275,18 +282,22 @@ fn two_node_conjunction_network() {
 
 #[test]
 fn subnet_path_produces_correct_rules() {
-    // Same age network, but a pattern-space cap of 1 forces the §3.2
-    // subnetwork path for its hidden node.
+    // The age network plus 14 links of weight 1e-3 into its hidden node, from
+    // bits of every other attribute: their feasible patterns number
+    // 3^6 · 2^3 = 5,832, past the enumeration cap of 4,096, so the node
+    // goes to a §3.2 subnetwork. Activations stay near ±tanh(2.5), so the
+    // node still means age ≥ 60.
     let encoder = Encoder::agrawal();
-    let net = age_network();
+    let net = age_network(&[0, 1, 6, 7, 15, 19, 23, 24, 43, 44, 52, 66, 76, 77]);
     let data = self_labeled(&net, &encoder, 400);
-    let mut config = RxConfig {
-        max_input_patterns: 1,
-        ..RxConfig::default()
-    };
-    config.subnet.min_inputs = 1;
-    let outcome = extract(&net, &encoder, &data, &["A".into(), "B".into()], &config)
-        .expect("subnet extraction succeeds");
+    let outcome = extract(
+        &net,
+        &encoder,
+        &data,
+        &["A".into(), "B".into()],
+        &RxConfig::default(),
+    )
+    .expect("subnet extraction succeeds");
     assert!(
         !outcome.trace.used_subnet.is_empty() || !outcome.trace.observed_fallback.is_empty(),
         "the capped pattern space must trigger subnet or fallback"

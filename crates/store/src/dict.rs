@@ -24,7 +24,7 @@ use std::path::Path;
 use nr_nn::map_indexed_scoped;
 use nr_tabular::{parse_csv_block, AttrKind, Attribute, CsvScanner, Schema};
 
-use crate::ingest::{check_header, chunk_ranges, ingest_parsed_body, WAVE_CHUNKS_PER_WORKER};
+use crate::ingest::{chunk_ranges, ingest_parsed_body, WAVE_CHUNKS_PER_WORKER};
 use crate::mmap::MappedFile;
 use crate::{SegmentedDataset, StoreConfig, StoreError};
 
@@ -131,7 +131,7 @@ pub fn ingest_csv_bytes_with_dict(
     data: &[u8],
     config: StoreConfig,
 ) -> Result<DictIngest, StoreError> {
-    let body_start = check_header(proto, data)?;
+    let body_start = nr_tabular::check_header(proto, data)?;
     let body = &data[body_start..];
     let arity = proto.arity();
     let nominal_attrs: Vec<usize> = (0..arity)

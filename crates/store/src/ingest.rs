@@ -69,30 +69,6 @@ pub(crate) fn chunk_ranges(body: &[u8]) -> Vec<std::ops::Range<usize>> {
     out
 }
 
-/// Validates the header line and returns the byte offset where the body
-/// starts.
-pub(crate) fn check_header(schema: &Schema, data: &[u8]) -> Result<usize, StoreError> {
-    let csv_err = |msg: String| TabularError::Csv { line: 1, msg };
-    let (header, body_start) = match data.iter().position(|&b| b == b'\n') {
-        Some(p) => (&data[..p], p + 1),
-        None if data.is_empty() => return Err(csv_err("missing header".into()).into()),
-        None => (data, data.len()),
-    };
-    let header =
-        std::str::from_utf8(header).map_err(|e| csv_err(format!("header not UTF-8: {e}")))?;
-    let header = header.strip_suffix('\r').unwrap_or(header);
-    let cols = header.split(',').count();
-    if cols != schema.arity() + 1 {
-        return Err(csv_err(format!(
-            "header has {} columns, expected {}",
-            cols,
-            schema.arity() + 1
-        ))
-        .into());
-    }
-    Ok(body_start)
-}
-
 /// One parsed chunk: the columns, labels and the chunk's newline count
 /// (so absolute line numbers can be reconstructed in order), or the error
 /// with a line number **relative to the chunk**.
@@ -212,7 +188,7 @@ pub fn ingest_csv_bytes(
     data: &[u8],
     config: StoreConfig,
 ) -> Result<SegmentedDataset, StoreError> {
-    let body_start = check_header(&schema, data)?;
+    let body_start = nr_tabular::check_header(&schema, data)?;
     let body = &data[body_start..];
     let parse_schema = schema.clone();
     let parse_classes = class_names.clone();
@@ -313,7 +289,7 @@ pub fn ingest_csv_file_resumable(
     let config = config.with_durable(true);
     let map = MappedFile::open(path)?;
     let data = map.bytes();
-    let body_start = check_header(&schema, data)?;
+    let body_start = nr_tabular::check_header(&schema, data)?;
     let body = &data[body_start..];
     let stamp = SourceStamp::of(data);
 

@@ -88,26 +88,10 @@ pub fn read_csv_streaming<R: BufRead>(
 ) -> crate::Result<Dataset> {
     let csv_err = |line: usize, msg: String| TabularError::Csv { line, msg };
     let mut header = Vec::new();
-    if input
+    input
         .read_until(b'\n', &mut header)
-        .map_err(|e| csv_err(1, e.to_string()))?
-        == 0
-    {
-        return Err(csv_err(1, "missing header".into()));
-    }
-    let header = std::str::from_utf8(&header).map_err(|e| csv_err(1, e.to_string()))?;
-    let header = strip_cr(header.strip_suffix('\n').unwrap_or(header));
-    let cols = header.split(',').count();
-    if cols != schema.arity() + 1 {
-        return Err(csv_err(
-            1,
-            format!(
-                "header has {} columns, expected {}",
-                cols,
-                schema.arity() + 1
-            ),
-        ));
-    }
+        .map_err(|e| csv_err(1, e.to_string()))?;
+    check_header(&schema, &header)?;
 
     let mut ds = Dataset::new(schema.clone(), class_names.clone());
     let parser = BlockParser::new(&schema, &class_names);
@@ -128,6 +112,30 @@ pub fn read_csv_streaming<R: BufRead>(
             .map_err(|e| csv_err(first_line, format!("chunk append failed: {e}")))?;
         first_line += newlines;
     }
+}
+
+/// Validates the header line at the start of `data` and returns the byte
+/// offset where the body starts. The header must be UTF-8 (a trailing
+/// `\r` is dropped) and name one column per attribute plus the class.
+/// Every error is reported at line 1.
+pub fn check_header(schema: &Schema, data: &[u8]) -> crate::Result<usize> {
+    let csv_err = |msg: String| TabularError::Csv { line: 1, msg };
+    let (header, body_start) = match data.iter().position(|&b| b == b'\n') {
+        Some(p) => (&data[..p], p + 1),
+        None if data.is_empty() => return Err(csv_err("missing header".into())),
+        None => (data, data.len()),
+    };
+    let header =
+        std::str::from_utf8(header).map_err(|e| csv_err(format!("header not UTF-8: {e}")))?;
+    let cols = strip_cr(header).split(',').count();
+    if cols != schema.arity() + 1 {
+        return Err(csv_err(format!(
+            "header has {} columns, expected {}",
+            cols,
+            schema.arity() + 1
+        )));
+    }
+    Ok(body_start)
 }
 
 /// Appends about [`BLOCK_BYTES`] of `input` to `block`, then the rest of
@@ -530,16 +538,6 @@ pub fn parse_row(schema: &Schema, line: &str) -> Result<Vec<Value>, String> {
     Ok(values)
 }
 
-/// Reads a dataset written by [`write_csv`], given its schema and class
-/// names. Alias for [`read_csv_streaming`].
-pub fn read_csv<R: BufRead>(
-    schema: Schema,
-    class_names: Vec<String>,
-    input: R,
-) -> crate::Result<Dataset> {
-    read_csv_streaming(schema, class_names, input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,7 +575,8 @@ mod tests {
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.starts_with("x,color,class\n"));
         assert!(text.contains("1.5,red,A"));
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &buf[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &buf[..]).unwrap();
         assert_eq!(ds, back);
     }
 
@@ -608,7 +607,7 @@ mod tests {
     fn rejects_bad_header() {
         let ds = toy();
         let input = b"x,class\n1.0,A\n";
-        let err = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
+        let err = read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
         assert_eq!(line_of(err), 1);
     }
 
@@ -616,7 +615,7 @@ mod tests {
     fn rejects_unknown_class_with_line() {
         let ds = toy();
         let input = b"x,color,class\n1.0,red,A\n2.0,green,C\n";
-        let err = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
+        let err = read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
         assert_eq!(line_of(err), 3);
     }
 
@@ -624,7 +623,7 @@ mod tests {
     fn rejects_bad_number_with_line() {
         let ds = toy();
         let input = b"x,color,class\nfoo,red,A\n";
-        let err = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
+        let err = read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]);
         assert_eq!(line_of(err), 2);
     }
 
@@ -654,7 +653,7 @@ mod tests {
         let ds = toy();
         let short = b"x,color,class\n1.0,red\n";
         assert_eq!(
-            line_of(read_csv(
+            line_of(read_csv_streaming(
                 ds.schema().clone(),
                 ds.class_names().to_vec(),
                 &short[..]
@@ -663,7 +662,7 @@ mod tests {
         );
         let long = b"x,color,class\n1.0,red,A,extra\n";
         assert_eq!(
-            line_of(read_csv(
+            line_of(read_csv_streaming(
                 ds.schema().clone(),
                 ds.class_names().to_vec(),
                 &long[..]
@@ -690,7 +689,8 @@ mod tests {
         // skip.
         let ds = toy();
         let input = b"x,color,class\r\n1.5,red,A\r\n\r\n-2.0,green,B\r\n";
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
         assert_eq!(back, ds);
     }
 
@@ -698,7 +698,8 @@ mod tests {
     fn trims_cell_whitespace() {
         let ds = toy();
         let input = b"x,color,class\n 1.5 ,\tred, A\n-2.0, green ,B \n";
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
         assert_eq!(back, ds);
     }
 
@@ -711,7 +712,7 @@ mod tests {
         for i in 0..(ROWS_PAST_A_BLOCK + 7) {
             text.push_str(&format!("{i}.0,A\r\n"));
         }
-        let back = read_csv(schema, vec!["A".into()], text.as_bytes()).unwrap();
+        let back = read_csv_streaming(schema, vec!["A".into()], text.as_bytes()).unwrap();
         assert_eq!(back.len(), ROWS_PAST_A_BLOCK + 7);
         assert_eq!(
             back.num_column(0)[ROWS_PAST_A_BLOCK + 6],
@@ -855,7 +856,8 @@ mod tests {
     fn skips_empty_lines() {
         let ds = toy();
         let input = b"x,color,class\n1.0,red,A\n\n2.0,green,B\n";
-        let back = read_csv(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
+        let back =
+            read_csv_streaming(ds.schema().clone(), ds.class_names().to_vec(), &input[..]).unwrap();
         assert_eq!(back.len(), 2);
     }
 }

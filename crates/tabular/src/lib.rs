@@ -41,7 +41,7 @@ mod view;
 
 pub use buf::{Buf, SliceSource};
 pub use csv::{
-    parse_csv_block, parse_csv_cell, parse_row, read_csv, read_csv_streaming, write_csv,
+    check_header, parse_csv_block, parse_csv_cell, parse_row, read_csv_streaming, write_csv,
     write_csv_header, write_csv_rows, CsvScanner,
 };
 pub use cv::{stratified_kfold, stratified_split};

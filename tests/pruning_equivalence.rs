@@ -160,28 +160,108 @@ fn strict_mode_pins_the_pruned_weights() {
     );
 }
 
+/// FNV-1a over the bytes of `value`'s serde_json text.
+fn json_digest<T: serde::Serialize>(value: &T) -> u64 {
+    let text = serde_json::to_string(value).expect("serializes");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Digests of one fit: the pruned weights, then RX's output (the reduced
+/// `ruleset`, `report.bit_rules` and `report.rx_trace`).
+struct FitPin {
+    function: Function,
+    data_seed: u64,
+    seed: u64,
+    weights: u64,
+    ruleset: u64,
+    bit_rules: u64,
+    rx_trace: u64,
+}
+
+/// Fits the paper's pipeline (Agrawal encoder, 5% perturbation, 1000
+/// tuples) and checks every digest of `pin`.
+fn check_fit(pin: &FitPin) {
+    let train = Generator::new(pin.data_seed)
+        .with_perturbation(0.05)
+        .dataset(pin.function, 1000);
+    let model = NeuroRule::default()
+        .with_encoder(Encoder::agrawal())
+        .with_seed(pin.seed)
+        .fit(&train)
+        .expect("the fit succeeds");
+    let got = [
+        weight_digest(&model.network),
+        json_digest(&model.ruleset),
+        json_digest(&model.report.bit_rules),
+        json_digest(&model.report.rx_trace),
+    ];
+    let want = [pin.weights, pin.ruleset, pin.bit_rules, pin.rx_trace];
+    assert_eq!(
+        got, want,
+        "{:?} drifted; [weights, ruleset, bit_rules, rx_trace] now digest to {:#018x?}",
+        pin.function, got
+    );
+}
+
 /// `mine`'s three fits (perfbench's pinned training sets: generator seed
 /// 5, 5% perturbation, 1000 tuples; the paper's pipeline with the Agrawal
-/// encoder) end in these exact pruned weights.
+/// encoder) end in these exact pruned weights and extract these exact
+/// rules. F4 extracts through a depth-0 §3.2 subnetwork.
 #[test]
 fn mine_fits_pin_the_pruned_weights() {
-    let expected = [
-        (Function::F1, 0xc508_0195_a6c2_520a_u64),
-        (Function::F2, 0xd5b6_29d5_2010_aef8),
-        (Function::F4, 0x2a01_52f2_b74c_e59b),
+    let pins = [
+        FitPin {
+            function: Function::F1,
+            data_seed: 5,
+            seed: 12345,
+            weights: 0xc508_0195_a6c2_520a,
+            ruleset: 0x33f4_f2ec_ce83_8219,
+            bit_rules: 0xb2bb_5040_bcd2_8745,
+            rx_trace: 0x92f5_232d_6d1c_8438,
+        },
+        FitPin {
+            function: Function::F2,
+            data_seed: 5,
+            seed: 12345,
+            weights: 0xd5b6_29d5_2010_aef8,
+            ruleset: 0x1589_fb4a_ea82_d201,
+            bit_rules: 0x5df0_aa2c_9031_d386,
+            rx_trace: 0xc3a7_4ce5_87cd_5206,
+        },
+        FitPin {
+            function: Function::F4,
+            data_seed: 5,
+            seed: 12345,
+            weights: 0x2a01_52f2_b74c_e59b,
+            ruleset: 0x7342_0012_aabd_eac3,
+            bit_rules: 0x694e_ab9c_5249_8951,
+            rx_trace: 0xff00_9f62_c3bc_4616,
+        },
     ];
-    let pipeline = NeuroRule::default().with_encoder(Encoder::agrawal());
-    for (function, digest) in expected {
-        let train = Generator::new(5)
-            .with_perturbation(0.05)
-            .dataset(function, 1000);
-        let model = pipeline.fit(&train).expect("mine's fit succeeds");
-        assert_eq!(
-            weight_digest(&model.network),
-            digest,
-            "{function:?}: pruned weights drifted"
-        );
+    for pin in &pins {
+        check_fit(pin);
     }
+}
+
+/// F5 on data seed 42 with pipeline seed 777: RX splits hidden nodes
+/// through depth-1 subnetworks, and one depth-2 node falls back to its
+/// observed input patterns.
+#[test]
+fn f5_fit_pins_nested_subnetwork_extraction() {
+    check_fit(&FitPin {
+        function: Function::F5,
+        data_seed: 42,
+        seed: 777,
+        weights: 0xb4ab_9f22_ef64_70b0,
+        ruleset: 0xace1_fe52_274f_f9cf,
+        bit_rules: 0x3ce2_8922_7132_e8c2,
+        rx_trace: 0x4d3d_0ec3_3ebd_dca6,
+    });
 }
 
 /// Small learnable fixture: class = input bit 0, one junk bit per extra
