@@ -6,8 +6,7 @@
 //! rows) and [`gemm_nt`] (`A·Bᵀ`, the shape of `hidden · Vᵀ`). The
 //! training objective runs its own active-link loops
 //! (`crate::objective`) and uses [`gemm_bits_nt`] only for fully
-//! connected hidden units, and the flat [`axpy`] to reduce its per-chunk
-//! gradients.
+//! connected hidden units.
 //!
 //! Two properties the rest of the workspace relies on:
 //!
@@ -81,12 +80,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Row `r` as a mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Flat view of all entries (row-major).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
@@ -112,15 +105,6 @@ impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
         debug_assert!(r < self.rows && c < self.cols);
         &mut self.data[r * self.cols + c]
-    }
-}
-
-/// `out += alpha · x` over flat slices.
-#[inline]
-pub(crate) fn axpy(alpha: f64, x: &[f64], out: &mut [f64]) {
-    debug_assert_eq!(x.len(), out.len());
-    for (o, &v) in out.iter_mut().zip(x) {
-        *o += alpha * v;
     }
 }
 
@@ -335,17 +319,6 @@ mod tests {
                 assert_eq!(got[(i, j)], z, "element ({i}, {j}) differs in bits");
             }
         }
-    }
-
-    /// The flat `out += alpha · x` kernel behind the objective's
-    /// per-chunk gradient reduction, at a unit and a scaling `alpha`.
-    #[test]
-    fn axpy_and_scale() {
-        let mut out = vec![0.0, 1.0, 1.0, 2.0];
-        axpy(1.0, &[1.0; 4], &mut out);
-        assert_eq!(out, [1.0, 2.0, 2.0, 3.0]);
-        axpy(-0.5, &[2.0, 4.0, 4.0, 6.0], &mut out);
-        assert_eq!(out, [0.0; 4]);
     }
 
     /// Binary matrix fixture: rows of 0/1 plus the CSR layout.

@@ -392,7 +392,7 @@ impl Mlp {
     /// appended to `preds`. Processes fixed-size row chunks with reusable
     /// scratch (and worker threads when the batch spans several chunks);
     /// per-row results equal [`Mlp::classify`] bit for bit.
-    pub fn classify_batch_into(&self, data: &EncodedDataset, preds: &mut Vec<usize>) {
+    fn classify_batch_into(&self, data: &EncodedDataset, preds: &mut Vec<usize>) {
         self.check_width(data);
         self.map_rows(
             data.rows(),

@@ -4,7 +4,10 @@ use nr_encode::EncodedDataset;
 use nr_opt::Objective;
 use serde::{Deserialize, Serialize};
 
-use crate::{Activation, Matrix, Mlp};
+use std::sync::Mutex;
+use std::time::Instant;
+
+use crate::{Activation, Mlp};
 
 /// Output clamp keeping `log` finite; the gradient is exact regardless
 /// because `dE/du = S − t` does not go through the clamp.
@@ -125,17 +128,32 @@ impl Penalty {
 /// A single-chunk dataset (every paper-scale training set) is split
 /// between two threads instead ([`crate::join`]): each of the chunk's
 /// three phases runs as two halves, the forward work by pattern and row
-/// ranges and the backward work by `dV`/`dW` entries. The split gives the
-/// inline bits for a fourth reason:
+/// ranges and the backward work by `dV`/`dW` entries, cut where the
+/// halves last ran about equally long (see `Balance`). The split gives
+/// the inline bits, wherever it cuts, for two more reasons:
 ///
 /// 4. **Every value is computed whole by one half, in the reference's
 ///    order.** A pattern's sum and `tanh`, a row's activations, outputs,
 ///    logs and deltas, and each `dV` or `dW` entry's chain over the rows
 ///    belong to one half; the halves of a phase only share its read-only
-///    inputs. The loss is summed in row order from a per-row log buffer
-///    once both halves have written it, and the second half's `dW`
-///    entries land in a zeroed buffer that is added into the first half's
-///    zeros, which by reason 1 leaves their bits unchanged.
+///    inputs. The loss is one chain in row order: the first half runs it
+///    over its own rows' logs, and the caller continues it over the second
+///    half's once both have written theirs (first thing in its backward
+///    half, when there is one). Each half's `dV` and `dW` entries
+///    land in a gradient buffer of its own that is `+0.0` everywhere else,
+///    and the reduction adds the two, which by reason 1 leaves every
+///    entry's bits unchanged.
+/// 5. **The thread that zeroes or writes a buffer never changes a
+///    value.** The buffers live as long as the objective, laid out
+///    half-major (`Layout`), and each half zeroes and writes only its
+///    own: its rows' activations, deltas and logs, its patterns'
+///    activations and its gradient entries. What a half reads was written
+///    earlier in the same evaluation, by it or by the other half before a
+///    join. A gradient entry is `+0.0` in every buffer but its owner's:
+///    it was allocated as zero, and a half that gives up entries when the
+///    cut moves zeroes them before it writes its own. So which thread wrote
+///    a buffer, and in which evaluation, only decides whose cache holds
+///    it.
 pub struct CrossEntropyObjective<'a> {
     data: &'a EncodedDataset,
     penalty: Penalty,
@@ -146,6 +164,78 @@ pub struct CrossEntropyObjective<'a> {
     /// Data-pass execution mode: `1` = inline on the caller's thread,
     /// anything else = the shared worker pool (`0` = auto-detect).
     threads: usize,
+    /// The evaluation buffers, reused by every evaluation (one at a time).
+    buffers: Mutex<Buffers>,
+}
+
+/// What an evaluation writes: the parameters it unpacks for the data pass
+/// and one region per row chunk (see [`Layout`]).
+struct Buffers {
+    /// The full units' weight rows (`plan.full.len() × n_in`, row-major).
+    w_full: Vec<f64>,
+    /// Dense hidden→output weights (`o × h`, row-major; masked entries
+    /// stay zero).
+    v: Vec<f64>,
+    regions: Vec<Mutex<Vec<f64>>>,
+    /// Where a single chunk's halves are cut.
+    balance: Balance,
+}
+
+/// The cut of a single chunk's split evaluation, moved toward equal run
+/// times of its halves: the two threads need not run equally fast, nor
+/// the work model ([`ChunkPlan::halves`]) be exact. Every
+/// [`SAMPLE_EVERY`]-th evaluation times its halves; where they ran side by
+/// side, each phase's share moves a [`STEP`] of the way to the share that
+/// would have ended both at once, the second half timed from the first
+/// half's start, so its hand-off counts too.
+struct Balance {
+    /// The first half's share of each phase's modeled work.
+    shares: [f64; 3],
+    /// The backward cut of the last evaluation with a gradient: the items
+    /// whose entries each half's gradient buffer holds.
+    item: usize,
+    evals: u64,
+}
+
+const SAMPLE_EVERY: u64 = 4;
+const STEP: f64 = 0.25;
+
+/// When one half of a phase started and ended, if it was timed.
+type Span = Option<(Instant, Instant)>;
+
+impl Balance {
+    /// Moves the shares toward the run times of `spans`, the halves'
+    /// spans of an evaluation that gave them `work` (see
+    /// [`ChunkPlan::work`]).
+    fn adapt(&mut self, spans: &[[Span; 2]; 3], work: &[[usize; 2]; 3]) {
+        for ((share, spans), &[work_a, work_b]) in self.shares.iter_mut().zip(spans).zip(work) {
+            let [Some((start_a, end_a)), Some((start_b, end_b))] = *spans else {
+                continue;
+            };
+            if start_b >= end_a || start_a >= end_b || work_a == 0 || work_b == 0 {
+                continue;
+            }
+            let speed_a = work_a as f64 / (end_a - start_a).as_secs_f64();
+            let speed_b = work_b as f64 / (end_b - start_a).as_secs_f64();
+            let even = speed_a / (speed_a + speed_b);
+            if even.is_finite() {
+                *share = (*share + STEP * (even - *share)).clamp(0.1, 0.9);
+            }
+        }
+    }
+}
+
+/// Runs `f`, recording its span when `clock` is set.
+fn timed(clock: bool, span: &mut Span, f: impl FnOnce()) {
+    let start = clock.then(Instant::now);
+    f();
+    *span = start.map(|start| (start, Instant::now()));
+}
+
+/// A lock on a chunk's region, taken whether or not a chunk job panicked
+/// holding it: the evaluation that locked the buffers clears them.
+fn unpoison<T>(lock: Result<T, std::sync::PoisonError<T>>) -> T {
+    lock.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 // Chunk-relative rows and per-unit pattern ids are stored as `u16`.
@@ -178,12 +268,17 @@ struct Plan {
     /// `feeds[feed_offsets[c]..feed_offsets[c + 1]]`.
     feed_offsets: Vec<usize>,
     feeds: Vec<(usize, usize)>,
+    /// The dense `o × h` index of each hidden→output parameter, in
+    /// parameter order (they follow the input links).
+    v_index: Vec<usize>,
     /// One plan per fixed row chunk, in chunk order.
     chunks: Vec<ChunkPlan>,
 }
 
 /// The sparse units' row groupings within one row chunk.
 struct ChunkPlan {
+    /// The chunk's dataset rows.
+    range: std::ops::Range<usize>,
     /// `row_pattern[s * rows + r]`: the pattern chunk row `r` sets for
     /// sparse unit `s`, counted from the unit's first pattern.
     row_pattern: Vec<u16>,
@@ -201,47 +296,103 @@ struct ChunkPlan {
     /// its column's rows in `col_rows`. Ordered by row count, so the
     /// entries accumulated side by side end at about the same row.
     entries: Vec<Entry>,
-    /// Where a split evaluation's second half starts.
-    halves: Halves,
+    /// The modeled cost of phase 1's full-unit gathers up to each row,
+    /// of its patterns up to each pattern, and of phase 3's items up to
+    /// each item (see [`ChunkPlan::halves`]).
+    row_cost: Vec<usize>,
+    pattern_cost: Vec<usize>,
+    item_cost: Vec<usize>,
+    /// The cut at equal modeled work, which a multi-chunk evaluation uses.
+    even: Halves,
+    /// Where the chunk's evaluation buffers sit in its region.
+    layout: Layout,
 }
 
-/// Where the second half of a split evaluation of a chunk starts in each
-/// of [`eval_chunk`]'s phases, chosen so the halves do about equal work.
+/// Where the second half of a chunk's evaluation starts in each of
+/// [`eval_chunk`]'s phases. Any cut gives the same bits (see
+/// [`CrossEntropyObjective`]); it only decides how long each half runs.
 #[derive(Clone, Copy)]
 struct Halves {
-    /// Phases 1 and 2: the chunk row. Every row costs about the same.
+    /// Phases 1 and 2: the chunk row.
     row: usize,
-    /// Phase 1: the pattern, balanced by parameter count plus a `tanh`.
+    /// Phase 1: the pattern, on a whole cache line of activations.
     pattern: usize,
     /// Phase 3: the backward item. Items are the `o × h` `dV` entries (row
     /// major), then the full units' `dW` rows, then the sparse `dW`
-    /// entries; each is balanced by the elements its sum visits.
+    /// entries.
     item: usize,
 }
 
-/// Work-balance weights of [`Halves`], measured on the `mine` fits: a
-/// pattern's `tanh` costs about 12 of its added parameters, and one row of
-/// a `dV` entry (two loads, a product and a zero-delta select) about 2.5
-/// added elements of a `dW` entry, so backward items are costed in half
-/// elements.
+/// Work-cost weights of [`ChunkPlan::halves`], measured on the `mine`
+/// fits: a `tanh` costs about 12 added parameters, and one row of a `dV`
+/// entry (two loads, a product and a zero-delta select) about 2.5 added
+/// elements of a `dW` entry, so backward items are costed in half
+/// elements. Every row of phase 2 costs about the same.
 const TANH_COST: usize = 12;
+/// Equal shares of every phase's modeled work.
+const EVEN: [f64; 3] = [0.5; 3];
 const DV_ROW_COST: usize = 5;
 const DW_ELEMENT_COST: usize = 2;
 
-/// The first item whose middle falls past half of the items' total cost
-/// (the item count if there is none).
-fn balance(costs: impl Iterator<Item = usize> + Clone) -> usize {
-    let total: usize = costs.clone().sum();
-    let mut before = 0;
-    let mut items = 0;
-    for c in costs {
-        if 2 * before + c > total {
-            break;
+/// Running sums of `costs`, from 0.
+fn running(costs: impl Iterator<Item = usize>) -> Vec<usize> {
+    std::iter::once(0)
+        .chain(costs.scan(0, |sum, c| {
+            *sum += c;
+            Some(*sum)
+        }))
+        .collect()
+}
+
+/// How many of the items with running costs `sums` (see [`running`]) have
+/// their middle at or before `work`.
+fn cut(sums: &[usize], work: f64) -> usize {
+    let (mut lo, mut hi) = (0, sums.len() - 1);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if (sums[mid] + sums[mid + 1]) as f64 <= 2.0 * work {
+            lo = mid + 1;
+        } else {
+            hi = mid;
         }
-        before += c;
-        items += 1;
     }
-    items
+    lo
+}
+
+impl ChunkPlan {
+    /// The cut that gives the first half `shares[p]` of phase `p + 1`'s
+    /// modeled work: of phase 2 by rows; of phase 1 by rows, then patterns
+    /// (at the row cut of phase 2); of phase 3 by items.
+    fn halves(&self, shares: [f64; 3]) -> Halves {
+        let n = self.range.len();
+        let row = ((shares[1] * n as f64).round() as usize).min(n);
+        let gathers = self.row_cost[n] as f64;
+        let patterns = self.pattern_cost.len() - 1;
+        let phase1 = gathers + self.pattern_cost[patterns] as f64;
+        let pattern = cut(
+            &self.pattern_cost,
+            shares[0] * phase1 - self.row_cost[row] as f64,
+        );
+        let items = self.item_cost[self.item_cost.len() - 1] as f64;
+        Halves {
+            row,
+            pattern: ((pattern + LINE / 2) / LINE * LINE).min(patterns),
+            item: cut(&self.item_cost, shares[2] * items),
+        }
+    }
+
+    /// The modeled work of each half in each phase under `halves`.
+    fn work(&self, halves: &Halves) -> [[usize; 2]; 3] {
+        let n = self.range.len();
+        let split = |sums: &[usize], at: usize| [sums[at], sums[sums.len() - 1] - sums[at]];
+        let [rows_a, rows_b] = split(&self.row_cost, halves.row);
+        let [patterns_a, patterns_b] = split(&self.pattern_cost, halves.pattern);
+        [
+            [rows_a + patterns_a, rows_b + patterns_b],
+            [halves.row, n - halves.row],
+            split(&self.item_cost, halves.item),
+        ]
+    }
 }
 
 /// One active `dW` entry of a chunk (see [`ChunkPlan::entries`]).
@@ -250,6 +401,139 @@ struct Entry {
     rows: (usize, usize),
     m: usize,
     k: usize,
+}
+
+/// `f64`s per 64-byte cache line.
+const LINE: usize = 8;
+
+/// Where a chunk's evaluation buffers sit in its region: each row half's
+/// part, then the pattern activations, each starting on a cache line. A
+/// half's part holds its `dW` and `dV` buffers (`n_w` and `o × h`
+/// entries, each zero outside the half's backward items), then, over its
+/// rows, `hidden` (`h × rows`) and `delta` (`o × rows`) and `back`
+/// (`h × rows`), node-major, and `pre_full` (`rows × full units`) and
+/// `logs` (`rows × o`), row-major.
+#[derive(Clone, Copy)]
+struct Layout {
+    /// The most rows each half's part holds.
+    capacity: [usize; 2],
+    /// Each half's part, in whole cache lines.
+    half: [usize; 2],
+    /// The chunk's patterns.
+    patterns: usize,
+}
+
+/// One row half's buffers (see [`Layout`]), and its chunk rows.
+struct Half<'b> {
+    rows: std::ops::Range<usize>,
+    dw: &'b mut [f64],
+    dv: &'b mut [f64],
+    hidden: &'b mut [f64],
+    delta: &'b mut [f64],
+    back: &'b mut [f64],
+    pre_full: &'b mut [f64],
+    logs: &'b mut [f64],
+}
+
+/// What phase 3 reads of one row half: its chunk rows and its node-major
+/// `hidden`, `delta` and `back`.
+#[derive(Clone, Copy)]
+struct Nodes<'b> {
+    start: usize,
+    n: usize,
+    hidden: &'b [f64],
+    delta: &'b [f64],
+    back: &'b [f64],
+}
+
+impl<'b> Nodes<'b> {
+    /// Node `m`'s rows of `buf`.
+    fn node(&self, buf: &'b [f64], m: usize) -> &'b [f64] {
+        &buf[m * self.n..(m + 1) * self.n]
+    }
+}
+
+impl<'b> Half<'b> {
+    /// What phase 3 writes of the half (its `dW` and `dV` buffers) and
+    /// what it reads.
+    fn backward_parts(self) -> (&'b mut [f64], &'b mut [f64], Nodes<'b>) {
+        let nodes = Nodes {
+            start: self.rows.start,
+            n: self.rows.len(),
+            hidden: self.hidden,
+            delta: self.delta,
+            back: self.back,
+        };
+        (self.dw, self.dv, nodes)
+    }
+}
+
+impl Layout {
+    fn new(plan: &Plan, capacity: [usize; 2], n_patterns: usize) -> Layout {
+        let (h, o, n_w) = (plan.h, plan.o, plan.w_start[plan.h]);
+        let per_row = 2 * h + 2 * o + plan.full.len();
+        Layout {
+            capacity,
+            half: capacity.map(|r| (n_w + o * h + r * per_row).next_multiple_of(LINE)),
+            patterns: n_patterns,
+        }
+    }
+
+    /// The region length to allocate: the parts, plus room to start them
+    /// on a cache line.
+    fn len(&self) -> usize {
+        self.half[0] + self.half[1] + self.patterns + LINE - 1
+    }
+
+    /// The halves' `dW` and `dV` buffers in a region of [`Layout::len`].
+    fn gradients<'b>(&self, plan: &Plan, region: &'b [f64]) -> [(&'b [f64], &'b [f64]); 2] {
+        let skip = region.as_ptr().align_offset(64).min(LINE - 1);
+        let (n_w, n_v) = (plan.w_start[plan.h], plan.o * plan.h);
+        [skip, skip + self.half[0]].map(|start| {
+            let part = &region[start..start + n_w + n_v];
+            part.split_at(n_w)
+        })
+    }
+
+    /// Cuts a region of [`Layout::len`] into the buffers of the halves of
+    /// a chunk's `n` rows cut at `row`, and the pattern activations.
+    fn split<'b>(
+        &self,
+        plan: &Plan,
+        region: &'b mut [f64],
+        (row, n): (usize, usize),
+    ) -> ([Half<'b>; 2], &'b mut [f64]) {
+        assert!(row <= self.capacity[0] && n - row <= self.capacity[1]);
+        let skip = region.as_ptr().align_offset(64).min(LINE - 1);
+        let (_, region) = region.split_at_mut(skip);
+        let (a, region) = region.split_at_mut(self.half[0]);
+        let (b, acts) = region.split_at_mut(self.half[1]);
+        let (h, o, n_w, n_full) = (plan.h, plan.o, plan.w_start[plan.h], plan.full.len());
+        let half = |part: &'b mut [f64], rows: std::ops::Range<usize>| {
+            let n = rows.len();
+            let (dw, part) = part.split_at_mut(n_w);
+            let (dv, part) = part.split_at_mut(o * h);
+            let (hidden, part) = part.split_at_mut(h * n);
+            let (delta, part) = part.split_at_mut(o * n);
+            let (back, part) = part.split_at_mut(h * n);
+            let (pre_full, part) = part.split_at_mut(n * n_full);
+            let logs = &mut part[..n * o];
+            Half {
+                rows,
+                dw,
+                dv,
+                hidden,
+                delta,
+                back,
+                pre_full,
+                logs,
+            }
+        };
+        (
+            [half(a, 0..row), half(b, row..n)],
+            &mut acts[..self.patterns],
+        )
+    }
 }
 
 /// Turns a row's set input columns into a bitmask over an ascending list
@@ -338,10 +622,18 @@ impl Plan {
             }
         }
 
+        let v_index = links[w_start[h]..]
+            .iter()
+            .map(|link| match *link {
+                crate::LinkId::HiddenOutput { output, hidden } => output * h + hidden,
+                crate::LinkId::InputHidden { .. } => unreachable!("input links lead"),
+            })
+            .collect();
         let mut plan = Plan {
             n_in,
             h,
             o,
+            v_index,
             w_start,
             full,
             sparse: sparse
@@ -354,15 +646,24 @@ impl Plan {
             chunks: Vec::new(),
         };
         let rows = data.rows();
-        plan.chunks = (0..crate::par::n_chunks(rows))
-            .map(|c| plan.chunk(data, crate::par::chunk_range(c, rows)))
+        let chunks = crate::par::n_chunks(rows);
+        plan.chunks = (0..chunks)
+            .map(|c| plan.chunk(data, crate::par::chunk_range(c, rows), chunks == 1))
             .collect();
         plan
     }
 
     /// Groups one chunk's rows by pattern (per sparse unit) and by active
     /// column.
-    fn chunk(&self, data: &EncodedDataset, range: std::ops::Range<usize>) -> ChunkPlan {
+    ///
+    /// A single chunk's halves may be cut anywhere (see
+    /// [`CrossEntropyObjective`]), so each half's buffers hold every row.
+    fn chunk(
+        &self,
+        data: &EncodedDataset,
+        range: std::ops::Range<usize>,
+        single: bool,
+    ) -> ChunkPlan {
         let n = range.len();
         let bits = |r: usize| data.row_bits(range.start + r);
 
@@ -445,39 +746,59 @@ impl Plan {
             .collect();
         entries.sort_by_key(|e| e.rows.1 - e.rows.0);
 
-        let offsets = data.binary_inputs().offsets();
-        let set_bits = offsets[range.end] - offsets[range.start];
-        let item_costs = std::iter::repeat_n(DV_ROW_COST * n, self.o * self.h)
-            .chain(std::iter::repeat_n(
-                DW_ELEMENT_COST * set_bits,
-                self.full.len(),
-            ))
-            .chain(
-                entries
-                    .iter()
-                    .map(|e| DW_ELEMENT_COST * (e.rows.1 - e.rows.0)),
-            );
-        let halves = Halves {
-            row: n / 2,
-            pattern: balance(pattern_offsets.windows(2).map(|q| q[1] - q[0] + TANH_COST)),
-            item: balance(item_costs),
-        };
-        ChunkPlan {
+        let offsets = &data.binary_inputs().offsets()[range.start..=range.end];
+        let n_full = self.full.len();
+        let row_cost = running(
+            offsets
+                .windows(2)
+                .map(|r| n_full * (r[1] - r[0] + TANH_COST)),
+        );
+        let pattern_cost = running(pattern_offsets.windows(2).map(|q| q[1] - q[0] + TANH_COST));
+        let item_cost = running(
+            std::iter::repeat_n(DV_ROW_COST * n, self.o * self.h)
+                .chain(std::iter::repeat_n(
+                    DW_ELEMENT_COST * (offsets[n] - offsets[0]),
+                    n_full,
+                ))
+                .chain(
+                    entries
+                        .iter()
+                        .map(|e| DW_ELEMENT_COST * (e.rows.1 - e.rows.0)),
+                ),
+        );
+        let n_patterns = pattern_offsets.len() - 1;
+        let mut chunk = ChunkPlan {
+            range,
             row_pattern,
             unit_patterns,
             pattern_offsets,
             pattern_params,
             col_rows,
             entries,
-            halves,
+            row_cost,
+            pattern_cost,
+            item_cost,
+            even: Halves {
+                row: 0,
+                pattern: 0,
+                item: 0,
+            },
+            layout: Layout::new(self, [n, n], n_patterns),
+        };
+        chunk.even = chunk.halves(EVEN);
+        if !single {
+            // Multi-chunk evaluations always cut evenly.
+            let row = chunk.even.row;
+            chunk.layout = Layout::new(self, [row, n - row], n_patterns);
         }
+        chunk
     }
 }
 
 impl<'a> CrossEntropyObjective<'a> {
     /// Builds the objective for a network structure and dataset, planning
     /// the evaluation over the structure's active links (see the type
-    /// docs).
+    /// docs) and allocating the buffers every evaluation reuses.
     pub fn new(template: &Mlp, data: &'a EncodedDataset, penalty: Penalty) -> Self {
         assert_eq!(
             template.n_inputs(),
@@ -490,12 +811,27 @@ impl<'a> CrossEntropyObjective<'a> {
         );
         let links = template.active_links();
         let plan = Plan::new(template, &links, data);
+        let buffers = Buffers {
+            w_full: vec![0.0; plan.full.len() * plan.n_in],
+            v: vec![0.0; plan.o * plan.h],
+            regions: plan
+                .chunks
+                .iter()
+                .map(|chunk| Mutex::new(vec![0.0; chunk.layout.len()]))
+                .collect(),
+            balance: Balance {
+                shares: EVEN,
+                item: plan.chunks.first().map_or(0, |chunk| chunk.even.item),
+                evals: 0,
+            },
+        };
         CrossEntropyObjective {
             data,
             penalty,
             links,
             plan,
             threads: 0,
+            buffers: Mutex::new(buffers),
         }
     }
 
@@ -527,33 +863,45 @@ impl<'a> CrossEntropyObjective<'a> {
         self.evaluate_with(x, grad, split.then_some(pooled as Fork))
     }
 
-    /// [`Self::evaluate`] with an explicit schedule: `split` runs a
-    /// single-chunk dataset's phases as two halves through it; otherwise
-    /// (and for multi-chunk datasets, always) each chunk is evaluated
-    /// whole.
+    /// [`Self::evaluate`] with an explicit schedule: `split` runs the
+    /// halves of a single-chunk dataset's phases through it; otherwise
+    /// (and for multi-chunk datasets, always) each chunk's halves run one
+    /// after the other.
     ///
     /// Each chunk evaluates its rows through the plan (see [`eval_chunk`]):
     /// hidden activations (full units gathered over the rows' set bits,
     /// sparse units once per pattern), `S = σ(hidden·Vᵀ)`, the live log of
     /// each output and `D = S − T`, then `dV`, the back-propagated hidden
-    /// deltas and the active `dW` entries. Per-chunk partial losses and
-    /// gradients are reduced in chunk order, so the result does not depend
-    /// on the thread count or the schedule.
-    fn evaluate_with(&self, x: &[f64], mut grad: Option<&mut [f64]>, split: Option<Fork>) -> f64 {
+    /// deltas and the active `dW` entries. Per-chunk losses and gradients
+    /// are reduced in chunk order, so the result does not depend on the
+    /// thread count or the schedule.
+    fn evaluate_with(&self, x: &[f64], grad: Option<&mut [f64]>, split: Option<Fork>) -> f64 {
         let plan = &self.plan;
-        let (h, o, n_w) = (plan.h, plan.o, plan.w_start[plan.h]);
-        let mut v = Matrix::zeros(o, h);
-        for (link, &p) in self.links[n_w..].iter().zip(&x[n_w..]) {
-            if let crate::LinkId::HiddenOutput { output, hidden } = *link {
-                v[(output, hidden)] = p;
+        let n_w = plan.w_start[plan.h];
+        let mut buffers = self.buffers.lock().unwrap_or_else(|poisoned| {
+            // An evaluation panicked and may have left gradient entries
+            // of another cut behind: start over from zeros.
+            self.buffers.clear_poison();
+            let mut buffers = poisoned.into_inner();
+            for region in &mut buffers.regions {
+                unpoison(region.get_mut()).fill(0.0);
+                region.clear_poison();
             }
+            buffers
+        });
+        let Buffers {
+            w_full,
+            v,
+            regions,
+            balance,
+        } = &mut *buffers;
+        for (&e, &p) in plan.v_index.iter().zip(&x[n_w..]) {
+            v[e] = p;
         }
         // The full units' weight rows, packed for the set-bit gather.
-        let mut w_full = Vec::with_capacity(plan.full.len() * plan.n_in);
-        for &m in &plan.full {
-            w_full.extend_from_slice(&x[plan.w_start[m]..plan.w_start[m + 1]]);
+        for (row, &m) in w_full.chunks_exact_mut(plan.n_in).zip(&plan.full) {
+            row.copy_from_slice(&x[plan.w_start[m]..plan.w_start[m + 1]]);
         }
-        let want_grad = grad.is_some();
 
         // Everything a chunk job needs; the jobs borrow it (and the
         // dataset) only until `map_chunks` returns.
@@ -563,48 +911,78 @@ impl<'a> CrossEntropyObjective<'a> {
             x,
             w_full,
             v,
-            want_grad,
-        };
-
-        let rows = self.data.rows();
-        let partials = match (split, &plan.chunks[..]) {
-            (Some(fork), [chunk]) => vec![eval_chunk(&ctx, chunk, 0..rows, Some(fork))],
-            _ => {
-                let threads = crate::par::resolve_threads(self.threads, plan.chunks.len());
-                crate::par::map_chunks(rows, threads, |c, range| {
-                    eval_chunk(&ctx, &plan.chunks[c], range, None)
-                })
-            }
+            want_grad: grad.is_some(),
         };
 
         // Ordered reduction: chunk 0 first, always.
         let mut loss = 0.0;
-        let mut dw = vec![0.0; n_w];
-        let mut dv = Matrix::zeros(o, h);
-        for p in partials {
-            loss += p.loss;
-            if want_grad {
-                crate::matrix::axpy(1.0, &p.dw, &mut dw);
-                crate::matrix::axpy(1.0, &p.dv, dv.as_mut_slice());
+        if let [chunk] = &plan.chunks[..] {
+            let halves = chunk.halves(balance.shares);
+            let clock = balance.evals % SAMPLE_EVERY == 0;
+            balance.evals += 1;
+            let mut spans = [[None; 2]; 3];
+            let region = unpoison(regions[0].get_mut());
+            let held = balance.item;
+            loss += eval_chunk(
+                &ctx,
+                chunk,
+                split.unwrap_or(sequential),
+                region,
+                halves,
+                held,
+                clock.then_some(&mut spans),
+            );
+            if ctx.want_grad {
+                balance.item = halves.item;
+            }
+            balance.adapt(&spans, &chunk.work(&halves));
+        } else {
+            let threads = crate::par::resolve_threads(self.threads, plan.chunks.len());
+            let losses = crate::par::map_chunks(self.data.rows(), threads, |c, _| {
+                let chunk = &plan.chunks[c];
+                let region = &mut unpoison(regions[c].lock());
+                eval_chunk(
+                    &ctx,
+                    chunk,
+                    sequential,
+                    region,
+                    chunk.even,
+                    chunk.even.item,
+                    None,
+                )
+            });
+            for l in losses {
+                loss += l;
             }
         }
-
-        // Penalty over active weights (+ gradient).
-        for (k, (&p, link)) in x.iter().zip(&self.links).enumerate() {
-            loss += self.penalty.value(p);
-            if let Some(g) = grad.as_deref_mut() {
-                let data_grad = match *link {
-                    crate::LinkId::InputHidden { .. } => dw[k],
-                    crate::LinkId::HiddenOutput { output, hidden } => dv[(output, hidden)],
-                };
-                g[k] = data_grad + self.penalty.derivative(p);
+        if let Some(g) = grad {
+            g.fill(0.0);
+            for (chunk, region) in plan.chunks.iter().zip(regions.iter_mut()) {
+                let [(dw_a, dv_a), (dw_b, dv_b)] = chunk
+                    .layout
+                    .gradients(plan, unpoison(region.get_mut()).as_slice());
+                for (g, (&da, &db)) in g.iter_mut().zip(dw_a.iter().zip(dw_b)) {
+                    *g += da + db;
+                }
+                for (g, &e) in g[n_w..].iter_mut().zip(&plan.v_index) {
+                    *g += dv_a[e] + dv_b[e];
+                }
+            }
+            // Penalty over active weights + its gradient.
+            for (g, &p) in g.iter_mut().zip(x) {
+                loss += self.penalty.value(p);
+                *g += self.penalty.derivative(p);
+            }
+        } else {
+            for &p in x {
+                loss += self.penalty.value(p);
             }
         }
         loss
     }
 }
 
-/// Everything one chunk evaluation needs.
+/// Everything one chunk evaluation reads.
 struct EvalCtx<'a> {
     /// The encoded dataset being evaluated.
     data: &'a EncodedDataset,
@@ -612,18 +990,11 @@ struct EvalCtx<'a> {
     /// The flat parameter vector.
     x: &'a [f64],
     /// The full units' weight rows (`plan.full.len() × n_in`, row-major).
-    w_full: Vec<f64>,
-    /// Assembled dense hidden→output weights (masked entries zero).
-    v: Matrix,
+    w_full: &'a [f64],
+    /// Dense hidden→output weights (`o × h`, row-major; masked entries
+    /// zero).
+    v: &'a [f64],
     want_grad: bool,
-}
-
-/// Per-chunk partial results, reduced in chunk order.
-struct Partial {
-    loss: f64,
-    /// Input-link gradient, indexed like the leading parameters.
-    dw: Vec<f64>,
-    dv: Vec<f64>,
 }
 
 /// Runs the two halves of one phase of [`eval_chunk`]: one after the
@@ -642,58 +1013,12 @@ fn pooled(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
     crate::par::join(a, b);
 }
 
-/// One half of phases 1 and 2: chunk rows `rows`, their targets, and
-/// each node's slice of the chunk's node-major buffers over those rows.
-struct RowHalf<'b> {
-    rows: std::ops::Range<usize>,
-    targets: &'b [usize],
-    hidden: Vec<&'b mut [f64]>,
-    delta: Vec<&'b mut [f64]>,
-    back: Vec<&'b mut [f64]>,
-    /// `rows × full units`, row-major.
-    pre_full: &'b mut [f64],
-    /// `rows × o`, row-major.
-    logs: &'b mut [f64],
-}
-
-/// Splits a chunk's rows and their buffers (node-major `hidden`, `delta`
-/// and `back`, row-major `pre_full` and `logs`) at row `mid`.
-fn row_halves<'b>(
-    targets: &'b [usize],
-    mid: usize,
-    [hidden, delta, back, pre_full, logs]: [&'b mut [f64]; 5],
-) -> [RowHalf<'b>; 2] {
-    let n = targets.len();
-    let nodes = |buf: &'b mut [f64]| -> (Vec<_>, Vec<_>) {
-        buf.chunks_exact_mut(n)
-            .map(|node| node.split_at_mut(mid))
-            .unzip()
-    };
-    let ((hidden_a, hidden_b), (delta_a, delta_b), (back_a, back_b)) =
-        (nodes(hidden), nodes(delta), nodes(back));
-    let (pre_a, pre_b) = pre_full.split_at_mut(pre_full.len() / n * mid);
-    let (logs_a, logs_b) = logs.split_at_mut(logs.len() / n * mid);
-    let (targets_a, targets_b) = targets.split_at(mid);
-    [
-        RowHalf {
-            rows: 0..mid,
-            targets: targets_a,
-            hidden: hidden_a,
-            delta: delta_a,
-            back: back_a,
-            pre_full: pre_a,
-            logs: logs_a,
-        },
-        RowHalf {
-            rows: mid..n,
-            targets: targets_b,
-            hidden: hidden_b,
-            delta: delta_b,
-            back: back_b,
-            pre_full: pre_b,
-            logs: logs_b,
-        },
-    ]
+/// Continues the loss chain `loss` over `logs`, in order.
+fn minus_logs(mut loss: f64, logs: &[f64]) -> f64 {
+    for &l in logs {
+        loss -= l;
+    }
+    loss
 }
 
 /// The part of `items` that falls in `lo..hi`, counted from `lo`.
@@ -701,117 +1026,100 @@ fn clamp_range(items: &std::ops::Range<usize>, lo: usize, hi: usize) -> std::ops
     items.start.clamp(lo, hi) - lo..items.end.clamp(lo, hi) - lo
 }
 
-/// One fixed-size chunk of rows through the plan, in three phases:
+/// One fixed-size chunk of rows through the plan, in three phases, each
+/// run as two halves cut at the chunk's [`Halves`] and handed to `fork`:
 ///
 /// 1. hidden activations: the full units gathered over each row's set
-///    bits, one pre-activation and `tanh` per sparse pattern;
-/// 2. per row: the sparse units' activations broadcast from their
-///    patterns, `S = σ(hidden·Vᵀ)`, the live log of each output into a
-///    per-row buffer, `D = S − T`, and (when wanted) the hidden deltas;
-/// 3. (when wanted) the backward items: `dV` entries, the full units'
-///    `dW` rows and the sparse `dW` entries.
+///    bits (by rows), one pre-activation and `tanh` per sparse pattern (by
+///    patterns);
+/// 2. per row (by rows): the sparse units' activations broadcast from
+///    their patterns, `S = σ(hidden·Vᵀ)`, the live log of each output into
+///    a per-row buffer, `D = S − T`, and (when wanted) the hidden deltas;
+/// 3. (when wanted, by items) the backward items: `dV` entries, the full
+///    units' `dW` rows and the sparse `dW` entries.
 ///
-/// `split` runs each phase as two halves, cut at the chunk's
-/// [`Halves`]: phases 1 and 2 by rows and patterns, phase 3 by items.
-/// Without it the first half is the whole chunk and the second is empty.
 /// Every value is computed by one half, start to finish, in the
-/// reference's order (see [`CrossEntropyObjective`]); the loss is summed
-/// in row order from the per-row logs after phase 2.
+/// reference's order, and each half writes only its own part of `region`
+/// (see [`CrossEntropyObjective`] and [`Layout`]). Returns the chunk's
+/// cross entropy, summed in row order; the gradient stays in the halves'
+/// `dW` and `dV` buffers for the reduction.
 ///
-/// The chunk's activations and deltas are stored node-major (node `m`'s
-/// values for the chunk's rows are `hidden[m * n..(m + 1) * n]`), so every
-/// inner loop runs over rows; each element is still accumulated in the
-/// reference's order (ascending node index for `σ(hidden·Vᵀ)` and the
+/// Activations and deltas are stored node-major within each row half, so
+/// every inner loop runs over rows; each element is still accumulated in
+/// the reference's order (ascending node index for `σ(hidden·Vᵀ)` and the
 /// hidden deltas, ascending row for `dV`).
 fn eval_chunk(
     ctx: &EvalCtx<'_>,
     chunk: &ChunkPlan,
-    range: std::ops::Range<usize>,
-    split: Option<Fork>,
-) -> Partial {
+    fork: Fork,
+    region: &mut [f64],
+    halves: Halves,
+    held: usize,
+    spans: Option<&mut [[Span; 2]; 3]>,
+) -> f64 {
     let plan = ctx.plan;
-    let (h, o, n_w) = (plan.h, plan.o, plan.w_start[plan.h]);
-    let n_full = plan.full.len();
-    let bits = crate::mlp::chunk_bits(ctx.data, &range);
-    let targets = &ctx.data.targets()[range];
-    let n = targets.len();
-    let n_patterns = chunk.pattern_offsets.len() - 1;
-    let n_items = o * h + n_full + chunk.entries.len();
-    let (fork, halves) = match split {
-        Some(fork) => (fork, chunk.halves),
-        None => {
-            let whole = Halves {
-                row: n,
-                pattern: n_patterns,
-                item: n_items,
-            };
-            (sequential as Fork, whole)
-        }
-    };
-    let second_dw = if split.is_some() && ctx.want_grad {
-        n_w
-    } else {
-        0
-    };
-    // The n-proportional buffers come from the thread-local scratch cache
-    // (reused across this thread's chunks and calls, and zeroed); only the
-    // small per-chunk gradients (`dw`, `dv`) are owned, since they travel
-    // back through the ordered reduction.
-    let sizes = [
-        n * h,
-        n * o,
-        n * h,
-        n * n_full,
-        n_patterns,
-        n * o,
-        second_dw,
-    ];
-    crate::par::with_scratch(&sizes, |bufs| {
-        let [hidden, delta, back, pre_full, acts, logs, dw_second] = bufs else {
-            unreachable!("seven scratch buffers requested");
-        };
-        {
-            let row_bufs = [&mut hidden[..], delta, back, pre_full, logs];
-            let [mut first, mut second] = row_halves(targets, halves.row, row_bufs);
-            let (acts_a, acts_b) = acts.split_at_mut(halves.pattern);
-            fork(
-                &mut || activate(ctx, chunk, bits, &mut first, 0, acts_a),
-                &mut || activate(ctx, chunk, bits, &mut second, halves.pattern, acts_b),
-            );
-            let acts = &acts[..];
-            fork(
-                &mut || respond(ctx, chunk, acts, n, &mut first),
-                &mut || respond(ctx, chunk, acts, n, &mut second),
-            );
-        }
-        // Cross entropy, summed in row order.
-        let mut loss = 0.0;
-        for &l in logs.iter() {
-            loss -= l;
-        }
-        if !ctx.want_grad {
-            return Partial {
-                loss,
-                dw: Vec::new(),
-                dv: Vec::new(),
-            };
-        }
-
-        let mut dw = vec![0.0; n_w];
-        let mut dv = vec![0.0; o * h];
-        let (dv_a, dv_b) = dv.split_at_mut(halves.item.min(o * h));
-        let state = (&hidden[..], &delta[..], &back[..]);
-        let (first, second) = (0..halves.item, halves.item..n_items);
+    let bits = crate::mlp::chunk_bits(ctx.data, &chunk.range);
+    let targets = &ctx.data.targets()[chunk.range.clone()];
+    let n_items = plan.o * plan.h + plan.full.len() + chunk.entries.len();
+    let clock = spans.is_some();
+    let mut own = [[None; 2]; 3];
+    let [s1, s2, s3] = &mut own;
+    let ([mut a, mut b], acts) = chunk
+        .layout
+        .split(plan, region, (halves.row, chunk.range.len()));
+    {
+        let (acts_a, acts_b) = acts.split_at_mut(halves.pattern);
+        let [s1a, s1b] = s1;
         fork(
-            &mut || backward(ctx, chunk, bits, n, state, &first, dv_a, &mut dw),
-            &mut || backward(ctx, chunk, bits, n, state, &second, dv_b, dw_second),
+            &mut || timed(clock, s1a, || activate(ctx, chunk, bits, &mut a, 0, acts_a)),
+            &mut || {
+                timed(clock, s1b, || {
+                    activate(ctx, chunk, bits, &mut b, halves.pattern, acts_b)
+                })
+            },
         );
-        // The second half's entries, into the first half's zeros.
-        if split.is_some() {
-            crate::matrix::axpy(1.0, dw_second, &mut dw);
-        }
-        Partial { loss, dw, dv }
-    })
+    }
+    let acts = &acts[..];
+    let mut loss = 0.0;
+    let [s2a, s2b] = s2;
+    fork(
+        &mut || {
+            timed(clock, s2a, || respond(ctx, chunk, targets, acts, &mut a));
+            loss = minus_logs(0.0, a.logs);
+        },
+        &mut || timed(clock, s2b, || respond(ctx, chunk, targets, acts, &mut b)),
+    );
+    if ctx.want_grad {
+        // Each half owns its items now; the items it held at the last
+        // gradient and holds no longer are zeroed in its buffers.
+        let (first, second) = (0..halves.item, halves.item..n_items);
+        let lost_a = halves.item..held.max(halves.item);
+        let lost_b = held..held.max(halves.item);
+        let logs_b = &*std::mem::take(&mut b.logs);
+        let [(dw_a, dv_a, nodes_a), (dw_b, dv_b, nodes_b)] = [a, b].map(Half::backward_parts);
+        let nodes = [nodes_a, nodes_b];
+        let [s3a, s3b] = s3;
+        fork(
+            &mut || {
+                timed(clock, s3a, || {
+                    // The caller's half continues the loss chain first.
+                    loss = minus_logs(loss, logs_b);
+                    backward(ctx, chunk, bits, nodes, &first, &lost_a, dv_a, dw_a)
+                })
+            },
+            &mut || {
+                timed(clock, s3b, || {
+                    backward(ctx, chunk, bits, nodes, &second, &lost_b, dv_b, dw_b)
+                })
+            },
+        );
+    } else {
+        loss = minus_logs(loss, b.logs);
+    }
+    if let Some(spans) = spans {
+        *spans = own;
+    }
+    loss
 }
 
 /// Phase 1 of [`eval_chunk`] for `half`'s rows and the patterns from
@@ -820,34 +1128,21 @@ fn activate(
     ctx: &EvalCtx<'_>,
     chunk: &ChunkPlan,
     (indices, offsets): (&[u32], &[usize]),
-    half: &mut RowHalf<'_>,
+    half: &mut Half<'_>,
     first_pattern: usize,
     acts: &mut [f64],
 ) {
     let plan = ctx.plan;
     let n_full = plan.full.len();
-    let RowHalf {
-        rows,
-        hidden,
-        pre_full,
-        ..
-    } = half;
+    let n = half.rows.len();
     // Full units: one set-bit gather per row.
     if n_full > 0 {
-        let offsets = &offsets[rows.start..=rows.end];
-        let n = rows.len();
-        crate::matrix::gemm_bits_nt(
-            n,
-            n_full,
-            plan.n_in,
-            indices,
-            offsets,
-            &ctx.w_full,
-            pre_full,
-        );
+        let offsets = &offsets[half.rows.start..=half.rows.end];
+        let pre_full = &mut *half.pre_full;
+        crate::matrix::gemm_bits_nt(n, n_full, plan.n_in, indices, offsets, ctx.w_full, pre_full);
         for (j, &m) in plan.full.iter().enumerate() {
             let column = pre_full.iter().skip(j).step_by(n_full);
-            for (a, &z) in hidden[m].iter_mut().zip(column) {
+            for (a, &z) in half.hidden[m * n..(m + 1) * n].iter_mut().zip(column) {
                 *a = Activation::Tanh.apply(z);
             }
         }
@@ -888,35 +1183,42 @@ fn activate(
     }
 }
 
-/// Phase 2 of [`eval_chunk`] for `half`'s rows, with all of the chunk's
-/// pattern activations `acts` (`n` is the chunk's row count).
-fn respond(ctx: &EvalCtx<'_>, chunk: &ChunkPlan, acts: &[f64], n: usize, half: &mut RowHalf<'_>) {
-    let RowHalf {
-        rows,
-        targets,
+/// Phase 2 of [`eval_chunk`] for `half`'s rows, with the chunk's targets
+/// and all of its pattern activations `acts`.
+fn respond(
+    ctx: &EvalCtx<'_>,
+    chunk: &ChunkPlan,
+    targets: &[usize],
+    acts: &[f64],
+    half: &mut Half<'_>,
+) {
+    let plan = ctx.plan;
+    let (h, o) = (plan.h, plan.o);
+    let (rows, n_chunk) = (half.rows.clone(), chunk.range.len());
+    let n = rows.len();
+    let Half {
         hidden,
         delta,
         back,
         logs,
         ..
     } = half;
-    let plan = ctx.plan;
-    let (h, o) = (plan.h, plan.o);
-    let v = ctx.v.as_slice();
     // Sparse units: their patterns' activations, broadcast to the rows.
     for (s, &(m, _)) in plan.sparse.iter().enumerate() {
         let unit_acts = &acts[chunk.unit_patterns[s]..chunk.unit_patterns[s + 1]];
-        let patterns = &chunk.row_pattern[s * n + rows.start..s * n + rows.end];
-        for (a, &q) in hidden[m].iter_mut().zip(patterns) {
+        let patterns = &chunk.row_pattern[s * n_chunk + rows.start..s * n_chunk + rows.end];
+        for (a, &q) in hidden[m * n..(m + 1) * n].iter_mut().zip(patterns) {
             *a = unit_acts[q as usize];
         }
     }
 
     // Output layer: S = σ(hidden·Vᵀ), summed over hidden nodes in
     // ascending order from +0.0.
-    for (out, vrow) in delta.iter_mut().zip(v.chunks_exact(h)) {
-        for (arow, &w) in hidden.iter().zip(vrow) {
-            for (u, &a) in out.iter_mut().zip(arow.iter()) {
+    for (p, vrow) in ctx.v.chunks_exact(h).enumerate() {
+        let out = &mut delta[p * n..(p + 1) * n];
+        out.fill(0.0);
+        for (m, &w) in vrow.iter().enumerate() {
+            for (u, &a) in out.iter_mut().zip(&hidden[m * n..(m + 1) * n]) {
                 *u += a * w;
             }
         }
@@ -926,9 +1228,10 @@ fn respond(ctx: &EvalCtx<'_>, chunk: &ChunkPlan, acts: &[f64], n: usize, half: &
     }
     // The live log of each output, and the output deltas D = S − T =
     // dE/du in place of S.
+    let targets = &targets[rows];
     for (r, (&target, lrow)) in targets.iter().zip(logs.chunks_exact_mut(o)).enumerate() {
         for (p, l) in lrow.iter_mut().enumerate() {
-            let s = &mut delta[p][r];
+            let s = &mut delta[p * n + r];
             let live = p == target;
             let sc = s.clamp(EPS, 1.0 - EPS);
             *l = if live { sc } else { 1.0 - sc }.ln();
@@ -940,14 +1243,16 @@ fn respond(ctx: &EvalCtx<'_>, chunk: &ChunkPlan, acts: &[f64], n: usize, half: &
     }
     // Hidden deltas (D·V) ⊙ (1−hidden²), summed over outputs in ascending
     // order from +0.0.
-    for (m, (brow, arow)) in back.iter_mut().zip(hidden.iter()).enumerate() {
-        for (drow, vrow) in delta.iter().zip(v.chunks_exact(h)) {
+    for m in 0..h {
+        let brow = &mut back[m * n..(m + 1) * n];
+        brow.fill(0.0);
+        for (p, vrow) in ctx.v.chunks_exact(h).enumerate() {
             let w = vrow[m];
-            for (b, &d) in brow.iter_mut().zip(drow.iter()) {
+            for (b, &d) in brow.iter_mut().zip(&delta[p * n..(p + 1) * n]) {
                 *b += term(d, w);
             }
         }
-        for (b, &a) in brow.iter_mut().zip(arow.iter()) {
+        for (b, &a) in brow.iter_mut().zip(&hidden[m * n..(m + 1) * n]) {
             *b *= Activation::Tanh.derivative_from_output(a);
         }
     }
@@ -965,92 +1270,128 @@ fn term(d: f64, w: f64) -> f64 {
 }
 
 /// Phase 3 of [`eval_chunk`] for backward items `items` (see
-/// [`Halves::item`]): their `dV` entries into `dv`, which starts at the
-/// first of them, and their `dW` entries into `dw`. `hidden`, `delta` and
-/// `back` are the whole chunk's, node-major.
+/// [`Halves::item`]): their `dV` entries into `dv` and their `dW` entries
+/// into `dw`, each sum over the rows of both row halves (`nodes`), the
+/// first half's first. The entries of the items `lost` are zeroed first.
 fn backward(
     ctx: &EvalCtx<'_>,
     chunk: &ChunkPlan,
     (indices, offsets): (&[u32], &[usize]),
-    n: usize,
-    (hidden, delta, back): (&[f64], &[f64], &[f64]),
+    nodes: [Nodes<'_>; 2],
     items: &std::ops::Range<usize>,
+    lost: &std::ops::Range<usize>,
     dv: &mut [f64],
     dw: &mut [f64],
 ) {
     let plan = ctx.plan;
     let (h, n_dv) = (plan.h, plan.o * plan.h);
     let n_full = plan.full.len();
+    dv[clamp_range(lost, 0, n_dv)].fill(0.0);
+    for &m in &plan.full[clamp_range(lost, n_dv, n_dv + n_full)] {
+        dw[plan.w_start[m]..plan.w_start[m + 1]].fill(0.0);
+    }
+    for e in &chunk.entries[clamp_range(lost, n_dv + n_full, usize::MAX)] {
+        dw[e.k] = 0.0;
+    }
     // dV = Dᵀ·hidden, over rows in ascending order. Four entries advance
     // side by side (four independent add chains over the same rows).
-    let rows_of = |e: usize| (&delta[e / h * n..][..n], &hidden[e % h * n..][..n]);
-    let mut e = clamp_range(items, 0, n_dv).start;
-    let mut quads = dv.chunks_exact_mut(4);
+    let dv_items = clamp_range(items, 0, n_dv);
+    let rows_of = |half: usize, e: usize| {
+        let half = &nodes[half];
+        (half.node(half.delta, e / h), half.node(half.hidden, e % h))
+    };
+    let mut quads = dv[dv_items.clone()].chunks_exact_mut(4);
+    let mut e = dv_items.start;
     for quad in &mut quads {
-        let [(d0, a0), (d1, a1), (d2, a2), (d3, a3)] = [0, 1, 2, 3].map(|i| rows_of(e + i));
         let mut g = [0.0; 4];
-        for r in 0..n {
-            g[0] += term(d0[r], a0[r]);
-            g[1] += term(d1[r], a1[r]);
-            g[2] += term(d2[r], a2[r]);
-            g[3] += term(d3[r], a3[r]);
+        for half in 0..2 {
+            let [(d0, a0), (d1, a1), (d2, a2), (d3, a3)] =
+                [0, 1, 2, 3].map(|i| rows_of(half, e + i));
+            for r in 0..nodes[half].n {
+                g[0] += term(d0[r], a0[r]);
+                g[1] += term(d1[r], a1[r]);
+                g[2] += term(d2[r], a2[r]);
+                g[3] += term(d3[r], a3[r]);
+            }
         }
         quad.copy_from_slice(&g);
         e += 4;
     }
-    for g in quads.into_remainder() {
-        let (drow, arow) = rows_of(e);
-        for (&d, &a) in drow.iter().zip(arow) {
-            *g += term(d, a);
+    for out in quads.into_remainder() {
+        let mut g = 0.0;
+        for half in 0..2 {
+            let (drow, arow) = rows_of(half, e);
+            for (&d, &a) in drow.iter().zip(arow) {
+                g += term(d, a);
+            }
         }
+        *out = g;
         e += 1;
     }
     // Full units: each row's hidden delta scattered over its set bits,
     // rows ascending (a zero delta adds nothing and is skipped).
     for &m in &plan.full[clamp_range(items, n_dv, n_dv + n_full)] {
         let dwrow = &mut dw[plan.w_start[m]..plan.w_start[m + 1]];
-        for (r, &b) in back[m * n..(m + 1) * n].iter().enumerate() {
-            if b != 0.0 {
-                for &l in &indices[offsets[r]..offsets[r + 1]] {
-                    dwrow[l as usize] += b;
+        dwrow.fill(0.0);
+        let mut r = 0;
+        for half in &nodes {
+            for &b in half.node(half.back, m) {
+                if b != 0.0 {
+                    for &l in &indices[offsets[r]..offsets[r + 1]] {
+                        dwrow[l as usize] += b;
+                    }
                 }
+                r += 1;
             }
         }
     }
-    // Sparse units: each entry summed over its column's rows, ascending.
-    // Four entries advance side by side as far as the shortest column
-    // (four independent add chains, each in its own order), then each
-    // finishes alone.
+    // Sparse units: each entry summed over its column's rows, ascending,
+    // the first row half's first. Four entries advance side by side as far
+    // as the shortest column within each half (four independent add
+    // chains, each in its own order), then each finishes the half alone.
     let entries = &chunk.entries[clamp_range(items, n_dv + n_full, usize::MAX)];
+    // An entry's rows in each half, counted from the half's first row, and
+    // its unit's hidden deltas there.
     let rows_of = |e: &Entry| {
         let rows = &chunk.col_rows[e.rows.0..e.rows.1];
-        (rows, &back[e.m * n..(e.m + 1) * n])
+        let cut = rows.partition_point(|&r| (r as usize) < nodes[1].start);
+        let [a, b] = nodes.map(|half| half.node(half.back, e.m));
+        [(&rows[..cut], a), (&rows[cut..], b)]
     };
-    let sum = |mut g: f64, rows: &[u16], b: &[f64]| {
+    let sum = |mut g: f64, rows: &[u16], b: &[f64], start: usize| {
         for &r in rows {
-            g += b[r as usize];
+            g += b[r as usize - start];
         }
         g
     };
     let mut quads = entries.chunks_exact(4);
     for quad in &mut quads {
-        let [(r0, b0), (r1, b1), (r2, b2), (r3, b3)] = [0, 1, 2, 3].map(|i| rows_of(&quad[i]));
-        let common = r0.len().min(r1.len()).min(r2.len()).min(r3.len());
         let mut g = [0.0; 4];
-        for i in 0..common {
-            g[0] += b0[r0[i] as usize];
-            g[1] += b1[r1[i] as usize];
-            g[2] += b2[r2[i] as usize];
-            g[3] += b3[r3[i] as usize];
+        let quad_rows = [0, 1, 2, 3].map(|i| rows_of(&quad[i]));
+        for (half, &Nodes { start, .. }) in nodes.iter().enumerate() {
+            let [(r0, b0), (r1, b1), (r2, b2), (r3, b3)] = quad_rows.map(|rows| rows[half]);
+            let common = r0.len().min(r1.len()).min(r2.len()).min(r3.len());
+            for i in 0..common {
+                g[0] += b0[r0[i] as usize - start];
+                g[1] += b1[r1[i] as usize - start];
+                g[2] += b2[r2[i] as usize - start];
+                g[3] += b3[r3[i] as usize - start];
+            }
+            for (rows, g) in quad_rows.iter().zip(g.iter_mut()) {
+                let (rows, b) = rows[half];
+                *g = sum(*g, &rows[common..], b, start);
+            }
         }
         for (e, g) in quad.iter().zip(g) {
-            let (rows, b) = rows_of(e);
-            dw[e.k] = sum(g, &rows[common..], b);
+            dw[e.k] = g;
         }
     }
     for e in quads.remainder() {
-        let (rows, b) = rows_of(e);
-        dw[e.k] = sum(0.0, rows, b);
+        let mut g = 0.0;
+        for (half, (rows, b)) in rows_of(e).into_iter().enumerate() {
+            g = sum(g, rows, b, nodes[half].start);
+        }
+        dw[e.k] = g;
     }
 }
 
@@ -1275,20 +1616,35 @@ mod tests {
         net
     }
 
+    /// The items with costs `costs` whose middle falls in the first
+    /// `share` of their total.
+    fn balance(costs: &[usize], share: f64) -> usize {
+        let sums = running(costs.iter().copied());
+        cut(&sums, share * sums[costs.len()] as f64)
+    }
+
     #[test]
     fn balance_cuts_at_the_middle_of_the_work() {
-        assert_eq!(balance(std::iter::empty()), 0);
-        assert_eq!(balance([10].into_iter()), 1);
-        assert_eq!(balance([5, 5].into_iter()), 1);
-        assert_eq!(balance([1, 1, 10].into_iter()), 2);
-        assert_eq!(balance([10, 1, 1].into_iter()), 1);
-        assert_eq!(balance([0, 0, 0].into_iter()), 3);
+        assert_eq!(balance(&[], 0.5), 0);
+        assert_eq!(balance(&[10], 0.5), 1);
+        assert_eq!(balance(&[5, 5], 0.5), 1);
+        assert_eq!(balance(&[1, 1, 10], 0.5), 2);
+        assert_eq!(balance(&[10, 1, 1], 0.5), 1);
+        assert_eq!(balance(&[0, 0, 0], 0.5), 3);
+        assert_eq!(balance(&[1, 1, 10], 0.1), 1);
+        assert_eq!(balance(&[1, 1, 10], 0.9), 3);
+        assert_eq!(balance(&[10, 1, 1], 0.0), 0);
+        assert_eq!(balance(&[10, 1, 1], 1.0), 3);
     }
 
     /// Every split schedule (two threads, reversed halves, the pool's
     /// session) gives the inline evaluation's value and gradient bits, at
     /// row counts around the halves' and the chunk's edges and under masks
-    /// from none to 95%.
+    /// from none to 95%. One objective evaluated again and again, at
+    /// alternating points, with and without the gradient, under every
+    /// schedule and cut in turn, gives each time the bits of a freshly
+    /// built one: nothing an evaluation leaves in the buffers reaches the
+    /// next.
     #[test]
     fn split_evaluation_is_bit_identical_to_inline() {
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1313,6 +1669,44 @@ mod tests {
                     assert_eq!(loss.to_bits(), want.to_bits(), "{case}: loss");
                     assert_eq!(value.to_bits(), want.to_bits(), "{case}: value");
                     assert_eq!(bits(&grad), bits(&want_grad), "{case}: gradient");
+                }
+            }
+        }
+
+        // Buffer reuse. One row leaves the first row half empty; unit 0 is
+        // fed by every input, so `pre_full` is written too.
+        let shares = [EVEN, [0.1, 0.9, 0.2], [0.9, 0.1, 0.8], [0.3, 0.6, 0.9]];
+        let forks = [sequential as Fork, pooled, scoped, reversed];
+        for rows in [1, 513, 1000] {
+            for prune_pct in [0, 80] {
+                let seed = (rows * 11 + prune_pct) as u64;
+                let data = random_rows(rows, 140, 3, seed);
+                let net = shaped_net(140, 5, 3, prune_pct, seed);
+                let x1 = net.flatten_active();
+                let x2: Vec<f64> = x1.iter().map(|w| 0.75 * w - 0.125).collect();
+                let fresh = |x: &[f64]| {
+                    let obj =
+                        CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(1);
+                    let mut grad = vec![0.0; obj.dim()];
+                    let loss = obj.value_and_gradient(x, &mut grad);
+                    (loss.to_bits(), bits(&grad))
+                };
+                let want = [fresh(&x1), fresh(&x2)];
+                let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+                for step in 0..24 {
+                    let (point, x) = [(0, &x1), (1, &x2), (0, &x1)][step % 3];
+                    unpoison(obj.buffers.lock()).balance.shares = shares[step / 3 % 4];
+                    let fork = forks[step % 4];
+                    let case = format!("rows {rows}, {prune_pct}% pruned, step {step}");
+                    if step % 2 == 0 {
+                        let mut grad = vec![0.0; obj.dim()];
+                        let loss = obj.evaluate_with(x, Some(&mut grad), Some(fork));
+                        assert_eq!(loss.to_bits(), want[point].0, "{case}: loss");
+                        assert_eq!(bits(&grad), want[point].1, "{case}: gradient");
+                    } else {
+                        let value = obj.evaluate_with(x, None, Some(fork));
+                        assert_eq!(value.to_bits(), want[point].0, "{case}: value");
+                    }
                 }
             }
         }

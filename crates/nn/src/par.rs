@@ -398,10 +398,14 @@ where
 }
 
 /// How long a session worker spins with nothing to do before it returns
-/// to the pool's queue. Longer than most of the optimizer's work between
-/// two objective evaluations, short enough that a pool with no joins to
-/// serve is idle (blocked in the queue) again almost at once.
-const SESSION_IDLE: Duration = Duration::from_micros(50);
+/// to the pool's queue. Longer than the optimizer's work between two
+/// objective evaluations: in `mine`'s fits ≈4.5% of the gaps exceed 50
+/// µs (BFGS updates over the ≈360 parameters of the first training, a
+/// retrain's set-up) and a few in 31,000 exceed 1 ms. A join that finds
+/// no session runs its first half's phase alone while a worker wakes.
+/// Short enough that a pool with no joins to serve is idle (blocked in
+/// the queue) again soon after training stops.
+const SESSION_IDLE: Duration = Duration::from_millis(1);
 
 /// The states of the session's one-job slot.
 const FREE: u8 = 0; // no half in flight
@@ -483,7 +487,7 @@ fn serve_session() {
 /// pool's *session* worker, which runs it if it picks it up first. The
 /// first join that finds no session queues one: a pool job that serves
 /// later halves from its spin slot and returns to the queue once the slot
-/// has been free for about 50 µs. The caller never waits for a worker
+/// has been free for about a millisecond. The caller never waits for a worker
 /// that has not picked `b` up: if `a` finishes first and `b` is still in
 /// the slot (no session yet, its job still queued behind other work), the
 /// caller takes `b` back and runs it itself. If another join holds the
