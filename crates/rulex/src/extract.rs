@@ -93,10 +93,14 @@ pub struct RxTrace {
     pub conjunctions_before_filter: usize,
     /// Conjunctions dropped as infeasible (the paper's R′₁ cases).
     pub infeasible_dropped: usize,
-    /// Hidden nodes whose rules came from a subnetwork (§3.2).
-    pub used_subnet: Vec<usize>,
-    /// Hidden nodes that fell back to observed input patterns.
-    pub observed_fallback: Vec<usize>,
+    /// `(depth, node)` of each hidden node whose rules came from a
+    /// subnetwork (§3.2): depth 0 is the pruned network, depth `d + 1` a
+    /// subnetwork split off at depth `d`. A node's entry precedes those of
+    /// its subnetwork's nodes.
+    pub used_subnet: Vec<(usize, usize)>,
+    /// `(depth, node)` of each hidden node that fell back to observed input
+    /// patterns, at any depth.
+    pub observed_fallback: Vec<(usize, usize)>,
 }
 
 /// Result of rule extraction.
@@ -137,7 +141,7 @@ pub fn extract(
         accuracy_floor: config.accuracy_floor,
         depth: 0,
     };
-    let dnf = rx.literal_dnf(&wanted, Some(&mut trace))?;
+    let dnf = rx.literal_dnf(&wanted, &mut trace)?;
 
     // Rewrite literal conjunctions into attribute rules.
     let mut bit_rules = Vec::new();
@@ -210,11 +214,13 @@ pub(crate) struct Rx<'a> {
 
 impl Rx<'_> {
     /// Steps 1–4 of RX in *literal space*: returns, for each wanted class,
-    /// the DNF that makes the network predict that class.
+    /// the DNF that makes the network predict that class. The top level
+    /// fills `trace`; a subnetwork level records only its subnetwork and
+    /// observed-pattern use.
     pub(crate) fn literal_dnf(
         &self,
         wanted: &[usize],
-        mut trace: Option<&mut RxTrace>,
+        trace: &mut RxTrace,
     ) -> Result<ClassDnf, RxError> {
         let net = self.net;
         assert_eq!(
@@ -285,8 +291,7 @@ impl Rx<'_> {
         let mut hidden_dnf: BTreeMap<usize, ClassDnf> = BTreeMap::new();
         for (&k, clusters) in &used_clusters {
             let used: Vec<usize> = clusters.iter().copied().collect();
-            let dnf =
-                self.hidden_node_dnf(live[k], &disc.models[k], &used, trace.as_deref_mut())?;
+            let dnf = self.hidden_node_dnf(live[k], &disc.models[k], &used, trace)?;
             hidden_dnf.insert(k, dnf);
         }
 
@@ -326,15 +331,15 @@ impl Rx<'_> {
             );
         }
 
-        if let Some(t) = trace {
-            t.epsilon = disc.epsilon;
-            t.discretized_accuracy = disc.accuracy;
-            t.live_hidden = live;
-            t.cluster_counts = arity;
-            t.cluster_centers = disc.models.iter().map(|m| m.centers.clone()).collect();
-            t.activation_table = activation_rows;
-            t.output_rules = output_rules.into_values().flatten().collect();
-            t.conjunctions_before_filter = before_filter;
+        if self.depth == 0 {
+            trace.epsilon = disc.epsilon;
+            trace.discretized_accuracy = disc.accuracy;
+            trace.live_hidden = live;
+            trace.cluster_counts = arity;
+            trace.cluster_centers = disc.models.iter().map(|m| m.centers.clone()).collect();
+            trace.activation_table = activation_rows;
+            trace.output_rules = output_rules.into_values().flatten().collect();
+            trace.conjunctions_before_filter = before_filter;
         }
         Ok(result)
     }
@@ -349,7 +354,7 @@ impl Rx<'_> {
         node: usize,
         model: &ClusterModel,
         used: &[usize],
-        mut trace: Option<&mut RxTrace>,
+        trace: &mut RxTrace,
     ) -> Result<ClassDnf, RxError> {
         let local_bits = self.net.hidden_inputs(node);
         let mut global_bits: Vec<usize> = local_bits.iter().map(|&l| self.bit_map[l]).collect();
@@ -371,16 +376,18 @@ impl Rx<'_> {
                     if self.depth < MAX_DEPTH {
                         // A subnetwork that cannot be articulated either is
                         // not fatal: fall through to the observed patterns.
-                        if let Ok(dnf) = self.split(node, model, used) {
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.used_subnet.push(node);
-                            }
+                        // What it used is recorded only if it is kept.
+                        let mut nested = RxTrace::default();
+                        if let Ok(dnf) = self.split(node, model, used, &mut nested) {
+                            trace.used_subnet.push((self.depth, node));
+                            trace.used_subnet.append(&mut nested.used_subnet);
+                            trace
+                                .observed_fallback
+                                .append(&mut nested.observed_fallback);
                             return Ok(dnf);
                         }
                     }
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.observed_fallback.push(node);
-                    }
+                    trace.observed_fallback.push((self.depth, node));
                     let patterns = self.observed_patterns(&local_bits, &global_bits);
                     (global_bits, patterns)
                 }
@@ -405,8 +412,8 @@ impl Rx<'_> {
         let mut out = ClassDnf::new();
         for &d in used {
             let rules = perfect_rules(&table, d);
-            if let Some(t) = trace.as_deref_mut() {
-                t.hidden_rule_counts.push((node, d, rules.len()));
+            if self.depth == 0 {
+                trace.hidden_rule_counts.push((node, d, rules.len()));
             }
             out.insert(d, rules_to_literals(&rules, &bits));
         }

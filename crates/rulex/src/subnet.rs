@@ -16,7 +16,7 @@ use nr_prune::{prune, PruneConfig};
 
 use crate::cluster::ClusterModel;
 use crate::extract::{ClassDnf, Rx};
-use crate::RxError;
+use crate::{RxError, RxTrace};
 
 /// Subnetworks nest at most this deep (1 = one level of subnetworks).
 pub(crate) const MAX_DEPTH: usize = 2;
@@ -64,12 +64,14 @@ fn subnet_dataset(
 
 impl Rx<'_> {
     /// Trains and prunes a subnetwork for `node` and recursively extracts
-    /// the literal DNF of each used cluster value.
+    /// the literal DNF of each used cluster value, recording the
+    /// subnetwork's own subnetwork and observed-pattern use in `trace`.
     pub(crate) fn split(
         &self,
         node: usize,
         model: &ClusterModel,
         used: &[usize],
+        trace: &mut RxTrace,
     ) -> Result<ClassDnf, RxError> {
         let (sub_data, local_bits) = subnet_dataset(self.net, node, model, self.data);
 
@@ -106,7 +108,7 @@ impl Rx<'_> {
             depth: self.depth + 1,
             ..*self
         }
-        .literal_dnf(used, None)
+        .literal_dnf(used, trace)
     }
 }
 

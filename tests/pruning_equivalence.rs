@@ -14,7 +14,7 @@
 //!   captured before the objective's active-link plan replaced the dense
 //!   kernels: an objective change that moves any weight bit fails here.
 
-use neurorule::NeuroRule;
+use neurorule::{Model, NeuroRule};
 use nr_datagen::{Function, Generator};
 use nr_encode::{EncodedDataset, Encoder};
 use nr_nn::{Mlp, Trainer, TrainingAlgorithm};
@@ -184,8 +184,8 @@ struct FitPin {
 }
 
 /// Fits the paper's pipeline (Agrawal encoder, 5% perturbation, 1000
-/// tuples) and checks every digest of `pin`.
-fn check_fit(pin: &FitPin) {
+/// tuples), checks every digest of `pin` and returns the model.
+fn check_fit(pin: &FitPin) -> Model {
     let train = Generator::new(pin.data_seed)
         .with_perturbation(0.05)
         .dataset(pin.function, 1000);
@@ -206,6 +206,7 @@ fn check_fit(pin: &FitPin) {
         "{:?} drifted; [weights, ruleset, bit_rules, rx_trace] now digest to {:#018x?}",
         pin.function, got
     );
+    model
 }
 
 /// `mine`'s three fits (perfbench's pinned training sets: generator seed
@@ -240,28 +241,39 @@ fn mine_fits_pin_the_pruned_weights() {
             weights: 0x2a01_52f2_b74c_e59b,
             ruleset: 0x7342_0012_aabd_eac3,
             bit_rules: 0x694e_ab9c_5249_8951,
-            rx_trace: 0xff00_9f62_c3bc_4616,
+            rx_trace: 0x11cf_fa2f_9587_710e,
         },
     ];
-    for pin in &pins {
-        check_fit(pin);
-    }
+    let traces: Vec<_> = pins
+        .iter()
+        .map(|pin| {
+            let trace = check_fit(pin).report.rx_trace;
+            (trace.used_subnet, trace.observed_fallback)
+        })
+        .collect();
+    assert_eq!(
+        traces,
+        [(vec![], vec![]), (vec![], vec![]), (vec![(0, 1)], vec![])]
+    );
 }
 
 /// F5 on data seed 42 with pipeline seed 777: RX splits hidden nodes
 /// through depth-1 subnetworks, and one depth-2 node falls back to its
-/// observed input patterns.
+/// observed input patterns. The trace records both, as `(depth, node)`.
 #[test]
 fn f5_fit_pins_nested_subnetwork_extraction() {
-    check_fit(&FitPin {
+    let model = check_fit(&FitPin {
         function: Function::F5,
         data_seed: 42,
         seed: 777,
         weights: 0xb4ab_9f22_ef64_70b0,
         ruleset: 0xace1_fe52_274f_f9cf,
         bit_rules: 0x3ce2_8922_7132_e8c2,
-        rx_trace: 0x4d3d_0ec3_3ebd_dca6,
+        rx_trace: 0xb068_e6a3_af5a_ef1d,
     });
+    let trace = model.report.rx_trace;
+    assert_eq!(trace.used_subnet, [(0, 0), (0, 2), (1, 2), (0, 3)]);
+    assert_eq!(trace.observed_fallback, [(2, 2)]);
 }
 
 /// Small learnable fixture: class = input bit 0, one junk bit per extra
