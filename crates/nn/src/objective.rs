@@ -920,18 +920,11 @@ impl<'a> CrossEntropyObjective<'a> {
             let halves = chunk.halves(balance.shares);
             let clock = balance.evals % SAMPLE_EVERY == 0;
             balance.evals += 1;
-            let mut spans = [[None; 2]; 3];
             let region = unpoison(regions[0].get_mut());
-            let held = balance.item;
-            loss += eval_chunk(
-                &ctx,
-                chunk,
-                split.unwrap_or(sequential),
-                region,
-                halves,
-                held,
-                clock.then_some(&mut spans),
-            );
+            let fork = split.unwrap_or(sequential);
+            let (chunk_loss, spans) =
+                eval_chunk(&ctx, chunk, fork, region, halves, balance.item, clock);
+            loss += chunk_loss;
             if ctx.want_grad {
                 balance.item = halves.item;
             }
@@ -948,8 +941,9 @@ impl<'a> CrossEntropyObjective<'a> {
                     region,
                     chunk.even,
                     chunk.even.item,
-                    None,
+                    false,
                 )
+                .0
             });
             for l in losses {
                 loss += l;
@@ -1041,8 +1035,10 @@ fn clamp_range(items: &std::ops::Range<usize>, lo: usize, hi: usize) -> std::ops
 /// Every value is computed by one half, start to finish, in the
 /// reference's order, and each half writes only its own part of `region`
 /// (see [`CrossEntropyObjective`] and [`Layout`]). Returns the chunk's
-/// cross entropy, summed in row order; the gradient stays in the halves'
-/// `dW` and `dV` buffers for the reduction.
+/// cross entropy, summed in row order, and (with `clock`) each half's
+/// span in each phase; the gradient stays in the halves' `dW` and `dV`
+/// buffers for the reduction. `held` is the backward cut whose entries
+/// the gradient buffers hold.
 ///
 /// Activations and deltas are stored node-major within each row half, so
 /// every inner loop runs over rows; each element is still accumulated in
@@ -1055,15 +1051,14 @@ fn eval_chunk(
     region: &mut [f64],
     halves: Halves,
     held: usize,
-    spans: Option<&mut [[Span; 2]; 3]>,
-) -> f64 {
+    clock: bool,
+) -> (f64, [[Span; 2]; 3]) {
     let plan = ctx.plan;
     let bits = crate::mlp::chunk_bits(ctx.data, &chunk.range);
     let targets = &ctx.data.targets()[chunk.range.clone()];
     let n_items = plan.o * plan.h + plan.full.len() + chunk.entries.len();
-    let clock = spans.is_some();
-    let mut own = [[None; 2]; 3];
-    let [s1, s2, s3] = &mut own;
+    let mut spans = [[None; 2]; 3];
+    let [s1, s2, s3] = &mut spans;
     let ([mut a, mut b], acts) = chunk
         .layout
         .split(plan, region, (halves.row, chunk.range.len()));
@@ -1116,10 +1111,7 @@ fn eval_chunk(
     } else {
         loss = minus_logs(loss, b.logs);
     }
-    if let Some(spans) = spans {
-        *spans = own;
-    }
-    loss
+    (loss, spans)
 }
 
 /// Phase 1 of [`eval_chunk`] for `half`'s rows and the patterns from
