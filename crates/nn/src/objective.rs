@@ -302,8 +302,6 @@ struct ChunkPlan {
     row_cost: Vec<usize>,
     pattern_cost: Vec<usize>,
     item_cost: Vec<usize>,
-    /// The cut at equal modeled work, which a multi-chunk evaluation uses.
-    even: Halves,
     /// Where the chunk's evaluation buffers sit in its region.
     layout: Layout,
 }
@@ -485,9 +483,14 @@ impl Layout {
         self.half[0] + self.half[1] + self.patterns + LINE - 1
     }
 
+    /// Where the parts start in `region`: on its first cache line.
+    fn skip(region: &[f64]) -> usize {
+        region.as_ptr().align_offset(64).min(LINE - 1)
+    }
+
     /// The halves' `dW` and `dV` buffers in a region of [`Layout::len`].
     fn gradients<'b>(&self, plan: &Plan, region: &'b [f64]) -> [(&'b [f64], &'b [f64]); 2] {
-        let skip = region.as_ptr().align_offset(64).min(LINE - 1);
+        let skip = Layout::skip(region);
         let (n_w, n_v) = (plan.w_start[plan.h], plan.o * plan.h);
         [skip, skip + self.half[0]].map(|start| {
             let part = &region[start..start + n_w + n_v];
@@ -504,8 +507,7 @@ impl Layout {
         (row, n): (usize, usize),
     ) -> ([Half<'b>; 2], &'b mut [f64]) {
         assert!(row <= self.capacity[0] && n - row <= self.capacity[1]);
-        let skip = region.as_ptr().align_offset(64).min(LINE - 1);
-        let (_, region) = region.split_at_mut(skip);
+        let (_, region) = region.split_at_mut(Layout::skip(region));
         let (a, region) = region.split_at_mut(self.half[0]);
         let (b, acts) = region.split_at_mut(self.half[1]);
         let (h, o, n_w, n_full) = (plan.h, plan.o, plan.w_start[plan.h], plan.full.len());
@@ -767,7 +769,15 @@ impl Plan {
                 ),
         );
         let n_patterns = pattern_offsets.len() - 1;
-        let mut chunk = ChunkPlan {
+        // A multi-chunk evaluation always cuts evenly (see `halves`), a
+        // single chunk anywhere.
+        let even_row = n.div_ceil(2);
+        let capacity = if single {
+            [n, n]
+        } else {
+            [even_row, n - even_row]
+        };
+        ChunkPlan {
             range,
             row_pattern,
             unit_patterns,
@@ -778,20 +788,8 @@ impl Plan {
             row_cost,
             pattern_cost,
             item_cost,
-            even: Halves {
-                row: 0,
-                pattern: 0,
-                item: 0,
-            },
-            layout: Layout::new(self, [n, n], n_patterns),
-        };
-        chunk.even = chunk.halves(EVEN);
-        if !single {
-            // Multi-chunk evaluations always cut evenly.
-            let row = chunk.even.row;
-            chunk.layout = Layout::new(self, [row, n - row], n_patterns);
+            layout: Layout::new(self, capacity, n_patterns),
         }
-        chunk
     }
 }
 
@@ -821,7 +819,10 @@ impl<'a> CrossEntropyObjective<'a> {
                 .collect(),
             balance: Balance {
                 shares: EVEN,
-                item: plan.chunks.first().map_or(0, |chunk| chunk.even.item),
+                item: plan
+                    .chunks
+                    .first()
+                    .map_or(0, |chunk| chunk.halves(EVEN).item),
                 evals: 0,
             },
         };
@@ -934,16 +935,8 @@ impl<'a> CrossEntropyObjective<'a> {
             let losses = crate::par::map_chunks(self.data.rows(), threads, |c, _| {
                 let chunk = &plan.chunks[c];
                 let region = &mut unpoison(regions[c].lock());
-                eval_chunk(
-                    &ctx,
-                    chunk,
-                    sequential,
-                    region,
-                    chunk.even,
-                    chunk.even.item,
-                    false,
-                )
-                .0
+                let even = chunk.halves(EVEN);
+                eval_chunk(&ctx, chunk, sequential, region, even, even.item, false).0
             });
             for l in losses {
                 loss += l;
