@@ -399,9 +399,9 @@ where
 
 /// How long a session worker spins with nothing to do before it returns
 /// to the pool's queue. Longer than the optimizer's work between two
-/// objective evaluations: in `mine`'s fits ≈4.5% of the gaps exceed 50
-/// µs (BFGS updates over the ≈360 parameters of the first training, a
-/// retrain's set-up) and a few in 31,000 exceed 1 ms. A join that finds
+/// objective evaluations: in `mine`'s fits on a 2-core host ≈4.5% of
+/// the gaps exceed 50 µs (BFGS updates over the ≈360 parameters of the
+/// first training, a retrain's set-up) and a few in 31,000 exceed 1 ms. A join that finds
 /// no session runs its first half's phase alone while a worker wakes.
 /// Short enough that a pool with no joins to serve is idle (blocked in
 /// the queue) again soon after training stops.
