@@ -10,7 +10,7 @@ use crate::{LinkId, Mlp};
 
 /// A per-network structural summary.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NetworkSummary {
+pub(crate) struct NetworkSummary {
     /// Total links (active or not).
     pub total_links: usize,
     /// Surviving links.
@@ -22,7 +22,7 @@ pub struct NetworkSummary {
 }
 
 /// Computes the structural summary of a network.
-pub fn summarize(net: &Mlp) -> NetworkSummary {
+pub(crate) fn summarize(net: &Mlp) -> NetworkSummary {
     NetworkSummary {
         total_links: net.n_links(),
         active_links: net.n_active(),

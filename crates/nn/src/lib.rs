@@ -43,9 +43,9 @@ mod par;
 mod trainer;
 
 pub use activation::Activation;
-pub use describe::{describe, summarize, NetworkSummary};
+pub use describe::describe;
 pub use matrix::Matrix;
 pub use mlp::{argmax, LinkId, Mlp};
 pub use objective::{CrossEntropyObjective, Penalty};
-pub use par::{join, map_indexed_scoped, resolve_threads};
+pub use par::{map_indexed_scoped, resolve_threads};
 pub use trainer::{TrainReport, Trainer, TrainingAlgorithm};

@@ -45,7 +45,11 @@ impl Matrix {
     }
 
     /// Builds from a closure over `(row, col)`.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
+    pub(crate) fn from_fn(
+        rows: usize,
+        cols: usize,
+        mut f: impl FnMut(usize, usize) -> f64,
+    ) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -57,7 +61,7 @@ impl Matrix {
 
     /// Wraps an existing row-major buffer (`data.len()` must be
     /// `rows * cols`).
-    pub fn from_raw(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+    pub(crate) fn from_raw(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(data.len(), rows * cols, "buffer does not match shape");
         Matrix { rows, cols, data }
     }
@@ -83,11 +87,6 @@ impl Matrix {
     /// Flat view of all entries (row-major).
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable flat view of all entries (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 }
 
@@ -291,7 +290,7 @@ mod tests {
             let a = arbitrary(m, k, 3);
             let b = arbitrary(n, k, 4);
             let mut got = Matrix::zeros(m, n);
-            gemm_nt(m, n, k, a.as_slice(), b.as_slice(), got.as_mut_slice());
+            gemm_nt(m, n, k, a.as_slice(), b.as_slice(), &mut got.data);
             // A·Bᵀ element (i, j) = dot(A row i, B row j).
             let want = Matrix::from_fn(m, n, |i, j| {
                 a.row(i).iter().zip(b.row(j)).map(|(x, y)| x * y).sum()
@@ -309,7 +308,7 @@ mod tests {
         let a = arbitrary(9, 87, 5);
         let b = arbitrary(4, 87, 6);
         let mut got = Matrix::zeros(9, 4);
-        gemm_nt(9, 4, 87, a.as_slice(), b.as_slice(), got.as_mut_slice());
+        gemm_nt(9, 4, 87, a.as_slice(), b.as_slice(), &mut got.data);
         for i in 0..9 {
             for j in 0..4 {
                 let mut z = 0.0;

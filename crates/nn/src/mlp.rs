@@ -110,7 +110,8 @@ impl Mlp {
         self.n_in
     }
 
-    /// Number of hidden nodes (including dead ones; see [`Mlp::hidden_is_dead`]).
+    /// Number of hidden nodes (including dead ones: no active input or
+    /// output link).
     pub fn n_hidden(&self) -> usize {
         self.n_hidden
     }
@@ -173,7 +174,7 @@ impl Mlp {
     }
 
     /// Total number of links (active or not): `h(n + m)` as in §2.2.
-    pub fn n_links(&self) -> usize {
+    pub(crate) fn n_links(&self) -> usize {
         self.n_hidden * (self.n_in + self.n_out)
     }
 
@@ -241,7 +242,7 @@ impl Mlp {
 
     /// A hidden node is dead when it has no active input links or no active
     /// output links; it then plays no role in classification.
-    pub fn hidden_is_dead(&self, m: usize) -> bool {
+    pub(crate) fn hidden_is_dead(&self, m: usize) -> bool {
         self.hidden_inputs(m).is_empty() || self.hidden_outputs(m).is_empty()
     }
 
@@ -308,7 +309,7 @@ impl Mlp {
 
     /// Forward pass writing hidden activations and outputs into buffers.
     #[inline]
-    pub fn forward_into(&self, x: &[f64], hidden: &mut [f64], out: &mut [f64]) {
+    pub(crate) fn forward_into(&self, x: &[f64], hidden: &mut [f64], out: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n_in);
         debug_assert_eq!(hidden.len(), self.n_hidden);
         debug_assert_eq!(out.len(), self.n_out);
@@ -357,7 +358,7 @@ impl Mlp {
     ///
     /// Computed as `hidden = tanh(X·Wᵀ)`, `out = σ(hidden·Vᵀ)` with `X·Wᵀ`
     /// gathered over each row's set bits; every row's result is
-    /// bit-identical to [`Mlp::forward_into`] on that row's 0/1 vector.
+    /// bit-identical to [`Mlp::forward`] on that row's 0/1 vector.
     pub fn forward_batch(&self, data: &EncodedDataset) -> (Matrix, Matrix) {
         self.check_width(data);
         let rows = data.rows();

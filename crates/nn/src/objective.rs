@@ -119,18 +119,15 @@ impl Penalty {
 ///    `t·ln s + (1−t)·ln(1−s)` is `0·(finite log) = ±0` (the clamp keeps
 ///    both logs finite) and the sum is exactly the other term.
 ///
-/// Rows are sharded into the fixed chunks; pattern, activation and
-/// gradient work runs inside the chunk jobs on worker threads, and the
-/// per-chunk partials are reduced in chunk order, so the value and
-/// gradient are bit-identical for every thread count (see
-/// [`CrossEntropyObjective::with_threads`]).
-///
-/// A single-chunk dataset (every paper-scale training set) is split
-/// between two threads instead ([`crate::join`]): each of the chunk's
-/// three phases runs as two halves, the forward work by pattern and row
-/// ranges and the backward work by `dV`/`dW` entries, cut where the
-/// halves last ran about equally long (see `Balance`). The split gives
-/// the inline bits, wherever it cuts, for two more reasons:
+/// Rows are sharded into fixed 1,024-row chunks, evaluated one after
+/// another in chunk order; each chunk's loss and gradient are added into
+/// the totals before the next chunk starts, so a chunk's schedule never
+/// changes the result. Each chunk is split between two threads
+/// (`crate::par::join`): each of its three phases runs as two halves, the
+/// forward work by pattern and row ranges and the backward work by
+/// `dV`/`dW` entries, cut where the halves last ran about equally long
+/// (see `Balance`). The split gives the inline bits, wherever it cuts, for
+/// two more reasons:
 ///
 /// 4. **Every value is computed whole by one half, in the reference's
 ///    order.** A pattern's sum and `tanh`, a row's activations, outputs,
@@ -144,16 +141,14 @@ impl Penalty {
 ///    and the reduction adds the two, which by reason 1 leaves every
 ///    entry's bits unchanged.
 /// 5. **The thread that zeroes or writes a buffer never changes a
-///    value.** The buffers live as long as the objective, laid out
-///    half-major (`Layout`), and each half zeroes and writes only its
-///    own: its rows' activations, deltas and logs, its patterns'
-///    activations and its gradient entries. What a half reads was written
-///    earlier in the same evaluation, by it or by the other half before a
-///    join. A gradient entry is `+0.0` in every buffer but its owner's:
-///    it was allocated as zero, and a half that gives up entries when the
-///    cut moves zeroes them before it writes its own. So which thread wrote
-///    a buffer, and in which evaluation, only decides whose cache holds
-///    it.
+///    value.** One set of buffers, laid out half-major for the largest
+///    chunk (`Layout`), lives as long as the objective and serves every
+///    chunk in turn. Each half zeroes and writes only its own: its rows'
+///    activations, deltas and logs, its patterns' activations and its
+///    gradient buffers, which it zeroes whole before its backward items.
+///    What a half reads was written earlier in the same chunk, by it or by
+///    the other half before a join. So which thread wrote a buffer, and in
+///    which evaluation, only decides whose cache holds it.
 pub struct CrossEntropyObjective<'a> {
     data: &'a EncodedDataset,
     penalty: Penalty,
@@ -161,39 +156,36 @@ pub struct CrossEntropyObjective<'a> {
     links: Vec<crate::LinkId>,
     /// The per-retrain active-link plan.
     plan: Plan,
-    /// Data-pass execution mode: `1` = inline on the caller's thread,
-    /// anything else = the shared worker pool (`0` = auto-detect).
-    threads: usize,
     /// The evaluation buffers, reused by every evaluation (one at a time).
     buffers: Mutex<Buffers>,
 }
 
 /// What an evaluation writes: the parameters it unpacks for the data pass
-/// and one region per row chunk (see [`Layout`]).
+/// and the chunks' buffers (see [`Layout`]).
 struct Buffers {
     /// The full units' weight rows (`plan.full.len() × n_in`, row-major).
     w_full: Vec<f64>,
     /// Dense hidden→output weights (`o × h`, row-major; masked entries
     /// stay zero).
     v: Vec<f64>,
-    regions: Vec<Mutex<Vec<f64>>>,
-    /// Where a single chunk's halves are cut.
+    /// Each chunk's evaluation buffers, one chunk at a time.
+    region: Vec<f64>,
+    /// Where the chunks' halves are cut.
     balance: Balance,
 }
 
-/// The cut of a single chunk's split evaluation, moved toward equal run
-/// times of its halves: the two threads need not run equally fast, nor
-/// the work model ([`ChunkPlan::halves`]) be exact. Every
-/// [`SAMPLE_EVERY`]-th evaluation times its halves; where they ran side by
-/// side, each phase's share moves a [`STEP`] of the way to the share that
-/// would have ended both at once, the second half timed from the first
-/// half's start, so its hand-off counts too.
+/// The cut of the chunks' split evaluations, moved toward equal run times
+/// of their halves: the two threads need not run equally fast, nor the
+/// work model ([`ChunkPlan::halves`]) be exact. Every chunk takes its cut
+/// from the same shares. Every [`SAMPLE_EVERY`]-th chunk evaluation times
+/// its halves; where they ran side by side, each phase's share moves a
+/// [`STEP`] of the way to the share that would have ended both at once,
+/// the second half timed from the first half's start, so its hand-off
+/// counts too.
 struct Balance {
     /// The first half's share of each phase's modeled work.
     shares: [f64; 3],
-    /// The backward cut of the last evaluation with a gradient: the items
-    /// whose entries each half's gradient buffer holds.
-    item: usize,
+    /// Chunk evaluations so far.
     evals: u64,
 }
 
@@ -232,8 +224,9 @@ fn timed(clock: bool, span: &mut Span, f: impl FnOnce()) {
     *span = start.map(|start| (start, Instant::now()));
 }
 
-/// A lock on a chunk's region, taken whether or not a chunk job panicked
-/// holding it: the evaluation that locked the buffers clears them.
+/// The buffers' lock, taken whether or not an evaluation panicked holding
+/// it: no state crosses evaluations (each writes what it reads first, and
+/// each half zeroes its gradient buffers), so there is nothing to clear.
 fn unpoison<T>(lock: Result<T, std::sync::PoisonError<T>>) -> T {
     lock.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -243,8 +236,8 @@ const _: () = assert!(crate::par::CHUNK_ROWS < u16::MAX as usize);
 
 /// What [`CrossEntropyObjective::new`] derives from the active set: the
 /// hidden units' parameter ranges, which units gather the rows' own set
-/// bits ("full") and which go through patterns ("sparse"), and one
-/// [`ChunkPlan`] per fixed row chunk.
+/// bits ("full") and which go through patterns ("sparse"), one
+/// [`ChunkPlan`] per fixed row chunk and the chunks' [`Layout`].
 struct Plan {
     n_in: usize,
     h: usize,
@@ -273,6 +266,8 @@ struct Plan {
     v_index: Vec<usize>,
     /// One plan per fixed row chunk, in chunk order.
     chunks: Vec<ChunkPlan>,
+    /// Where a chunk's evaluation buffers sit in the region.
+    layout: Layout,
 }
 
 /// The sparse units' row groupings within one row chunk.
@@ -302,8 +297,6 @@ struct ChunkPlan {
     row_cost: Vec<usize>,
     pattern_cost: Vec<usize>,
     item_cost: Vec<usize>,
-    /// Where the chunk's evaluation buffers sit in its region.
-    layout: Layout,
 }
 
 /// Where the second half of a chunk's evaluation starts in each of
@@ -358,6 +351,11 @@ fn cut(sums: &[usize], work: f64) -> usize {
 }
 
 impl ChunkPlan {
+    /// How many patterns the chunk's sparse units have, together.
+    fn patterns(&self) -> usize {
+        self.pattern_offsets.len() - 1
+    }
+
     /// The cut that gives the first half `shares[p]` of phase `p + 1`'s
     /// modeled work: of phase 2 by rows; of phase 1 by rows, then patterns
     /// (at the row cut of phase 2); of phase 3 by items.
@@ -365,7 +363,7 @@ impl ChunkPlan {
         let n = self.range.len();
         let row = ((shares[1] * n as f64).round() as usize).min(n);
         let gathers = self.row_cost[n] as f64;
-        let patterns = self.pattern_cost.len() - 1;
+        let patterns = self.patterns();
         let phase1 = gathers + self.pattern_cost[patterns] as f64;
         let pattern = cut(
             &self.pattern_cost,
@@ -404,20 +402,22 @@ struct Entry {
 /// `f64`s per 64-byte cache line.
 const LINE: usize = 8;
 
-/// Where a chunk's evaluation buffers sit in its region: each row half's
+/// Where a chunk's evaluation buffers sit in the region: each row half's
 /// part, then the pattern activations, each starting on a cache line. A
 /// half's part holds its `dW` and `dV` buffers (`n_w` and `o × h`
 /// entries, each zero outside the half's backward items), then, over its
 /// rows, `hidden` (`h × rows`) and `delta` (`o × rows`) and `back`
 /// (`h × rows`), node-major, and `pre_full` (`rows × full units`) and
-/// `logs` (`rows × o`), row-major.
-#[derive(Clone, Copy)]
+/// `logs` (`rows × o`), row-major. A half may be cut anywhere, so each
+/// half's part holds every row of the largest chunk, and the pattern
+/// activations the patterns of the chunk with the most.
+#[derive(Clone, Copy, Default)]
 struct Layout {
     /// The most rows each half's part holds.
-    capacity: [usize; 2],
+    rows: usize,
     /// Each half's part, in whole cache lines.
-    half: [usize; 2],
-    /// The chunk's patterns.
+    half: usize,
+    /// The most patterns.
     patterns: usize,
 }
 
@@ -467,20 +467,23 @@ impl<'b> Half<'b> {
 }
 
 impl Layout {
-    fn new(plan: &Plan, capacity: [usize; 2], n_patterns: usize) -> Layout {
+    /// The layout for `plan`'s chunks.
+    fn new(plan: &Plan) -> Layout {
         let (h, o, n_w) = (plan.h, plan.o, plan.w_start[plan.h]);
         let per_row = 2 * h + 2 * o + plan.full.len();
+        let most = |f: fn(&ChunkPlan) -> usize| plan.chunks.iter().map(f).max().unwrap_or(0);
+        let rows = most(|chunk| chunk.range.len());
         Layout {
-            capacity,
-            half: capacity.map(|r| (n_w + o * h + r * per_row).next_multiple_of(LINE)),
-            patterns: n_patterns,
+            rows,
+            half: (n_w + o * h + rows * per_row).next_multiple_of(LINE),
+            patterns: most(ChunkPlan::patterns),
         }
     }
 
     /// The region length to allocate: the parts, plus room to start them
     /// on a cache line.
     fn len(&self) -> usize {
-        self.half[0] + self.half[1] + self.patterns + LINE - 1
+        2 * self.half + self.patterns + LINE - 1
     }
 
     /// Where the parts start in `region`: on its first cache line.
@@ -492,24 +495,26 @@ impl Layout {
     fn gradients<'b>(&self, plan: &Plan, region: &'b [f64]) -> [(&'b [f64], &'b [f64]); 2] {
         let skip = Layout::skip(region);
         let (n_w, n_v) = (plan.w_start[plan.h], plan.o * plan.h);
-        [skip, skip + self.half[0]].map(|start| {
+        [skip, skip + self.half].map(|start| {
             let part = &region[start..start + n_w + n_v];
             part.split_at(n_w)
         })
     }
 
     /// Cuts a region of [`Layout::len`] into the buffers of the halves of
-    /// a chunk's `n` rows cut at `row`, and the pattern activations.
+    /// `chunk`'s rows cut at `row`, and its pattern activations.
     fn split<'b>(
         &self,
         plan: &Plan,
         region: &'b mut [f64],
-        (row, n): (usize, usize),
+        chunk: &ChunkPlan,
+        row: usize,
     ) -> ([Half<'b>; 2], &'b mut [f64]) {
-        assert!(row <= self.capacity[0] && n - row <= self.capacity[1]);
+        let n = chunk.range.len();
+        assert!(row <= n && n <= self.rows);
         let (_, region) = region.split_at_mut(Layout::skip(region));
-        let (a, region) = region.split_at_mut(self.half[0]);
-        let (b, acts) = region.split_at_mut(self.half[1]);
+        let (a, region) = region.split_at_mut(self.half);
+        let (b, acts) = region.split_at_mut(self.half);
         let (h, o, n_w, n_full) = (plan.h, plan.o, plan.w_start[plan.h], plan.full.len());
         let half = |part: &'b mut [f64], rows: std::ops::Range<usize>| {
             let n = rows.len();
@@ -533,7 +538,7 @@ impl Layout {
         };
         (
             [half(a, 0..row), half(b, row..n)],
-            &mut acts[..self.patterns],
+            &mut acts[..chunk.patterns()],
         )
     }
 }
@@ -646,26 +651,19 @@ impl Plan {
             feed_offsets,
             feeds,
             chunks: Vec::new(),
+            layout: Layout::default(),
         };
         let rows = data.rows();
-        let chunks = crate::par::n_chunks(rows);
-        plan.chunks = (0..chunks)
-            .map(|c| plan.chunk(data, crate::par::chunk_range(c, rows), chunks == 1))
+        plan.chunks = (0..crate::par::n_chunks(rows))
+            .map(|c| plan.chunk(data, crate::par::chunk_range(c, rows)))
             .collect();
+        plan.layout = Layout::new(&plan);
         plan
     }
 
     /// Groups one chunk's rows by pattern (per sparse unit) and by active
     /// column.
-    ///
-    /// A single chunk's halves may be cut anywhere (see
-    /// [`CrossEntropyObjective`]), so each half's buffers hold every row.
-    fn chunk(
-        &self,
-        data: &EncodedDataset,
-        range: std::ops::Range<usize>,
-        single: bool,
-    ) -> ChunkPlan {
+    fn chunk(&self, data: &EncodedDataset, range: std::ops::Range<usize>) -> ChunkPlan {
         let n = range.len();
         let bits = |r: usize| data.row_bits(range.start + r);
 
@@ -768,15 +766,6 @@ impl Plan {
                         .map(|e| DW_ELEMENT_COST * (e.rows.1 - e.rows.0)),
                 ),
         );
-        let n_patterns = pattern_offsets.len() - 1;
-        // A multi-chunk evaluation always cuts evenly (see `halves`), a
-        // single chunk anywhere.
-        let even_row = n.div_ceil(2);
-        let capacity = if single {
-            [n, n]
-        } else {
-            [even_row, n - even_row]
-        };
         ChunkPlan {
             range,
             row_pattern,
@@ -788,7 +777,6 @@ impl Plan {
             row_cost,
             pattern_cost,
             item_cost,
-            layout: Layout::new(self, capacity, n_patterns),
         }
     }
 }
@@ -812,17 +800,9 @@ impl<'a> CrossEntropyObjective<'a> {
         let buffers = Buffers {
             w_full: vec![0.0; plan.full.len() * plan.n_in],
             v: vec![0.0; plan.o * plan.h],
-            regions: plan
-                .chunks
-                .iter()
-                .map(|chunk| Mutex::new(vec![0.0; chunk.layout.len()]))
-                .collect(),
+            region: vec![0.0; plan.layout.len()],
             balance: Balance {
                 shares: EVEN,
-                item: plan
-                    .chunks
-                    .first()
-                    .map_or(0, |chunk| chunk.halves(EVEN).item),
                 evals: 0,
             },
         };
@@ -831,69 +811,39 @@ impl<'a> CrossEntropyObjective<'a> {
             penalty,
             links,
             plan,
-            threads: 0,
             buffers: Mutex::new(buffers),
         }
-    }
-
-    /// Selects the data-pass execution mode: `1` forces inline evaluation
-    /// on the caller's thread (the reference); any other value (`0` =
-    /// auto-detect) uses the **shared worker pool**, whose size is fixed
-    /// process-wide at `min(available_parallelism, 8)` — the value is not
-    /// a per-call worker count. A multi-chunk dataset runs its chunks on
-    /// the pool; a single-chunk one (every paper-scale training set) is
-    /// split between the caller and one pool worker by
-    /// [`join`](crate::join), and runs inline on a single-core host.
-    ///
-    /// Purely a throughput knob either way: the fixed chunking, ordered
-    /// reduction and order-keeping split make the result bit-identical in
-    /// every mode.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Shared forward/backward pass. When `grad` is `Some`, accumulates the
     /// gradient (in link order) as well.
     ///
-    /// A single-chunk dataset is split between the caller and the pool's
-    /// session worker ([`crate::par::join`]) unless the objective runs
-    /// inline; a multi-chunk one runs its chunks on the pool.
+    /// Each chunk is split between the caller and the pool's session
+    /// worker ([`crate::par::join`]), which runs both halves on the caller
+    /// on a single-core host or while another join holds the session.
     fn evaluate(&self, x: &[f64], grad: Option<&mut [f64]>) -> f64 {
-        let split = crate::par::resolve_threads(self.threads, 2) > 1;
-        self.evaluate_with(x, grad, split.then_some(pooled as Fork))
+        self.evaluate_with(x, grad, pooled)
     }
 
-    /// [`Self::evaluate`] with an explicit schedule: `split` runs the
-    /// halves of a single-chunk dataset's phases through it; otherwise
-    /// (and for multi-chunk datasets, always) each chunk's halves run one
-    /// after the other.
+    /// [`Self::evaluate`] with an explicit schedule: `fork` runs the halves
+    /// of each chunk's phases. The tests' `sequential`, one half after the
+    /// other, is the inline reference.
     ///
     /// Each chunk evaluates its rows through the plan (see [`eval_chunk`]):
     /// hidden activations (full units gathered over the rows' set bits,
     /// sparse units once per pattern), `S = σ(hidden·Vᵀ)`, the live log of
     /// each output and `D = S − T`, then `dV`, the back-propagated hidden
-    /// deltas and the active `dW` entries. Per-chunk losses and gradients
-    /// are reduced in chunk order, so the result does not depend on the
-    /// thread count or the schedule.
-    fn evaluate_with(&self, x: &[f64], grad: Option<&mut [f64]>, split: Option<Fork>) -> f64 {
+    /// deltas and the active `dW` entries. The chunks run in chunk order,
+    /// and each one's loss and gradient are added into the totals before
+    /// the next one starts, so the result does not depend on the schedule.
+    fn evaluate_with(&self, x: &[f64], mut grad: Option<&mut [f64]>, fork: Fork) -> f64 {
         let plan = &self.plan;
         let n_w = plan.w_start[plan.h];
-        let mut buffers = self.buffers.lock().unwrap_or_else(|poisoned| {
-            // An evaluation panicked and may have left gradient entries
-            // of another cut behind: start over from zeros.
-            self.buffers.clear_poison();
-            let mut buffers = poisoned.into_inner();
-            for region in &mut buffers.regions {
-                unpoison(region.get_mut()).fill(0.0);
-                region.clear_poison();
-            }
-            buffers
-        });
+        let mut buffers = unpoison(self.buffers.lock());
         let Buffers {
             w_full,
             v,
-            regions,
+            region,
             balance,
         } = &mut *buffers;
         for (&e, &p) in plan.v_index.iter().zip(&x[n_w..]) {
@@ -904,8 +854,6 @@ impl<'a> CrossEntropyObjective<'a> {
             row.copy_from_slice(&x[plan.w_start[m]..plan.w_start[m + 1]]);
         }
 
-        // Everything a chunk job needs; the jobs borrow it (and the
-        // dataset) only until `map_chunks` returns.
         let ctx = EvalCtx {
             data: self.data,
             plan,
@@ -915,39 +863,19 @@ impl<'a> CrossEntropyObjective<'a> {
             want_grad: grad.is_some(),
         };
 
+        if let Some(g) = grad.as_deref_mut() {
+            g.fill(0.0);
+        }
         // Ordered reduction: chunk 0 first, always.
         let mut loss = 0.0;
-        if let [chunk] = &plan.chunks[..] {
+        for chunk in &plan.chunks {
             let halves = chunk.halves(balance.shares);
             let clock = balance.evals % SAMPLE_EVERY == 0;
             balance.evals += 1;
-            let region = unpoison(regions[0].get_mut());
-            let fork = split.unwrap_or(sequential);
-            let (chunk_loss, spans) =
-                eval_chunk(&ctx, chunk, fork, region, halves, balance.item, clock);
+            let (chunk_loss, spans) = eval_chunk(&ctx, chunk, fork, region, halves, clock);
             loss += chunk_loss;
-            if ctx.want_grad {
-                balance.item = halves.item;
-            }
-            balance.adapt(&spans, &chunk.work(&halves));
-        } else {
-            let threads = crate::par::resolve_threads(self.threads, plan.chunks.len());
-            let losses = crate::par::map_chunks(self.data.rows(), threads, |c, _| {
-                let chunk = &plan.chunks[c];
-                let region = &mut unpoison(regions[c].lock());
-                let even = chunk.halves(EVEN);
-                eval_chunk(&ctx, chunk, sequential, region, even, even.item, false).0
-            });
-            for l in losses {
-                loss += l;
-            }
-        }
-        if let Some(g) = grad {
-            g.fill(0.0);
-            for (chunk, region) in plan.chunks.iter().zip(regions.iter_mut()) {
-                let [(dw_a, dv_a), (dw_b, dv_b)] = chunk
-                    .layout
-                    .gradients(plan, unpoison(region.get_mut()).as_slice());
+            if let Some(g) = grad.as_deref_mut() {
+                let [(dw_a, dv_a), (dw_b, dv_b)] = plan.layout.gradients(plan, region);
                 for (g, (&da, &db)) in g.iter_mut().zip(dw_a.iter().zip(dw_b)) {
                     *g += da + db;
                 }
@@ -955,6 +883,9 @@ impl<'a> CrossEntropyObjective<'a> {
                     *g += dv_a[e] + dv_b[e];
                 }
             }
+            balance.adapt(&spans, &chunk.work(&halves));
+        }
+        if let Some(g) = grad {
             // Penalty over active weights + its gradient.
             for (g, &p) in g.iter_mut().zip(x) {
                 loss += self.penalty.value(p);
@@ -988,12 +919,6 @@ struct EvalCtx<'a> {
 /// other, or on two threads. Which thread runs a half never changes what
 /// it computes.
 type Fork = fn(&mut (dyn FnMut() + Send), &mut (dyn FnMut() + Send));
-
-/// The inline schedule: the first half, then the second.
-fn sequential(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
-    a();
-    b();
-}
 
 /// The caller and the pool's session worker ([`crate::par::join`]).
 fn pooled(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
@@ -1030,8 +955,7 @@ fn clamp_range(items: &std::ops::Range<usize>, lo: usize, hi: usize) -> std::ops
 /// (see [`CrossEntropyObjective`] and [`Layout`]). Returns the chunk's
 /// cross entropy, summed in row order, and (with `clock`) each half's
 /// span in each phase; the gradient stays in the halves' `dW` and `dV`
-/// buffers for the reduction. `held` is the backward cut whose entries
-/// the gradient buffers hold.
+/// buffers for the reduction.
 ///
 /// Activations and deltas are stored node-major within each row half, so
 /// every inner loop runs over rows; each element is still accumulated in
@@ -1043,7 +967,6 @@ fn eval_chunk(
     fork: Fork,
     region: &mut [f64],
     halves: Halves,
-    held: usize,
     clock: bool,
 ) -> (f64, [[Span; 2]; 3]) {
     let plan = ctx.plan;
@@ -1052,9 +975,7 @@ fn eval_chunk(
     let n_items = plan.o * plan.h + plan.full.len() + chunk.entries.len();
     let mut spans = [[None; 2]; 3];
     let [s1, s2, s3] = &mut spans;
-    let ([mut a, mut b], acts) = chunk
-        .layout
-        .split(plan, region, (halves.row, chunk.range.len()));
+    let ([mut a, mut b], acts) = plan.layout.split(plan, region, chunk, halves.row);
     {
         let (acts_a, acts_b) = acts.split_at_mut(halves.pattern);
         let [s1a, s1b] = s1;
@@ -1078,11 +999,7 @@ fn eval_chunk(
         &mut || timed(clock, s2b, || respond(ctx, chunk, targets, acts, &mut b)),
     );
     if ctx.want_grad {
-        // Each half owns its items now; the items it held at the last
-        // gradient and holds no longer are zeroed in its buffers.
         let (first, second) = (0..halves.item, halves.item..n_items);
-        let lost_a = halves.item..held.max(halves.item);
-        let lost_b = held..held.max(halves.item);
         let logs_b = &*std::mem::take(&mut b.logs);
         let [(dw_a, dv_a, nodes_a), (dw_b, dv_b, nodes_b)] = [a, b].map(Half::backward_parts);
         let nodes = [nodes_a, nodes_b];
@@ -1092,12 +1009,12 @@ fn eval_chunk(
                 timed(clock, s3a, || {
                     // The caller's half continues the loss chain first.
                     loss = minus_logs(loss, logs_b);
-                    backward(ctx, chunk, bits, nodes, &first, &lost_a, dv_a, dw_a)
+                    backward(ctx, chunk, bits, nodes, &first, dv_a, dw_a)
                 })
             },
             &mut || {
                 timed(clock, s3b, || {
-                    backward(ctx, chunk, bits, nodes, &second, &lost_b, dv_b, dw_b)
+                    backward(ctx, chunk, bits, nodes, &second, dv_b, dw_b)
                 })
             },
         );
@@ -1257,27 +1174,22 @@ fn term(d: f64, w: f64) -> f64 {
 /// Phase 3 of [`eval_chunk`] for backward items `items` (see
 /// [`Halves::item`]): their `dV` entries into `dv` and their `dW` entries
 /// into `dw`, each sum over the rows of both row halves (`nodes`), the
-/// first half's first. The entries of the items `lost` are zeroed first.
+/// first half's first. Both buffers are zeroed whole first, so every entry
+/// of another item is `+0.0` for the reduction.
 fn backward(
     ctx: &EvalCtx<'_>,
     chunk: &ChunkPlan,
     (indices, offsets): (&[u32], &[usize]),
     nodes: [Nodes<'_>; 2],
     items: &std::ops::Range<usize>,
-    lost: &std::ops::Range<usize>,
     dv: &mut [f64],
     dw: &mut [f64],
 ) {
     let plan = ctx.plan;
     let (h, n_dv) = (plan.h, plan.o * plan.h);
     let n_full = plan.full.len();
-    dv[clamp_range(lost, 0, n_dv)].fill(0.0);
-    for &m in &plan.full[clamp_range(lost, n_dv, n_dv + n_full)] {
-        dw[plan.w_start[m]..plan.w_start[m + 1]].fill(0.0);
-    }
-    for e in &chunk.entries[clamp_range(lost, n_dv + n_full, usize::MAX)] {
-        dw[e.k] = 0.0;
-    }
+    dv.fill(0.0);
+    dw.fill(0.0);
     // dV = Dᵀ·hidden, over rows in ascending order. Four entries advance
     // side by side (four independent add chains over the same rows).
     let dv_items = clamp_range(items, 0, n_dv);
@@ -1317,7 +1229,6 @@ fn backward(
     // rows ascending (a zero delta adds nothing and is skipped).
     for &m in &plan.full[clamp_range(items, n_dv, n_dv + n_full)] {
         let dwrow = &mut dw[plan.w_start[m]..plan.w_start[m + 1]];
-        dwrow.fill(0.0);
         let mut r = 0;
         for half in &nodes {
             for &b in half.node(half.back, m) {
@@ -1543,6 +1454,12 @@ mod tests {
         assert!(loss < 1e-8, "loss {loss}");
     }
 
+    /// The inline schedule: the first half, then the second.
+    fn sequential(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
+        a();
+        b();
+    }
+
     /// The second half on a thread of its own, so the split runs on two
     /// threads whether or not a pool worker is free.
     fn scoped(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
@@ -1624,32 +1541,30 @@ mod tests {
 
     /// Every split schedule (two threads, reversed halves, the pool's
     /// session) gives the inline evaluation's value and gradient bits, at
-    /// row counts around the halves' and the chunk's edges and under masks
-    /// from none to 95%. One objective evaluated again and again, at
-    /// alternating points, with and without the gradient, under every
-    /// schedule and cut in turn, gives each time the bits of a freshly
-    /// built one: nothing an evaluation leaves in the buffers reaches the
-    /// next.
+    /// row counts around the halves' and the chunks' edges (one chunk, two,
+    /// and two and a row) and under masks from none to 95%. One objective
+    /// evaluated again and again, at alternating points, with and without
+    /// the gradient, under every schedule and cut in turn, gives each time
+    /// the bits of a freshly built one: nothing an evaluation, or a chunk,
+    /// leaves in the buffers reaches the next.
     #[test]
     fn split_evaluation_is_bit_identical_to_inline() {
         let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for rows in [1, 2, 3, 511, 512, 513, 1000, 1024] {
+        for rows in [1, 2, 3, 511, 512, 513, 1000, 1024, 1025, 2048, 2049] {
             for (k, prune_pct) in [0, 40, 80, 95].into_iter().enumerate() {
                 let seed = (rows * 7 + k) as u64;
                 // 140 inputs: at 40% pruned, a sparse unit's pattern spans
                 // two mask words.
                 let data = random_rows(rows, 140, 2, seed);
                 let net = shaped_net(140, 5, 3, prune_pct, seed);
-                let obj =
-                    CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(1);
-                assert_eq!(obj.plan.chunks.len(), 1);
+                let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
                 let x = net.flatten_active();
                 let mut want_grad = vec![0.0; obj.dim()];
-                let want = obj.value_and_gradient(&x, &mut want_grad);
+                let want = obj.evaluate_with(&x, Some(&mut want_grad), sequential);
                 for fork in [scoped as Fork, reversed, pooled] {
                     let mut grad = vec![0.0; obj.dim()];
-                    let loss = obj.evaluate_with(&x, Some(&mut grad), Some(fork));
-                    let value = obj.evaluate_with(&x, None, Some(fork));
+                    let loss = obj.evaluate_with(&x, Some(&mut grad), fork);
+                    let value = obj.evaluate_with(&x, None, fork);
                     let case = format!("rows {rows}, {prune_pct}% pruned");
                     assert_eq!(loss.to_bits(), want.to_bits(), "{case}: loss");
                     assert_eq!(value.to_bits(), want.to_bits(), "{case}: value");
@@ -1659,10 +1574,11 @@ mod tests {
         }
 
         // Buffer reuse. One row leaves the first row half empty; unit 0 is
-        // fed by every input, so `pre_full` is written too.
+        // fed by every input, so `pre_full` is written too; past 1,024
+        // rows a shorter chunk follows a full one in the same buffers.
         let shares = [EVEN, [0.1, 0.9, 0.2], [0.9, 0.1, 0.8], [0.3, 0.6, 0.9]];
         let forks = [sequential as Fork, pooled, scoped, reversed];
-        for rows in [1, 513, 1000] {
+        for rows in [1, 513, 1000, 1025, 2048, 2049] {
             for prune_pct in [0, 80] {
                 let seed = (rows * 11 + prune_pct) as u64;
                 let data = random_rows(rows, 140, 3, seed);
@@ -1670,10 +1586,9 @@ mod tests {
                 let x1 = net.flatten_active();
                 let x2: Vec<f64> = x1.iter().map(|w| 0.75 * w - 0.125).collect();
                 let fresh = |x: &[f64]| {
-                    let obj =
-                        CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(1);
+                    let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
                     let mut grad = vec![0.0; obj.dim()];
-                    let loss = obj.value_and_gradient(x, &mut grad);
+                    let loss = obj.evaluate_with(x, Some(&mut grad), sequential);
                     (loss.to_bits(), bits(&grad))
                 };
                 let want = [fresh(&x1), fresh(&x2)];
@@ -1685,11 +1600,11 @@ mod tests {
                     let case = format!("rows {rows}, {prune_pct}% pruned, step {step}");
                     if step % 2 == 0 {
                         let mut grad = vec![0.0; obj.dim()];
-                        let loss = obj.evaluate_with(x, Some(&mut grad), Some(fork));
+                        let loss = obj.evaluate_with(x, Some(&mut grad), fork);
                         assert_eq!(loss.to_bits(), want[point].0, "{case}: loss");
                         assert_eq!(bits(&grad), want[point].1, "{case}: gradient");
                     } else {
-                        let value = obj.evaluate_with(x, None, Some(fork));
+                        let value = obj.evaluate_with(x, None, fork);
                         assert_eq!(value.to_bits(), want[point].0, "{case}: value");
                     }
                 }

@@ -7,13 +7,13 @@
 //! bit-identical no matter how many threads execute the chunks — seeds and
 //! test thresholds do not move when the thread count changes.
 //!
-//! The chunk size is deliberately large enough that the paper-scale
-//! training sets (1000 tuples) fit in a single chunk: single-chunk
-//! evaluation is exactly the pre-batch sequential order. It still runs on
-//! two threads: [`join`], a two-party fork-join on the same pool, splits
-//! each single-chunk objective evaluation between the caller and one
-//! spinning pool worker so that every ordered sum keeps its order (see
-//! `CrossEntropyObjective`'s docs), so the bits stay the sequential ones.
+//! The training objective walks the same chunks one after another instead
+//! and splits each one between two threads: [`join`], a two-party
+//! fork-join on the same pool, runs each phase of a chunk's evaluation as
+//! two halves, one on the caller and one on a spinning pool worker, so
+//! that every ordered sum keeps its order (see `CrossEntropyObjective`'s
+//! docs) and the bits stay the sequential ones. The chunk size is large
+//! enough that the paper-scale training sets (1000 tuples) fit in one.
 //!
 //! Chunks execute on **one lazily-initialized, process-wide worker pool**
 //! instead of `thread::scope` workers spawned per call: BFGS training
@@ -326,9 +326,9 @@ fn erase_job_lifetime<'env>(
 /// Maps `work` over the job indices `0..jobs` on the shared worker pool
 /// and returns the results **in index order** regardless of which pool
 /// thread computed which job. `work` may borrow the caller's locals (a
-/// [`nr_tabular::DatasetView`], a model reference) directly, like
+/// `nr_tabular::DatasetView`, a model reference) directly, like
 /// `std::thread::scope`, but on the process-wide pool instead of freshly
-/// spawned threads. The primitive behind [`map_chunks`]; the store's
+/// spawned threads. The primitive behind `map_chunks`; the store's
 /// parallel ingest submits its parse and dictionary jobs through it
 /// directly.
 ///
@@ -502,7 +502,7 @@ fn serve_session() {
 /// A panic in either closure re-raises here with its own payload, after
 /// the other closure has finished with the caller's frame (`a`'s panic
 /// wins if both panic); the session and the pool keep working.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
     B: FnOnce() -> RB + Send,

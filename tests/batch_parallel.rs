@@ -1,7 +1,8 @@
 //! Batch-path guarantees: the batched forward/classify/objective kernels
 //! are *bit-identical* to the per-row reference paths (including with
-//! pruned links and the set-bit input layout), and the parallel objective
-//! is deterministic across thread counts.
+//! pruned links and the set-bit input layout), and the objective gives the
+//! per-row reference's bits, summed chunk by chunk, however many threads
+//! evaluate at once.
 
 use nr_encode::EncodedDataset;
 use nr_nn::{CrossEntropyObjective, LinkId, Mlp, Penalty};
@@ -165,6 +166,59 @@ fn reference_objective(
     (loss, grad)
 }
 
+/// [`reference_objective`] grouped as the objective groups its sums: the
+/// per-row reference without the penalty over each fixed 1,024-row chunk,
+/// the chunks' losses and gradients summed in chunk order from `0.0`, then
+/// the penalty.
+fn chunked_reference(
+    net: &Mlp,
+    x: &[f64],
+    data: &EncodedDataset,
+    penalty: Penalty,
+) -> (f64, Vec<f64>) {
+    const CHUNK_ROWS: usize = 1024;
+    let n_in = net.n_inputs();
+    let targets: Vec<usize> = (0..data.rows()).map(|i| data.target(i)).collect();
+    let mut loss = 0.0;
+    let mut grad = vec![0.0; net.n_active()];
+    for start in (0..data.rows()).step_by(CHUNK_ROWS) {
+        let end = data.rows().min(start + CHUNK_ROWS);
+        let rows = &x[start * n_in..end * n_in];
+        let chunk = EncodedDataset::from_parts(
+            rows.to_vec(),
+            n_in,
+            targets[start..end].to_vec(),
+            data.n_classes(),
+        );
+        let (chunk_loss, chunk_grad) = reference_objective(net, rows, &chunk, Penalty::none());
+        loss += chunk_loss;
+        for (g, c) in grad.iter_mut().zip(chunk_grad) {
+            *g += c;
+        }
+    }
+    for (g, p) in grad.iter_mut().zip(net.flatten_active()) {
+        loss += penalty.value(p);
+        *g += penalty.derivative(p);
+    }
+    (loss, grad)
+}
+
+/// The bits of each value.
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Runs `evaluate` on `threads` threads at once: one of them at a time
+/// splits its chunks with the pool's session worker, the others run both
+/// halves themselves or take theirs back.
+fn on_threads(threads: usize, evaluate: impl Fn() + Sync) {
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(&evaluate);
+        }
+    });
+}
+
 /// Deterministic 0/1 dataset large enough to span several 1024-row chunks,
 /// with its dense row-major inputs.
 fn synthetic_data(rows: usize, cols: usize, classes: usize) -> (Vec<f64>, EncodedDataset) {
@@ -208,8 +262,8 @@ fn objective_bit_identical_to_reference_within_one_chunk() {
     assert_eq!(grad, want_grad, "gradient bits differ");
 }
 
-/// Across chunks only the reduction grouping changes; the result must stay
-/// within numerical noise of the per-row reference.
+/// Across chunks only the reduction grouping changes: the objective gives
+/// the bits of the per-row reference summed chunk by chunk.
 #[test]
 fn objective_matches_reference_across_chunks() {
     let (x_rows, data) = synthetic_data(3000, 12, 3); // three chunks
@@ -218,43 +272,34 @@ fn objective_matches_reference_across_chunks() {
     let x = net.flatten_active();
     let mut grad = vec![0.0; obj.dim()];
     let loss = obj.value_and_gradient(&x, &mut grad);
-    let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
-    assert!(
-        (loss - want_loss).abs() < 1e-9 * (1.0 + want_loss.abs()),
-        "{loss} vs {want_loss}"
-    );
-    for (g, w) in grad.iter().zip(&want_grad) {
-        assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{g} vs {w}");
-    }
+    let (want_loss, want_grad) = chunked_reference(&net, &x_rows, &data, Penalty::default());
+    assert_eq!(loss.to_bits(), want_loss.to_bits(), "{loss} vs {want_loss}");
+    assert_eq!(bits(&grad), bits(&want_grad), "{grad:?} vs {want_grad:?}");
 }
 
-/// The parallel objective is bit-deterministic across thread counts: the
-/// fixed chunking and ordered reduction make 1, 2 and 8 workers produce
-/// the same value and gradient down to the last bit.
+/// The objective is bit-deterministic however many threads evaluate at
+/// once: over five chunks, 1, 2 and 8 concurrent evaluations each give
+/// the chunked reference's value and gradient down to the last bit.
 #[test]
 fn parallel_gradient_deterministic_across_thread_counts() {
-    let (_, data) = synthetic_data(5000, 16, 2); // five chunks
+    let (x_rows, data) = synthetic_data(5000, 16, 2); // five chunks
     let mut net = Mlp::random(16, 5, 2, 21);
     net.prune(LinkId::InputHidden {
         hidden: 0,
         input: 5,
     });
     let x = net.flatten_active();
+    let (want_loss, want_grad) = chunked_reference(&net, &x_rows, &data, Penalty::default());
 
-    let mut reference: Option<(f64, Vec<f64>)> = None;
     for threads in [1usize, 2, 8] {
-        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(threads);
-        let mut grad = vec![0.0; obj.dim()];
-        let loss = obj.value_and_gradient(&x, &mut grad);
-        let value_only = obj.value(&x);
-        assert_eq!(loss, value_only, "value and value_and_gradient disagree");
-        match &reference {
-            None => reference = Some((loss, grad)),
-            Some((want_loss, want_grad)) => {
-                assert_eq!(loss, *want_loss, "loss differs with {threads} threads");
-                assert_eq!(&grad, want_grad, "gradient differs with {threads} threads");
-            }
-        }
+        on_threads(threads, || {
+            let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+            let mut grad = vec![0.0; obj.dim()];
+            let loss = obj.value_and_gradient(&x, &mut grad);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{threads} threads");
+            assert_eq!(obj.value(&x).to_bits(), want_loss.to_bits(), "value-only");
+            assert_eq!(bits(&grad), bits(&want_grad), "{threads} threads");
+        });
     }
 }
 
@@ -344,9 +389,8 @@ proptest! {
 
 /// A heavily pruned network over five chunks (one hidden unit fed by
 /// every input, one by none, one feeding no output, the rest sparse) gives
-/// the same value and gradient bits at 1, 2 and 8 threads, within
-/// numerical noise of the per-row reference (only the chunk grouping of
-/// the sums differs from it).
+/// the chunked reference's value and gradient bits with 1, 2 and 8
+/// threads evaluating at once.
 #[test]
 fn heavy_mask_objective_deterministic_across_thread_counts() {
     let (n_in, h, o) = (20, 6, 3);
@@ -364,30 +408,23 @@ fn heavy_mask_objective_deterministic_across_thread_counts() {
         net.n_active()
     );
     let x = net.flatten_active();
-    let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
+    let (want_loss, want_grad) = chunked_reference(&net, &x_rows, &data, Penalty::default());
 
-    let mut reference: Option<(u64, Vec<u64>)> = None;
     for threads in [1usize, 2, 8] {
-        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(threads);
-        let mut grad = vec![0.0; obj.dim()];
-        let loss = obj.value_and_gradient(&x, &mut grad);
-        assert_eq!(loss.to_bits(), obj.value(&x).to_bits(), "value-only loss");
-        assert!((loss - want_loss).abs() < 1e-9 * (1.0 + want_loss.abs()));
-        for (g, w) in grad.iter().zip(&want_grad) {
-            assert!((g - w).abs() < 1e-9 * (1.0 + w.abs()), "{g} vs {w}");
-        }
-        let got = (loss.to_bits(), grad.iter().map(|g| g.to_bits()).collect());
-        match &reference {
-            None => reference = Some(got),
-            Some(want) => assert_eq!(&got, want, "bits differ with {threads} threads"),
-        }
+        on_threads(threads, || {
+            let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+            let mut grad = vec![0.0; obj.dim()];
+            let loss = obj.value_and_gradient(&x, &mut grad);
+            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{threads} threads");
+            assert_eq!(obj.value(&x).to_bits(), want_loss.to_bits(), "value-only");
+            assert_eq!(bits(&grad), bits(&want_grad), "{threads} threads");
+        });
     }
 }
 
 /// The single-chunk variant: 1,000 rows, the paper-scale training set
-/// size, so 2 and 8 threads split each evaluation between the caller and
-/// the pool's session worker. Every thread count gives the per-row
-/// reference's bits exactly.
+/// size. With 1, 2 and 8 threads evaluating at once, every evaluation
+/// gives the per-row reference's bits exactly.
 #[test]
 fn heavy_mask_single_chunk_objective_deterministic_across_thread_counts() {
     let (n_in, h, o) = (20, 6, 3);
@@ -401,32 +438,29 @@ fn heavy_mask_single_chunk_objective_deterministic_across_thread_counts() {
     let net = heavy_mask_net((n_in, h, o), &weights, &picks, 85, &shapes);
     let x = net.flatten_active();
     let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
-    let want_bits: Vec<u64> = want_grad.iter().map(|g| g.to_bits()).collect();
 
     for threads in [1usize, 2, 8] {
-        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(threads);
-        // Repeated, so later evaluations find the session worker live.
-        for _ in 0..20 {
-            let mut grad = vec![0.0; obj.dim()];
-            let loss = obj.value_and_gradient(&x, &mut grad);
-            assert_eq!(loss.to_bits(), want_loss.to_bits(), "{threads} threads");
-            assert_eq!(obj.value(&x).to_bits(), want_loss.to_bits(), "value-only");
-            let got: Vec<u64> = grad.iter().map(|g| g.to_bits()).collect();
-            assert_eq!(
-                got, want_bits,
-                "gradient bits differ with {threads} threads"
-            );
-        }
+        on_threads(threads, || {
+            let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+            // Repeated, so later evaluations find the session worker live.
+            for _ in 0..20 {
+                let mut grad = vec![0.0; obj.dim()];
+                let loss = obj.value_and_gradient(&x, &mut grad);
+                assert_eq!(loss.to_bits(), want_loss.to_bits(), "{threads} threads");
+                assert_eq!(obj.value(&x).to_bits(), want_loss.to_bits(), "value-only");
+                assert_eq!(bits(&grad), bits(&want_grad), "{threads} threads");
+            }
+        });
     }
 }
 
 /// Four threads evaluating single-chunk objectives at once (one of them at
 /// most holds the session worker; the others run inline or take their
-/// halves back) all get the inline evaluation's bits.
+/// halves back) all get the per-row reference's bits.
 #[test]
 fn concurrent_single_chunk_evaluations_agree() {
     let (n_in, h, o) = (20, 6, 3);
-    let (_, data) = synthetic_data(1000, n_in, 3);
+    let (x_rows, data) = synthetic_data(1000, n_in, 3);
     let links = h * (n_in + o);
     let weights: Vec<f64> = (0..links)
         .map(|k| ((k * 53 % 97) as f64 - 48.0) / 19.0)
@@ -434,21 +468,15 @@ fn concurrent_single_chunk_evaluations_agree() {
     let picks: Vec<u8> = (0..links).map(|k| (k * 29 % 100) as u8).collect();
     let net = heavy_mask_net((n_in, h, o), &weights, &picks, 60, &[2, 0, 0, 1, 0, 0]);
     let x = net.flatten_active();
-    let inline = CrossEntropyObjective::new(&net, &data, Penalty::default()).with_threads(1);
-    let mut want_grad = vec![0.0; inline.dim()];
-    let want_loss = inline.value_and_gradient(&x, &mut want_grad);
+    let (want_loss, want_grad) = reference_objective(&net, &x_rows, &data, Penalty::default());
 
-    std::thread::scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
-                let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
-                for _ in 0..50 {
-                    let mut grad = vec![0.0; obj.dim()];
-                    let loss = obj.value_and_gradient(&x, &mut grad);
-                    assert_eq!(loss.to_bits(), want_loss.to_bits());
-                    assert_eq!(grad, want_grad);
-                }
-            });
+    on_threads(4, || {
+        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+        for _ in 0..50 {
+            let mut grad = vec![0.0; obj.dim()];
+            let loss = obj.value_and_gradient(&x, &mut grad);
+            assert_eq!(loss.to_bits(), want_loss.to_bits());
+            assert_eq!(bits(&grad), bits(&want_grad));
         }
     });
 }
