@@ -202,8 +202,8 @@ mod tests {
         assert!(fell_through > 0 && fell_through < ds.len());
 
         // Salary is continuous, so traffic never lands on its 65 interval
-        // bounds; put it on each of them so the salary column's slot plan
-        // decides rules at its `bound <= x` edges.
+        // bounds; put it on each of them so the salary column's compares
+        // decide rules at their `bound <= x` edges.
         let salary = AttrId::Salary.index();
         let on_bounds: Vec<String> = fx
             .rows

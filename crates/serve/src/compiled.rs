@@ -341,7 +341,6 @@ mod tests {
         // merge it into one node swept/computed once.
         let compiled = CompiledRules::compile(&ruleset());
         let program = compiled.program();
-        assert_eq!(program.n_shared_nodes, 1, "one shared prefix node");
         // 2 columns -> 2 fused sweeps; 2 depth-2 nodes -> 2 Ands; 3 Claims.
         assert_eq!(program.sweeps.len(), 2);
         let ands = program
@@ -356,6 +355,31 @@ mod tests {
             .filter(|op| matches!(op, crate::program::Op::Claim { .. }))
             .count();
         assert_eq!(claims, 3);
+
+        // A two-deep shared prefix is one And node: `a & b` once, then
+        // one And per rule that extends it — 3 Ands, where lowering each
+        // rule on its own would emit 4.
+        let a = Condition::num_range(0, 10.0, 40.0);
+        let b = Condition::CatEq {
+            attribute: 1,
+            code: 0,
+        };
+        let deep = RuleSet::new(
+            vec![
+                Rule::new(vec![a.clone(), b.clone(), Condition::num_lt(0, 30.0)], 1),
+                Rule::new(vec![a, b, Condition::num_ge(0, 20.0)], 0),
+            ],
+            0,
+            vec!["A".into(), "B".into()],
+        );
+        let compiled = CompiledRules::compile(&deep);
+        let ands = compiled
+            .program()
+            .ops
+            .iter()
+            .filter(|op| matches!(op, crate::program::Op::And { .. }))
+            .count();
+        assert_eq!(ands, 3);
     }
 
     #[test]

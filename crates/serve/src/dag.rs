@@ -13,7 +13,9 @@
 //!   the first point any of its predicates is needed (rule order), so
 //!   the old engine's laziness survives at column granularity — a batch
 //!   fully decided by early rules never sweeps the columns only later
-//!   rules touch;
+//!   rules touch; each predicate becomes one compare in its column's
+//!   sweep ([`crate::program::NumTest`] or
+//!   [`crate::program::NomTest`]), however many the column carries;
 //! * each trie node gets one `And` op, emitted once no matter how many
 //!   rules pass through it;
 //! * each rule becomes one `Claim` op in rule order — first-match
@@ -126,19 +128,11 @@ impl PredicateInterner {
     }
 }
 
-/// The column a predicate sweeps, as a grouping key (numeric and nominal
-/// attributes index different column arrays, so the type tag is part of
-/// the key).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum ColKey {
-    Num(usize),
-    Nom(usize),
-}
-
-/// How one predicate executes: as a test inside a fused column sweep, or
-/// as a constant-true register fill (an unbounded interval).
+/// How one predicate executes: as a test inside its column's fused
+/// sweep, or as a constant-true register fill (an unbounded interval).
 enum PredPlan {
-    Sweep(ColKey),
+    Num(usize, NumTest),
+    Nom(usize, NomTest),
     AlwaysTrue,
 }
 
@@ -149,47 +143,18 @@ fn plan_predicate(cond: &Condition) -> Option<PredPlan> {
         return None;
     }
     Some(match cond {
-        Condition::Num {
-            lo: None, hi: None, ..
-        } => PredPlan::AlwaysTrue,
-        Condition::Num { attribute, .. } | Condition::NumEq { attribute, .. } => {
-            PredPlan::Sweep(ColKey::Num(*attribute))
-        }
-        Condition::CatEq { attribute, .. } | Condition::CatNotIn { attribute, .. } => {
-            PredPlan::Sweep(ColKey::Nom(*attribute))
+        Condition::Num { attribute, lo, hi } => match (*lo, *hi) {
+            (Some(l), Some(h)) => PredPlan::Num(*attribute, NumTest::Range(l, h)),
+            (Some(l), None) => PredPlan::Num(*attribute, NumTest::Ge(l)),
+            (None, Some(h)) => PredPlan::Num(*attribute, NumTest::Lt(h)),
+            (None, None) => PredPlan::AlwaysTrue,
+        },
+        Condition::NumEq { attribute, value } => PredPlan::Num(*attribute, NumTest::Eq(*value)),
+        Condition::CatEq { attribute, code } => PredPlan::Nom(*attribute, NomTest::Eq(*code)),
+        Condition::CatNotIn { attribute, codes } => {
+            PredPlan::Nom(*attribute, NomTest::NotIn(codes.iter().copied().collect()))
         }
     })
-}
-
-/// The sweep test for a non-tautological, non-contradictory condition.
-fn sweep_test(cond: &Condition) -> SweepTest {
-    match cond {
-        Condition::Num { lo, hi, .. } => match (*lo, *hi) {
-            (Some(l), Some(h)) => SweepTest::Num(NumTest::Range(l, h)),
-            (Some(l), None) => SweepTest::Num(NumTest::Ge(l)),
-            (None, Some(h)) => SweepTest::Num(NumTest::Lt(h)),
-            (None, None) => unreachable!("tautologies are planned as AlwaysTrue"),
-        },
-        Condition::NumEq { value, .. } => SweepTest::Num(NumTest::Eq(*value)),
-        Condition::CatEq { code, .. } => SweepTest::Nom(NomTest::Eq(*code)),
-        Condition::CatNotIn { codes, .. } => {
-            SweepTest::Nom(NomTest::NotIn(codes.iter().copied().collect()))
-        }
-    }
-}
-
-enum SweepTest {
-    Num(NumTest),
-    Nom(NomTest),
-}
-
-/// A trie node: a distinct predicate-id prefix shared by every rule whose
-/// antecedent starts with it.
-struct TrieNode {
-    /// Register holding the node's row set.
-    reg: u32,
-    /// How many rules pass through this node (sharing statistic).
-    uses: usize,
 }
 
 /// Lowers the predicate table + rule list into a [`DagProgram`]. See the
@@ -202,26 +167,19 @@ pub(crate) fn lower(
     Lowering::new(predicates, default_class).run(rules)
 }
 
-/// Per-column accumulated sweep group, while lowering.
-struct SweepGroup {
-    key: ColKey,
-    tests: Vec<(u32, SweepTest)>,
-    /// Position in the op list where this sweep was first needed;
-    /// `usize::MAX` until emitted.
-    emitted_at: usize,
-}
-
 struct Lowering<'a> {
     predicates: &'a [Condition],
     default_class: ClassId,
     /// Predicate id → register, assigned on first use.
     pred_reg: HashMap<u32, u32>,
-    /// Column → index into `groups`.
-    group_of: HashMap<ColKey, usize>,
-    groups: Vec<SweepGroup>,
-    /// `(parent register, predicate id)` → trie node.
-    trie: HashMap<(Option<u32>, u32), usize>,
-    nodes: Vec<TrieNode>,
+    /// The column sweeps, in `Op::Sweep` order. Their tests gather in
+    /// `num_tests`/`nom_tests` (keyed by attribute) and move in at the
+    /// end of lowering.
+    sweeps: Vec<ColumnSweep>,
+    num_tests: HashMap<usize, Vec<(u32, NumTest)>>,
+    nom_tests: HashMap<usize, Vec<(u32, NomTest)>>,
+    /// `(parent register, predicate id)` → the trie node's register.
+    trie: HashMap<(Option<u32>, u32), u32>,
     ops: Vec<Op>,
     n_regs: u32,
 }
@@ -232,10 +190,10 @@ impl<'a> Lowering<'a> {
             predicates,
             default_class,
             pred_reg: HashMap::new(),
-            group_of: HashMap::new(),
-            groups: Vec::new(),
+            sweeps: Vec::new(),
+            num_tests: HashMap::new(),
+            nom_tests: HashMap::new(),
             trie: HashMap::new(),
-            nodes: Vec::new(),
             ops: Vec::new(),
             n_regs: 0,
         }
@@ -249,34 +207,41 @@ impl<'a> Lowering<'a> {
 
     /// The register holding predicate `p`'s bitmap, materializing it on
     /// first use: tautologies emit a `Fill`, sweep tests join their
-    /// column's group (the group's `Sweep` op is emitted — once — at the
-    /// first point any of its predicates is needed; predicates joining
-    /// after that are appended to the group, which executes before any
-    /// op that reads them because def sites only move earlier).
+    /// column's sweep (the `Sweep` op is emitted — once — at the first
+    /// point any of the column's predicates is needed; predicates joining
+    /// after that are appended to the sweep, which executes before any op
+    /// that reads them because def sites only move earlier).
     fn pred_register(&mut self, p: u32) -> u32 {
         if let Some(&reg) = self.pred_reg.get(&p) {
             return reg;
         }
-        let cond = &self.predicates[p as usize];
-        let plan = plan_predicate(cond).expect("contradictory rules are elided before lowering");
+        let plan = plan_predicate(&self.predicates[p as usize])
+            .expect("contradictory rules are elided before lowering");
         let reg = self.fresh_reg();
         self.pred_reg.insert(p, reg);
         match plan {
             PredPlan::AlwaysTrue => self.ops.push(Op::Fill(reg)),
-            PredPlan::Sweep(key) => {
-                let gi = *self.group_of.entry(key).or_insert_with(|| {
-                    self.groups.push(SweepGroup {
-                        key,
+            PredPlan::Num(attribute, test) => {
+                let tests = self.num_tests.entry(attribute).or_default();
+                if tests.is_empty() {
+                    self.ops.push(Op::Sweep(self.sweeps.len() as u32));
+                    self.sweeps.push(ColumnSweep::Num {
+                        attribute,
                         tests: Vec::new(),
-                        emitted_at: usize::MAX,
                     });
-                    self.groups.len() - 1
-                });
-                self.groups[gi].tests.push((reg, sweep_test(cond)));
-                if self.groups[gi].emitted_at == usize::MAX {
-                    self.groups[gi].emitted_at = self.ops.len();
-                    self.ops.push(Op::Sweep(gi as u32));
                 }
+                tests.push((reg, test));
+            }
+            PredPlan::Nom(attribute, test) => {
+                let tests = self.nom_tests.entry(attribute).or_default();
+                if tests.is_empty() {
+                    self.ops.push(Op::Sweep(self.sweeps.len() as u32));
+                    self.sweeps.push(ColumnSweep::Nom {
+                        attribute,
+                        tests: Vec::new(),
+                    });
+                }
+                tests.push((reg, test));
             }
         }
         reg
@@ -305,11 +270,8 @@ impl<'a> Lowering<'a> {
             let mut prefix: Option<u32> = None; // parent node's register
             for &p in &rule.predicates {
                 let parent = prefix;
-                let node_idx = match self.trie.get(&(parent, p)) {
-                    Some(&idx) => {
-                        self.nodes[idx].uses += 1;
-                        idx
-                    }
+                let reg = match self.trie.get(&(parent, p)) {
+                    Some(&reg) => reg,
                     None => {
                         let pred = self.pred_register(p);
                         let reg = match parent {
@@ -325,12 +287,11 @@ impl<'a> Lowering<'a> {
                                 dst
                             }
                         };
-                        self.nodes.push(TrieNode { reg, uses: 1 });
-                        self.trie.insert((parent, p), self.nodes.len() - 1);
-                        self.nodes.len() - 1
+                        self.trie.insert((parent, p), reg);
+                        reg
                     }
                 };
-                prefix = Some(self.nodes[node_idx].reg);
+                prefix = Some(reg);
             }
             self.ops.push(Op::Claim {
                 src: prefix.expect("non-empty antecedent has a leaf node"),
@@ -338,46 +299,21 @@ impl<'a> Lowering<'a> {
             });
         }
 
-        let n_nodes = self.nodes.len();
-        let n_shared_nodes = self.nodes.iter().filter(|n| n.uses > 1).count();
-        let sweeps = self
-            .groups
-            .into_iter()
-            .map(|g| {
-                let (num, nom): (Vec<_>, Vec<_>) = g
-                    .tests
-                    .into_iter()
-                    .partition(|(_, t)| matches!(t, SweepTest::Num(_)));
-                match g.key {
-                    ColKey::Num(attribute) => ColumnSweep::num(
-                        attribute,
-                        num.into_iter()
-                            .map(|(reg, t)| match t {
-                                SweepTest::Num(t) => (reg, t),
-                                SweepTest::Nom(_) => unreachable!("numeric group"),
-                            })
-                            .collect(),
-                    ),
-                    ColKey::Nom(attribute) => ColumnSweep::Nom {
-                        attribute,
-                        tests: nom
-                            .into_iter()
-                            .map(|(reg, t)| match t {
-                                SweepTest::Nom(t) => (reg, t),
-                                SweepTest::Num(_) => unreachable!("nominal group"),
-                            })
-                            .collect(),
-                    },
+        for sweep in &mut self.sweeps {
+            match sweep {
+                ColumnSweep::Num { attribute, tests } => {
+                    *tests = self.num_tests.remove(attribute).unwrap_or_default();
                 }
-            })
-            .collect();
+                ColumnSweep::Nom { attribute, tests } => {
+                    *tests = self.nom_tests.remove(attribute).unwrap_or_default();
+                }
+            }
+        }
         DagProgram {
             default_class: self.default_class,
             n_regs: self.n_regs,
-            sweeps,
+            sweeps: self.sweeps,
             ops: self.ops,
-            n_nodes,
-            n_shared_nodes,
         }
     }
 }

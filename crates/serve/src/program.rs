@@ -9,12 +9,10 @@
 //!   touching that column is evaluated in a single pass down the typed
 //!   column, one 64-row chunk at a time, so one load of `x` feeds every
 //!   threshold compare and each predicate's register gets its word
-//!   written back-to-back while the chunk is hot. Columns with many
-//!   interval predicates take the **slot fast path**: the distinct finite
-//!   thresholds form a sorted list, each row's value is located once by
-//!   binary search, and every interval test collapses to two integer
-//!   compares against that slot (NaN takes a sentinel slot that fails
-//!   every interval, preserving `Condition::holds` semantics bit-exactly).
+//!   written back-to-back while the chunk is hot. Every numeric
+//!   predicate is a direct [`NumTest`] compare, however many share the
+//!   column; the compares mirror `Condition::holds` bit-exactly (NaN
+//!   fails every bounded test).
 //! * [`Op::And`] materializes a shared-prefix DAG node:
 //!   `reg[dst] = reg[a] & reg[b]`, word-wise.
 //! * [`Op::Fill`] sets a register to all-ones (a tautological predicate).
@@ -79,9 +77,9 @@ pub(crate) enum Op {
     },
 }
 
-/// A direct (non-slot) numeric predicate compare. Bounds mirror
-/// `Condition::holds` exactly: lower inclusive, upper exclusive, NaN
-/// fails every bounded compare.
+/// A numeric predicate compare. Bounds mirror `Condition::holds`
+/// exactly: lower inclusive, upper exclusive, NaN fails every bounded
+/// compare.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum NumTest {
     /// `x >= lo`.
@@ -103,126 +101,17 @@ pub(crate) enum NomTest {
     NotIn(Vec<u32>),
 }
 
-/// The NaN sentinel slot: larger than any real slot (real slots are at
-/// most `bounds.len()`), so every interval test `lo_slot <= s <= hi_slot`
-/// fails — exactly the `Condition::holds` NaN behavior.
-const NAN_SLOT: usize = usize::MAX;
-
-/// The binary-search fast path for a column with many interval
-/// predicates: the distinct finite thresholds, sorted, plus each
-/// predicate as an inclusive slot range.
-///
-/// `slot(x) = |{b in bounds : b <= x}|`; then `x >= lo` iff
-/// `slot(x) >= rank(lo) + 1` and `x < hi` iff `slot(x) <= rank(hi)`, so
-/// every interval predicate is two integer compares against the one slot
-/// computed per row.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct SlotPlan {
-    /// Sorted distinct finite thresholds.
-    bounds: Vec<f64>,
-    /// `(register, lo_slot, hi_slot)` per predicate: bit =
-    /// `lo_slot <= slot <= hi_slot`.
-    tests: Vec<(u32, usize, usize)>,
-}
-
-impl SlotPlan {
-    /// Builds the plan from `(register, test)` interval predicates whose
-    /// bounds are all finite. Returns `None` when below the engagement
-    /// threshold (the direct compares win on short groups).
-    fn build(interval_tests: &[(u32, NumTest)]) -> Option<SlotPlan> {
-        const SLOT_MIN_TESTS: usize = 8;
-        if interval_tests.len() < SLOT_MIN_TESTS {
-            return None;
-        }
-        let mut bounds: Vec<f64> = Vec::with_capacity(interval_tests.len() * 2);
-        for (_, test) in interval_tests {
-            match *test {
-                NumTest::Ge(lo) => bounds.push(lo),
-                NumTest::Lt(hi) => bounds.push(hi),
-                NumTest::Range(lo, hi) => {
-                    bounds.push(lo);
-                    bounds.push(hi);
-                }
-                NumTest::Eq(_) => unreachable!("equality tests never enter a slot plan"),
-            }
-        }
-        bounds.sort_by(f64::total_cmp);
-        // `==` dedup also merges -0.0/0.0 (identical as thresholds).
-        bounds.dedup_by(|a, b| a == b);
-        // Index of the unique element equal to `b` (everything before is
-        // strictly smaller after the dedup).
-        let rank = |b: f64| bounds.partition_point(|x| *x < b);
-        let tests = interval_tests
-            .iter()
-            .map(|&(reg, ref test)| match *test {
-                NumTest::Ge(lo) => (reg, rank(lo) + 1, bounds.len()),
-                NumTest::Lt(hi) => (reg, 0, rank(hi)),
-                NumTest::Range(lo, hi) => (reg, rank(lo) + 1, rank(hi)),
-                NumTest::Eq(_) => unreachable!("equality tests never enter a slot plan"),
-            })
-            .collect();
-        Some(SlotPlan { bounds, tests })
-    }
-
-    #[inline]
-    fn slot(&self, x: f64) -> usize {
-        if x.is_nan() {
-            NAN_SLOT
-        } else {
-            self.bounds.partition_point(|b| *b <= x)
-        }
-    }
-
-    /// Computes every chunk value's slot into `out[..chunk.len()]`.
-    ///
-    /// Up to [`SLOT_LINEAR_MAX_BOUNDS`] thresholds the slot is a
-    /// branchless **sum of compares** — `|{b : b <= x}|` accumulated as
-    /// `(b <= x) as usize` with no data-dependent branches, then forced
-    /// to [`NAN_SLOT`] by OR-ing with the all-ones mask
-    /// `(x.is_nan() as usize).wrapping_neg()` — which the three
-    /// `#[target_feature]` copies of the sweep auto-vectorize. A per-row
-    /// binary search is O(log n) on paper but each probe is an
-    /// unpredictable branch and a dependent load; the O(n) linear kernel
-    /// wins on real threshold counts (rule sets compile to a few dozen
-    /// distinct bounds per column) and only the branchy search remains
-    /// for the degenerate wide case.
-    #[inline(always)]
-    fn fill_slots(&self, chunk: &[f64], out: &mut [usize; 64]) {
-        if self.bounds.len() <= SLOT_LINEAR_MAX_BOUNDS {
-            for (i, &x) in chunk.iter().enumerate() {
-                let mut s = 0usize;
-                for &b in &self.bounds {
-                    s += (b <= x) as usize;
-                }
-                out[i] = s | (x.is_nan() as usize).wrapping_neg();
-            }
-        } else {
-            for (i, &x) in chunk.iter().enumerate() {
-                out[i] = self.slot(x);
-            }
-        }
-    }
-}
-
-/// Threshold-count cap for the branchless sum-of-compares slot kernel;
-/// beyond it the per-row binary search takes over (64 rows × n bounds
-/// stops paying for its predictability once n is far past real rule
-/// sets' threshold counts).
-const SLOT_LINEAR_MAX_BOUNDS: usize = 128;
-
 /// Every predicate touching one column, evaluated in a single pass down
-/// that column (see the module docs).
+/// that column (see the module docs). Each test writes its own register,
+/// so the order of a group's tests does not matter.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum ColumnSweep {
     /// A numeric column's predicate group.
     Num {
         /// Schema attribute index (a numeric column).
         attribute: usize,
-        /// Direct compares (equalities, non-finite bounds, short interval
-        /// groups).
+        /// The column's compares.
         tests: Vec<(u32, NumTest)>,
-        /// The binary-search fast path for long interval groups.
-        slots: Option<SlotPlan>,
     },
     /// A nominal column's predicate group.
     Nom {
@@ -263,37 +152,6 @@ static SIMD_TIER: std::sync::LazyLock<SimdTier> = std::sync::LazyLock::new(|| {
 });
 
 impl ColumnSweep {
-    /// Builds a numeric sweep, routing long finite interval groups to the
-    /// slot plan and everything else to direct compares.
-    pub(crate) fn num(attribute: usize, tests: Vec<(u32, NumTest)>) -> ColumnSweep {
-        let (slot_candidates, direct): (Vec<_>, Vec<_>) =
-            tests.into_iter().partition(|(_, t)| match *t {
-                NumTest::Ge(lo) => lo.is_finite(),
-                NumTest::Lt(hi) => hi.is_finite(),
-                NumTest::Range(lo, hi) => lo.is_finite() && hi.is_finite(),
-                NumTest::Eq(_) => false,
-            });
-        match SlotPlan::build(&slot_candidates) {
-            Some(plan) => ColumnSweep::Num {
-                attribute,
-                tests: direct,
-                slots: Some(plan),
-            },
-            None => {
-                // Below the threshold: fold the candidates back into the
-                // direct list (order within a sweep is irrelevant — each
-                // test owns its register).
-                let mut tests = direct;
-                tests.extend(slot_candidates);
-                ColumnSweep::Num {
-                    attribute,
-                    tests,
-                    slots: None,
-                }
-            }
-        }
-    }
-
     /// Runs the sweep over `range` of `view`'s rows, writing whole bitmap
     /// words into every register of the group — through the widest
     /// [`SimdTier`] copy of the body the CPU supports.
@@ -339,16 +197,12 @@ impl ColumnSweep {
         let ds = view.dataset();
         let ids = view.row_ids();
         match self {
-            ColumnSweep::Num {
-                attribute,
-                tests,
-                slots,
-            } => {
+            ColumnSweep::Num { attribute, tests } => {
                 let col = ds.num_column(*attribute);
                 match ids {
                     None => {
                         for (w, chunk) in col[range.clone()].chunks(64).enumerate() {
-                            sweep_num_chunk(chunk, w, tests, slots, regs);
+                            sweep_num_chunk(chunk, w, tests, regs);
                         }
                     }
                     Some(ids) => {
@@ -359,7 +213,7 @@ impl ColumnSweep {
                             for (i, &r) in idc.iter().enumerate() {
                                 buf[i] = col[r];
                             }
-                            sweep_num_chunk(&buf[..idc.len()], w, tests, slots, regs);
+                            sweep_num_chunk(&buf[..idc.len()], w, tests, regs);
                         }
                     }
                 }
@@ -430,13 +284,7 @@ fn pack_bytes(mask: &[u8; 64]) -> u64 {
 /// happens once per (test, chunk); the inner loops are monomorphized.
 /// `#[inline(always)]`: must fold into the `#[target_feature]` wrappers.
 #[inline(always)]
-fn sweep_num_chunk(
-    chunk: &[f64],
-    w: usize,
-    tests: &[(u32, NumTest)],
-    slots: &Option<SlotPlan>,
-    regs: &mut [Bitmap],
-) {
+fn sweep_num_chunk(chunk: &[f64], w: usize, tests: &[(u32, NumTest)], regs: &mut [Bitmap]) {
     for &(reg, ref test) in tests {
         let word = match *test {
             NumTest::Ge(lo) => pack(chunk, |x| x >= lo),
@@ -445,14 +293,6 @@ fn sweep_num_chunk(
             NumTest::Eq(v) => pack(chunk, |x| x == v),
         };
         regs[reg as usize].words_mut()[w] = word;
-    }
-    if let Some(plan) = slots {
-        let mut slot_buf = [0usize; 64];
-        plan.fill_slots(chunk, &mut slot_buf);
-        for &(reg, lo, hi) in &plan.tests {
-            let word = pack(&slot_buf[..chunk.len()], |s| s >= lo && s <= hi);
-            regs[reg as usize].words_mut()[w] = word;
-        }
     }
 }
 
@@ -482,11 +322,6 @@ pub(crate) struct DagProgram {
     pub(crate) sweeps: Vec<ColumnSweep>,
     /// The instruction list, in rule order.
     pub(crate) ops: Vec<Op>,
-    /// Trie statistics: total antecedent nodes, and how many are shared
-    /// prefixes reused by more than one rule (README/debug narrative).
-    pub(crate) n_nodes: usize,
-    /// Nodes reached by two or more rules (the sharing the DAG buys).
-    pub(crate) n_shared_nodes: usize,
 }
 
 /// The per-shard interpreter state: the register file plus the
@@ -647,49 +482,6 @@ mod tests {
             checked += 1;
         }
         assert_eq!(checked, 10_004);
-    }
-
-    /// The branchless sum-of-compares slot kernel must agree with the
-    /// per-row binary search on every value shape — slot boundaries
-    /// exactly on a threshold, between thresholds, past both ends,
-    /// infinities, and the NaN sentinel — and the wide-bounds fallback
-    /// must stay on the search path.
-    #[test]
-    fn linear_slot_kernel_matches_binary_search() {
-        let plan = SlotPlan {
-            bounds: vec![-3.5, 0.0, 1.0, 2.5, 10.0, 1e9],
-            tests: Vec::new(),
-        };
-        let mut probes: Vec<f64> = vec![
-            f64::NEG_INFINITY,
-            f64::INFINITY,
-            f64::NAN,
-            -1e300,
-            1e300,
-            -0.0,
-        ];
-        for &b in &plan.bounds {
-            probes.extend([b - 1e-9, b, b + 1e-9]);
-        }
-        let mut chunk = [0.0f64; 64];
-        for (i, &x) in probes.iter().enumerate() {
-            chunk[i] = x;
-        }
-        let mut out = [0usize; 64];
-        plan.fill_slots(&chunk[..probes.len()], &mut out);
-        for (i, &x) in probes.iter().enumerate() {
-            assert_eq!(out[i], plan.slot(x), "probe {x}");
-        }
-        // Past the linear cap the kernel must fall back to the search
-        // (same answers, different path — this pins the cap is honored
-        // without a panic or a wrong slot at the crossover).
-        let wide = SlotPlan {
-            bounds: (0..=SLOT_LINEAR_MAX_BOUNDS).map(|i| i as f64).collect(),
-            tests: Vec::new(),
-        };
-        let mut out = [0usize; 64];
-        wide.fill_slots(&[-1.0, 0.5, 64.0, 1e9, f64::NAN], &mut out);
-        assert_eq!(out[..5], [0, 1, 65, wide.bounds.len(), NAN_SLOT]);
     }
 
     /// `pack` only sets bits for rows inside the chunk: the tail of a

@@ -19,13 +19,11 @@
 //! re-reading the (mapped) input is cheap by comparison.
 
 use std::collections::HashMap;
-use std::path::Path;
 
 use nr_nn::map_indexed_scoped;
-use nr_tabular::{parse_csv_block, AttrKind, Attribute, CsvScanner, Schema};
+use nr_tabular::{AttrKind, Attribute, CsvScanner, Schema};
 
 use crate::ingest::{chunk_ranges, ingest_parsed_body, WAVE_CHUNKS_PER_WORKER};
-use crate::mmap::MappedFile;
 use crate::{SegmentedDataset, StoreConfig, StoreError};
 
 /// The sealed dictionary of one nominal attribute: code `i` ↦
@@ -187,27 +185,11 @@ pub fn ingest_csv_bytes_with_dict(
 
     // Pass 2: the plain parallel ingest against the sealed schema, whose
     // category order is the dictionary code order.
-    let parse_schema = schema.clone();
-    let parse_classes = class_names.clone();
-    let store = ingest_parsed_body(schema, class_names, body, config, move |block| {
-        parse_csv_block(&parse_schema, &parse_classes, block, 0)
-    })?;
+    let store = ingest_parsed_body(schema, class_names, body, config)?;
     Ok(DictIngest {
         store,
         dictionaries,
     })
-}
-
-/// Dictionary ingest over a mapped CSV file (see
-/// [`ingest_csv_bytes_with_dict`]).
-pub fn ingest_csv_file_with_dict(
-    proto: &Schema,
-    class_names: Vec<String>,
-    path: &Path,
-    config: StoreConfig,
-) -> Result<DictIngest, StoreError> {
-    let map = MappedFile::open(path)?;
-    ingest_csv_bytes_with_dict(proto, class_names, map.bytes(), config)
 }
 
 #[cfg(test)]

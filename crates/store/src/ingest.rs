@@ -75,27 +75,22 @@ pub(crate) fn chunk_ranges(body: &[u8]) -> Vec<std::ops::Range<usize>> {
 type ParsedChunk = Result<(Vec<Column>, Vec<ClassId>, usize), TabularError>;
 
 /// Chunk-parallel core shared by the plain and dictionary ingests: split
-/// `body` on the fixed chunk grid, run `parse` over the chunks on the
-/// pool, and append results **strictly in chunk order** on the sealer
-/// thread — which is what makes the output independent of which pool
-/// thread parsed which chunk.
+/// `body` on the fixed chunk grid, parse the chunks on the pool with
+/// [`parse_csv_block`] against `schema`, and append results **strictly
+/// in chunk order** on the sealer thread — which is what makes the
+/// output independent of which pool thread parsed which chunk.
 ///
-/// `parse` reports errors with chunk-relative line numbers (the
-/// convention of [`parse_csv_block`] with `first_line = 0`); they are
-/// made absolute here, from the newline counts `parse` handed back for
-/// the preceding chunks.
-pub(crate) fn ingest_parsed_body<F>(
+/// Each chunk is parsed with `first_line = 0`, so its errors carry
+/// chunk-relative line numbers; they are made absolute here, from the
+/// newline counts of the preceding chunks.
+pub(crate) fn ingest_parsed_body(
     schema: Schema,
     class_names: Vec<String>,
     body: &[u8],
     config: StoreConfig,
-    parse: F,
-) -> Result<SegmentedDataset, StoreError>
-where
-    F: Fn(&[u8]) -> ParsedChunk + Send + Sync,
-{
+) -> Result<SegmentedDataset, StoreError> {
     let writer = SegmentWriter::new(schema, class_names, config.clone())?;
-    drive_ingest(writer, body, &config, 2, parse) // line 1 is the header
+    drive_ingest(writer, body, &config, 2) // line 1 is the header
 }
 
 /// The wave loop behind every ingest, parameterized over an
@@ -106,17 +101,17 @@ where
 /// The pool parses wave `k + 1` while one sealer thread appends wave `k`
 /// (see the module docs); [`SegmentWriter::finish`] runs on the calling
 /// thread once every wave has been handed over and appended.
-fn drive_ingest<F>(
+fn drive_ingest(
     writer: SegmentWriter,
     body: &[u8],
     config: &StoreConfig,
     first_line: usize,
-    parse: F,
-) -> Result<SegmentedDataset, StoreError>
-where
-    F: Fn(&[u8]) -> ParsedChunk + Send + Sync,
-{
+) -> Result<SegmentedDataset, StoreError> {
     let chunks = chunk_ranges(body);
+    // The pool parses against the writer's own schema; the writer itself
+    // moves to the sealer thread.
+    let schema = writer.schema().clone();
+    let class_names = writer.class_names().to_vec();
 
     // Bounded waves: parse a few chunks per worker concurrently and hand
     // the wave to the sealer. Mapping every chunk up front would
@@ -133,7 +128,7 @@ where
         for wave_chunks in chunks.chunks(wave.max(1)) {
             let parsed: Vec<ParsedChunk> =
                 map_indexed_scoped(wave_chunks.len(), config.threads, |k| {
-                    parse(&body[wave_chunks[k].clone()])
+                    parse_csv_block(&schema, &class_names, &body[wave_chunks[k].clone()], 0)
                 });
             if waves.send(parsed).is_err() {
                 break; // the sealer stopped on an error; join reports it
@@ -189,12 +184,7 @@ pub fn ingest_csv_bytes(
     config: StoreConfig,
 ) -> Result<SegmentedDataset, StoreError> {
     let body_start = nr_tabular::check_header(&schema, data)?;
-    let body = &data[body_start..];
-    let parse_schema = schema.clone();
-    let parse_classes = class_names.clone();
-    ingest_parsed_body(schema, class_names, body, config, move |block| {
-        parse_csv_block(&parse_schema, &parse_classes, block, 0)
-    })
+    ingest_parsed_body(schema, class_names, &data[body_start..], config)
 }
 
 /// Ingests a CSV file by mapping it and parsing the mapped bytes in
@@ -293,16 +283,12 @@ pub fn ingest_csv_file_resumable(
     let body = &data[body_start..];
     let stamp = SourceStamp::of(data);
 
-    let parse_schema = schema.clone();
-    let parse_classes = class_names.clone();
-    let parse = move |block: &[u8]| parse_csv_block(&parse_schema, &parse_classes, block, 0);
-
     let existing = Manifest::load(&dir)?;
     let Some(m) = existing else {
         // Fresh directory: journal from row zero.
         let mut writer = SegmentWriter::new(schema, class_names, config.clone())?;
         writer.set_source(stamp)?;
-        let store = drive_ingest(writer, body, &config, 2, parse)?;
+        let store = drive_ingest(writer, body, &config, 2)?;
         return Ok(ResumedIngest {
             store,
             resumed_rows: 0,
@@ -360,7 +346,7 @@ pub fn ingest_csv_file_resumable(
     let (offset, newlines) = skip_rows(body, resumed_rows, path)?;
     let mut writer = SegmentWriter::resume(manifest, segments, spill_files, config.clone());
     writer.set_source(stamp)?;
-    let store = drive_ingest(writer, &body[offset..], &config, 2 + newlines, parse)?;
+    let store = drive_ingest(writer, &body[offset..], &config, 2 + newlines)?;
     Ok(ResumedIngest {
         store,
         resumed_rows,

@@ -37,7 +37,7 @@ mod segfile;
 mod store;
 
 pub use crc::{crc32, Crc32};
-pub use dict::{ingest_csv_bytes_with_dict, ingest_csv_file_with_dict, DictIngest, Dictionary};
+pub use dict::{ingest_csv_bytes_with_dict, DictIngest, Dictionary};
 pub use ingest::{
     ingest_csv_bytes, ingest_csv_file, ingest_csv_file_resumable, ResumedIngest, INGEST_CHUNK_BYTES,
 };

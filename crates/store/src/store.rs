@@ -214,6 +214,16 @@ impl SegmentWriter {
         }
     }
 
+    /// The schema rows are appended under.
+    pub(crate) fn schema(&self) -> &Schema {
+        self.staging.schema()
+    }
+
+    /// The class label names rows are appended under.
+    pub(crate) fn class_names(&self) -> &[String] {
+        self.staging.class_names()
+    }
+
     /// Stamps the journal with the identity of the ingest source so a
     /// later resume can refuse a different file, and commits it. Durable
     /// mode only (a no-op otherwise).
@@ -496,11 +506,6 @@ impl SegmentedDataset {
         self.spill_files.len()
     }
 
-    /// Whether this store journals and keeps its directory.
-    pub fn is_durable(&self) -> bool {
-        self.durable
-    }
-
     /// The durable directory, when there is one.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
@@ -714,7 +719,7 @@ mod tests {
         let dir = temp_dir("durable");
         let config = StoreConfig::spilling(10, dir.clone()).with_durable(true);
         let store = SegmentedDataset::from_dataset(&ds, config).unwrap();
-        assert!(store.is_durable());
+        assert_eq!(store.dir(), Some(dir.as_path()));
         drop(store);
         // Files and journal survive the drop.
         assert!(Manifest::path_in(&dir).is_file());

@@ -10,7 +10,7 @@
 //! mapped segment file).
 //!
 //! Reads go through `Deref<Target = [T]>`, so every existing column scan
-//! compiles unchanged. Mutation goes through [`Buf::make_mut`], which is
+//! compiles unchanged. Mutation (`push`, `extend`, `split_off`, ...) is
 //! copy-on-write: mutating a shared buffer first materializes it as an
 //! owned `Vec` — immutable mapped segments are never written through, and
 //! the ordinary in-RAM construction paths (`push`, `append_columns`) pay
@@ -109,7 +109,7 @@ impl<T> Buf<T> {
 impl<T: Clone> Buf<T> {
     /// The owned `Vec`, materializing a shared buffer on first mutation
     /// (copy-on-write). Owned buffers return themselves untouched.
-    pub fn make_mut(&mut self) -> &mut Vec<T> {
+    fn make_mut(&mut self) -> &mut Vec<T> {
         if let Buf::Shared { .. } = self {
             *self = Buf::Owned(self.as_slice().to_vec());
         }
@@ -152,7 +152,7 @@ impl<T: Clone> Buf<T> {
 
     /// The contents as an owned `Vec` — moves out of owned buffers,
     /// copies out of shared ones.
-    pub fn into_vec(self) -> Vec<T> {
+    fn into_vec(self) -> Vec<T> {
         match self {
             Buf::Owned(v) => v,
             Buf::Shared { .. } => self.as_slice().to_vec(),

@@ -442,23 +442,12 @@ impl Dataset {
 
     /// Count of rows per class.
     pub fn class_distribution(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.class_names.len()];
-        for &l in self.labels.iter() {
-            counts[l] += 1;
-        }
-        counts
+        self.view().class_distribution()
     }
 
     /// The most frequent class (ties broken by lowest id). Panics on empty datasets.
     pub fn majority_class(&self) -> ClassId {
-        assert!(!self.is_empty(), "majority_class on empty dataset");
-        let counts = self.class_distribution();
-        counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(id, &c)| (c, usize::MAX - id))
-            .map(|(id, _)| id)
-            .expect("non-empty class list")
+        self.view().majority_class()
     }
 
     /// Fraction of rows belonging to the majority class, in `[0, 1]`.
@@ -466,12 +455,7 @@ impl Dataset {
     /// The paper drops functions 8 and 10 because they produce "highly skewed
     /// data"; this is the statistic used to detect that.
     pub fn skew(&self) -> f64 {
-        if self.is_empty() {
-            return 1.0;
-        }
-        let counts = self.class_distribution();
-        let max = counts.into_iter().max().unwrap_or(0);
-        max as f64 / self.len() as f64
+        self.view().skew()
     }
 
     /// A zero-copy view of every row, in order.
@@ -542,18 +526,7 @@ impl Dataset {
 
     /// Min and max of a numeric attribute over all rows, `None` when empty or nominal.
     pub fn numeric_range(&self, attribute: usize) -> Option<(f64, f64)> {
-        let xs = self.columns[attribute].as_num()?;
-        let (&first, rest) = xs.split_first()?;
-        let (mut lo, mut hi) = (first, first);
-        for &x in rest {
-            if x < lo {
-                lo = x;
-            }
-            if x > hi {
-                hi = x;
-            }
-        }
-        Some((lo, hi))
+        self.view().numeric_range(attribute)
     }
 }
 

@@ -49,12 +49,6 @@ impl Value {
     pub fn expect_nominal(&self) -> u32 {
         self.as_nominal().expect("expected nominal value")
     }
-
-    /// True if this is a numeric value.
-    #[inline]
-    pub fn is_num(&self) -> bool {
-        matches!(self, Value::Num(_))
-    }
 }
 
 impl From<f64> for Value {
@@ -87,11 +81,9 @@ mod tests {
         let v = Value::Num(3.5);
         assert_eq!(v.as_num(), Some(3.5));
         assert_eq!(v.as_nominal(), None);
-        assert!(v.is_num());
         let c = Value::Nominal(7);
         assert_eq!(c.as_nominal(), Some(7));
         assert_eq!(c.as_num(), None);
-        assert!(!c.is_num());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use nr_rules::{Condition, Predictor, Rule, RuleSet};
 use nr_serve::CompiledRules;
-use nr_tabular::{Attribute, Dataset, Schema, Value};
+use nr_tabular::{Attribute, Column, Dataset, Schema, Value};
 use proptest::prelude::*;
 
 /// The engine's fixed shard size: batches score one 8,192-row shard
@@ -225,4 +225,106 @@ fn adversarial_shapes_compose() {
     let tiled: Vec<usize> = (0..2 * SHARD_ROWS + 100).map(|i| i % ds.len()).collect();
     let want: Vec<_> = tiled.iter().map(|&r| per_row[r]).collect();
     assert_eq!(compiled.predict_batch(&ds.subset(&tiled).view()), want);
+}
+
+/// Column `a`'s thresholds for a width-`k` rule set: `k + 1` points
+/// 0.75 apart, with 0.0 among them so −0.0 rows sit on a bound.
+fn wide_bounds(k: usize) -> Vec<f64> {
+    (0..=k)
+        .map(|j| (j as f64 - (k / 2) as f64) * 0.75)
+        .collect()
+}
+
+/// `k` distinct interval predicates on column `a`, one rule each:
+/// half-open cells, overlapping double cells, and `>=`/`<` tests that
+/// also need a category of `c` (so early open-ended rules leave rows for
+/// later ones).
+fn wide_ruleset(k: usize) -> RuleSet {
+    let b = wide_bounds(k);
+    let rules = (0..k)
+        .map(|i| {
+            let category = Condition::CatEq {
+                attribute: 2,
+                code: (i % 4) as u32,
+            };
+            let conds = match i % 4 {
+                0 => vec![Condition::num_range(0, b[i], b[i + 1])],
+                1 => vec![Condition::num_range(0, b[i - 1], b[i + 1])],
+                2 => vec![Condition::num_ge(0, b[i]), category],
+                _ => vec![Condition::num_lt(0, b[i]), category],
+            };
+            Rule::new(conds, i % 3)
+        })
+        .collect();
+    RuleSet::new(rules, 1, class_names())
+}
+
+/// Every bound of `a`, a point between each pair, points past both ends,
+/// ±0.0 and ±1e300 (and NaN and ±∞ in release builds, where the dataset
+/// holds non-finite values without its debug assertion), each under
+/// every category of `c`.
+fn wide_dataset(k: usize) -> Dataset {
+    let b = wide_bounds(k);
+    let hostile: &[f64] = if cfg!(debug_assertions) {
+        &[]
+    } else {
+        &[f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+    };
+    let mut xs: Vec<f64> = b.iter().flat_map(|&x| [x, x - 0.25]).collect();
+    xs.extend([b[k] + 1.0, -0.0, 0.0, 1e300, -1e300]);
+    xs.extend(hostile);
+    let rows = 4 * xs.len();
+    let a: Vec<f64> = (0..rows).map(|r| xs[r / 4]).collect();
+    let columns = vec![
+        Column::num(a),
+        Column::num(vec![0.0; rows]),
+        Column::nominal((0..rows).map(|r| (r % 4) as u32).collect()),
+        Column::nominal(vec![0; rows]),
+    ];
+    Dataset::from_shared_parts(schema(), class_names(), columns, vec![0; rows].into())
+        .expect("columns fit the schema")
+}
+
+/// Wide numeric columns: 8, 64 and 129 interval predicates on one
+/// column (129 of them use 130 distinct bounds), scored on every bound
+/// and on non-finite and signed-zero values, on the full view, across
+/// two shard seams and through a scrambled gathered view; classes and
+/// explicit-match scores must equal the interpreted reference.
+#[test]
+fn wide_numeric_columns_match_interpreted() {
+    for k in [8usize, 64, 129] {
+        let rs = wide_ruleset(k);
+        let ds = wide_dataset(k);
+        let compiled = CompiledRules::compile(&rs);
+        // The `>=`/`<` rules (i % 4 = 2, 3) add two category tests.
+        assert_eq!(compiled.n_predicates(), k + 2, "k={k}");
+        let per_row: Vec<_> = (0..ds.len()).map(|i| rs.predict_row(&ds, i)).collect();
+        assert_eq!(compiled.predict_batch(&ds.view()), per_row, "k={k}");
+
+        let n = 2 * SHARD_ROWS + 37;
+        let tiled: Vec<usize> = (0..n).map(|i| i % ds.len()).collect();
+        let big = ds.subset(&tiled);
+        let want: Vec<_> = tiled.iter().map(|&r| per_row[r]).collect();
+        assert_eq!(compiled.predict_batch(&big.view()), want, "k={k}, tiled");
+        for (i, s) in compiled
+            .predict_scored_batch(&big.view())
+            .iter()
+            .enumerate()
+        {
+            let explicit = rs.first_match_row(&big, i).is_some();
+            assert_eq!(
+                s.score,
+                if explicit { 1.0 } else { 0.0 },
+                "k={k}, row {i} score"
+            );
+        }
+
+        let sel: Vec<usize> = (0..n).map(|i| (i * 7919) % ds.len()).collect();
+        let want: Vec<_> = sel.iter().map(|&r| per_row[r]).collect();
+        assert_eq!(
+            compiled.predict_batch(&ds.view_of(sel)),
+            want,
+            "k={k}, gathered"
+        );
+    }
 }
