@@ -114,12 +114,6 @@ impl NeuroRule {
         self
     }
 
-    /// Replaces the extraction configuration.
-    pub fn with_rx(mut self, rx: RxConfig) -> Self {
-        self.rx = rx;
-        self
-    }
-
     /// Uses a specific encoder (e.g. [`Encoder::agrawal`]) instead of
     /// fitting a generic one.
     pub fn with_encoder(mut self, encoder: Encoder) -> Self {

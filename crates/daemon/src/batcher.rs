@@ -7,7 +7,7 @@
 //! it, and block on a private reply channel. The lane thread drains the
 //! queue into a batch until **capacity** (`max_batch` rows) or a
 //! self-arming **deadline** (`max_delay` after the first queued row,
-//! armed only while traffic is concurrent — see [`run_lane`]'s drain
+//! armed only while traffic is concurrent — see the lane loop's drain
 //! policy) — then scores the whole batch through the compiled engines
 //! and scatters the answers back.
 //!

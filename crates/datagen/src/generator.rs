@@ -119,7 +119,7 @@ impl Generator {
     /// Tuple draws and perturbation use *separate* random streams, so the
     /// same seed yields the same underlying tuples (and labels) with any
     /// perturbation factor — only the observed attribute values change.
-    pub fn tuple_stream(&self, function: Function) -> impl Iterator<Item = (Person, Group)> + '_ {
+    fn tuple_stream(&self, function: Function) -> impl Iterator<Item = (Person, Group)> + '_ {
         // Mix the function number into the stream so different functions get
         // independent draws even with the same base seed.
         let base = self.seed ^ (function.number() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -133,8 +133,12 @@ impl Generator {
         })
     }
 
-    /// Generates `n` labeled tuples for `function` (see
-    /// [`Generator::tuple_stream`] for the randomness contract).
+    /// Generates `n` labeled tuples for `function`: the first `n` of the
+    /// one random stream that [`Generator::dataset`] and
+    /// [`Generator::write_csv_streaming`] also draw, so tuple `i` is the
+    /// same in all three. The perturbation draws from a stream of its own,
+    /// so a seed yields the same tuples and labels at any perturbation
+    /// factor; only the observed attribute values change.
     pub fn tuples(&self, function: Function, n: usize) -> Vec<(Person, Group)> {
         self.tuple_stream(function).take(n).collect()
     }

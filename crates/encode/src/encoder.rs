@@ -263,7 +263,7 @@ impl Encoder {
     }
 
     /// Attribute owning global bit `i` (`None` for the bias).
-    pub fn attribute_of_bit(&self, i: usize) -> Option<usize> {
+    fn attribute_of_bit(&self, i: usize) -> Option<usize> {
         if i >= self.n_data_bits {
             return None;
         }
@@ -281,7 +281,7 @@ impl Encoder {
     }
 
     /// Encodes one row into `out` (length [`Self::n_inputs`]; bias included).
-    pub fn encode_row_into(&self, row: &[Value], out: &mut [f64]) {
+    fn encode_row_into(&self, row: &[Value], out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.n_inputs());
         for (a, coding) in self.codings.iter().enumerate() {
             let (start, len) = self.span(a);

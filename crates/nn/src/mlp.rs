@@ -415,7 +415,7 @@ impl Mlp {
 
     /// Forward pass over `rows` strictly-0/1 input rows supplied chunk by
     /// chunk as set bits, with no dense input matrix — the serving path.
-    /// For every fixed-size row chunk (pooled like
+    /// For every fixed-size row chunk (fanned out like
     /// [`Mlp::classify_batch`]), `encode(range, indices, offsets)` fills
     /// the two buffers with the chunk's rows: row `i` of the range is
     /// `indices[offsets[i]..offsets[i + 1]]`, its ascending set-bit
@@ -447,7 +447,7 @@ impl Mlp {
         );
     }
 
-    /// The pooled chunk traversal behind every batch prediction: for each
+    /// The fanned-out chunk traversal behind every batch prediction: for each
     /// fixed-size row chunk, `input(range, run)` hands the chunk's set-bit
     /// rows to `run`, which runs the forward pass on thread-local scratch
     /// and maps each row's outputs through `per_row`. Chunk results are
@@ -460,8 +460,7 @@ impl Mlp {
         out: &mut Vec<T>,
     ) {
         let dims = (self.n_in, self.n_hidden, self.n_out);
-        let threads = crate::par::resolve_threads(0, crate::par::n_chunks(rows));
-        let chunks = crate::par::map_chunks(rows, threads, |_c, range| {
+        let chunks = crate::par::map_chunks(rows, 0, |_c, range| {
             input(range, &|indices, offsets| {
                 scratch_forward(indices, offsets, dims, &self.w, &self.v, |outs| {
                     outs.chunks_exact(self.n_out).map(&per_row).collect()
@@ -771,7 +770,7 @@ mod tests {
             input: 2,
         });
         let patterns: [&[u32]; 4] = [&[4], &[0, 2, 4], &[1, 2, 3, 4], &[]];
-        // Enough rows for several pool chunks, cycling the patterns.
+        // Enough rows for several chunks, cycling the patterns.
         let rows = 2 * crate::par::CHUNK_ROWS + 3;
         let encode = |range: Range<usize>, indices: &mut Vec<u32>, offsets: &mut Vec<usize>| {
             offsets.push(0);

@@ -818,11 +818,11 @@ impl<'a> CrossEntropyObjective<'a> {
     /// Shared forward/backward pass. When `grad` is `Some`, accumulates the
     /// gradient (in link order) as well.
     ///
-    /// Each chunk is split between the caller and the pool's session
-    /// worker ([`crate::par::join`]), which runs both halves on the caller
+    /// Each chunk is split between the caller and the fork-join's session
+    /// thread ([`crate::par::join`]), which runs both halves on the caller
     /// on a single-core host or while another join holds the session.
     fn evaluate(&self, x: &[f64], grad: Option<&mut [f64]>) -> f64 {
-        self.evaluate_with(x, grad, pooled)
+        self.evaluate_with(x, grad, joined)
     }
 
     /// [`Self::evaluate`] with an explicit schedule: `fork` runs the halves
@@ -920,8 +920,8 @@ struct EvalCtx<'a> {
 /// it computes.
 type Fork = fn(&mut (dyn FnMut() + Send), &mut (dyn FnMut() + Send));
 
-/// The caller and the pool's session worker ([`crate::par::join`]).
-fn pooled(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
+/// The caller and the fork-join's session thread ([`crate::par::join`]).
+fn joined(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
     crate::par::join(a, b);
 }
 
@@ -1461,7 +1461,7 @@ mod tests {
     }
 
     /// The second half on a thread of its own, so the split runs on two
-    /// threads whether or not a pool worker is free.
+    /// threads whether or not the session is free.
     fn scoped(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
         std::thread::scope(|s| {
             s.spawn(b);
@@ -1539,8 +1539,8 @@ mod tests {
         assert_eq!(balance(&[10, 1, 1], 1.0), 3);
     }
 
-    /// Every split schedule (two threads, reversed halves, the pool's
-    /// session) gives the inline evaluation's value and gradient bits, at
+    /// Every split schedule (two threads, reversed halves, the
+    /// fork-join's session) gives the inline evaluation's value and gradient bits, at
     /// row counts around the halves' and the chunks' edges (one chunk, two,
     /// and two and a row) and under masks from none to 95%. One objective
     /// evaluated again and again, at alternating points, with and without
@@ -1561,7 +1561,7 @@ mod tests {
                 let x = net.flatten_active();
                 let mut want_grad = vec![0.0; obj.dim()];
                 let want = obj.evaluate_with(&x, Some(&mut want_grad), sequential);
-                for fork in [scoped as Fork, reversed, pooled] {
+                for fork in [scoped as Fork, reversed, joined] {
                     let mut grad = vec![0.0; obj.dim()];
                     let loss = obj.evaluate_with(&x, Some(&mut grad), fork);
                     let value = obj.evaluate_with(&x, None, fork);
@@ -1577,7 +1577,7 @@ mod tests {
         // fed by every input, so `pre_full` is written too; past 1,024
         // rows a shorter chunk follows a full one in the same buffers.
         let shares = [EVEN, [0.1, 0.9, 0.2], [0.9, 0.1, 0.8], [0.3, 0.6, 0.9]];
-        let forks = [sequential as Fork, pooled, scoped, reversed];
+        let forks = [sequential as Fork, joined, scoped, reversed];
         for rows in [1, 513, 1000, 1025, 2048, 2049] {
             for prune_pct in [0, 80] {
                 let seed = (rows * 11 + prune_pct) as u64;

@@ -1,34 +1,34 @@
-//! Deterministic row-sharding for batch passes on a shared worker pool.
+//! Deterministic row-sharding for batch passes, and the fork-join that
+//! splits one training chunk between two threads.
 //!
 //! Batched dataset traversals split the rows into **fixed-size chunks**
-//! (independent of how many worker threads run) and reduce the per-chunk
-//! results in chunk-index order. Because each chunk is processed
-//! sequentially and the reduction order is fixed, the result is
-//! bit-identical no matter how many threads execute the chunks — seeds and
-//! test thresholds do not move when the thread count changes.
+//! (independent of how many threads run) and reduce the per-chunk results
+//! in chunk-index order. Because each chunk is processed sequentially and
+//! the reduction order is fixed, the result is bit-identical no matter how
+//! many threads execute the chunks — seeds and test thresholds do not move
+//! when the thread count changes.
 //!
-//! The training objective walks the same chunks one after another instead
-//! and splits each one between two threads: [`join`], a two-party
-//! fork-join on the same pool, runs each phase of a chunk's evaluation as
-//! two halves, one on the caller and one on a spinning pool worker, so
-//! that every ordered sum keeps its order (see `CrossEntropyObjective`'s
-//! docs) and the bits stay the sequential ones. The chunk size is large
-//! enough that the paper-scale training sets (1000 tuples) fit in one.
+//! **Fan-out** ([`map_indexed_scoped`], and [`map_chunks`] over the chunk
+//! grid) spawns its threads with `std::thread::scope` on every call. Its
+//! callers are the store's ingest waves and network batches of more than
+//! one chunk, where each job parses a megabyte or scores a whole
+//! 1,024-row chunk, so a spawn of some tens of microseconds is small
+//! against the job, and the scope gives the borrow guarantee for free.
 //!
-//! Chunks execute on **one lazily-initialized, process-wide worker pool**
-//! instead of `thread::scope` workers spawned per call: BFGS training
-//! evaluates the objective hundreds of times per fit and pruning retrains
-//! repeatedly, so per-call thread spawning was measurable overhead. Jobs
-//! are closures that borrow the caller's frame (the encoded dataset, the
-//! weights) like `std::thread::scope`; [`map_indexed_scoped`] waits for
-//! every job before it returns. Each caller collects its own results over
-//! a private channel, so concurrent callers interleave safely on the same
-//! pool.
+//! **Fork-join** ([`join`]) is the one place where a spawn would not pay.
+//! The training objective walks the chunks one after another and splits
+//! each phase of a chunk's evaluation into two halves, one on the caller
+//! and one on a *session* thread, so that every ordered sum keeps its
+//! order (see `CrossEntropyObjective`'s docs) and the bits stay the
+//! sequential ones. An evaluation over a paper-scale training set (1000
+//! tuples, one chunk) takes about 100 µs and BFGS makes hundreds per fit,
+//! so the session spins on a one-job slot between halves, a hand-off of
+//! well under a microsecond, and parks once training stops joining.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Rows per chunk. Must stay constant across thread counts (it defines the
@@ -46,13 +46,13 @@ pub(crate) fn chunk_range(c: usize, rows: usize) -> Range<usize> {
     start..rows.min(start + CHUNK_ROWS)
 }
 
-/// The pool's size: the hardware's available parallelism, capped at 8.
+/// The auto thread count: the hardware's available parallelism, capped
+/// at 8. A fan-out runs on at most this many threads, the caller
+/// included; below 2, [`join`] has no session and runs both halves inline.
 ///
-/// Detected once per process and shared by [`resolve_threads`] and the
-/// pool. `available_parallelism` reads cgroup files on Linux, tens of
-/// microseconds per call: a sizable share of one objective evaluation
-/// over a 1,000-row training set, which resolves its thread count every
-/// time.
+/// Detected once per process. `available_parallelism` reads cgroup files
+/// on Linux, tens of microseconds per call, and [`resolve_threads`] is
+/// called on every batch.
 fn pool_size() -> usize {
     static SIZE: OnceLock<usize> = OnceLock::new();
     *SIZE.get_or_init(|| {
@@ -65,13 +65,12 @@ fn pool_size() -> usize {
 
 /// Resolves a requested thread count (`0` = auto) against the hardware and
 /// the number of chunks available. A result of `1` means "run inline on
-/// the caller's thread"; anything larger means "submit to the shared pool".
-/// Auto mode uses the pool's size (available parallelism capped at 8),
-/// detected once per process, so resolving is cheap enough to do on every
-/// call.
+/// the caller's thread"; anything larger is how many threads, the caller
+/// included, a fan-out runs on. Auto mode uses the available parallelism
+/// capped at 8, detected once per process, so resolving is cheap.
 ///
-/// Public so pool clients (the store's parallel ingest) can size their
-/// waves of jobs by the worker count they will actually get.
+/// Public so fan-out clients (the store's parallel ingest) can size their
+/// waves of jobs by the thread count they will actually get.
 pub fn resolve_threads(requested: usize, chunks: usize) -> usize {
     let t = if requested == 0 {
         pool_size()
@@ -88,9 +87,9 @@ thread_local! {
 }
 
 /// Runs `f` with `sizes.len()` zeroed `f64` buffers borrowed from a
-/// thread-local cache, so chunk jobs reuse scratch across chunks and
-/// across calls instead of heap-allocating per chunk — on pool workers and
-/// on the inline single-threaded path alike.
+/// thread-local cache, so chunk jobs reuse scratch across the chunks a
+/// thread runs instead of heap-allocating per chunk — on fan-out threads
+/// and on the inline single-threaded path alike.
 pub(crate) fn with_scratch<R>(sizes: &[usize], f: impl FnOnce(&mut [Vec<f64>]) -> R) -> R {
     let mut bufs: Vec<Vec<f64>> = SCRATCH.with(|c| {
         let mut cache = c.borrow_mut();
@@ -117,14 +116,11 @@ pub(crate) fn with_scratch<R>(sizes: &[usize], f: impl FnOnce(&mut [Vec<f64>]) -
     result
 }
 
-/// A unit of work shipped to the pool.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
 thread_local! {
     /// Location of the most recent panic on this thread, recorded by the
-    /// hook below. Read by the job wrapper in [`map_indexed_scoped`] right
-    /// after it catches an unwind, so the re-raised panic can name the
-    /// original file:line instead of the collection point.
+    /// hook below. Read by [`map_indexed_scoped`] right after it catches a
+    /// job's unwind, so the re-raised panic can name the original
+    /// file:line instead of the collection point.
     static LAST_PANIC_LOCATION: std::cell::RefCell<Option<String>> =
         const { std::cell::RefCell::new(None) };
 }
@@ -133,7 +129,8 @@ static LOCATION_HOOK: std::sync::Once = std::sync::Once::new();
 
 /// Installs (once, process-wide) a panic hook that records the panic
 /// location in a thread-local before delegating to the previous hook.
-/// Captured pool-job panics read it back; panics elsewhere are unaffected.
+/// Captured fan-out job panics read it back; panics elsewhere are
+/// unaffected.
 fn install_location_hook() {
     LOCATION_HOOK.call_once(|| {
         let prev = std::panic::take_hook();
@@ -156,53 +153,13 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-struct Pool {
-    sender: Sender<Job>,
-}
-
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-/// The process-wide worker pool, spawned on first use. Worker count is
-/// fixed at [`pool_size`]; determinism never depends on it (see module
-/// docs).
-fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let workers = pool_size();
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        for k in 0..workers {
-            let receiver = Arc::clone(&receiver);
-            std::thread::Builder::new()
-                .name(format!("nr-nn-pool-{k}"))
-                .spawn(move || loop {
-                    // Hold the lock only while receiving, not while working.
-                    let job = receiver.lock().unwrap().recv();
-                    match job {
-                        // A panicking job must not kill the worker. Jobs
-                        // submitted via `map_indexed_scoped` catch their own
-                        // unwinds and ship the payload back to the caller;
-                        // this outer catch is only the backstop for panics
-                        // outside that wrapper (e.g. a poisoned result
-                        // channel).
-                        Ok(job) => {
-                            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-                        }
-                        Err(_) => break, // pool sender dropped: process exit
-                    }
-                })
-                .expect("spawn pool worker");
-        }
-        Pool { sender }
-    })
-}
-
 /// Maps `work` over the fixed row chunks of a dataset and returns the
-/// per-chunk results **in chunk order** regardless of which pool thread
+/// per-chunk results **in chunk order** regardless of which thread
 /// computed which chunk — [`map_indexed_scoped`] over the chunk grid.
 ///
-/// `threads` is the resolved worker count (see [`resolve_threads`]); with
-/// one worker (or one chunk) everything runs inline on the caller's
-/// thread — the single-threaded path never touches the pool.
+/// `threads` is a requested thread count (`0` = auto, see
+/// [`resolve_threads`]); with one thread (or one chunk) everything runs
+/// inline on the caller's thread.
 pub(crate) fn map_chunks<'env, T, F>(rows: usize, threads: usize, work: F) -> Vec<T>
 where
     T: Send + 'env,
@@ -213,103 +170,91 @@ where
     })
 }
 
-/// Counts outstanding scoped jobs. [`WaitGroup::wait`] blocks until every
-/// job registered with [`WaitGroup::add`] has called [`WaitGroup::done`] —
-/// and jobs call `done` only *after* dropping their captured closure state,
-/// which is the whole point (see [`map_indexed_scoped`]).
-struct WaitGroup {
-    pending: Mutex<usize>,
-    all_done: Condvar,
-}
-
-impl WaitGroup {
-    fn new() -> Self {
-        WaitGroup {
-            pending: Mutex::new(0),
-            all_done: Condvar::new(),
-        }
-    }
-
-    fn add(&self) {
-        *self.pending.lock().unwrap() += 1;
-    }
-
-    fn done(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        *pending -= 1;
-        if *pending == 0 {
-            self.all_done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut pending = self.pending.lock().unwrap();
-        while *pending != 0 {
-            pending = self.all_done.wait(pending).unwrap();
-        }
-    }
-}
-
-/// Waits for the scoped jobs on drop, so the borrow-validity guarantee
-/// holds on the unwind path (a panic re-raised at the collection point)
-/// exactly as on the normal return path.
-struct WaitOnDrop<'a>(&'a WaitGroup);
-
-impl Drop for WaitOnDrop<'_> {
-    fn drop(&mut self) {
-        self.0.wait();
-    }
-}
-
-/// Everything a scoped job touches that may borrow from the caller's
-/// frame. [`run_scoped_payload`] consumes it by value, so by the time the
-/// job signals its [`WaitGroup`] these are guaranteed dropped.
-struct ScopedPayload<T, F> {
-    work: Arc<F>,
-    tx: Sender<(usize, Result<T, String>)>,
-    j: usize,
-}
-
-fn run_scoped_payload<T, F>(payload: ScopedPayload<T, F>)
+/// Maps `work` over the job indices `0..jobs` and returns the results
+/// **in index order** regardless of which thread computed which job.
+/// `work` may borrow the caller's locals (a `nr_tabular::DatasetView`, a
+/// model reference) directly. The primitive behind `map_chunks`; the
+/// store's parallel ingest submits its parse and dictionary jobs through
+/// it directly.
+///
+/// `threads` is a requested thread count (`0` = auto, see
+/// [`resolve_threads`]). With one resolved thread (or one job) everything
+/// runs inline on the caller's thread. Otherwise the caller and up to
+/// `threads − 1` scoped threads take job indices from one shared counter;
+/// if a spawn fails, the threads that did start do the work. A panicking
+/// job re-raises deterministically (lowest index first) at the collection
+/// point, after every other job has finished.
+pub fn map_indexed_scoped<'env, T, F>(jobs: usize, threads: usize, work: F) -> Vec<T>
 where
-    T: Send,
-    F: Fn(usize) -> T + Send + Sync,
+    T: Send + 'env,
+    F: Fn(usize) -> T + Send + Sync + 'env,
 {
-    let ScopedPayload { work, tx, j } = payload;
-    // Catch the job's own unwind so the panic payload (and the location
-    // the hook recorded) travel back to the caller instead of dying on
-    // the pool thread.
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(j))).map_err(|payload| {
-            let msg = panic_message(payload.as_ref());
-            match LAST_PANIC_LOCATION.with(|slot| slot.borrow_mut().take()) {
-                Some(loc) => format!("{msg}, at {loc}"),
-                None => msg,
+    let threads = resolve_threads(threads, jobs);
+    if threads <= 1 {
+        return (0..jobs).map(work).collect();
+    }
+
+    install_location_hook();
+    let next = AtomicUsize::new(0);
+    // Runs jobs until the counter passes the last one. Each job catches
+    // its own unwind, so its panic payload (and the location the hook
+    // recorded) travel back to the caller and the other jobs still run.
+    let take_jobs = || {
+        let mut done = Vec::new();
+        loop {
+            let j = next.fetch_add(1, Ordering::Relaxed);
+            if j >= jobs {
+                return done;
             }
-        });
-    // The caller may have bailed (panic elsewhere); a closed channel is
-    // fine.
-    let _ = tx.send((j, result));
-    // `work` and `tx` drop here — strictly before the job's wait-group
-    // signal in `map_indexed_scoped`'s wrapper.
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(j)))
+                .map_err(|payload| {
+                    let msg = panic_message(payload.as_ref());
+                    match LAST_PANIC_LOCATION.with(|slot| slot.borrow_mut().take()) {
+                        Some(loc) => format!("{msg}, at {loc}"),
+                        None => msg,
+                    }
+                });
+            done.push((j, result));
+        }
+    };
+    let mut results: Vec<(usize, Result<T, String>)> = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..threads)
+            .map_while(|k| {
+                std::thread::Builder::new()
+                    .name(format!("nr-nn-fan-out-{k}"))
+                    .spawn_scoped(scope, take_jobs)
+                    .ok()
+            })
+            .collect();
+        let mut results = take_jobs();
+        for helper in helpers {
+            results.extend(helper.join().expect("fan-out jobs catch their own panics"));
+        }
+        results
+    });
+    results.sort_unstable_by_key(|&(j, _)| j);
+    // Re-raise the first (lowest-index, so deterministic) job panic with
+    // its original message and location.
+    results
+        .into_iter()
+        .map(|(j, r)| r.unwrap_or_else(|msg| panic!("worker-pool job {j} panicked: {msg}")))
+        .collect()
 }
 
-/// Pretends a scoped job outlives the caller's frame so it can ride the
-/// `'static` pool queue.
+/// A second half of [`join`], lifetime-erased to sit in the session slot.
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Pretends [`join`]'s second half outlives the caller's frame so it can
+/// sit in the `'static` session slot.
 ///
 /// # Safety contract
 ///
 /// The caller must not return or unwind past the borrowed data until the
-/// erased closure has run **and dropped its captures**.
-/// [`map_indexed_scoped`] upholds this with a [`WaitGroup`] that every
-/// submitted job signals only after consuming its [`ScopedPayload`], plus
-/// a [`WaitOnDrop`] guard covering the unwind path; pool workers always
-/// run every queued job (the queue outlives the process's last caller),
-/// so the signal cannot be skipped. [`join`] upholds it by running its
-/// first closure under `catch_unwind` and then either taking the erased
-/// half back out of the session slot (running or dropping it itself) or
-/// waiting for the session worker's `DONE`, which the worker stores only
-/// after the half has returned.
+/// erased closure has run **and dropped its captures**. [`join`] upholds
+/// this by running its first closure under `catch_unwind` and then either
+/// taking the erased half back out of the session slot (running or
+/// dropping it itself) or waiting for the session thread's `DONE`, which
+/// the session stores only after the half has returned.
 // The workspace denies `unsafe_code`; this lifetime erasure is the one
 // exception in the crate, kept to a single expression behind the wait
 // contract above.
@@ -323,111 +268,38 @@ fn erase_job_lifetime<'env>(
     unsafe { std::mem::transmute(job) }
 }
 
-/// Maps `work` over the job indices `0..jobs` on the shared worker pool
-/// and returns the results **in index order** regardless of which pool
-/// thread computed which job. `work` may borrow the caller's locals (a
-/// `nr_tabular::DatasetView`, a model reference) directly, like
-/// `std::thread::scope`, but on the process-wide pool instead of freshly
-/// spawned threads. The primitive behind `map_chunks`; the store's
-/// parallel ingest submits its parse and dictionary jobs through it
-/// directly.
-///
-/// `threads` is a requested worker count (`0` = auto: available
-/// parallelism capped at the pool size). With one resolved worker (or one
-/// job) everything runs inline on the caller's thread. A panicking job
-/// re-raises deterministically (lowest index first) at the collection
-/// point, after every other submitted job has finished.
-pub fn map_indexed_scoped<'env, T, F>(jobs: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send + 'env,
-    F: Fn(usize) -> T + Send + Sync + 'env,
-{
-    if jobs == 0 {
-        return Vec::new();
-    }
-    if resolve_threads(threads, jobs) <= 1 || jobs == 1 {
-        return (0..jobs).map(work).collect();
-    }
-
-    install_location_hook();
-    let work = Arc::new(work);
-    let wg = Arc::new(WaitGroup::new());
-    // Declared before `tx`/`rx` so it drops after them: by the time the
-    // guard waits, the results channel is closed and only capture drops
-    // remain outstanding.
-    let _jobs_finished = WaitOnDrop(&wg);
-    let (tx, rx) = channel::<(usize, Result<T, String>)>();
-    for j in 0..jobs {
-        let payload = ScopedPayload {
-            work: Arc::clone(&work),
-            tx: tx.clone(),
-            j,
-        };
-        let done = Arc::clone(&wg);
-        // Registered before submission, one by one, so the guard waits for
-        // exactly the jobs that were actually queued even if this loop
-        // unwinds midway.
-        wg.add();
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(move || {
-            run_scoped_payload(payload);
-            // Signals strictly after the payload (the only captures that
-            // may borrow the caller's frame) has been consumed and
-            // dropped; `done` itself is a 'static Arc.
-            done.done();
-        });
-        pool()
-            .sender
-            .send(erase_job_lifetime(job))
-            .expect("worker pool alive for the process lifetime");
-    }
-    drop(tx);
-    let mut results: Vec<(usize, Result<T, String>)> = rx.iter().collect();
-    assert_eq!(
-        results.len(),
-        jobs,
-        "worker pool dropped {} of {jobs} job results",
-        jobs - results.len()
-    );
-    results.sort_unstable_by_key(|&(j, _)| j);
-    // Re-raise the first (lowest-index, so deterministic) job panic with
-    // its original message and location.
-    results
-        .into_iter()
-        .map(|(j, r)| r.unwrap_or_else(|msg| panic!("worker-pool job {j} panicked: {msg}")))
-        .collect()
-}
-
-/// How long a session worker spins with nothing to do before it returns
-/// to the pool's queue. Longer than the optimizer's work between two
-/// objective evaluations: in `mine`'s fits on a 2-core host ≈4.5% of
-/// the gaps exceed 50 µs (BFGS updates over the ≈360 parameters of the
-/// first training, a retrain's set-up) and a few in 31,000 exceed 1 ms. A join that finds
-/// no session runs its first half's phase alone while a worker wakes.
-/// Short enough that a pool with no joins to serve is idle (blocked in
-/// the queue) again soon after training stops.
+/// How long the session thread spins with nothing to do before it parks.
+/// Longer than the optimizer's work between two objective evaluations: in
+/// `mine`'s fits on a 2-core host ≈4.5% of the gaps exceed 50 µs (BFGS
+/// updates over the ≈360 parameters of the first training, a retrain's
+/// set-up) and a few in 31,000 exceed 1 ms. A join that finds the session
+/// parked wakes it and runs its first half's phase alone meanwhile. Short
+/// enough that a process which stopped training stops spinning soon
+/// after.
 const SESSION_IDLE: Duration = Duration::from_millis(1);
 
 /// The states of the session's one-job slot.
-const FREE: u8 = 0; // no half in flight
+const FREE: u8 = 0; // no half in flight; the session spins
 const CLAIMED: u8 = 1; // one caller owns the slot (posting or taking back)
 const POSTED: u8 = 2; // a second half waits in the slot
-const RUNNING: u8 = 3; // the session worker runs the posted half
+const RUNNING: u8 = 3; // the session thread runs the posted half
 const DONE: u8 = 4; // the half returned; its caller collects it
+const PARKED: u8 = 5; // no half in flight; the session is parked
 
-/// The fork-join's helper: one pool worker at a time serves the second
-/// halves of [`join`] calls from a one-job slot it spins on.
+/// The fork-join's helper: one thread serves the second halves of [`join`]
+/// calls from a one-job slot it spins on.
 ///
 /// `slot` orders the hand-off. The caller's `POSTED` store (Release)
 /// publishes the half, and everything the caller wrote before it, to the
-/// worker's `POSTED → RUNNING` exchange (Acquire); the worker's `DONE`
+/// session's `POSTED → RUNNING` exchange (Acquire); the session's `DONE`
 /// store (Release) publishes the half's writes to the caller's `DONE` load
 /// (Acquire); every `FREE` store (Release) pairs with the next claim's
-/// exchange (Acquire). `live` publishes no data: a session that leaves
-/// just as a half is posted only costs that half its parallel run, since
-/// the caller takes it back.
+/// exchange (Acquire), through the session's `FREE → PARKED` exchange when
+/// it parks in between (a read-modify-write continues the release
+/// sequence). The slot word is also how a caller learns that it must
+/// unpark the session, so a join on a busy session touches no other
+/// shared line.
 struct Session {
-    /// A session job is queued or serving.
-    live: AtomicBool,
     slot: AtomicU8,
     half: Mutex<Option<Job>>,
 }
@@ -437,14 +309,33 @@ struct Session {
 const SLOT_LOCK: &str = "no panic while holding the session slot";
 
 static SESSION: Session = Session {
-    live: AtomicBool::new(false),
     slot: AtomicU8::new(FREE),
     half: Mutex::new(None),
 };
 
-/// The session job: serves posted halves until the slot has been free for
-/// [`SESSION_IDLE`], then hands the worker back to the queue. A half
-/// posted as it leaves is taken back by its caller.
+/// The session thread, spawned by the first [`join`] of a process with 2
+/// or more cores. `None` on a single-core host or if the spawn failed:
+/// then every join runs both halves inline.
+fn session_thread() -> Option<&'static Thread> {
+    static THREAD: OnceLock<Option<Thread>> = OnceLock::new();
+    THREAD
+        .get_or_init(|| {
+            if pool_size() < 2 {
+                return None;
+            }
+            std::thread::Builder::new()
+                .name("nr-nn-join".to_string())
+                .spawn(serve_session)
+                .ok()
+                .map(|handle| handle.thread().clone())
+        })
+        .as_ref()
+}
+
+/// The session thread's body: serves posted halves, and parks once the
+/// slot has been free for [`SESSION_IDLE`] until a join wakes it. A half
+/// posted while the session wakes is taken back by its caller if the
+/// caller's own half finishes first.
 fn serve_session() {
     let s = &SESSION;
     let mut idle_from: Option<Instant> = None;
@@ -467,9 +358,17 @@ fn serve_session() {
                 spins = spins.wrapping_add(1);
                 if spins % 64 == 0 {
                     let since = *idle_from.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= SESSION_IDLE {
-                        s.live.store(false, Ordering::Release);
-                        return;
+                    if since.elapsed() >= SESSION_IDLE
+                        && s.slot
+                            .compare_exchange(FREE, PARKED, Ordering::Relaxed, Ordering::Relaxed)
+                            .is_ok()
+                    {
+                        // Only a join moves the slot off `PARKED`, and it
+                        // unparks this thread after doing so.
+                        while s.slot.load(Ordering::Acquire) == PARKED {
+                            std::thread::park();
+                        }
+                        idle_from = None;
                     }
                 }
             }
@@ -484,24 +383,25 @@ fn serve_session() {
 /// borrow the caller's frame.
 ///
 /// `a` runs on the caller's thread while `b` waits in the slot of the
-/// pool's *session* worker, which runs it if it picks it up first. The
-/// first join that finds no session queues one: a pool job that serves
-/// later halves from its spin slot and returns to the queue once the slot
-/// has been free for about a millisecond. The caller never waits for a worker
-/// that has not picked `b` up: if `a` finishes first and `b` is still in
-/// the slot (no session yet, its job still queued behind other work), the
-/// caller takes `b` back and runs it itself. If another join holds the
-/// slot (a concurrent caller, or a join nested in a half), and on a
-/// single-core host, both closures run inline.
+/// *session* thread, which runs it if it picks it up first. The first
+/// join of a process spawns the session: a thread that serves later
+/// halves from its spin slot and parks once the slot has been free for
+/// about a millisecond; a join that finds it parked unparks it. The
+/// caller never waits for a session that has not picked `b` up: if `a`
+/// finishes first and `b` is still in the slot (the session still
+/// starting or waking), the caller takes `b` back and runs it itself. If
+/// another join holds the slot (a concurrent caller, or a join nested in
+/// a half), on a single-core host, and if the session could not be
+/// spawned, both closures run inline.
 ///
 /// A hand-off through the slot costs well under a microsecond, against
-/// the ≈20 µs of a [`map_indexed_scoped`] round trip through the queue,
-/// which is what makes halving one objective evaluation of ≈100 µs pay.
-/// Which thread runs a half never changes what it computes.
+/// the tens of microseconds of spawning a thread, which is what makes
+/// halving one objective evaluation of ≈100 µs pay. Which thread runs a
+/// half never changes what it computes.
 ///
 /// A panic in either closure re-raises here with its own payload, after
 /// the other closure has finished with the caller's frame (`a`'s panic
-/// wins if both panic); the session and the pool keep working.
+/// wins if both panic); the session keeps working.
 pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -510,19 +410,23 @@ where
     RB: Send,
 {
     let s = &SESSION;
-    if pool_size() < 2
-        || s.slot
-            .compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-    {
+    let Some(session) = session_thread() else {
         return (a(), b());
-    }
-    if !s.live.load(Ordering::Acquire) && !s.live.swap(true, Ordering::AcqRel) {
-        pool()
-            .sender
-            .send(Box::new(serve_session))
-            .expect("worker pool alive for the process lifetime");
-    }
+    };
+    let parked = match s
+        .slot
+        .compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
+    {
+        Ok(_) => false,
+        Err(PARKED)
+            if s.slot
+                .compare_exchange(PARKED, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok() =>
+        {
+            true
+        }
+        Err(_) => return (a(), b()),
+    };
 
     let result: Mutex<Option<std::thread::Result<RB>>> = Mutex::new(None);
     let half: Box<dyn FnOnce() + Send + '_> = Box::new(|| {
@@ -531,9 +435,12 @@ where
     });
     // The wait contract of `erase_job_lifetime`: past this point the
     // caller returns (or unwinds) only after taking `half` back or seeing
-    // the worker finish it, and `a` runs under `catch_unwind`.
+    // the session finish it, and `a` runs under `catch_unwind`.
     *s.half.lock().expect(SLOT_LOCK) = Some(erase_job_lifetime(half));
     s.slot.store(POSTED, Ordering::Release);
+    if parked {
+        session.unpark();
+    }
     let ra = std::panic::catch_unwind(std::panic::AssertUnwindSafe(a));
     if s.slot
         .compare_exchange(POSTED, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
@@ -623,9 +530,8 @@ mod tests {
 
     #[test]
     fn pool_is_reused_across_calls() {
-        // Many pooled calls must not accumulate threads: every call after
-        // the first reuses the same workers (this is the regression guard
-        // for the per-call `thread::scope` spawning this pool replaced).
+        // Many fan-out calls in a row must not accumulate threads: each
+        // call joins its scoped threads before it returns.
         for _ in 0..20 {
             let got = map_chunks(CHUNK_ROWS * 3, 4, |c, _| c);
             assert_eq!(got, vec![0, 1, 2]);
@@ -634,7 +540,7 @@ mod tests {
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8);
-        // Indirect check: submitting far more jobs than workers completes.
+        // Far more jobs than threads: the threads take turns on them.
         let got = map_chunks(CHUNK_ROWS * (pool_threads * 4), 8, |c, _| c);
         assert_eq!(got.len(), pool_threads * 4);
     }
@@ -642,8 +548,7 @@ mod tests {
     #[test]
     fn pooled_job_panic_reports_its_own_message() {
         // A panicking job must surface its original message (and job
-        // index) at the collection point, not an opaque results-length
-        // assert.
+        // index) at the collection point.
         let err = std::panic::catch_unwind(|| {
             map_indexed_scoped(8, 4, |j| {
                 if j == 5 {
@@ -660,7 +565,7 @@ mod tests {
         );
         assert!(msg.contains("worker-pool job 5"), "job index lost: {msg}");
         assert!(msg.contains("par.rs"), "panic location lost: {msg}");
-        // The pool survives a panicking job: later calls still work.
+        // Later calls still work after a panicking job.
         assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
     }
 
@@ -703,7 +608,7 @@ mod tests {
     #[test]
     fn scoped_panic_still_waits_for_the_other_jobs() {
         // A panicking scoped job must re-raise only after every sibling
-        // finished touching the borrowed frame (the guard's unwind path).
+        // finished touching the borrowed frame.
         let data = vec![1u32; 64];
         let err = std::panic::catch_unwind(|| {
             let slice = &data[..];
@@ -718,7 +623,7 @@ mod tests {
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("scoped job two exploded"), "{msg}");
         assert!(msg.contains("worker-pool job 2"), "{msg}");
-        // The pool and the scoped path both survive.
+        // Later calls still work, inline and fanned out.
         assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
     }
 
@@ -753,16 +658,56 @@ mod tests {
                 msg.contains(&format!("first half {round} exploded")),
                 "{msg}"
             );
-            // The session and the pool survive.
+            // The session and the fan-out survive.
             assert_eq!(join(|| 1, || 2), (1, 2));
             assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
         }
     }
 
     #[test]
+    fn a_parked_session_wakes_for_the_next_join() {
+        if pool_size() < 2 {
+            return; // a single-core host has no session
+        }
+        // Spawns the session, if no other test has.
+        assert_eq!(join(|| 1, || 2), (1, 2));
+        // `a` waits (up to a bound) for `b` to start, so `b` runs on
+        // another thread unless the session never picks it up. Only joins
+        // that find the session parked count. Retried, since the host may
+        // delay the session's wake-up, and since a concurrent test's join
+        // may hold the slot.
+        for _ in 0..20 {
+            std::thread::sleep(SESSION_IDLE * 5);
+            if SESSION.slot.load(Ordering::Acquire) != PARKED {
+                continue;
+            }
+            let started = std::sync::atomic::AtomicBool::new(false);
+            let (caller, helper) = join(
+                || {
+                    let t = Instant::now();
+                    while !started.load(Ordering::SeqCst)
+                        && t.elapsed() < Duration::from_millis(200)
+                    {
+                        std::thread::yield_now();
+                    }
+                    std::thread::current().id()
+                },
+                || {
+                    started.store(true, Ordering::SeqCst);
+                    std::thread::current().id()
+                },
+            );
+            if caller != helper {
+                return;
+            }
+        }
+        panic!("every second half ran on the caller: the parked session never woke");
+    }
+
+    #[test]
     fn concurrent_callers_do_not_cross_wires() {
-        // Two threads hammer the shared pool simultaneously; each must get
-        // exactly its own chunk results.
+        // Four threads fan out at once; each must get exactly its own
+        // chunk results.
         let handles: Vec<_> = (0..4)
             .map(|k| {
                 std::thread::spawn(move || {

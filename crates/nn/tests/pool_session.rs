@@ -1,6 +1,7 @@
-//! The fork-join's session worker goes back to the pool: once training
-//! stops joining, the pool's workers are all free for queued jobs again.
-//! A test binary of its own, so no other test keeps the session busy.
+//! Training leaves the fan-out its threads: once training stops joining,
+//! the fork-join's session thread parks, and a fan-out of two jobs still
+//! runs them on two threads. A test binary of its own, so no other test
+//! keeps the session busy.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -34,8 +35,8 @@ fn the_session_worker_returns_to_the_pool_after_training() {
     assert!(report.accuracy > 0.9, "{report:?}");
 
     // Each job waits (up to a bound) for the other to start: two distinct
-    // workers run them unless one worker is still held by a session.
-    // Retried, since the host may delay a worker's wake-up.
+    // threads run them unless the caller ends up running both. Retried,
+    // since the host may delay a thread's start.
     for _ in 0..20 {
         std::thread::sleep(Duration::from_millis(5));
         let started = AtomicUsize::new(0);
@@ -51,5 +52,5 @@ fn the_session_worker_returns_to_the_pool_after_training() {
             return;
         }
     }
-    panic!("both jobs ran on one worker every time: the session never left its worker");
+    panic!("both jobs ran on one thread every time: the fan-out never got a second thread");
 }

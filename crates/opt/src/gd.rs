@@ -40,12 +40,6 @@ impl GradientDescent {
         self
     }
 
-    /// Sets the momentum coefficient.
-    pub fn with_momentum(mut self, m: f64) -> Self {
-        self.momentum = m;
-        self
-    }
-
     /// Sets the iteration budget.
     pub fn with_max_iters(mut self, iters: usize) -> Self {
         self.max_iters = iters;
@@ -125,16 +119,20 @@ mod tests {
     #[test]
     fn momentum_accelerates() {
         let q = Quadratic::new(vec![4.0]);
-        let plain = GradientDescent::default()
-            .with_learning_rate(0.01)
-            .with_momentum(0.0)
-            .with_max_iters(100)
-            .minimize(&q, vec![0.0]);
-        let heavy = GradientDescent::default()
-            .with_learning_rate(0.01)
-            .with_momentum(0.9)
-            .with_max_iters(100)
-            .minimize(&q, vec![0.0]);
+        let plain = GradientDescent {
+            learning_rate: 0.01,
+            momentum: 0.0,
+            max_iters: 100,
+            ..GradientDescent::default()
+        }
+        .minimize(&q, vec![0.0]);
+        let heavy = GradientDescent {
+            learning_rate: 0.01,
+            momentum: 0.9,
+            max_iters: 100,
+            ..GradientDescent::default()
+        }
+        .minimize(&q, vec![0.0]);
         assert!(
             heavy.value <= plain.value,
             "momentum should not be slower here"
@@ -145,11 +143,13 @@ mod tests {
     fn returns_best_iterate_when_budget_hit() {
         let q = Quadratic::new(vec![0.0]);
         // Oversized step: oscillates/diverges; best iterate is still finite.
-        let res = GradientDescent::default()
-            .with_learning_rate(1.5)
-            .with_momentum(0.0)
-            .with_max_iters(10)
-            .minimize(&q, vec![1.0]);
+        let res = GradientDescent {
+            learning_rate: 1.5,
+            momentum: 0.0,
+            max_iters: 10,
+            ..GradientDescent::default()
+        }
+        .minimize(&q, vec![1.0]);
         assert!(res.value.is_finite());
         assert!(
             res.value <= 1.0 + 1e-12,

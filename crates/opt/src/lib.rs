@@ -10,7 +10,7 @@
 //!   (Nocedal & Wright, Algorithms 3.5/3.6);
 //! * [`Lbfgs`] — limited-memory BFGS for larger networks (O(mn) memory);
 //! * [`ConjugateGradient`] — Polak–Ribière+ CG, the matrix-free middle
-//!   ground of Battiti's survey (the paper's reference [4]);
+//!   ground of Battiti's survey (the paper's reference \[4\]);
 //! * [`GradientDescent`] — fixed-step gradient descent with momentum, the
 //!   classic backpropagation update, kept as an ablation baseline;
 //! * [`Objective`] — the function/gradient abstraction they all consume.

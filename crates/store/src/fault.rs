@@ -14,7 +14,7 @@
 //!   after the rename but before the manifest commit (an unlisted
 //!   segment). When a crash point fires, the seal path deliberately
 //!   **skips its own cleanup** — that is the point: a real kill runs no
-//!   destructors — and returns a [`StoreError::Io`] of kind
+//!   destructors — and returns a [`StoreError::Io`](crate::StoreError::Io) of kind
 //!   [`std::io::ErrorKind::Interrupted`] tagged `simulated kill`.
 //!
 //! Crash points are global state; tests that arm them must serialize

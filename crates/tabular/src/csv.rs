@@ -75,7 +75,7 @@ pub fn write_csv_rows<W: Write>(ds: &Dataset, out: &mut W) -> std::io::Result<()
 }
 
 /// Reads a dataset written by [`write_csv`] with constant staging memory:
-/// line-aligned blocks of about [`BLOCK_BYTES`] are read from `input`,
+/// line-aligned blocks of about 256 KiB are read from `input`,
 /// parsed by the block parser, and bulk-appended.
 ///
 /// Errors carry the 1-based line number of the offending row (the header is

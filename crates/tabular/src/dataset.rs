@@ -8,23 +8,12 @@
 //! [`Dataset::row_values`] shim exists only for display and for feeding
 //! single tuples to row-oriented predictors.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::{AttrKind, Buf, Schema, TabularError, Value};
 
 /// Index into a dataset's class list.
 pub type ClassId = usize;
-
-/// How [`Dataset::split`] partitions the rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SplitMethod {
-    /// First `n` rows go to the head split, the rest to the tail split.
-    Sequential,
-    /// Rows are shuffled with the given seed before splitting.
-    Shuffled(u64),
-}
 
 /// One typed attribute column. The backing [`Buf`] is either an owned
 /// `Vec` (every ordinary construction path) or a zero-copy window into a
@@ -468,25 +457,6 @@ impl Dataset {
         crate::DatasetView::with_rows(self, rows)
     }
 
-    /// Splits into `(head, tail)` where `head` has `n` rows.
-    ///
-    /// Materializes two owned datasets (column gathers); use
-    /// [`Dataset::view_of`] when a borrowed selection is enough.
-    /// Panics if `n > len()`.
-    pub fn split(&self, n: usize, method: SplitMethod) -> (Dataset, Dataset) {
-        assert!(
-            n <= self.len(),
-            "split point {n} beyond dataset of {}",
-            self.len()
-        );
-        let mut order: Vec<usize> = (0..self.len()).collect();
-        if let SplitMethod::Shuffled(seed) = method {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            order.shuffle(&mut rng);
-        }
-        (self.subset(&order[..n]), self.subset(&order[n..]))
-    }
-
     /// Splits the dataset at row `at`: `self` keeps rows `[0, at)` in
     /// place (their buffers move, nothing is gathered) and the returned
     /// dataset owns rows `[at, len)`. Panics when `at > len`.
@@ -673,32 +643,6 @@ mod tests {
         assert_eq!(ds.class_distribution(), vec![4, 3]);
         assert_eq!(ds.majority_class(), 0);
         assert!((ds.skew() - 4.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sequential_split_preserves_order() {
-        let ds = toy(10);
-        let (head, tail) = ds.split(4, SplitMethod::Sequential);
-        assert_eq!(head.len(), 4);
-        assert_eq!(tail.len(), 6);
-        assert_eq!(head.value(0, 0), Value::Num(0.0));
-        assert_eq!(tail.value(0, 0), Value::Num(4.0));
-    }
-
-    #[test]
-    fn shuffled_split_is_deterministic_and_partitioning() {
-        let ds = toy(20);
-        let (h1, t1) = ds.split(10, SplitMethod::Shuffled(42));
-        let (h2, _) = ds.split(10, SplitMethod::Shuffled(42));
-        assert_eq!(h1, h2);
-        let mut seen: Vec<f64> = h1
-            .num_column(0)
-            .iter()
-            .chain(t1.num_column(0))
-            .copied()
-            .collect();
-        seen.sort_by(f64::total_cmp);
-        assert_eq!(seen, (0..20).map(|i| i as f64).collect::<Vec<_>>());
     }
 
     #[test]

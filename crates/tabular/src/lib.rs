@@ -45,7 +45,7 @@ pub use csv::{
     write_csv_header, write_csv_rows, CsvScanner,
 };
 pub use cv::{stratified_kfold, stratified_split};
-pub use dataset::{ClassId, Column, Dataset, SplitMethod};
+pub use dataset::{ClassId, Column, Dataset};
 pub use schema::{AttrKind, Attribute, Schema};
 pub use value::Value;
 pub use view::{DatasetView, RowIdIter};

@@ -1,6 +1,6 @@
 //! A C4.5-style decision tree and C4.5rules-style rule generator.
 //!
-//! NeuroRule's evaluation (§4) compares against Quinlan's C4.5 [16]: the
+//! NeuroRule's evaluation (§4) compares against Quinlan's C4.5 \[16\]: the
 //! accuracy table uses the tree, Figures 6 and 7 use the rules produced by
 //! C4.5rules. Quinlan's original sources are not freely licensed, so this
 //! is a clean-room implementation of the published algorithms:
