@@ -673,14 +673,19 @@ mod tests {
         assert_eq!(join(|| 1, || 2), (1, 2));
         // `a` waits (up to a bound) for `b` to start, so `b` runs on
         // another thread unless the session never picks it up. Only joins
-        // that find the session parked count. Retried, since the host may
-        // delay the session's wake-up, and since a concurrent test's join
-        // may hold the slot.
-        for _ in 0..20 {
-            std::thread::sleep(SESSION_IDLE * 5);
+        // made after the slot read `PARKED` count as tries: concurrent
+        // tests' joins may keep the session from parking for a while, so
+        // the loop waits for `PARKED` under a deadline. Retried, since
+        // the host may delay the session's wake-up, and since a
+        // concurrent test's join may claim the parked slot first.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut tries = 0;
+        while tries < 20 && Instant::now() < deadline {
+            std::thread::sleep(SESSION_IDLE);
             if SESSION.slot.load(Ordering::Acquire) != PARKED {
                 continue;
             }
+            tries += 1;
             let started = std::sync::atomic::AtomicBool::new(false);
             let (caller, helper) = join(
                 || {
@@ -701,7 +706,13 @@ mod tests {
                 return;
             }
         }
-        panic!("every second half ran on the caller: the parked session never woke");
+        assert!(
+            tries > 0,
+            "the session never parked in 30 s: the wake path was not tried"
+        );
+        panic!(
+            "every second half of {tries} tries ran on the caller: the parked session never woke"
+        );
     }
 
     #[test]
