@@ -33,6 +33,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod activation;
 mod describe;

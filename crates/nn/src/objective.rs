@@ -4,9 +4,10 @@ use nr_encode::EncodedDataset;
 use nr_opt::Objective;
 use serde::{Deserialize, Serialize};
 
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock};
 use std::time::Instant;
 
+use crate::par::Split;
 use crate::{Activation, Mlp};
 
 /// Output clamp keeping `log` finite; the gradient is exact regardless
@@ -122,12 +123,13 @@ impl Penalty {
 /// Rows are sharded into fixed 1,024-row chunks, evaluated one after
 /// another in chunk order; each chunk's loss and gradient are added into
 /// the totals before the next chunk starts, so a chunk's schedule never
-/// changes the result. Each chunk is split between two threads
-/// (`crate::par::join`): each of its three phases runs as two halves, the
-/// forward work by pattern and row ranges and the backward work by
+/// changes the result. Each of a chunk's three phases runs as two halves,
+/// the forward work by pattern and row ranges and the backward work by
 /// `dV`/`dW` entries, cut where the halves last ran about equally long
-/// (see `Balance`). The split gives the inline bits, wherever it cuts, for
-/// two more reasons:
+/// (see `Balance`). Inside [`CrossEntropyObjective::run`] the second half
+/// runs on the run's helper thread while the caller runs the first;
+/// elsewhere the caller runs both, one after the other. The split gives
+/// the inline bits, wherever it cuts, for two more reasons:
 ///
 /// 4. **Every value is computed whole by one half, in the reference's
 ///    order.** A pattern's sum and `tanh`, a row's activations, outputs,
@@ -141,14 +143,14 @@ impl Penalty {
 ///    and the reduction adds the two, which by reason 1 leaves every
 ///    entry's bits unchanged.
 /// 5. **The thread that zeroes or writes a buffer never changes a
-///    value.** One set of buffers, laid out half-major for the largest
-///    chunk (`Layout`), lives as long as the objective and serves every
+///    value.** Each half has its own buffers (`Side`), sized for the
+///    largest chunk, which live as long as the objective and serve every
 ///    chunk in turn. Each half zeroes and writes only its own: its rows'
 ///    activations, deltas and logs, its patterns' activations and its
 ///    gradient buffers, which it zeroes whole before its backward items.
 ///    What a half reads was written earlier in the same chunk, by it or by
-///    the other half before a join. So which thread wrote a buffer, and in
-///    which evaluation, only decides whose cache holds it.
+///    the other half in an earlier phase. So which thread wrote a buffer,
+///    and in which evaluation, only decides whose cache holds it.
 pub struct CrossEntropyObjective<'a> {
     data: &'a EncodedDataset,
     penalty: Penalty,
@@ -156,22 +158,56 @@ pub struct CrossEntropyObjective<'a> {
     links: Vec<crate::LinkId>,
     /// The per-retrain active-link plan.
     plan: Plan,
-    /// The evaluation buffers, reused by every evaluation (one at a time).
-    buffers: Mutex<Buffers>,
+    /// Where the chunks' halves are cut. Each evaluation holds it from
+    /// start to end, so one objective evaluates one point at a time.
+    balance: Mutex<Balance>,
+    /// What both halves of a phase read.
+    input: RwLock<Input>,
+    /// The halves' buffers: side 0's half runs on the caller, side 1's on
+    /// the helper of [`CrossEntropyObjective::run`] or after side 0's.
+    sides: [Side; 2],
+    /// The hand-off of side 1's halves to the helper.
+    split: Split<Span>,
+    /// A panic message for each side's next phase-1 half to raise.
+    #[cfg(test)]
+    fail: Mutex<[Option<String>; 2]>,
 }
 
-/// What an evaluation writes: the parameters it unpacks for the data pass
-/// and the chunks' buffers (see [`Layout`]).
-struct Buffers {
+/// An evaluation's inputs, which the caller copies in before its chunks,
+/// and the chunk it runs. Aligned so that its lock's word has a cache
+/// line of its own.
+#[repr(align(128))]
+struct Input {
+    /// The flat parameter vector.
+    x: Vec<f64>,
     /// The full units' weight rows (`plan.full.len() × n_in`, row-major).
     w_full: Vec<f64>,
     /// Dense hidden→output weights (`o × h`, row-major; masked entries
     /// stay zero).
     v: Vec<f64>,
-    /// Each chunk's evaluation buffers, one chunk at a time.
-    region: Vec<f64>,
-    /// Where the chunks' halves are cut.
-    balance: Balance,
+    want_grad: bool,
+    /// The chunk being evaluated, its cut, and whether its halves are
+    /// timed.
+    chunk: usize,
+    halves: Halves,
+    clock: bool,
+}
+
+/// One half's buffers, sized for the largest chunk. Each sits behind a
+/// lock of its own, so the two halves of a phase never wait for each
+/// other, and the two sides' locks sit on cache lines of their own.
+#[repr(align(128))]
+struct Side {
+    /// The patterns' activations this half computes in phase 1, by the
+    /// chunk's pattern index; before phase 2, side 0's receive side 1's,
+    /// and both halves read them there.
+    acts: RwLock<Vec<f64>>,
+    /// The half's rows (see [`Half`]): written in phases 1 and 2, read by
+    /// both halves in phase 3.
+    rows: RwLock<Vec<f64>>,
+    /// The half's `dW` (`n_w` entries) and `dV` (`o × h`) buffers, written
+    /// in phase 3 and `+0.0` outside the half's backward items.
+    grad: Mutex<Vec<f64>>,
 }
 
 /// The cut of the chunks' split evaluations, moved toward equal run times
@@ -217,16 +253,10 @@ impl Balance {
     }
 }
 
-/// Runs `f`, recording its span when `clock` is set.
-fn timed(clock: bool, span: &mut Span, f: impl FnOnce()) {
-    let start = clock.then(Instant::now);
-    f();
-    *span = start.map(|start| (start, Instant::now()));
-}
-
-/// The buffers' lock, taken whether or not an evaluation panicked holding
-/// it: no state crosses evaluations (each writes what it reads first, and
-/// each half zeroes its gradient buffers), so there is nothing to clear.
+/// A lock of the objective, taken whether or not an evaluation panicked
+/// holding it: no state crosses evaluations (each writes what it reads
+/// first, and each half zeroes its gradient buffers), so there is nothing
+/// to clear.
 fn unpoison<T>(lock: Result<T, std::sync::PoisonError<T>>) -> T {
     lock.unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -236,8 +266,8 @@ const _: () = assert!(crate::par::CHUNK_ROWS < u16::MAX as usize);
 
 /// What [`CrossEntropyObjective::new`] derives from the active set: the
 /// hidden units' parameter ranges, which units gather the rows' own set
-/// bits ("full") and which go through patterns ("sparse"), one
-/// [`ChunkPlan`] per fixed row chunk and the chunks' [`Layout`].
+/// bits ("full") and which go through patterns ("sparse"), and one
+/// [`ChunkPlan`] per fixed row chunk.
 struct Plan {
     n_in: usize,
     h: usize,
@@ -266,8 +296,6 @@ struct Plan {
     v_index: Vec<usize>,
     /// One plan per fixed row chunk, in chunk order.
     chunks: Vec<ChunkPlan>,
-    /// Where a chunk's evaluation buffers sit in the region.
-    layout: Layout,
 }
 
 /// The sparse units' row groupings within one row chunk.
@@ -299,14 +327,15 @@ struct ChunkPlan {
     item_cost: Vec<usize>,
 }
 
-/// Where the second half of a chunk's evaluation starts in each of
-/// [`eval_chunk`]'s phases. Any cut gives the same bits (see
-/// [`CrossEntropyObjective`]); it only decides how long each half runs.
-#[derive(Clone, Copy)]
+/// Where the second half of a chunk's evaluation starts in each of its
+/// phases (see [`CrossEntropyObjective::half`]). Any cut gives the same
+/// bits (see [`CrossEntropyObjective`]); it only decides how long each
+/// half runs.
+#[derive(Clone, Copy, Default)]
 struct Halves {
     /// Phases 1 and 2: the chunk row.
     row: usize,
-    /// Phase 1: the pattern, on a whole cache line of activations.
+    /// Phase 1: the pattern.
     pattern: usize,
     /// Phase 3: the backward item. Items are the `o × h` `dV` entries (row
     /// major), then the full units' `dW` rows, then the sparse `dW`
@@ -372,7 +401,7 @@ impl ChunkPlan {
         let items = self.item_cost[self.item_cost.len() - 1] as f64;
         Halves {
             row,
-            pattern: ((pattern + LINE / 2) / LINE * LINE).min(patterns),
+            pattern,
             item: cut(&self.item_cost, shares[2] * items),
         }
     }
@@ -399,33 +428,11 @@ struct Entry {
     k: usize,
 }
 
-/// `f64`s per 64-byte cache line.
-const LINE: usize = 8;
-
-/// Where a chunk's evaluation buffers sit in the region: each row half's
-/// part, then the pattern activations, each starting on a cache line. A
-/// half's part holds its `dW` and `dV` buffers (`n_w` and `o × h`
-/// entries, each zero outside the half's backward items), then, over its
-/// rows, `hidden` (`h × rows`) and `delta` (`o × rows`) and `back`
-/// (`h × rows`), node-major, and `pre_full` (`rows × full units`) and
-/// `logs` (`rows × o`), row-major. A half may be cut anywhere, so each
-/// half's part holds every row of the largest chunk, and the pattern
-/// activations the patterns of the chunk with the most.
-#[derive(Clone, Copy, Default)]
-struct Layout {
-    /// The most rows each half's part holds.
-    rows: usize,
-    /// Each half's part, in whole cache lines.
-    half: usize,
-    /// The most patterns.
-    patterns: usize,
-}
-
-/// One row half's buffers (see [`Layout`]), and its chunk rows.
+/// One half's rows of its side's [`Side::rows`]: over its `n` rows,
+/// `hidden` (`h × n`), `delta` (`o × n`) and `back` (`h × n`), node-major,
+/// then `pre_full` (`n × full units`) and `logs` (`n × o`), row-major.
 struct Half<'b> {
     rows: std::ops::Range<usize>,
-    dw: &'b mut [f64],
-    dv: &'b mut [f64],
     hidden: &'b mut [f64],
     delta: &'b mut [f64],
     back: &'b mut [f64],
@@ -448,98 +455,6 @@ impl<'b> Nodes<'b> {
     /// Node `m`'s rows of `buf`.
     fn node(&self, buf: &'b [f64], m: usize) -> &'b [f64] {
         &buf[m * self.n..(m + 1) * self.n]
-    }
-}
-
-impl<'b> Half<'b> {
-    /// What phase 3 writes of the half (its `dW` and `dV` buffers) and
-    /// what it reads.
-    fn backward_parts(self) -> (&'b mut [f64], &'b mut [f64], Nodes<'b>) {
-        let nodes = Nodes {
-            start: self.rows.start,
-            n: self.rows.len(),
-            hidden: self.hidden,
-            delta: self.delta,
-            back: self.back,
-        };
-        (self.dw, self.dv, nodes)
-    }
-}
-
-impl Layout {
-    /// The layout for `plan`'s chunks.
-    fn new(plan: &Plan) -> Layout {
-        let (h, o, n_w) = (plan.h, plan.o, plan.w_start[plan.h]);
-        let per_row = 2 * h + 2 * o + plan.full.len();
-        let most = |f: fn(&ChunkPlan) -> usize| plan.chunks.iter().map(f).max().unwrap_or(0);
-        let rows = most(|chunk| chunk.range.len());
-        Layout {
-            rows,
-            half: (n_w + o * h + rows * per_row).next_multiple_of(LINE),
-            patterns: most(ChunkPlan::patterns),
-        }
-    }
-
-    /// The region length to allocate: the parts, plus room to start them
-    /// on a cache line.
-    fn len(&self) -> usize {
-        2 * self.half + self.patterns + LINE - 1
-    }
-
-    /// Where the parts start in `region`: on its first cache line.
-    fn skip(region: &[f64]) -> usize {
-        region.as_ptr().align_offset(64).min(LINE - 1)
-    }
-
-    /// The halves' `dW` and `dV` buffers in a region of [`Layout::len`].
-    fn gradients<'b>(&self, plan: &Plan, region: &'b [f64]) -> [(&'b [f64], &'b [f64]); 2] {
-        let skip = Layout::skip(region);
-        let (n_w, n_v) = (plan.w_start[plan.h], plan.o * plan.h);
-        [skip, skip + self.half].map(|start| {
-            let part = &region[start..start + n_w + n_v];
-            part.split_at(n_w)
-        })
-    }
-
-    /// Cuts a region of [`Layout::len`] into the buffers of the halves of
-    /// `chunk`'s rows cut at `row`, and its pattern activations.
-    fn split<'b>(
-        &self,
-        plan: &Plan,
-        region: &'b mut [f64],
-        chunk: &ChunkPlan,
-        row: usize,
-    ) -> ([Half<'b>; 2], &'b mut [f64]) {
-        let n = chunk.range.len();
-        assert!(row <= n && n <= self.rows);
-        let (_, region) = region.split_at_mut(Layout::skip(region));
-        let (a, region) = region.split_at_mut(self.half);
-        let (b, acts) = region.split_at_mut(self.half);
-        let (h, o, n_w, n_full) = (plan.h, plan.o, plan.w_start[plan.h], plan.full.len());
-        let half = |part: &'b mut [f64], rows: std::ops::Range<usize>| {
-            let n = rows.len();
-            let (dw, part) = part.split_at_mut(n_w);
-            let (dv, part) = part.split_at_mut(o * h);
-            let (hidden, part) = part.split_at_mut(h * n);
-            let (delta, part) = part.split_at_mut(o * n);
-            let (back, part) = part.split_at_mut(h * n);
-            let (pre_full, part) = part.split_at_mut(n * n_full);
-            let logs = &mut part[..n * o];
-            Half {
-                rows,
-                dw,
-                dv,
-                hidden,
-                delta,
-                back,
-                pre_full,
-                logs,
-            }
-        };
-        (
-            [half(a, 0..row), half(b, row..n)],
-            &mut acts[..chunk.patterns()],
-        )
     }
 }
 
@@ -651,14 +566,44 @@ impl Plan {
             feed_offsets,
             feeds,
             chunks: Vec::new(),
-            layout: Layout::default(),
         };
         let rows = data.rows();
         plan.chunks = (0..crate::par::n_chunks(rows))
             .map(|c| plan.chunk(data, crate::par::chunk_range(c, rows)))
             .collect();
-        plan.layout = Layout::new(&plan);
         plan
+    }
+
+    /// The buffers of a half over `rows`, cut from its side's rows.
+    fn half<'b>(&self, buf: &'b mut [f64], rows: std::ops::Range<usize>) -> Half<'b> {
+        let n = rows.len();
+        let (hidden, buf) = buf.split_at_mut(self.h * n);
+        let (delta, buf) = buf.split_at_mut(self.o * n);
+        let (back, buf) = buf.split_at_mut(self.h * n);
+        let (pre_full, buf) = buf.split_at_mut(n * self.full.len());
+        Half {
+            rows,
+            hidden,
+            delta,
+            back,
+            pre_full,
+            logs: &mut buf[..n * self.o],
+        }
+    }
+
+    /// What phase 3 reads of a half over `rows` (see [`Plan::half`]), and
+    /// its logs.
+    fn nodes<'b>(&self, buf: &'b [f64], rows: std::ops::Range<usize>) -> (Nodes<'b>, &'b [f64]) {
+        let (n, h, o) = (rows.len(), self.h, self.o);
+        let logs = (2 * h + o + self.full.len()) * n;
+        let nodes = Nodes {
+            start: rows.start,
+            n,
+            hidden: &buf[..h * n],
+            delta: &buf[h * n..(h + o) * n],
+            back: &buf[(h + o) * n..(2 * h + o) * n],
+        };
+        (nodes, &buf[logs..logs + o * n])
     }
 
     /// Groups one chunk's rows by pattern (per sparse unit) and by active
@@ -797,92 +742,123 @@ impl<'a> CrossEntropyObjective<'a> {
         );
         let links = template.active_links();
         let plan = Plan::new(template, &links, data);
-        let buffers = Buffers {
+        let most = |f: fn(&ChunkPlan) -> usize| plan.chunks.iter().map(f).max().unwrap_or(0);
+        let (rows, patterns) = (most(|chunk| chunk.range.len()), most(ChunkPlan::patterns));
+        let (h, o) = (plan.h, plan.o);
+        let side = || Side {
+            acts: RwLock::new(vec![0.0; patterns]),
+            rows: RwLock::new(vec![0.0; rows * (2 * (h + o) + plan.full.len())]),
+            grad: Mutex::new(vec![0.0; plan.w_start[h] + o * h]),
+        };
+        let input = Input {
+            x: vec![0.0; links.len()],
             w_full: vec![0.0; plan.full.len() * plan.n_in],
-            v: vec![0.0; plan.o * plan.h],
-            region: vec![0.0; plan.layout.len()],
-            balance: Balance {
-                shares: EVEN,
-                evals: 0,
-            },
+            v: vec![0.0; o * h],
+            want_grad: false,
+            chunk: 0,
+            halves: Halves::default(),
+            clock: false,
         };
         CrossEntropyObjective {
             data,
             penalty,
             links,
+            balance: Mutex::new(Balance {
+                shares: EVEN,
+                evals: 0,
+            }),
+            input: RwLock::new(input),
+            sides: [side(), side()],
+            split: Split::new(),
             plan,
-            buffers: Mutex::new(buffers),
+            #[cfg(test)]
+            fail: Mutex::new([None, None]),
         }
+    }
+
+    /// Runs `f`, typically a training run's optimizer loop, with a helper
+    /// thread that runs the second half of every phase of the evaluations
+    /// `f` makes (see the type docs), and joins the helper when `f`
+    /// returns. [`crate::Trainer::train`] runs its minimizer in here.
+    ///
+    /// The caller never waits for a helper that has not picked a half up:
+    /// it takes the half back and runs it itself, so on an oversubscribed
+    /// host the split degrades to the inline schedule. On a single-core
+    /// host, or if the helper cannot be spawned, `f` runs without one.
+    /// Which thread runs a half never changes a bit of the result.
+    pub fn run<R>(&self, f: impl FnOnce(&Self) -> R) -> R {
+        self.split
+            .serve(|phase| self.half(phase, 1, &mut 0.0), || f(self))
     }
 
     /// Shared forward/backward pass. When `grad` is `Some`, accumulates the
     /// gradient (in link order) as well.
     ///
-    /// Each chunk is split between the caller and the fork-join's session
-    /// thread ([`crate::par::join`]), which runs both halves on the caller
-    /// on a single-core host or while another join holds the session.
-    fn evaluate(&self, x: &[f64], grad: Option<&mut [f64]>) -> f64 {
-        self.evaluate_with(x, grad, joined)
-    }
-
-    /// [`Self::evaluate`] with an explicit schedule: `fork` runs the halves
-    /// of each chunk's phases. The tests' `sequential`, one half after the
-    /// other, is the inline reference.
-    ///
-    /// Each chunk evaluates its rows through the plan (see [`eval_chunk`]):
-    /// hidden activations (full units gathered over the rows' set bits,
-    /// sparse units once per pattern), `S = σ(hidden·Vᵀ)`, the live log of
-    /// each output and `D = S − T`, then `dV`, the back-propagated hidden
-    /// deltas and the active `dW` entries. The chunks run in chunk order,
-    /// and each one's loss and gradient are added into the totals before
-    /// the next one starts, so the result does not depend on the schedule.
-    fn evaluate_with(&self, x: &[f64], mut grad: Option<&mut [f64]>, fork: Fork) -> f64 {
+    /// Each chunk evaluates its rows through the plan in three phases (see
+    /// [`Self::half`]): hidden activations (full units gathered over the
+    /// rows' set bits, sparse units once per pattern), `S = σ(hidden·Vᵀ)`,
+    /// the live log of each output and `D = S − T`, then `dV`, the
+    /// back-propagated hidden deltas and the active `dW` entries. The
+    /// chunks run in chunk order, and each one's loss and gradient are
+    /// added into the totals before the next one starts, so the result
+    /// does not depend on the schedule.
+    fn evaluate(&self, x: &[f64], mut grad: Option<&mut [f64]>) -> f64 {
         let plan = &self.plan;
         let n_w = plan.w_start[plan.h];
-        let mut buffers = unpoison(self.buffers.lock());
-        let Buffers {
-            w_full,
-            v,
-            region,
-            balance,
-        } = &mut *buffers;
-        for (&e, &p) in plan.v_index.iter().zip(&x[n_w..]) {
-            v[e] = p;
+        let mut balance = unpoison(self.balance.lock());
+        {
+            let input = &mut *unpoison(self.input.write());
+            input.x.copy_from_slice(x);
+            for (&e, &p) in plan.v_index.iter().zip(&x[n_w..]) {
+                input.v[e] = p;
+            }
+            // The full units' weight rows, packed for the set-bit gather.
+            for (row, &m) in input.w_full.chunks_exact_mut(plan.n_in).zip(&plan.full) {
+                row.copy_from_slice(&x[plan.w_start[m]..plan.w_start[m + 1]]);
+            }
+            input.want_grad = grad.is_some();
         }
-        // The full units' weight rows, packed for the set-bit gather.
-        for (row, &m) in w_full.chunks_exact_mut(plan.n_in).zip(&plan.full) {
-            row.copy_from_slice(&x[plan.w_start[m]..plan.w_start[m + 1]]);
-        }
-
-        let ctx = EvalCtx {
-            data: self.data,
-            plan,
-            x,
-            w_full,
-            v,
-            want_grad: grad.is_some(),
-        };
 
         if let Some(g) = grad.as_deref_mut() {
             g.fill(0.0);
         }
         // Ordered reduction: chunk 0 first, always.
         let mut loss = 0.0;
-        for chunk in &plan.chunks {
+        for (c, chunk) in plan.chunks.iter().enumerate() {
             let halves = chunk.halves(balance.shares);
-            let clock = balance.evals % SAMPLE_EVERY == 0;
+            {
+                let input = &mut *unpoison(self.input.write());
+                input.chunk = c;
+                input.halves = halves;
+                input.clock = balance.evals % SAMPLE_EVERY == 0;
+            }
             balance.evals += 1;
-            let (chunk_loss, spans) = eval_chunk(&ctx, chunk, fork, region, halves, clock);
-            loss += chunk_loss;
+            let mut chunk_loss = 0.0;
+            let mut spans = [[None; 2]; 3];
+            spans[0] = self.fork(ACTIVATE, &mut chunk_loss);
+            {
+                let mut acts = unpoison(self.sides[0].acts.write());
+                let theirs = unpoison(self.sides[1].acts.read());
+                let patterns = halves.pattern..chunk.patterns();
+                acts[patterns.clone()].copy_from_slice(&theirs[patterns]);
+            }
+            spans[1] = self.fork(RESPOND, &mut chunk_loss);
             if let Some(g) = grad.as_deref_mut() {
-                let [(dw_a, dv_a), (dw_b, dv_b)] = plan.layout.gradients(plan, region);
+                spans[2] = self.fork(BACKWARD, &mut chunk_loss);
+                let [a, b] = [0, 1].map(|side| unpoison(self.sides[side].grad.lock()));
+                let ((dw_a, dv_a), (dw_b, dv_b)) = (a.split_at(n_w), b.split_at(n_w));
                 for (g, (&da, &db)) in g.iter_mut().zip(dw_a.iter().zip(dw_b)) {
                     *g += da + db;
                 }
                 for (g, &e) in g[n_w..].iter_mut().zip(&plan.v_index) {
                     *g += dv_a[e] + dv_b[e];
                 }
+            } else {
+                let rows = unpoison(self.sides[1].rows.read());
+                let (_, logs) = plan.nodes(&rows, halves.row..chunk.range.len());
+                chunk_loss = minus_logs(chunk_loss, logs);
             }
+            loss += chunk_loss;
             balance.adapt(&spans, &chunk.work(&halves));
         }
         if let Some(g) = grad {
@@ -898,12 +874,110 @@ impl<'a> CrossEntropyObjective<'a> {
         }
         loss
     }
+
+    /// Runs `phase`'s two halves of the current chunk: side 0's on the
+    /// caller, side 1's on the helper (see [`Split::join`]). Returns their
+    /// spans.
+    fn fork(&self, phase: u8, loss: &mut f64) -> [Span; 2] {
+        let (a, b) = self.split.join(
+            || self.half(phase, 0, loss),
+            phase,
+            |phase| self.half(phase, 1, &mut 0.0),
+        );
+        [a, b]
+    }
+
+    /// Runs side `side`'s half of phase `phase` of the current chunk (the
+    /// chunk and cut in [`Input`]), and returns its span if the chunk is
+    /// timed. The phases:
+    ///
+    /// 1. (`ACTIVATE`) hidden activations: the full units gathered over
+    ///    each row's set bits (by rows), one pre-activation and `tanh` per
+    ///    sparse pattern (by patterns);
+    /// 2. (`RESPOND`) per row (by rows): the sparse units' activations
+    ///    broadcast from their patterns, `S = σ(hidden·Vᵀ)`, the live log of
+    ///    each output into a per-row buffer, `D = S − T`, and (when wanted)
+    ///    the hidden deltas;
+    /// 3. (`BACKWARD`, when wanted, by items) the backward items: `dV`
+    ///    entries, the full units' `dW` rows and the sparse `dW` entries.
+    ///
+    /// Every value is computed by one half, start to finish, in the
+    /// reference's order, and each half writes only its own [`Side`] (see
+    /// [`CrossEntropyObjective`]). Side 0 also carries the chunk's cross
+    /// entropy `loss`, one chain in row order: over its own rows' logs at
+    /// the end of phase 2, over side 1's first thing in phase 3 (after
+    /// phase 2 when there is no gradient). The gradient stays in the
+    /// halves' `dW` and `dV` buffers for the reduction.
+    ///
+    /// Activations and deltas are stored node-major within each row half,
+    /// so every inner loop runs over rows; each element is still
+    /// accumulated in the reference's order (ascending node index for
+    /// `σ(hidden·Vᵀ)` and the hidden deltas, ascending row for `dV`).
+    fn half(&self, phase: u8, side: usize, loss: &mut f64) -> Span {
+        let input = unpoison(self.input.read());
+        let plan = &self.plan;
+        let chunk = &plan.chunks[input.chunk];
+        let Halves { row, pattern, item } = input.halves;
+        let n = chunk.range.len();
+        let ctx = EvalCtx {
+            plan,
+            x: &input.x,
+            w_full: &input.w_full,
+            v: &input.v,
+            want_grad: input.want_grad,
+        };
+        let bits = crate::mlp::chunk_bits(self.data, &chunk.range);
+        let rows = [0..row, row..n][side].clone();
+        let start = input.clock.then(Instant::now);
+        match phase {
+            ACTIVATE => {
+                let mut buf = unpoison(self.sides[side].rows.write());
+                let mut acts = unpoison(self.sides[side].acts.write());
+                #[cfg(test)]
+                if let Some(msg) = unpoison(self.fail.lock())[side].take() {
+                    panic!("{msg}");
+                }
+                let patterns = [0..pattern, pattern..chunk.patterns()][side].clone();
+                let first = patterns.start;
+                let half = &mut plan.half(&mut buf, rows);
+                activate(&ctx, chunk, bits, half, first, &mut acts[patterns]);
+            }
+            RESPOND => {
+                let mut buf = unpoison(self.sides[side].rows.write());
+                let acts = unpoison(self.sides[0].acts.read());
+                let targets = &self.data.targets()[chunk.range.clone()];
+                let half = &mut plan.half(&mut buf, rows);
+                respond(&ctx, chunk, targets, &acts[..chunk.patterns()], half);
+                if side == 0 {
+                    *loss = minus_logs(0.0, half.logs);
+                }
+            }
+            _ => {
+                let [a, b] = [0, 1].map(|side| unpoison(self.sides[side].rows.read()));
+                let ((nodes_a, _), (nodes_b, logs_b)) =
+                    (plan.nodes(&a, 0..row), plan.nodes(&b, row..n));
+                let mut grad = unpoison(self.sides[side].grad.lock());
+                if side == 0 {
+                    // The caller's half continues the loss chain first.
+                    *loss = minus_logs(*loss, logs_b);
+                }
+                let n_items = plan.o * plan.h + plan.full.len() + chunk.entries.len();
+                let items = [0..item, item..n_items][side].clone();
+                let (dw, dv) = grad.split_at_mut(plan.w_start[plan.h]);
+                backward(&ctx, chunk, bits, [nodes_a, nodes_b], &items, dv, dw);
+            }
+        }
+        start.map(|start| (start, Instant::now()))
+    }
 }
 
-/// Everything one chunk evaluation reads.
+/// The phases of a chunk's evaluation, as [`Split`] requests.
+const ACTIVATE: u8 = 0;
+const RESPOND: u8 = 1;
+const BACKWARD: u8 = 2;
+
+/// Everything one half reads.
 struct EvalCtx<'a> {
-    /// The encoded dataset being evaluated.
-    data: &'a EncodedDataset,
     plan: &'a Plan,
     /// The flat parameter vector.
     x: &'a [f64],
@@ -913,16 +987,6 @@ struct EvalCtx<'a> {
     /// zero).
     v: &'a [f64],
     want_grad: bool,
-}
-
-/// Runs the two halves of one phase of [`eval_chunk`]: one after the
-/// other, or on two threads. Which thread runs a half never changes what
-/// it computes.
-type Fork = fn(&mut (dyn FnMut() + Send), &mut (dyn FnMut() + Send));
-
-/// The caller and the fork-join's session thread ([`crate::par::join`]).
-fn joined(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
-    crate::par::join(a, b);
 }
 
 /// Continues the loss chain `loss` over `logs`, in order.
@@ -938,93 +1002,7 @@ fn clamp_range(items: &std::ops::Range<usize>, lo: usize, hi: usize) -> std::ops
     items.start.clamp(lo, hi) - lo..items.end.clamp(lo, hi) - lo
 }
 
-/// One fixed-size chunk of rows through the plan, in three phases, each
-/// run as two halves cut at the chunk's [`Halves`] and handed to `fork`:
-///
-/// 1. hidden activations: the full units gathered over each row's set
-///    bits (by rows), one pre-activation and `tanh` per sparse pattern (by
-///    patterns);
-/// 2. per row (by rows): the sparse units' activations broadcast from
-///    their patterns, `S = σ(hidden·Vᵀ)`, the live log of each output into
-///    a per-row buffer, `D = S − T`, and (when wanted) the hidden deltas;
-/// 3. (when wanted, by items) the backward items: `dV` entries, the full
-///    units' `dW` rows and the sparse `dW` entries.
-///
-/// Every value is computed by one half, start to finish, in the
-/// reference's order, and each half writes only its own part of `region`
-/// (see [`CrossEntropyObjective`] and [`Layout`]). Returns the chunk's
-/// cross entropy, summed in row order, and (with `clock`) each half's
-/// span in each phase; the gradient stays in the halves' `dW` and `dV`
-/// buffers for the reduction.
-///
-/// Activations and deltas are stored node-major within each row half, so
-/// every inner loop runs over rows; each element is still accumulated in
-/// the reference's order (ascending node index for `σ(hidden·Vᵀ)` and the
-/// hidden deltas, ascending row for `dV`).
-fn eval_chunk(
-    ctx: &EvalCtx<'_>,
-    chunk: &ChunkPlan,
-    fork: Fork,
-    region: &mut [f64],
-    halves: Halves,
-    clock: bool,
-) -> (f64, [[Span; 2]; 3]) {
-    let plan = ctx.plan;
-    let bits = crate::mlp::chunk_bits(ctx.data, &chunk.range);
-    let targets = &ctx.data.targets()[chunk.range.clone()];
-    let n_items = plan.o * plan.h + plan.full.len() + chunk.entries.len();
-    let mut spans = [[None; 2]; 3];
-    let [s1, s2, s3] = &mut spans;
-    let ([mut a, mut b], acts) = plan.layout.split(plan, region, chunk, halves.row);
-    {
-        let (acts_a, acts_b) = acts.split_at_mut(halves.pattern);
-        let [s1a, s1b] = s1;
-        fork(
-            &mut || timed(clock, s1a, || activate(ctx, chunk, bits, &mut a, 0, acts_a)),
-            &mut || {
-                timed(clock, s1b, || {
-                    activate(ctx, chunk, bits, &mut b, halves.pattern, acts_b)
-                })
-            },
-        );
-    }
-    let acts = &acts[..];
-    let mut loss = 0.0;
-    let [s2a, s2b] = s2;
-    fork(
-        &mut || {
-            timed(clock, s2a, || respond(ctx, chunk, targets, acts, &mut a));
-            loss = minus_logs(0.0, a.logs);
-        },
-        &mut || timed(clock, s2b, || respond(ctx, chunk, targets, acts, &mut b)),
-    );
-    if ctx.want_grad {
-        let (first, second) = (0..halves.item, halves.item..n_items);
-        let logs_b = &*std::mem::take(&mut b.logs);
-        let [(dw_a, dv_a, nodes_a), (dw_b, dv_b, nodes_b)] = [a, b].map(Half::backward_parts);
-        let nodes = [nodes_a, nodes_b];
-        let [s3a, s3b] = s3;
-        fork(
-            &mut || {
-                timed(clock, s3a, || {
-                    // The caller's half continues the loss chain first.
-                    loss = minus_logs(loss, logs_b);
-                    backward(ctx, chunk, bits, nodes, &first, dv_a, dw_a)
-                })
-            },
-            &mut || {
-                timed(clock, s3b, || {
-                    backward(ctx, chunk, bits, nodes, &second, dv_b, dw_b)
-                })
-            },
-        );
-    } else {
-        loss = minus_logs(loss, b.logs);
-    }
-    (loss, spans)
-}
-
-/// Phase 1 of [`eval_chunk`] for `half`'s rows and the patterns from
+/// Phase 1 of [`CrossEntropyObjective::half`] for `half`'s rows and the patterns from
 /// `first_pattern` on (as many as `acts` holds).
 fn activate(
     ctx: &EvalCtx<'_>,
@@ -1085,7 +1063,7 @@ fn activate(
     }
 }
 
-/// Phase 2 of [`eval_chunk`] for `half`'s rows, with the chunk's targets
+/// Phase 2 of [`CrossEntropyObjective::half`] for `half`'s rows, with the chunk's targets
 /// and all of its pattern activations `acts`.
 fn respond(
     ctx: &EvalCtx<'_>,
@@ -1171,7 +1149,7 @@ fn term(d: f64, w: f64) -> f64 {
     }
 }
 
-/// Phase 3 of [`eval_chunk`] for backward items `items` (see
+/// Phase 3 of [`CrossEntropyObjective::half`] for backward items `items` (see
 /// [`Halves::item`]): their `dV` entries into `dv` and their `dW` entries
 /// into `dw`, each sum over the rows of both row halves (`nodes`), the
 /// first half's first. Both buffers are zeroed whole first, so every entry
@@ -1454,27 +1432,6 @@ mod tests {
         assert!(loss < 1e-8, "loss {loss}");
     }
 
-    /// The inline schedule: the first half, then the second.
-    fn sequential(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
-        a();
-        b();
-    }
-
-    /// The second half on a thread of its own, so the split runs on two
-    /// threads whether or not the session is free.
-    fn scoped(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
-        std::thread::scope(|s| {
-            s.spawn(b);
-            a();
-        });
-    }
-
-    /// The halves in reverse order.
-    fn reversed(a: &mut (dyn FnMut() + Send), b: &mut (dyn FnMut() + Send)) {
-        b();
-        a();
-    }
-
     /// A small deterministic stream for fixtures.
     fn lcg(state: &mut u64) -> usize {
         *state = state
@@ -1539,13 +1496,14 @@ mod tests {
         assert_eq!(balance(&[10, 1, 1], 1.0), 3);
     }
 
-    /// Every split schedule (two threads, reversed halves, the
-    /// fork-join's session) gives the inline evaluation's value and gradient bits, at
-    /// row counts around the halves' and the chunks' edges (one chunk, two,
-    /// and two and a row) and under masks from none to 95%. One objective
-    /// evaluated again and again, at alternating points, with and without
-    /// the gradient, under every schedule and cut in turn, gives each time
-    /// the bits of a freshly built one: nothing an evaluation, or a chunk,
+    /// Evaluations inside [`CrossEntropyObjective::run`], the path of
+    /// `Trainer::train`, where the helper runs the second halves, give the
+    /// inline evaluation's value and gradient bits, at row counts around
+    /// the halves' and the chunks' edges (one chunk, two, and two and a
+    /// row) and under masks from none to 95%. One objective evaluated again
+    /// and again, at alternating points, with and without the gradient,
+    /// inside and outside a run and under forced cuts, gives each time the
+    /// bits of a freshly built one: nothing an evaluation, or a chunk,
     /// leaves in the buffers reaches the next.
     #[test]
     fn split_evaluation_is_bit_identical_to_inline() {
@@ -1560,16 +1518,18 @@ mod tests {
                 let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
                 let x = net.flatten_active();
                 let mut want_grad = vec![0.0; obj.dim()];
-                let want = obj.evaluate_with(&x, Some(&mut want_grad), sequential);
-                for fork in [scoped as Fork, reversed, joined] {
-                    let mut grad = vec![0.0; obj.dim()];
-                    let loss = obj.evaluate_with(&x, Some(&mut grad), fork);
-                    let value = obj.evaluate_with(&x, None, fork);
-                    let case = format!("rows {rows}, {prune_pct}% pruned");
-                    assert_eq!(loss.to_bits(), want.to_bits(), "{case}: loss");
-                    assert_eq!(value.to_bits(), want.to_bits(), "{case}: value");
-                    assert_eq!(bits(&grad), bits(&want_grad), "{case}: gradient");
-                }
+                let want = obj.evaluate(&x, Some(&mut want_grad));
+                obj.run(|obj| {
+                    for _ in 0..3 {
+                        let mut grad = vec![0.0; obj.dim()];
+                        let loss = obj.value_and_gradient(&x, &mut grad);
+                        let value = obj.value(&x);
+                        let case = format!("rows {rows}, {prune_pct}% pruned");
+                        assert_eq!(loss.to_bits(), want.to_bits(), "{case}: loss");
+                        assert_eq!(value.to_bits(), want.to_bits(), "{case}: value");
+                        assert_eq!(bits(&grad), bits(&want_grad), "{case}: gradient");
+                    }
+                });
             }
         }
 
@@ -1577,7 +1537,6 @@ mod tests {
         // fed by every input, so `pre_full` is written too; past 1,024
         // rows a shorter chunk follows a full one in the same buffers.
         let shares = [EVEN, [0.1, 0.9, 0.2], [0.9, 0.1, 0.8], [0.3, 0.6, 0.9]];
-        let forks = [sequential as Fork, joined, scoped, reversed];
         for rows in [1, 513, 1000, 1025, 2048, 2049] {
             for prune_pct in [0, 80] {
                 let seed = (rows * 11 + prune_pct) as u64;
@@ -1588,26 +1547,71 @@ mod tests {
                 let fresh = |x: &[f64]| {
                     let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
                     let mut grad = vec![0.0; obj.dim()];
-                    let loss = obj.evaluate_with(x, Some(&mut grad), sequential);
+                    let loss = obj.evaluate(x, Some(&mut grad));
                     (loss.to_bits(), bits(&grad))
                 };
                 let want = [fresh(&x1), fresh(&x2)];
                 let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
                 for step in 0..24 {
                     let (point, x) = [(0, &x1), (1, &x2), (0, &x1)][step % 3];
-                    unpoison(obj.buffers.lock()).balance.shares = shares[step / 3 % 4];
-                    let fork = forks[step % 4];
+                    unpoison(obj.balance.lock()).shares = shares[step / 3 % 4];
                     let case = format!("rows {rows}, {prune_pct}% pruned, step {step}");
-                    if step % 2 == 0 {
-                        let mut grad = vec![0.0; obj.dim()];
-                        let loss = obj.evaluate_with(x, Some(&mut grad), fork);
-                        assert_eq!(loss.to_bits(), want[point].0, "{case}: loss");
-                        assert_eq!(bits(&grad), want[point].1, "{case}: gradient");
+                    let evaluate = |obj: &CrossEntropyObjective| {
+                        if step % 2 == 0 {
+                            let mut grad = vec![0.0; obj.dim()];
+                            let loss = obj.value_and_gradient(x, &mut grad);
+                            assert_eq!(loss.to_bits(), want[point].0, "{case}: loss");
+                            assert_eq!(bits(&grad), want[point].1, "{case}: gradient");
+                        } else {
+                            let value = obj.value(x);
+                            assert_eq!(value.to_bits(), want[point].0, "{case}: value");
+                        }
+                    };
+                    if step % 4 < 2 {
+                        obj.run(evaluate);
                     } else {
-                        let value = obj.evaluate_with(x, None, fork);
-                        assert_eq!(value.to_bits(), want[point].0, "{case}: value");
+                        evaluate(&obj);
                     }
                 }
+            }
+        }
+    }
+
+    /// A panic in either half inside `run` re-raises there with its own
+    /// message, once the other half is done with the buffers; the next run
+    /// still splits (its halves run side by side, which moves the cut) and
+    /// still gives the inline bits.
+    #[test]
+    fn a_half_panic_reraises_and_the_next_run_still_splits() {
+        let bits = |g: &[f64]| g.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let data = random_rows(1000, 140, 2, 5);
+        let net = shaped_net(140, 5, 3, 40, 5);
+        let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
+        let x = net.flatten_active();
+        let mut want_grad = vec![0.0; obj.dim()];
+        let want = obj.evaluate(&x, Some(&mut want_grad));
+        for side in [0, 1] {
+            let msg = format!("side {side}'s half exploded");
+            unpoison(obj.fail.lock())[side] = Some(msg.clone());
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                obj.run(|obj| obj.value(&x))
+            }))
+            .expect_err("the half's panic must propagate");
+            assert_eq!(err.downcast_ref::<String>(), Some(&msg));
+            let split = (0..20).any(|_| {
+                unpoison(obj.balance.lock()).shares = EVEN;
+                obj.run(|obj| {
+                    for _ in 0..40 {
+                        let mut grad = vec![0.0; obj.dim()];
+                        let loss = obj.value_and_gradient(&x, &mut grad);
+                        assert_eq!(loss.to_bits(), want.to_bits(), "side {side}: loss");
+                        assert_eq!(bits(&grad), bits(&want_grad), "side {side}: gradient");
+                    }
+                });
+                unpoison(obj.balance.lock()).shares != EVEN
+            });
+            if crate::resolve_threads(0, 2) >= 2 {
+                assert!(split, "side {side}: no later run split its halves");
             }
         }
     }

@@ -15,21 +15,20 @@
 //! 1,024-row chunk, so a spawn of some tens of microseconds is small
 //! against the job, and the scope gives the borrow guarantee for free.
 //!
-//! **Fork-join** ([`join`]) is the one place where a spawn would not pay.
-//! The training objective walks the chunks one after another and splits
-//! each phase of a chunk's evaluation into two halves, one on the caller
-//! and one on a *session* thread, so that every ordered sum keeps its
-//! order (see `CrossEntropyObjective`'s docs) and the bits stay the
-//! sequential ones. An evaluation over a paper-scale training set (1000
-//! tuples, one chunk) takes about 100 µs and BFGS makes hundreds per fit,
-//! so the session spins on a one-job slot between halves, a hand-off of
-//! well under a microsecond, and parks once training stops joining.
+//! **Fork-join** ([`Split`]) is where a spawn per call would not pay. The
+//! training objective walks the chunks one after another and splits each
+//! phase of a chunk's evaluation into two halves, so that every ordered
+//! sum keeps its order (see `CrossEntropyObjective`'s docs) and the bits
+//! stay the sequential ones. An evaluation over a paper-scale training set
+//! (1000 tuples, one chunk) takes about 60 µs and BFGS makes hundreds per
+//! fit, so a training run spawns one scoped helper for all of them
+//! ([`Split::serve`]); the helper spins on a one-request slot between
+//! halves, a hand-off of well under a microsecond, and is joined when the
+//! run ends.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
-use std::thread::Thread;
-use std::time::{Duration, Instant};
 
 /// Rows per chunk. Must stay constant across thread counts (it defines the
 /// reduction grouping, and therefore the floating-point result).
@@ -48,12 +47,13 @@ pub(crate) fn chunk_range(c: usize, rows: usize) -> Range<usize> {
 
 /// The auto thread count: the hardware's available parallelism, capped
 /// at 8. A fan-out runs on at most this many threads, the caller
-/// included; below 2, [`join`] has no session and runs both halves inline.
+/// included; below 2, a [`Split`] spawns no helper and runs both halves
+/// inline.
 ///
 /// Detected once per process. `available_parallelism` reads cgroup files
 /// on Linux, tens of microseconds per call, and [`resolve_threads`] is
 /// called on every batch.
-fn pool_size() -> usize {
+fn auto_threads() -> usize {
     static SIZE: OnceLock<usize> = OnceLock::new();
     *SIZE.get_or_init(|| {
         std::thread::available_parallelism()
@@ -73,7 +73,7 @@ fn pool_size() -> usize {
 /// waves of jobs by the thread count they will actually get.
 pub fn resolve_threads(requested: usize, chunks: usize) -> usize {
     let t = if requested == 0 {
-        pool_size()
+        auto_threads()
     } else {
         requested
     };
@@ -237,240 +237,178 @@ where
     // its original message and location.
     results
         .into_iter()
-        .map(|(j, r)| r.unwrap_or_else(|msg| panic!("worker-pool job {j} panicked: {msg}")))
+        .map(|(j, r)| r.unwrap_or_else(|msg| panic!("fan-out job {j} panicked: {msg}")))
         .collect()
 }
 
-/// A second half of [`join`], lifetime-erased to sit in the session slot.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// The name of a [`Split`]'s helper thread.
+const HELPER_NAME: &str = "nr-nn-split";
 
-/// Pretends [`join`]'s second half outlives the caller's frame so it can
-/// sit in the `'static` session slot.
+/// The states of a [`Split`]'s slot word; request `k` posted is `POSTED + k`.
+const OFF: u8 = 0; // no helper: `join` runs both halves on the caller
+const IDLE: u8 = 1; // the helper spins, nothing posted
+const RUNNING: u8 = 2; // the helper runs the posted half
+const DONE: u8 = 3; // the half returned; its caller collects the result
+const POSTED: u8 = 4;
+
+/// A two-party fork-join whose second party is one helper thread, alive
+/// only while [`Split::serve`] runs.
 ///
-/// # Safety contract
+/// A half is a request, a small number that the helper hands to the
+/// function it serves with, so nothing of a caller's frame crosses
+/// threads: the two parties share only what that function can reach.
 ///
-/// The caller must not return or unwind past the borrowed data until the
-/// erased closure has run **and dropped its captures**. [`join`] upholds
-/// this by running its first closure under `catch_unwind` and then either
-/// taking the erased half back out of the session slot (running or
-/// dropping it itself) or waiting for the session thread's `DONE`, which
-/// the session stores only after the half has returned.
-// The workspace denies `unsafe_code`; this lifetime erasure is the one
-// exception in the crate, kept to a single expression behind the wait
-// contract above.
-#[allow(unsafe_code)]
-fn erase_job_lifetime<'env>(
-    job: Box<dyn FnOnce() + Send + 'env>,
-) -> Box<dyn FnOnce() + Send + 'static> {
-    // SAFETY: only the lifetime bound changes; Box<dyn FnOnce> has the
-    // same layout for any lifetime, and the wait contract above keeps the
-    // borrows alive until the job is done with them.
-    unsafe { std::mem::transmute(job) }
-}
-
-/// How long the session thread spins with nothing to do before it parks.
-/// Longer than the optimizer's work between two objective evaluations: in
-/// `mine`'s fits on a 2-core host ≈4.5% of the gaps exceed 50 µs (BFGS
-/// updates over the ≈360 parameters of the first training, a retrain's
-/// set-up) and a few in 31,000 exceed 1 ms. A join that finds the session
-/// parked wakes it and runs its first half's phase alone meanwhile. Short
-/// enough that a process which stopped training stops spinning soon
-/// after.
-const SESSION_IDLE: Duration = Duration::from_millis(1);
-
-/// The states of the session's one-job slot.
-const FREE: u8 = 0; // no half in flight; the session spins
-const CLAIMED: u8 = 1; // one caller owns the slot (posting or taking back)
-const POSTED: u8 = 2; // a second half waits in the slot
-const RUNNING: u8 = 3; // the session thread runs the posted half
-const DONE: u8 = 4; // the half returned; its caller collects it
-const PARKED: u8 = 5; // no half in flight; the session is parked
-
-/// The fork-join's helper: one thread serves the second halves of [`join`]
-/// calls from a one-job slot it spins on.
-///
-/// `slot` orders the hand-off. The caller's `POSTED` store (Release)
-/// publishes the half, and everything the caller wrote before it, to the
-/// session's `POSTED → RUNNING` exchange (Acquire); the session's `DONE`
-/// store (Release) publishes the half's writes to the caller's `DONE` load
-/// (Acquire); every `FREE` store (Release) pairs with the next claim's
-/// exchange (Acquire), through the session's `FREE → PARKED` exchange when
-/// it parks in between (a read-modify-write continues the release
-/// sequence). The slot word is also how a caller learns that it must
-/// unpark the session, so a join on a busy session touches no other
-/// shared line.
-struct Session {
+/// `slot` orders the hand-off. The caller's post (Release) publishes its
+/// writes to the helper's `POSTED → RUNNING` exchange (Acquire); the
+/// helper's `DONE` store (Release) publishes the half's writes to the
+/// caller's `DONE` load (Acquire). The slot has a cache line of its own,
+/// so the helper's spin reads nothing else the caller writes.
+#[repr(align(128))]
+pub(crate) struct Split<T> {
     slot: AtomicU8,
-    half: Mutex<Option<Job>>,
+    /// The result of the helper's last half, or its panic.
+    result: Mutex<Option<std::thread::Result<T>>>,
 }
 
-/// `half` is locked only by whoever `slot` says owns it, and nothing
-/// panics while holding it.
-const SLOT_LOCK: &str = "no panic while holding the session slot";
-
-static SESSION: Session = Session {
-    slot: AtomicU8::new(FREE),
-    half: Mutex::new(None),
-};
-
-/// The session thread, spawned by the first [`join`] of a process with 2
-/// or more cores. `None` on a single-core host or if the spawn failed:
-/// then every join runs both halves inline.
-fn session_thread() -> Option<&'static Thread> {
-    static THREAD: OnceLock<Option<Thread>> = OnceLock::new();
-    THREAD
-        .get_or_init(|| {
-            if pool_size() < 2 {
-                return None;
-            }
-            std::thread::Builder::new()
-                .name("nr-nn-join".to_string())
-                .spawn(serve_session)
-                .ok()
-                .map(|handle| handle.thread().clone())
-        })
-        .as_ref()
-}
-
-/// The session thread's body: serves posted halves, and parks once the
-/// slot has been free for [`SESSION_IDLE`] until a join wakes it. A half
-/// posted while the session wakes is taken back by its caller if the
-/// caller's own half finishes first.
-fn serve_session() {
-    let s = &SESSION;
-    let mut idle_from: Option<Instant> = None;
-    let mut spins = 0u32;
-    loop {
-        match s.slot.load(Ordering::Acquire) {
-            POSTED => {
-                if s.slot
-                    .compare_exchange(POSTED, RUNNING, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    let half = s.half.lock().expect(SLOT_LOCK).take();
-                    // The half catches its own unwind (see `join`).
-                    half.expect("a posted half is in the slot")();
-                    s.slot.store(DONE, Ordering::Release);
-                }
-                idle_from = None;
-            }
-            FREE => {
-                spins = spins.wrapping_add(1);
-                if spins % 64 == 0 {
-                    let since = *idle_from.get_or_insert_with(Instant::now);
-                    if since.elapsed() >= SESSION_IDLE
-                        && s.slot
-                            .compare_exchange(FREE, PARKED, Ordering::Relaxed, Ordering::Relaxed)
-                            .is_ok()
-                    {
-                        // Only a join moves the slot off `PARKED`, and it
-                        // unparks this thread after doing so.
-                        while s.slot.load(Ordering::Acquire) == PARKED {
-                            std::thread::park();
-                        }
-                        idle_from = None;
-                    }
-                }
-            }
-            _ => idle_from = None,
-        }
+/// One step of a wait: a spin, or, after `1 << 12` spins, a yield, so
+/// that on an oversubscribed host the waiter lets whoever it waits for
+/// run.
+fn snooze(spins: &mut u32) {
+    *spins = spins.saturating_add(1);
+    if *spins > 1 << 12 {
+        std::thread::yield_now();
+    } else {
         std::hint::spin_loop();
     }
 }
 
-/// Runs `a` and `b`, possibly in parallel, and returns both results: a
-/// two-party fork-join in the shape of rayon's `join`. Both closures may
-/// borrow the caller's frame.
-///
-/// `a` runs on the caller's thread while `b` waits in the slot of the
-/// *session* thread, which runs it if it picks it up first. The first
-/// join of a process spawns the session: a thread that serves later
-/// halves from its spin slot and parks once the slot has been free for
-/// about a millisecond; a join that finds it parked unparks it. The
-/// caller never waits for a session that has not picked `b` up: if `a`
-/// finishes first and `b` is still in the slot (the session still
-/// starting or waking), the caller takes `b` back and runs it itself. If
-/// another join holds the slot (a concurrent caller, or a join nested in
-/// a half), on a single-core host, and if the session could not be
-/// spawned, both closures run inline.
-///
-/// A hand-off through the slot costs well under a microsecond, against
-/// the tens of microseconds of spawning a thread, which is what makes
-/// halving one objective evaluation of ≈100 µs pay. Which thread runs a
-/// half never changes what it computes.
-///
-/// A panic in either closure re-raises here with its own payload, after
-/// the other closure has finished with the caller's frame (`a`'s panic
-/// wins if both panic); the session keeps working.
-pub(crate) fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    let s = &SESSION;
-    let Some(session) = session_thread() else {
-        return (a(), b());
-    };
-    let parked = match s
-        .slot
-        .compare_exchange(FREE, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-    {
-        Ok(_) => false,
-        Err(PARKED)
-            if s.slot
-                .compare_exchange(PARKED, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok() =>
-        {
-            true
+impl<T: Send> Split<T> {
+    pub(crate) fn new() -> Self {
+        Split {
+            slot: AtomicU8::new(OFF),
+            result: Mutex::new(None),
         }
-        Err(_) => return (a(), b()),
-    };
+    }
 
-    let result: Mutex<Option<std::thread::Result<RB>>> = Mutex::new(None);
-    let half: Box<dyn FnOnce() + Send + '_> = Box::new(|| {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(b));
-        *result.lock().expect("no panic while holding the result") = Some(r);
-    });
-    // The wait contract of `erase_job_lifetime`: past this point the
-    // caller returns (or unwinds) only after taking `half` back or seeing
-    // the session finish it, and `a` runs under `catch_unwind`.
-    *s.half.lock().expect(SLOT_LOCK) = Some(erase_job_lifetime(half));
-    s.slot.store(POSTED, Ordering::Release);
-    if parked {
-        session.unpark();
-    }
-    let ra = std::panic::catch_unwind(std::panic::AssertUnwindSafe(a));
-    if s.slot
-        .compare_exchange(POSTED, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-        .is_ok()
-    {
-        let half = s.half.lock().expect(SLOT_LOCK).take();
-        s.slot.store(FREE, Ordering::Release);
-        let half = half.expect("the caller's half is in the slot");
-        if ra.is_ok() {
-            half();
+    /// Runs `f` while one scoped helper thread runs `half(k)` for each
+    /// request `k` that [`Split::join`] posts, then stops the helper and
+    /// joins it, also when `f` panics. On a single-core host, if the spawn
+    /// fails, or while another `serve` holds the split, `f` runs with no
+    /// helper of its own.
+    pub(crate) fn serve<R>(&self, half: impl Fn(u8) -> T + Sync, f: impl FnOnce() -> R) -> R {
+        if auto_threads() < 2
+            || self
+                .slot
+                .compare_exchange(OFF, IDLE, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return f();
         }
-    } else {
-        let mut spins = 0u32;
-        while s.slot.load(Ordering::Acquire) != DONE {
-            spins = spins.wrapping_add(1);
-            if spins % 4096 == 0 {
-                std::thread::yield_now();
+        std::thread::scope(|scope| {
+            let Ok(helper) = std::thread::Builder::new()
+                .name(HELPER_NAME.to_string())
+                .spawn_scoped(scope, || self.help(&half))
+            else {
+                self.stop();
+                return f();
+            };
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            self.stop();
+            helper
+                .join()
+                .expect("the helper catches its halves' panics");
+            r.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        })
+    }
+
+    /// Turns the helper away, once no half is in flight.
+    fn stop(&self) {
+        let mut spins = 0;
+        while self
+            .slot
+            .compare_exchange(IDLE, OFF, Ordering::Relaxed, Ordering::Relaxed)
+            .is_err()
+        {
+            snooze(&mut spins);
+        }
+    }
+
+    /// The helper's body: runs posted halves until the slot reads `OFF`.
+    fn help(&self, half: &impl Fn(u8) -> T) {
+        let mut spins = 0;
+        loop {
+            match self.slot.load(Ordering::Acquire) {
+                OFF => return,
+                posted @ POSTED.. => {
+                    if self
+                        .slot
+                        .compare_exchange(posted, RUNNING, Ordering::Acquire, Ordering::Relaxed)
+                        .is_ok()
+                    {
+                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            half(posted - POSTED)
+                        }));
+                        *self.result.lock().expect(RESULT_LOCK) = Some(r);
+                        self.slot.store(DONE, Ordering::Release);
+                    }
+                    spins = 0;
+                }
+                _ => snooze(&mut spins),
             }
-            std::hint::spin_loop();
         }
-        s.slot.store(FREE, Ordering::Release);
     }
-    let ra = ra.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-    let rb = result
-        .into_inner()
-        .expect("no panic while holding the result")
-        .expect("the second half ran")
-        .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
-    (ra, rb)
+
+    /// Runs `a` on the caller and `half(b)`, request `b`, on the helper,
+    /// and returns both results: `half` must be the function the helper
+    /// serves with, since the caller runs it itself when there is no helper
+    /// (outside [`Split::serve`], or while another caller holds the slot)
+    /// and when the helper has not picked `b` up by the time `a` returns.
+    /// So the caller never waits for a helper that is not running its half.
+    ///
+    /// A panic in either half re-raises here with its own payload, after
+    /// the other half has returned (`a`'s panic wins if both panic); the
+    /// helper keeps serving.
+    pub(crate) fn join<RA>(
+        &self,
+        a: impl FnOnce() -> RA,
+        b: u8,
+        half: impl FnOnce(u8) -> T,
+    ) -> (RA, T) {
+        let posted = POSTED + b;
+        if self
+            .slot
+            .compare_exchange(IDLE, posted, Ordering::Release, Ordering::Relaxed)
+            .is_err()
+        {
+            return (a(), half(b));
+        }
+        let ra = std::panic::catch_unwind(std::panic::AssertUnwindSafe(a));
+        let rb = if self
+            .slot
+            .compare_exchange(posted, IDLE, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            None
+        } else {
+            let mut spins = 0;
+            while self.slot.load(Ordering::Acquire) != DONE {
+                snooze(&mut spins);
+            }
+            let r = self.result.lock().expect(RESULT_LOCK).take();
+            self.slot.store(IDLE, Ordering::Release);
+            Some(r.expect("the helper stores its half's result"))
+        };
+        let ra = ra.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        let rb = match rb {
+            None => half(b),
+            Some(r) => r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+        };
+        (ra, rb)
+    }
 }
+
+/// Nothing panics while holding a [`Split`]'s result.
+const RESULT_LOCK: &str = "no panic while holding the split's result";
 
 #[cfg(test)]
 mod tests {
@@ -499,10 +437,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_are_the_pool_size() {
+    fn auto_threads_are_the_auto_threads() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(pool_size(), cores.clamp(1, 8));
-        assert_eq!(resolve_threads(0, usize::MAX), pool_size());
+        assert_eq!(auto_threads(), cores.clamp(1, 8));
+        assert_eq!(resolve_threads(0, usize::MAX), auto_threads());
         assert_eq!(resolve_threads(0, 1), 1);
     }
 
@@ -529,24 +467,24 @@ mod tests {
     }
 
     #[test]
-    fn pool_is_reused_across_calls() {
+    fn repeated_fan_outs_join_their_threads() {
         // Many fan-out calls in a row must not accumulate threads: each
         // call joins its scoped threads before it returns.
         for _ in 0..20 {
             let got = map_chunks(CHUNK_ROWS * 3, 4, |c, _| c);
             assert_eq!(got, vec![0, 1, 2]);
         }
-        let pool_threads = std::thread::available_parallelism()
+        let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(8);
         // Far more jobs than threads: the threads take turns on them.
-        let got = map_chunks(CHUNK_ROWS * (pool_threads * 4), 8, |c, _| c);
-        assert_eq!(got.len(), pool_threads * 4);
+        let got = map_chunks(CHUNK_ROWS * (threads * 4), 8, |c, _| c);
+        assert_eq!(got.len(), threads * 4);
     }
 
     #[test]
-    fn pooled_job_panic_reports_its_own_message() {
+    fn fan_out_job_panic_reports_its_own_message() {
         // A panicking job must surface its original message (and job
         // index) at the collection point.
         let err = std::panic::catch_unwind(|| {
@@ -557,13 +495,13 @@ mod tests {
                 j
             })
         })
-        .expect_err("the pooled panic must propagate to the caller");
+        .expect_err("the job's panic must propagate to the caller");
         let msg = panic_message(err.as_ref());
         assert!(
             msg.contains("job five exploded deliberately"),
             "original message lost: {msg}"
         );
-        assert!(msg.contains("worker-pool job 5"), "job index lost: {msg}");
+        assert!(msg.contains("fan-out job 5"), "job index lost: {msg}");
         assert!(msg.contains("par.rs"), "panic location lost: {msg}");
         // Later calls still work after a panicking job.
         assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
@@ -583,7 +521,7 @@ mod tests {
             .expect_err("must propagate");
             let msg = panic_message(err.as_ref());
             assert!(
-                msg.contains("worker-pool job 4") && msg.contains("job 4 failed"),
+                msg.contains("fan-out job 4") && msg.contains("job 4 failed"),
                 "expected the lowest-index panic, got: {msg}"
             );
         }
@@ -622,97 +560,63 @@ mod tests {
         .expect_err("the scoped panic must propagate");
         let msg = panic_message(err.as_ref());
         assert!(msg.contains("scoped job two exploded"), "{msg}");
-        assert!(msg.contains("worker-pool job 2"), "{msg}");
+        assert!(msg.contains("fan-out job 2"), "{msg}");
         // Later calls still work, inline and fanned out.
         assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
     }
 
     #[test]
-    fn join_returns_both_results_and_borrows_the_frame() {
+    fn a_split_runs_its_second_half_on_the_helper_only_while_served() {
+        let here = std::thread::current().id();
         let data: Vec<u64> = (0..10_000).collect();
-        let (low, high) = data.split_at(4_000);
-        for _ in 0..200 {
-            let got = join(|| low.iter().sum::<u64>(), || high.iter().sum::<u64>());
-            assert_eq!(got, (low.iter().sum(), high.iter().sum()));
-        }
-    }
-
-    #[test]
-    fn join_panic_reraises_its_message_and_leaves_the_pool_working() {
-        for round in 0..5 {
-            let err = std::panic::catch_unwind(|| {
-                join(|| 1, || -> usize { panic!("second half {round} exploded") })
+        let started = std::sync::atomic::AtomicBool::new(false);
+        // The helper's half borrows the frame: request `k` sums a tenth.
+        let half = |k: u8| {
+            started.store(true, Ordering::SeqCst);
+            let k = usize::from(k);
+            let sum = data[k * 1000..(k + 1) * 1000].iter().sum::<u64>();
+            (sum, std::thread::current().id())
+        };
+        let want = |k: usize| data[k * 1000..(k + 1) * 1000].iter().sum::<u64>();
+        let split = Split::new();
+        // No helper: both halves run on the caller.
+        assert_eq!(split.join(|| 1, 3, half), (1, (want(3), here)));
+        let split_ran = split.serve(half, || {
+            // `a` waits (up to a bound) for `b` to start, so `b` runs on
+            // the helper unless the caller took it back. Retried, since
+            // the host may delay the helper.
+            (0..20u8).any(|k| {
+                started.store(false, Ordering::SeqCst);
+                let b = k % 10;
+                let (a, (sum, thread)) = split.join(
+                    || {
+                        let t = std::time::Instant::now();
+                        while !started.load(Ordering::SeqCst)
+                            && t.elapsed() < std::time::Duration::from_millis(200)
+                        {
+                            std::thread::yield_now();
+                        }
+                        k
+                    },
+                    b,
+                    half,
+                );
+                assert_eq!((a, sum), (k, want(usize::from(b))));
+                thread != here
             })
-            .expect_err("the second half's panic must propagate");
-            let msg = panic_message(err.as_ref());
-            assert!(
-                msg.contains(&format!("second half {round} exploded")),
-                "{msg}"
-            );
-            let err = std::panic::catch_unwind(|| {
-                join(|| -> usize { panic!("first half {round} exploded") }, || 2)
-            })
-            .expect_err("the first half's panic must propagate");
-            let msg = panic_message(err.as_ref());
-            assert!(
-                msg.contains(&format!("first half {round} exploded")),
-                "{msg}"
-            );
-            // The session and the fan-out survive.
-            assert_eq!(join(|| 1, || 2), (1, 2));
-            assert_eq!(map_indexed_scoped(3, 4, |j| j), vec![0, 1, 2]);
+        });
+        if auto_threads() >= 2 {
+            assert!(split_ran, "every second half ran on the caller");
         }
-    }
-
-    #[test]
-    fn a_parked_session_wakes_for_the_next_join() {
-        if pool_size() < 2 {
-            return; // a single-core host has no session
-        }
-        // Spawns the session, if no other test has.
-        assert_eq!(join(|| 1, || 2), (1, 2));
-        // `a` waits (up to a bound) for `b` to start, so `b` runs on
-        // another thread unless the session never picks it up. Only joins
-        // made after the slot read `PARKED` count as tries: concurrent
-        // tests' joins may keep the session from parking for a while, so
-        // the loop waits for `PARKED` under a deadline. Retried, since
-        // the host may delay the session's wake-up, and since a
-        // concurrent test's join may claim the parked slot first.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        let mut tries = 0;
-        while tries < 20 && Instant::now() < deadline {
-            std::thread::sleep(SESSION_IDLE);
-            if SESSION.slot.load(Ordering::Acquire) != PARKED {
-                continue;
-            }
-            tries += 1;
-            let started = std::sync::atomic::AtomicBool::new(false);
-            let (caller, helper) = join(
-                || {
-                    let t = Instant::now();
-                    while !started.load(Ordering::SeqCst)
-                        && t.elapsed() < Duration::from_millis(200)
-                    {
-                        std::thread::yield_now();
-                    }
-                    std::thread::current().id()
-                },
-                || {
-                    started.store(true, Ordering::SeqCst);
-                    std::thread::current().id()
-                },
-            );
-            if caller != helper {
-                return;
-            }
-        }
-        assert!(
-            tries > 0,
-            "the session never parked in 30 s: the wake path was not tried"
-        );
-        panic!(
-            "every second half of {tries} tries ran on the caller: the parked session never woke"
-        );
+        // Stopped: the caller runs both halves again, also after `f`
+        // panicked.
+        assert_eq!(split.join(|| 2, 4, half), (2, (want(4), here)));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            split.serve(half, || panic!("the served run exploded"))
+        }))
+        .expect_err("the run's panic must propagate");
+        assert_eq!(panic_message(err.as_ref()), "the served run exploded");
+        assert_eq!(split.join(|| 5, 6, half), (5, (want(6), here)));
     }
 
     #[test]

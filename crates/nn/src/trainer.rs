@@ -73,12 +73,13 @@ impl Trainer {
         let x0 = net.flatten_active();
         let result = {
             let objective = CrossEntropyObjective::new(net, data, self.penalty);
-            match &self.algorithm {
-                TrainingAlgorithm::Bfgs(b) => b.minimize(&objective, x0),
-                TrainingAlgorithm::Lbfgs(l) => l.minimize(&objective, x0),
-                TrainingAlgorithm::ConjugateGradient(c) => c.minimize(&objective, x0),
-                TrainingAlgorithm::GradientDescent(g) => g.minimize(&objective, x0),
-            }
+            // One helper thread splits the evaluations of the whole run.
+            objective.run(|objective| match &self.algorithm {
+                TrainingAlgorithm::Bfgs(b) => b.minimize(objective, x0),
+                TrainingAlgorithm::Lbfgs(l) => l.minimize(objective, x0),
+                TrainingAlgorithm::ConjugateGradient(c) => c.minimize(objective, x0),
+                TrainingAlgorithm::GradientDescent(g) => g.minimize(objective, x0),
+            })
         };
         net.set_active(&result.x);
         TrainReport {

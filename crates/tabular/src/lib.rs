@@ -6,7 +6,7 @@
 //! that substrate: [`Schema`] describes the attributes, [`Value`] holds one
 //! attribute value, [`Dataset`] holds labeled tuples in **typed columns**
 //! (one `Vec<f64>`/`Vec<u32>` per attribute), [`DatasetView`] selects rows
-//! without copying them, and helpers cover the usual chores (splits, class
+//! without copying them, and helpers cover the usual chores (class
 //! distributions, streaming CSV ingest).
 //!
 //! Everything downstream — the synthetic generator (`nr-datagen`), the binary
@@ -33,7 +33,6 @@
 
 mod buf;
 mod csv;
-mod cv;
 mod dataset;
 mod schema;
 mod value;
@@ -44,7 +43,6 @@ pub use csv::{
     check_header, parse_csv_block, parse_csv_cell, parse_row, read_csv_streaming, write_csv,
     write_csv_header, write_csv_rows, CsvScanner,
 };
-pub use cv::{stratified_kfold, stratified_split};
 pub use dataset::{ClassId, Column, Dataset};
 pub use schema::{AttrKind, Attribute, Schema};
 pub use value::Value;

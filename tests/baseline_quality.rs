@@ -3,8 +3,62 @@
 
 use nr_datagen::{Function, Generator};
 use nr_rules::{evaluate_rules, ConfusionMatrix};
-use nr_tabular::{stratified_kfold, stratified_split};
+use nr_tabular::{Dataset, DatasetView};
 use nr_tree::{to_rules, DecisionTree, TreeConfig};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
+
+/// Each class's rows, shuffled by `rng`.
+fn shuffled_classes(ds: &Dataset, rng: &mut rand::rngs::StdRng) -> Vec<Vec<usize>> {
+    (0..ds.n_classes())
+        .map(|class| {
+            let mut members: Vec<usize> = (0..ds.len()).filter(|&i| ds.label(i) == class).collect();
+            members.shuffle(rng);
+            members
+        })
+        .collect()
+}
+
+/// Splits `ds` into `(head, tail)` views with `head_fraction` of every
+/// class in the head (stratified), deterministically for a seed.
+fn stratified_split(
+    ds: &Dataset,
+    head_fraction: f64,
+    seed: u64,
+) -> (DatasetView<'_>, DatasetView<'_>) {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (mut head, mut tail) = (Vec::new(), Vec::new());
+    for members in shuffled_classes(ds, &mut rng) {
+        let cut = (members.len() as f64 * head_fraction).round() as usize;
+        head.extend_from_slice(&members[..cut]);
+        tail.extend_from_slice(&members[cut..]);
+    }
+    head.sort_unstable();
+    tail.sort_unstable();
+    (ds.view_of(head), ds.view_of(tail))
+}
+
+/// `k` stratified `(train, validation)` view pairs: each class's shuffled
+/// rows are dealt round-robin to the folds.
+fn stratified_kfold(ds: &Dataset, k: usize, seed: u64) -> Vec<(DatasetView<'_>, DatasetView<'_>)> {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut fold_of = vec![0; ds.len()];
+    for members in shuffled_classes(ds, &mut rng) {
+        for (j, &row) in members.iter().enumerate() {
+            fold_of[row] = j % k;
+        }
+    }
+    (0..k)
+        .map(|fold| {
+            let rows = |keep: bool| {
+                (0..ds.len())
+                    .filter(|&i| (fold_of[i] == fold) == keep)
+                    .collect()
+            };
+            (ds.view_of(rows(false)), ds.view_of(rows(true)))
+        })
+        .collect()
+}
 
 /// C4.5 must clear sensible accuracy floors on every evaluated function —
 /// the paper's table has it in the 89–100% band.

@@ -208,9 +208,9 @@ fn bits(values: &[f64]) -> Vec<u64> {
     values.iter().map(|v| v.to_bits()).collect()
 }
 
-/// Runs `evaluate` on `threads` threads at once: one of them at a time
-/// splits its chunks with the pool's session worker, the others run both
-/// halves themselves or take theirs back.
+/// Runs `evaluate` on `threads` threads at once. Each evaluates outside
+/// `CrossEntropyObjective::run`, so it runs both halves of every phase
+/// itself, one after the other.
 fn on_threads(threads: usize, evaluate: impl Fn() + Sync) {
     std::thread::scope(|s| {
         for _ in 0..threads {
@@ -442,7 +442,7 @@ fn heavy_mask_single_chunk_objective_deterministic_across_thread_counts() {
     for threads in [1usize, 2, 8] {
         on_threads(threads, || {
             let obj = CrossEntropyObjective::new(&net, &data, Penalty::default());
-            // Repeated, so later evaluations find the session worker live.
+            // Repeated, so later evaluations reuse the buffers.
             for _ in 0..20 {
                 let mut grad = vec![0.0; obj.dim()];
                 let loss = obj.value_and_gradient(&x, &mut grad);
@@ -454,9 +454,9 @@ fn heavy_mask_single_chunk_objective_deterministic_across_thread_counts() {
     }
 }
 
-/// Four threads evaluating single-chunk objectives at once (one of them at
-/// most holds the session worker; the others run inline or take their
-/// halves back) all get the per-row reference's bits.
+/// Four threads evaluating single-chunk objectives at once, each running
+/// both halves of every phase itself, all get the per-row reference's
+/// bits.
 #[test]
 fn concurrent_single_chunk_evaluations_agree() {
     let (n_in, h, o) = (20, 6, 3);
