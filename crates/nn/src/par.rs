@@ -437,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_threads_are_the_auto_threads() {
+    fn auto_threads_are_the_capped_parallelism() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         assert_eq!(auto_threads(), cores.clamp(1, 8));
         assert_eq!(resolve_threads(0, usize::MAX), auto_threads());
